@@ -78,6 +78,57 @@ class Scenario:
     sweep_stop: float = 30.0
     sweep_step: float = 5.0
 
+    def __post_init__(self):
+        """Reject a scenario no experiment can run, on load: every float
+        finite and every value in its legal range (exit code 2)."""
+        for key in sorted(_FLOAT_KEYS):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, "
+                                  f"got {getattr(self, key)}")
+        dbw = f"within +-{DBW_LIMIT:g}"
+        for key, ok, rule in (
+                ("r_s1_o", self.r_s1_o > 0.0, "> 0"),
+                ("r_s", self.r_s > 0.0, "> 0"),
+                ("r_b_s1", self.r_b_s1 > 0.0, "> 0"),
+                ("K", self.K >= 1, ">= 1"),
+                ("alpha", self.alpha > 2.0, "> 2"),
+                ("Ps_dBw", abs(self.Ps_dBw) <= DBW_LIMIT, dbw),
+                ("Pm_dBw", abs(self.Pm_dBw) <= DBW_LIMIT, dbw),
+                ("lambda_e", self.lambda_e >= 0.0, ">= 0"),
+                ("epsilon", 0.0 < self.epsilon < 1.0, "in (0, 1)"),
+                ("beta_t", self.beta_t >= 0.0, ">= 0"),
+                ("beta_e", self.beta_e >= 0.0, ">= 0"),
+                ("N", self.N >= 1, ">= 1"),
+                ("tau", self.tau > 0.0, "> 0"),
+                ("L", self.L >= 1, ">= 1"),
+                ("trials", self.trials is None or self.trials >= 0, ">= 0"),
+                ("threads", self.threads >= 1, ">= 1"),
+                ("sweep_step", self.sweep_step > 0.0, "> 0")):
+            if not ok:
+                raise ConfigError(f"{key} must be {rule}, "
+                                  f"got {getattr(self, key)}")
+        if self.M != "optimize":
+            try:
+                m = int(self.M)
+            except ValueError as exc:
+                raise ConfigError(
+                    "M must be an integer or 'optimize'") from exc
+            if not 0 <= m <= self.L:
+                raise ConfigError(f"M={m} outside 0..L={self.L}")
+        if self.bsr_sop_model not in ("approx", "exact"):
+            raise ConfigError("bsr_sop_model must be approx|exact")
+        if self.caching_objective not in ("throughput", "see"):
+            raise ConfigError("caching_objective must be throughput|see")
+        if self.sweep_var not in ("Ps_dBw", "Rs", "N"):
+            raise ConfigError("sweep_var must be Ps_dBw|Rs|N")
+        low, high = sorted((self.sweep_start, self.sweep_stop))
+        if self.sweep_var == "Ps_dBw" and max(-low, high) > DBW_LIMIT:
+            raise ConfigError(f"Ps_dBw sweep must stay {dbw}")
+        if self.sweep_var == "N" and low < 1:
+            raise ConfigError("N sweep must start at >= 1")
+        if self.sweep_var == "Rs" and low < 0:
+            raise ConfigError("Rs sweep must start at >= 0")
+
     def layout(self) -> NetworkLayout:
         return build_line_layout(self.r_s1_o, self.r_s, self.K, self.r_b_s1)
 
@@ -88,6 +139,10 @@ class Scenario:
 
     def header_items(self) -> list[str]:
         return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
+
+
+# Powers beyond +-3000 dBw leave the range of a positive finite float.
+DBW_LIMIT = 3000.0
 
 
 def dbw_to_linear(p_dbw: float) -> float:
@@ -141,25 +196,10 @@ def parse_scenario_text(text: str, source: str = "<config>") -> Scenario:
             if key not in _ALL_KEYS:
                 raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
             values[key] = _coerce(key, raw, f"{source}:{lineno}")
-    scenario = Scenario(**values)
-    if scenario.M != "optimize":
-        try:
-            m = int(scenario.M)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{source}: M must be an integer or 'optimize'") from exc
-        if not 0 <= m <= scenario.L:
-            raise ConfigError(f"{source}: M={m} outside 0..L={scenario.L}")
-    if scenario.bsr_sop_model not in ("approx", "exact"):
-        raise ConfigError(f"{source}: bsr_sop_model must be approx|exact")
-    if scenario.caching_objective not in ("throughput", "see"):
-        raise ConfigError(f"{source}: caching_objective must be "
-                          "throughput|see")
-    if scenario.sweep_var not in ("Ps_dBw", "Rs", "N"):
-        raise ConfigError(f"{source}: sweep_var must be Ps_dBw|Rs|N")
-    if scenario.sweep_step <= 0:
-        raise ConfigError(f"{source}: sweep_step must be positive")
-    return scenario
+    try:
+        return Scenario(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
 
 
 def load_scenario(path: str | None) -> Scenario:
@@ -381,14 +421,19 @@ def cmd_caching(scn: Scenario, out) -> int:
 
         return m_closed, m_ex, value
 
+    if scn.sweep_var == "N":
+        # psi does not depend on the library size: design the codes once
+        psi_fixed = _per_scheme_psi(scn, layout, scn.params())
+
     def compute(i, v):
         if scn.sweep_var == "N":
             params = scn.params()
             lib = caching.ZipfLibrary(N=int(v), tau=scn.tau)
+            psi = psi_fixed
         else:
             params = replace(scn.params(), Ps=dbw_to_linear(v))
             lib = caching.ZipfLibrary(N=scn.N, tau=scn.tau)
-        psi = _per_scheme_psi(scn, layout, params)
+            psi = _per_scheme_psi(scn, layout, params)
         m_closed, m_ex, value = optimize(psi, lib, params)
         return [[v, psi[SchemeId.DBF], psi[SchemeId.FOT], psi[SchemeId.BSR],
                  m_closed, m_ex, value(m_closed), value(scn.L), value(0)]]
@@ -405,6 +450,8 @@ def cmd_validate(scn: Scenario, out) -> int:
     """Analytic vs Monte Carlo on the configured power sweep, with verdicts."""
     if scn.sweep_var != "Ps_dBw":
         raise ConfigError("validate sweeps Ps_dBw")
+    if scn.trials == 0:
+        raise ConfigError("validate needs Monte Carlo trials (--trials > 0)")
     layout = scn.layout()
     cop_trials = scn.trials if scn.trials is not None else 10 ** 5
     sop_trials = max(cop_trials // 10, 1)
@@ -465,7 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output CSV path (default: stdout)")
     parser.add_argument("--seed", type=int, help="override the scenario seed")
     parser.add_argument("--trials", type=int,
-                        help="override the Monte Carlo budget (0 disables)")
+                        help="override the Monte Carlo budget; 0 gives "
+                             "analytic-only cop-sweep and sop-sweep tables "
+                             "(validate needs trials)")
     parser.add_argument("--threads", type=int,
                         help="worker threads for sweep points")
     return parser
@@ -488,7 +537,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        # ArithmeticError: a float overflow or a zero division in a scenario
+        # at the edge of the float range
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
 

@@ -12,11 +12,15 @@ Eavesdroppers form a Poisson field, so every SOP has the shape
 probability over the plane. The integrals are truncated at a radius beyond
 which the integrand is below 1e-12 and evaluated on a tensorized
 Gauss-Legendre grid, with one radial refinement to certify convergence.
+Each scheme's per-position breach law is written once, as a BreachKernel
+that also yields its analytic derivative in beta_e for the SOP inversion
+in `rates`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,6 +40,8 @@ SIMPLEX_LOG2_BUDGET = 18
 # Gauss-Legendre grid for the secrecy integrals.
 RADIAL_NODES = 256
 ANGULAR_NODES = 128
+# The doubled grid of the certification pair, whose value every SOP reports.
+FINE_NODES = (2 * RADIAL_NODES, ANGULAR_NODES)
 # The integrand is below exp(-TAIL_LOG) = 1e-12 beyond the cut radius.
 TAIL_LOG = math.log(1e12)
 QUAD_CERT_TOL = 1e-6
@@ -248,26 +254,118 @@ def trunc_radius(d_max: float, power: float, beta_e: float, alpha: float) -> flo
     return d_max + (TAIL_LOG * power / beta_e) ** (1.0 / alpha)
 
 
-def _disc_integral(g, rmax: float, n_radial: int, n_angular: int) -> float:
-    """Integrate g(x, y) * r over the disc of radius rmax at the origin."""
-    xr, wr = _leggauss(n_radial)
-    xt, wt = _leggauss(n_angular)
-    r = 0.5 * rmax * (xr + 1.0)
-    theta = math.pi * (xt + 1.0)
-    px = r[:, None] * np.cos(theta)[None, :]
-    py = r[:, None] * np.sin(theta)[None, :]
-    per_radius = g(px, py) @ (math.pi * wt)
-    return float(np.sum(per_radius * r * wr)) * 0.5 * rmax
+@dataclass(frozen=True)
+class BreachKernel:
+    """Per-position breach probability of one scheme on one geometry.
+
+    law(px, py, beta_e, deriv) returns the probability that an eavesdropper
+    at (px, py) breaches secrecy, and its analytic derivative in beta_e on
+    the same points when deriv is set (None otherwise). d_max and power set
+    the truncation radius (see trunc_radius).
+    """
+
+    law: Callable
+    d_max: float
+    power: float
+    alpha: float
+
+    def integral(self, beta_e: float, nodes: tuple[int, int],
+                 deriv: bool = False):
+        """Breach integral over the truncated plane, and its derivative in
+        beta_e when deriv is set, on an (n_radial, n_angular) Gauss-Legendre
+        grid. The derivative ignores the radius' own dependence on beta_e,
+        where the integrand is below 1e-12."""
+        rmax = trunc_radius(self.d_max, self.power, beta_e, self.alpha)
+        n_radial, n_angular = nodes
+        xr, wr = _leggauss(n_radial)
+        xt, wt = _leggauss(n_angular)
+        r = 0.5 * rmax * (xr + 1.0)
+        theta = math.pi * (xt + 1.0)
+        px = r[:, None] * np.cos(theta)[None, :]
+        py = r[:, None] * np.sin(theta)[None, :]
+
+        def quad(values):
+            per_radius = values @ (math.pi * wt)
+            return float(np.sum(per_radius * r * wr)) * 0.5 * rmax
+
+        g, dg = self.law(px, py, beta_e, deriv)
+        return (quad(g), quad(dg)) if deriv else quad(g)
 
 
-def _pgfl_sop(g, rmax: float, lambda_e: float, method: str,
-              nodes: tuple[int, int]) -> OutageEstimate:
-    """SOP = 1 - exp(-lambda_e * I) with I certified by radial doubling."""
-    n_r, n_t = nodes
-    coarse = -math.expm1(-lambda_e * _disc_integral(g, rmax, n_r, n_t))
-    fine = -math.expm1(-lambda_e * _disc_integral(g, rmax, 2 * n_r, n_t))
-    flag = None if abs(fine - coarse) < QUAD_CERT_TOL else "quadrature-unconverged"
-    return OutageEstimate(min(max(fine, 0.0), 1.0), method, flag=flag)
+def _dbf_breach(layout: NetworkLayout, params: ChannelParams) -> BreachKernel:
+    sx, sy = layout.sbs_xy()
+
+    def law(px, py, beta_e, deriv):
+        s = np.zeros_like(px)
+        for k in range(layout.K):
+            d_sq = (px - sx[k]) ** 2 + (py - sy[k]) ** 2
+            s += dist_pow_neg(d_sq, params.alpha)
+        g = np.exp(-(beta_e / params.Ps) / s)
+        return g, (-g / (params.Ps * s) if deriv else None)
+
+    return BreachKernel(law, float(layout.sbs_distances().max()),
+                        layout.K * params.Ps, params.alpha)
+
+
+def _fot_breach(layout: NetworkLayout, params: ChannelParams) -> BreachKernel:
+    sx, sy = layout.sbs_xy()
+    kps = layout.K * params.Ps
+
+    def law(px, py, beta_e, deriv):
+        # the survival product is differentiated factor by factor
+        scale = beta_e / kps
+        survive = np.ones_like(px)
+        d_survive = np.zeros_like(px) if deriv else None
+        for k in range(layout.K):
+            d_sq = (px - sx[k]) ** 2 + (py - sy[k]) ** 2
+            w = dist_pow_neg(d_sq, params.alpha)
+            term = -np.expm1(-scale / w)
+            if deriv:
+                d_survive = d_survive * term \
+                    + survive * (np.exp(-scale / w) / (kps * w))
+            survive *= term
+        return 1.0 - survive, (-d_survive if deriv else None)
+
+    return BreachKernel(law, float(layout.sbs_distances().max()), kps,
+                        params.alpha)
+
+
+def _bsr_breach(layout: NetworkLayout, params: ChannelParams) -> BreachKernel:
+    mbs, serving = layout.mbs, layout.sbs[0]
+    mx, my, kx, ky = mbs.x, mbs.y, serving.x, serving.y
+
+    def hop(d_sq, power, beta_e):
+        w = dist_pow_neg(d_sq, params.alpha)
+        p = np.exp(-(beta_e / power) / w)
+        return p, w
+
+    def law(px, py, beta_e, deriv):
+        hop2, w2 = hop((px - kx) ** 2 + (py - ky) ** 2, params.Ps, beta_e)
+        if params.Pm > 0.0:
+            hop1, w1 = hop((px - mx) ** 2 + (py - my) ** 2, params.Pm, beta_e)
+        else:
+            hop1 = np.zeros_like(px)
+        g = hop1 + hop2 - hop1 * hop2
+        if not deriv:
+            return g, None
+        dg = -hop2 / (params.Ps * w2) * (1.0 - hop1)
+        if params.Pm > 0.0:
+            dg -= hop1 / (params.Pm * w1) * (1.0 - hop2)
+        return g, dg
+
+    return BreachKernel(law, max(mbs.r, serving.r), max(params.Pm, params.Ps),
+                        params.alpha)
+
+
+_BREACH = {SchemeId.DBF: _dbf_breach, SchemeId.FOT: _fot_breach,
+           SchemeId.BSR: _bsr_breach}
+
+
+def breach_kernel(scheme: SchemeId, layout: NetworkLayout,
+                  params: ChannelParams) -> BreachKernel:
+    """Breach kernel behind the scheme's quadrature SOP (for the relaying
+    scheme, the shared-eavesdropper form of sop_bsr_exact)."""
+    return _BREACH[scheme](layout, params)
 
 
 def _sop_guards(params: ChannelParams, beta_e: float,
@@ -283,6 +381,21 @@ def _sop_guards(params: ChannelParams, beta_e: float,
     return None
 
 
+def _pgfl_sop(kernel: BreachKernel, params: ChannelParams, beta_e: float,
+              nodes: tuple[int, int]) -> OutageEstimate:
+    """SOP = 1 - exp(-lambda_e * I), I certified by radial doubling: the
+    value is the one on the doubled grid (FINE_NODES by default)."""
+    guard = _sop_guards(params, beta_e, METHOD_EXACT)
+    if guard is not None:
+        return guard
+    n_r, n_t = nodes
+    lam = params.lambda_e
+    coarse = -math.expm1(-lam * kernel.integral(beta_e, (n_r, n_t)))
+    fine = -math.expm1(-lam * kernel.integral(beta_e, (2 * n_r, n_t)))
+    flag = None if abs(fine - coarse) < QUAD_CERT_TOL else "quadrature-unconverged"
+    return OutageEstimate(min(max(fine, 0.0), 1.0), METHOD_EXACT, flag=flag)
+
+
 def sop_dbf(layout: NetworkLayout, params: ChannelParams, beta_e: float,
             nodes: tuple[int, int] = (RADIAL_NODES, ANGULAR_NODES)) -> OutageEstimate:
     """Secrecy outage of distributed beamforming.
@@ -291,21 +404,7 @@ def sop_dbf(layout: NetworkLayout, params: ChannelParams, beta_e: float,
     Ps * sum_k r_{k,e}^(-alpha) (the beam phases are mismatched there), so
     its breach probability is exp(-(beta_e/Ps) / sum_k r_{k,e}^(-alpha)).
     """
-    guard = _sop_guards(params, beta_e, METHOD_EXACT)
-    if guard is not None:
-        return guard
-    sx, sy = layout.sbs_xy()
-    r = layout.sbs_distances()
-    rmax = trunc_radius(float(r.max()), layout.K * params.Ps, beta_e, params.alpha)
-
-    def g(px, py):
-        s = np.zeros_like(px)
-        for k in range(layout.K):
-            d_sq = (px - sx[k]) ** 2 + (py - sy[k]) ** 2
-            s += dist_pow_neg(d_sq, params.alpha)
-        return np.exp(-(beta_e / params.Ps) / s)
-
-    return _pgfl_sop(g, rmax, params.lambda_e, METHOD_EXACT, nodes)
+    return _pgfl_sop(_dbf_breach(layout, params), params, beta_e, nodes)
 
 
 def sop_fot(layout: NetworkLayout, params: ChannelParams, beta_e: float,
@@ -315,22 +414,7 @@ def sop_fot(layout: NetworkLayout, params: ChannelParams, beta_e: float,
     Intercepting any single partition breaks secrecy, so the per-position
     breach probability is 1 - prod_k (1 - exp(-beta_e r_{k,e}^alpha / (K Ps))).
     """
-    guard = _sop_guards(params, beta_e, METHOD_EXACT)
-    if guard is not None:
-        return guard
-    sx, sy = layout.sbs_xy()
-    r = layout.sbs_distances()
-    rmax = trunc_radius(float(r.max()), layout.K * params.Ps, beta_e, params.alpha)
-    scale = beta_e / (layout.K * params.Ps)
-
-    def g(px, py):
-        survive = np.ones_like(px)
-        for k in range(layout.K):
-            d_sq = (px - sx[k]) ** 2 + (py - sy[k]) ** 2
-            survive *= -np.expm1(-scale / dist_pow_neg(d_sq, params.alpha))
-        return 1.0 - survive
-
-    return _pgfl_sop(g, rmax, params.lambda_e, METHOD_EXACT, nodes)
+    return _pgfl_sop(_fot_breach(layout, params), params, beta_e, nodes)
 
 
 def sop_bsr_exact(layout: NetworkLayout, params: ChannelParams, beta_e: float,
@@ -343,26 +427,7 @@ def sop_bsr_exact(layout: NetworkLayout, params: ChannelParams, beta_e: float,
     position and the nearest SBS is the modal choice. The Monte Carlo module
     keeps the fading-dependent selection so the gap can be measured.
     """
-    guard = _sop_guards(params, beta_e, METHOD_EXACT)
-    if guard is not None:
-        return guard
-    serving = layout.sbs[0]
-    d_max = max(layout.mbs.r, serving.r)
-    rmax = trunc_radius(d_max, max(params.Pm, params.Ps), beta_e, params.alpha)
-    mx, my = layout.mbs.x, layout.mbs.y
-    kx, ky = serving.x, serving.y
-
-    def g(px, py):
-        db_sq = (px - mx) ** 2 + (py - my) ** 2
-        ds_sq = (px - kx) ** 2 + (py - ky) ** 2
-        if params.Pm > 0.0:
-            hop1 = np.exp(-(beta_e / params.Pm) / dist_pow_neg(db_sq, params.alpha))
-        else:
-            hop1 = np.zeros_like(px)
-        hop2 = np.exp(-(beta_e / params.Ps) / dist_pow_neg(ds_sq, params.alpha))
-        return hop1 + hop2 - hop1 * hop2
-
-    return _pgfl_sop(g, rmax, params.lambda_e, METHOD_EXACT, nodes)
+    return _pgfl_sop(_bsr_breach(layout, params), params, beta_e, nodes)
 
 
 def sop_bsr_approx(params: ChannelParams, beta_e: float) -> OutageEstimate:

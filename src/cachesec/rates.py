@@ -4,7 +4,8 @@ Secrecy throughput is the secrecy rate times the decoding success
 probability, subject to a cap epsilon on the secrecy outage probability.
 The design runs in two stages: invert the SOP to the smallest redundancy
 threshold beta_e that meets epsilon (redundancy only costs throughput, so
-the constraint binds), then maximize
+the constraint binds) by safeguarded Newton steps in log(beta_e) on the
+scheme's breach kernel, certified once at the root, then maximize
 
     psi(beta_s) = eta * (1 - COP(beta_t)) * log2(1 + beta_s),
 
@@ -38,7 +39,8 @@ class RateDesign:
 
     beta_e_circ is the smallest redundancy threshold meeting the SOP cap,
     beta_s_star the throughput-maximizing secrecy threshold, psi_star the
-    resulting secrecy throughput in bits/s/Hz.
+    resulting secrecy throughput in bits/s/Hz. sop_evals, sop_residual and
+    sop_flag record how beta_e_circ was found (see SopRoot).
     """
 
     scheme: SchemeId
@@ -46,6 +48,9 @@ class RateDesign:
     beta_s_star: float
     psi_star: float
     epsilon: float | None = None
+    sop_evals: int = 0
+    sop_residual: float | None = None
+    sop_flag: str | None = None
 
     @property
     def rate_secrecy(self) -> float:
@@ -64,53 +69,99 @@ class RateDesign:
         return self.beta_e_circ + (1.0 + self.beta_e_circ) * self.beta_s_star
 
 
-def _sop_value(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
-               beta_e: float, bsr_exact: bool) -> float:
-    if scheme is SchemeId.DBF:
-        return outage.sop_dbf(layout, params, beta_e).value
-    if scheme is SchemeId.FOT:
-        return outage.sop_fot(layout, params, beta_e).value
-    if scheme is SchemeId.BSR:
-        if bsr_exact:
-            return outage.sop_bsr_exact(layout, params, beta_e).value
-        return outage.sop_bsr_approx(params, beta_e).value
-    raise ValueError(f"unknown scheme {scheme!r}")
+class SopRoot(float):
+    """A redundancy threshold beta_e_circ that also records its inversion.
+
+    It is the float beta_e_circ, so every caller can use it as such. evals
+    counts the SOP evaluations spent (fine-grid kernel evaluations plus the
+    certification at the root), residual is |SOP(root) - epsilon| with the
+    certified SOP (None when nothing was inverted), cert_flag the
+    certification's OutageEstimate flag.
+    """
+
+    evals: int
+    residual: float | None
+    cert_flag: str | None
+
+    def __new__(cls, value: float, evals: int = 0,
+                residual: float | None = None, cert_flag: str | None = None):
+        root = super().__new__(cls, value)
+        root.evals = evals
+        root.residual = residual
+        root.cert_flag = cert_flag
+        return root
+
+
+def _newton_root(kernel: outage.BreachKernel, lambda_e: float,
+                 epsilon: float, max_iter: int) -> tuple[float, int]:
+    """Root of log(lambda_e I(beta_e)) = log(-log(1 - epsilon)) in
+    u = log(beta_e), and the number of kernel evaluations it took."""
+    a = kernel.alpha
+    target = math.log(-math.log1p(-epsilon) / lambda_e)  # log I at the root
+    # start from the root of one transmitter of the kernel's largest
+    # power, whose integral is pi Gamma(1 + 2/a) (power/beta_e)^(2/a)
+    u = math.log(kernel.power) \
+        - 0.5 * a * (target - math.log(math.pi * math.gamma(1.0 + 2.0 / a)))
+    lo, hi = -math.inf, math.inf  # SOP(e^lo) > epsilon > SOP(e^hi)
+    reach = 1.0
+    for evals in range(1, max_iter + 1):
+        beta = math.exp(u)
+        integral, slope = kernel.integral(beta, outage.FINE_NODES, deriv=True)
+        value = min(max(-math.expm1(-lambda_e * integral), 0.0), 1.0)
+        if abs(value - epsilon) <= SOP_INVERSION_TOL:
+            return beta, evals
+        if value > epsilon:
+            lo = u
+        else:
+            hi = u
+        step = math.nan
+        if integral > 0.0 and slope < 0.0:
+            # f(u) = log I - target has f'(u) = beta I'(beta) / I
+            step = u - (math.log(integral) - target) \
+                * integral / (beta * slope)
+        if lo < step < hi:
+            u = step
+        elif math.isinf(lo) or math.isinf(hi):
+            # the bracket is still open: move further out on its open side
+            u = hi - reach if math.isinf(lo) else lo + reach
+            reach *= 2.0
+        else:
+            u = 0.5 * (lo + hi)
+    raise RuntimeError(f"SOP inversion did not converge in {max_iter} "
+                       f"evaluations (epsilon={epsilon})")
 
 
 def invert_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
                epsilon: float, bsr_exact: bool = False,
-               max_iter: int = 200) -> float:
+               max_iter: int = 200) -> SopRoot:
     """Smallest redundancy threshold whose SOP equals epsilon.
 
-    The SOP is continuous and strictly decreasing in beta_e with limits 1
-    and 0, so a doubling bracket followed by bisection converges; iteration
-    stops once |SOP - epsilon| <= 1e-8. The relaying scheme inverts the
-    layout-free form by default (bsr_exact switches to the shared-field one).
+    The SOP 1 - exp(-lambda_e I(beta_e)) falls strictly from 1 to 0, so the
+    root solves log(lambda_e I) = log(-log(1 - epsilon)), an equation that
+    is nearly linear in u = log(beta_e). Safeguarded Newton steps in u use
+    the analytic derivative of the scheme's breach kernel on the fine grid
+    of the SOP certification pair; a step leaving the bracket kept around
+    the root is replaced by a bisection step in u (or, while one side of
+    the bracket is still open, by a doubling move towards it). Iteration
+    stops once |SOP - epsilon| <= SOP_INVERSION_TOL, and the root is then
+    certified once through outage.sop. The relaying scheme inverts the
+    layout-free form by default, whose inverse is algebraic (bsr_exact
+    switches to the shared-field form).
+
+    Raises RuntimeError when max_iter kernel evaluations do not converge.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if params.lambda_e == 0.0:
-        return 0.0  # no eavesdroppers: no redundancy needed
-    lo = 0.0
-    hi = 1.0
-    for _ in range(200):
-        if _sop_value(scheme, layout, params, hi, bsr_exact) <= epsilon:
-            break
-        lo = hi
-        hi *= 2.0
+        return SopRoot(0.0)  # no eavesdroppers: no redundancy needed
+    if scheme is SchemeId.BSR and not bsr_exact:
+        beta_e, evals = bsr_approx_threshold(params, epsilon), 0
     else:
-        raise RuntimeError("SOP bracket search did not terminate")
-    mid = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        value = _sop_value(scheme, layout, params, mid, bsr_exact)
-        if abs(value - epsilon) <= SOP_INVERSION_TOL:
-            return mid
-        if value > epsilon:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+        kernel = outage.breach_kernel(scheme, layout, params)
+        beta_e, evals = _newton_root(kernel, params.lambda_e, epsilon,
+                                     max_iter)
+    cert = outage.sop(scheme, layout, params, beta_e, bsr_exact=bsr_exact)
+    return SopRoot(beta_e, evals + 1, abs(cert.value - epsilon), cert.flag)
 
 
 def bsr_approx_threshold(params: ChannelParams, epsilon: float) -> float:
@@ -260,11 +311,8 @@ def opt_bs_fot(layout: NetworkLayout, params: ChannelParams,
     def resid(b):
         return decay * math.log1p(b) * (1.0 + b) - 1.0
 
-    lo = 0.0
-    hi = 1.0
-    while resid(hi) < 0.0:
-        lo = hi
-        hi *= 2.0
+    hi = _expand_bracket(lambda b: -resid(b))
+    lo = 0.5 * hi if hi > 1.0 else 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if resid(mid) > 0.0:
@@ -329,8 +377,8 @@ def scheme_throughput(scheme: SchemeId, layout: NetworkLayout,
     high-power form, the other two their exact closed forms. The relaying
     SOP constraint uses the layout-free form unless bsr_exact_sop is set.
     """
-    beta_e_circ = invert_sop(scheme, layout, params, epsilon,
-                             bsr_exact=bsr_exact_sop)
+    root = invert_sop(scheme, layout, params, epsilon, bsr_exact=bsr_exact_sop)
+    beta_e_circ = float(root)
     if scheme is SchemeId.DBF:
         design = opt_bs_dbf(layout, params, beta_e_circ)
     elif scheme is SchemeId.FOT:
@@ -339,4 +387,5 @@ def scheme_throughput(scheme: SchemeId, layout: NetworkLayout,
         design = opt_bs_bsr(layout, params, beta_e_circ)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return replace(design, epsilon=epsilon)
+    return replace(design, epsilon=epsilon, sop_evals=root.evals,
+                   sop_residual=root.residual, sop_flag=root.cert_flag)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cachesec import SchemeId, rates
 from cachesec.cli import (ConfigError, Scenario, load_scenario, main,
                           parse_scenario_text, sweep_values)
 
@@ -251,11 +252,75 @@ def test_exit_code_2_for_config_errors(tmp_path):
     assert main(["cop-sweep", "--config", str(cfg)]) == 2
 
 
-def test_exit_code_3_for_infeasible_epsilon(tmp_path):
+def test_exit_code_2_for_out_of_range_epsilon(tmp_path):
     cfg = tmp_path / "eps.cfg"
     cfg.write_text("epsilon = 1.5\n" + SMALL_SWEEP)
     out = tmp_path / "x.csv"
-    assert main(["throughput", "--config", str(cfg), "--out", str(out)]) == 3
+    assert main(["throughput", "--config", str(cfg), "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("bad", [
+    "Ps_dBw = nan", "alpha = inf", "Pm_dBw = -inf", "lambda_e = nan",
+    "Ps_dBw = 4000", "epsilon = 0", "epsilon = 1", "alpha = 2",
+    "lambda_e = -0.1", "K = 0", "N = 0", "L = 0", "tau = 0", "threads = 0",
+    "trials = -1", "r_s = 0", "beta_e = -1", "sweep_step = 0",
+    "sweep_start = -5000", "sweep_var = N\nsweep_start = 0",
+    "sweep_var = Rs\nsweep_start = -1"])
+def test_exit_code_2_for_invalid_scenarios(tmp_path, bad):
+    code, out = run(tmp_path, "throughput", SMALL_SWEEP + bad + "\n")
+    assert code == 2
+    assert not out.exists()
+
+
+def test_exit_code_2_for_invalid_overrides(tmp_path):
+    for extra in (["--threads", "0"], ["--trials", "-5"]):
+        code, _ = run(tmp_path, "cop-sweep", SMALL_SWEEP, extra=extra)
+        assert code == 2
+
+
+def test_validate_without_trials_is_config_error(tmp_path, capsys):
+    code, out = run(tmp_path, "validate", SMALL_SWEEP, extra=["--trials", "0"])
+    assert code == 2
+    assert "validate needs Monte Carlo trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exit_code_3_when_sop_inversion_does_not_converge(tmp_path,
+                                                          monkeypatch):
+    # an unreachable tolerance makes every inversion exhaust max_iter
+    monkeypatch.setattr(rates, "SOP_INVERSION_TOL", -1.0)
+    cfg = "sweep_start = 10\nsweep_stop = 10\nsweep_step = 5\n"
+    code, out = run(tmp_path, "throughput", cfg)
+    assert code == 3
+    assert not out.exists()
+
+
+def test_caching_n_sweep_designs_codes_once(tmp_path, monkeypatch):
+    # psi does not depend on N: one design per scheme for the whole sweep,
+    # and the same table as designing the codes again at every point
+    base = ("K = 3\nPm_dBw = 20\nlambda_e = 0.05\ntau = 1.4\n"
+            "bsr_sop_model = exact\nsweep_var = N\nsweep_step = 40\n")
+    calls = []
+    real = rates.scheme_throughput
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rates, "scheme_throughput", counted)
+    code, out = run(tmp_path, "caching",
+                    base + "sweep_start = 40\nsweep_stop = 160\n")
+    assert code == 0
+    assert sorted(calls) == sorted(SchemeId)
+    rows = [ln for ln in out.read_text().splitlines()
+            if not ln.startswith("#")][1:]
+    assert len(rows) == 4
+    for n, row in zip((40, 80, 120, 160), rows):
+        _, single = run(tmp_path, "caching",
+                        base + f"sweep_start = {n}\nsweep_stop = {n}\n",
+                        name=f"n{n}.csv")
+        assert single.read_text().splitlines()[-1] == row
+    assert len(calls) == 3 + 3 * 4
 
 
 def test_stdout_output(tmp_path, capsys):

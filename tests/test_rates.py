@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from cachesec import (ChannelParams, NetworkLayout, PolarPoint, SchemeId,
+                      rates,
                       bsr_approx_threshold, invert_sop, opt_bs_bsr,
                       opt_bs_dbf, opt_bs_fot, scheme_throughput,
                       secrecy_throughput_curve, sop, sop_bsr_approx)
+from cachesec.rates import SOP_INVERSION_TOL
 from helpers import standard_layout, standard_params
 
 
@@ -261,3 +263,55 @@ def test_rate_design_properties():
     assert design.beta_t_star == pytest.approx(
         design.beta_e_circ + (1 + design.beta_e_circ) * design.beta_s_star)
     assert design.epsilon == 0.3
+
+
+def test_invert_sop_meets_tolerance_across_geometry_and_power():
+    # every disc-quadrature form, certified at the root by the program's
+    # own SOP, within a handful of evaluations
+    for K in (1, 3, 8):
+        lay = standard_layout(K)
+        for alpha in (3.0, 4.0, 5.0):
+            for ps in (-30.0, 0.0, 30.0):
+                params = standard_params(Ps_dBw=ps, Pm_dBw=0.0, alpha=alpha)
+                for scheme in SchemeId:
+                    root = invert_sop(scheme, lay, params, 0.2,
+                                      bsr_exact=True)
+                    achieved = sop(scheme, lay, params, root,
+                                   bsr_exact=True).value
+                    assert abs(achieved - 0.2) <= SOP_INVERSION_TOL
+                    assert root.residual == abs(achieved - 0.2)
+                    assert 2 <= root.evals <= 10
+
+
+def test_invert_sop_raises_when_max_iter_exhausted():
+    lay = standard_layout(3)
+    params = standard_params()
+    with pytest.raises(RuntimeError):
+        invert_sop(SchemeId.DBF, lay, params, 0.2, max_iter=1)
+    assert invert_sop(SchemeId.DBF, lay, params, 0.2).evals > 2
+
+
+def test_opt_bs_fot_unbounded_bracket_raises(monkeypatch):
+    # with zero decay the stationarity residual never turns positive
+    monkeypatch.setattr(rates, "_fot_coeffs", lambda *args: (1.0, 0.0))
+    with pytest.raises(RuntimeError):
+        opt_bs_fot(standard_layout(2), standard_params(), 0.5)
+
+
+def test_scheme_throughput_records_inversion():
+    lay = standard_layout(3)
+    params = standard_params()
+    for scheme, bsr_exact in ((SchemeId.DBF, False), (SchemeId.FOT, False),
+                              (SchemeId.BSR, True)):
+        design = scheme_throughput(scheme, lay, params, 0.2,
+                                   bsr_exact_sop=bsr_exact)
+        assert type(design.beta_e_circ) is float
+        assert 2 <= design.sop_evals <= 10
+        assert design.sop_residual <= SOP_INVERSION_TOL
+        assert design.sop_flag is None
+    closed = scheme_throughput(SchemeId.BSR, lay, params, 0.2)
+    assert closed.sop_evals == 1
+    assert closed.beta_e_circ == bsr_approx_threshold(params, 0.2)
+    none = scheme_throughput(SchemeId.FOT, lay,
+                             standard_params(lambda_e=0.0), 0.2)
+    assert none.sop_evals == 0 and none.sop_residual is None
