@@ -36,7 +36,7 @@ from pathlib import Path
 
 from . import __version__, caching, montecarlo, outage, rates
 from .channel import ChannelParams, SchemeId
-from .layout import NetworkLayout, build_line_layout
+from .layout import NetworkLayout, build_line_layout, distance
 
 
 class ConfigError(Exception):
@@ -128,6 +128,13 @@ class Scenario:
             raise ConfigError("N sweep must start at >= 1")
         if self.sweep_var == "Rs" and low < 0:
             raise ConfigError("Rs sweep must start at >= 0")
+        try:
+            lay = self.layout()
+        except ValueError as exc:  # a coordinate overflowed to inf
+            raise ConfigError(f"geometry is not finite: {exc}") from exc
+        if not all(math.isfinite(distance(lay.mbs, p)) for p in lay.sbs):
+            raise ConfigError("geometry is not finite: an SBS-to-MBS "
+                              "distance overflows")
 
     def layout(self) -> NetworkLayout:
         return build_line_layout(self.r_s1_o, self.r_s, self.K, self.r_b_s1)
@@ -246,12 +253,18 @@ def write_table(out, command: str, scn: Scenario, columns: list[str],
         Path(out).write_text(text)
 
 
-def _map_points(fn, points, threads: int) -> list:
-    """Evaluate fn over sweep points, preserving point order."""
+def _map_points(fn, points, cells: int, threads: int) -> list:
+    """Rows fn(i, v, j) for every cell j < cells of every sweep point
+    v = points[i], in point order, then cell order.
+
+    Each (point, cell) pair is one pool task, so the cells of a costly
+    point are shared between the worker threads.
+    """
+    tasks = [(i, v, j) for i, v in enumerate(points) for j in range(cells)]
     if threads <= 1:
-        return [fn(i, v) for i, v in enumerate(points)]
+        return [fn(*task) for task in tasks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(len(points)), points))
+        return list(pool.map(fn, *zip(*tasks)))
 
 
 def _score_sigma(analytic: float, trials: int) -> float:
@@ -262,86 +275,69 @@ def _score_sigma(analytic: float, trials: int) -> float:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_cop_sweep(scn: Scenario, out) -> int:
+def _outage_sweep(scn: Scenario, out, command: str, default_trials: int,
+                  evaluators: list) -> int:
+    """One row per (power, evaluator): the analytic value and, with trials,
+    the Monte Carlo estimate. evaluators holds (name, analytic(params),
+    mc(params, settings) or None); cell j of point i has seed
+    scn.seed + 1000*i + j."""
     if scn.sweep_var != "Ps_dBw":
-        raise ConfigError("cop-sweep sweeps Ps_dBw")
-    layout = scn.layout()
-    trials = scn.trials if scn.trials is not None else 10 ** 6
-    points = sweep_values(scn)
+        raise ConfigError(f"{command} sweeps Ps_dBw")
+    trials = scn.trials if scn.trials is not None else default_trials
 
-    def compute(i, ps_dbw):
+    def cell(i, ps_dbw, j):
+        name, analytic, mc = evaluators[j]
         params = replace(scn.params(), Ps=dbw_to_linear(ps_dbw))
-        cells = []
-        evaluators = [
-            ("dbf", lambda: outage.cop_dbf_exact(layout, params, scn.beta_t),
-             SchemeId.DBF),
-            ("dbf-asymptote",
-             lambda: outage.cop_dbf_asymptotic(layout, params, scn.beta_t),
-             None),
-            ("fot", lambda: outage.cop_fot(layout, params, scn.beta_t),
-             SchemeId.FOT),
-            ("bsr", lambda: outage.cop_bsr(layout, params, scn.beta_t),
-             SchemeId.BSR),
-        ]
-        for j, (name, an_fn, scheme) in enumerate(evaluators):
-            an = an_fn()
-            mc_val = mc_err = None
-            if trials > 0 and scheme is not None:
-                settings = montecarlo.McSettings(
-                    trials=trials, seed=scn.seed + 1000 * i + j)
-                mc = montecarlo.mc_cop(scheme, layout, params, scn.beta_t,
-                                       settings)
-                mc_val, mc_err = mc.value, mc.std_error
-            cells.append([ps_dbw, name, an.value, mc_val, mc_err])
-        return cells
+        row = [ps_dbw, name, analytic(params).value, None, None]
+        if trials > 0 and mc is not None:
+            est = mc(params, montecarlo.McSettings(
+                trials=trials, seed=scn.seed + 1000 * i + j))
+            row[3:] = [est.value, est.std_error]
+        return row
 
-    rows = [row for cells in _map_points(compute, points, scn.threads)
-            for row in cells]
-    write_table(out, "cop-sweep", scn,
+    rows = _map_points(cell, sweep_values(scn), len(evaluators), scn.threads)
+    write_table(out, command, scn,
                 ["Ps_dBw", "scheme", "analytic", "mc", "mc_stderr"], rows)
     return 0
+
+
+def cmd_cop_sweep(scn: Scenario, out) -> int:
+    layout = scn.layout()
+
+    def mc(scheme):
+        return lambda params, settings: montecarlo.mc_cop(
+            scheme, layout, params, scn.beta_t, settings)
+
+    def an(fn):
+        return lambda params: fn(layout, params, scn.beta_t)
+
+    return _outage_sweep(scn, out, "cop-sweep", 10 ** 6, [
+        ("dbf", an(outage.cop_dbf_exact), mc(SchemeId.DBF)),
+        ("dbf-asymptote", an(outage.cop_dbf_asymptotic), None),
+        ("fot", an(outage.cop_fot), mc(SchemeId.FOT)),
+        ("bsr", an(outage.cop_bsr), mc(SchemeId.BSR)),
+    ])
 
 
 def cmd_sop_sweep(scn: Scenario, out) -> int:
-    if scn.sweep_var != "Ps_dBw":
-        raise ConfigError("sop-sweep sweeps Ps_dBw")
     layout = scn.layout()
-    trials = scn.trials if scn.trials is not None else 10 ** 5
-    points = sweep_values(scn)
 
-    def compute(i, ps_dbw):
-        params = replace(scn.params(), Ps=dbw_to_linear(ps_dbw))
-        evaluators = [
-            ("dbf", lambda: outage.sop_dbf(layout, params, scn.beta_e),
-             SchemeId.DBF, False),
-            ("fot", lambda: outage.sop_fot(layout, params, scn.beta_e),
-             SchemeId.FOT, False),
-            ("bsr-exact",
-             lambda: outage.sop_bsr_exact(layout, params, scn.beta_e),
-             SchemeId.BSR, False),
-            ("bsr-approx",
-             lambda: outage.sop_bsr_approx(params, scn.beta_e),
-             SchemeId.BSR, True),
-        ]
-        cells = []
-        for j, (name, an_fn, scheme, indep) in enumerate(evaluators):
-            an = an_fn()
-            mc_val = mc_err = None
-            if trials > 0:
-                settings = montecarlo.McSettings(
-                    trials=trials, seed=scn.seed + 1000 * i + j,
-                    independent_hops=indep)
-                mc = montecarlo.mc_sop(scheme, layout, params, scn.beta_e,
-                                       settings)
-                mc_val, mc_err = mc.value, mc.std_error
-            cells.append([ps_dbw, name, an.value, mc_val, mc_err])
-        return cells
+    def mc(scheme, independent_hops=False):
+        return lambda params, settings: montecarlo.mc_sop(
+            scheme, layout, params, scn.beta_e,
+            replace(settings, independent_hops=independent_hops))
 
-    rows = [row for cells in _map_points(compute, points, scn.threads)
-            for row in cells]
-    write_table(out, "sop-sweep", scn,
-                ["Ps_dBw", "scheme", "analytic", "mc", "mc_stderr"], rows)
-    return 0
+    def an(fn):
+        return lambda params: fn(layout, params, scn.beta_e)
+
+    return _outage_sweep(scn, out, "sop-sweep", 10 ** 5, [
+        ("dbf", an(outage.sop_dbf), mc(SchemeId.DBF)),
+        ("fot", an(outage.sop_fot), mc(SchemeId.FOT)),
+        ("bsr-exact", an(outage.sop_bsr_exact), mc(SchemeId.BSR)),
+        ("bsr-approx",
+         lambda params: outage.sop_bsr_approx(params, scn.beta_e),
+         mc(SchemeId.BSR, independent_hops=True)),
+    ])
 
 
 def cmd_throughput(scn: Scenario, out) -> int:
@@ -365,20 +361,16 @@ def cmd_throughput(scn: Scenario, out) -> int:
     if scn.sweep_var != "Ps_dBw":
         raise ConfigError("throughput sweeps Rs or Ps_dBw")
 
-    def compute(i, ps_dbw):
-        params = replace(scn.params(), Ps=dbw_to_linear(ps_dbw))
-        cells = []
-        for scheme in SchemeId:
-            design = rates.scheme_throughput(scheme, layout, params,
-                                             scn.epsilon,
-                                             bsr_exact_sop=bsr_exact)
-            cells.append([ps_dbw, scheme.value, design.beta_e_circ,
-                          design.beta_s_star, design.rate_secrecy,
-                          design.psi_star])
-        return cells
+    schemes = list(SchemeId)
 
-    rows = [row for cells in _map_points(compute, sweep_values(scn),
-                                         scn.threads) for row in cells]
+    def cell(i, ps_dbw, j):
+        params = replace(scn.params(), Ps=dbw_to_linear(ps_dbw))
+        design = rates.scheme_throughput(schemes[j], layout, params,
+                                         scn.epsilon, bsr_exact_sop=bsr_exact)
+        return [ps_dbw, schemes[j].value, design.beta_e_circ,
+                design.beta_s_star, design.rate_secrecy, design.psi_star]
+
+    rows = _map_points(cell, sweep_values(scn), len(schemes), scn.threads)
     write_table(out, "throughput", scn,
                 ["Ps_dBw", "scheme", "beta_e_circ", "beta_s_star", "Rs_star",
                  "psi_star"], rows)
@@ -425,7 +417,7 @@ def cmd_caching(scn: Scenario, out) -> int:
         # psi does not depend on the library size: design the codes once
         psi_fixed = _per_scheme_psi(scn, layout, scn.params())
 
-    def compute(i, v):
+    def cell(i, v, j):
         if scn.sweep_var == "N":
             params = scn.params()
             lib = caching.ZipfLibrary(N=int(v), tau=scn.tau)
@@ -435,11 +427,10 @@ def cmd_caching(scn: Scenario, out) -> int:
             lib = caching.ZipfLibrary(N=scn.N, tau=scn.tau)
             psi = _per_scheme_psi(scn, layout, params)
         m_closed, m_ex, value = optimize(psi, lib, params)
-        return [[v, psi[SchemeId.DBF], psi[SchemeId.FOT], psi[SchemeId.BSR],
-                 m_closed, m_ex, value(m_closed), value(scn.L), value(0)]]
+        return [v, psi[SchemeId.DBF], psi[SchemeId.FOT], psi[SchemeId.BSR],
+                m_closed, m_ex, value(m_closed), value(scn.L), value(0)]
 
-    rows = [row for cells in _map_points(compute, sweep_values(scn),
-                                         scn.threads) for row in cells]
+    rows = _map_points(cell, sweep_values(scn), 1, scn.threads)
     write_table(out, "caching", scn,
                 [scn.sweep_var, "psi_D", "psi_F", "psi_B", "M_closed",
                  "M_exhaustive", "obj_hybrid", "obj_mpc", "obj_lcd"], rows)
@@ -455,35 +446,34 @@ def cmd_validate(scn: Scenario, out) -> int:
     layout = scn.layout()
     cop_trials = scn.trials if scn.trials is not None else 10 ** 5
     sop_trials = max(cop_trials // 10, 1)
-    points = sweep_values(scn)
+    schemes = list(SchemeId)
+    n = len(schemes)
 
-    def compute(i, ps_dbw):
+    def cell(i, ps_dbw, j):
+        """Cell j < n: COP of scheme j; cell n + k: SOP of scheme k."""
         params = replace(scn.params(), Ps=dbw_to_linear(ps_dbw))
-        cells = []
-        for j, scheme in enumerate(SchemeId):
+        k = j % n
+        scheme = schemes[k]
+        if j < n:
+            metric, trials = "cop", cop_trials
             an = outage.cop(scheme, layout, params, scn.beta_t).value
             mc = montecarlo.mc_cop(
                 scheme, layout, params, scn.beta_t,
-                montecarlo.McSettings(trials=cop_trials,
-                                      seed=scn.seed + 1000 * i + j))
-            sigma = max(_score_sigma(an, cop_trials), mc.std_error)
-            ok = abs(an - mc.value) <= 3.0 * sigma + 1e-12
-            cells.append([ps_dbw, "cop", scheme.value, an, mc.value,
-                          mc.std_error, int(ok)])
-        for j, scheme in enumerate(SchemeId):
+                montecarlo.McSettings(trials=trials,
+                                      seed=scn.seed + 1000 * i + k))
+        else:
+            metric, trials = "sop", sop_trials
             an = outage.sop(scheme, layout, params, scn.beta_e).value
             mc = montecarlo.mc_sop(
                 scheme, layout, params, scn.beta_e,
-                montecarlo.McSettings(trials=sop_trials,
-                                      seed=scn.seed + 1000 * i + 100 + j))
-            sigma = max(_score_sigma(an, sop_trials), mc.std_error)
-            ok = abs(an - mc.value) <= 3.0 * sigma + 1e-12
-            cells.append([ps_dbw, "sop", scheme.value, an, mc.value,
-                          mc.std_error, int(ok)])
-        return cells
+                montecarlo.McSettings(trials=trials,
+                                      seed=scn.seed + 1000 * i + 100 + k))
+        sigma = max(_score_sigma(an, trials), mc.std_error)
+        ok = abs(an - mc.value) <= 3.0 * sigma + 1e-12
+        return [ps_dbw, metric, scheme.value, an, mc.value, mc.std_error,
+                int(ok)]
 
-    rows = [row for cells in _map_points(compute, points, scn.threads)
-            for row in cells]
+    rows = _map_points(cell, sweep_values(scn), 2 * n, scn.threads)
     write_table(out, "validate", scn,
                 ["Ps_dBw", "metric", "scheme", "analytic", "mc", "mc_stderr",
                  "within_3sigma"], rows)
@@ -516,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "analytic-only cop-sweep and sop-sweep tables "
                              "(validate needs trials)")
     parser.add_argument("--threads", type=int,
-                        help="worker threads for sweep points")
+                        help="worker threads for table cells")
     return parser
 
 

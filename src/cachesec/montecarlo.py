@@ -10,6 +10,22 @@ least covers the analytic truncation radius. Points inside that base radius
 are always drawn before any extra annulus points, so enlarging the disc
 never perturbs the inner realization; widening the window can only add
 (negligible) tail eavesdroppers.
+
+Most sampled eavesdroppers are too far away to breach, so each field is
+tested in two stages. First every random number of the field is drawn:
+Poisson counts, radii, angle variates and fades, always with the same
+calls, shapes and order. Then a conservative bound prunes the points: every
+transmitter of a hop lies within d_max of the origin, so an eavesdropper at
+origin distance |e| is at least |e| - d_max away from it and its SNR is at
+most power * fade * (|e| - d_max)^-alpha (power is K*Ps for beamforming,
+K*Ps times the largest of the K fades for orthogonal partitions, Pm or Ps
+for a relaying hop). The gap |e| - d_max is shrunk by PRUNE_SLACK times
+|e| + d_max, which dwarfs the rounding of the coordinates and distances,
+and points with no gap left always survive. Only the survivors get
+coordinates, distances and the exact breach test, which is elementwise per
+point (the beamforming row sum included). The draws do not move and no
+breaching point is pruned, so every estimate is bit-identical to testing
+all points.
 """
 
 from __future__ import annotations
@@ -26,6 +42,8 @@ from .outage import METHOD_MC, OutageEstimate, trunc_radius
 
 COP_CHUNK = 1 << 16
 SOP_CHUNK = 1 << 11
+# Relative shrink of the pruning gap |e| - d_max, in units of |e| + d_max.
+PRUNE_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -98,12 +116,20 @@ def mc_cop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
         rng = np.random.default_rng(seq)
         g = rng.standard_exponential((n, K))
         if scheme is SchemeId.DBF:
+            # the BLAS summation order of the matrix product sets the bits
             amp = np.sqrt(g) @ r_neg_half
             fail = params.Ps * amp * amp < beta_t
         elif scheme is SchemeId.FOT:
-            fail = (K * params.Ps * g * r_neg < beta_t).any(axis=1)
+            # column passes with the products of the row form: exact, and
+            # much cheaper than reducing over the short last axis
+            fail = np.zeros(n, dtype=bool)
+            for k in range(K):
+                fail |= K * params.Ps * g[:, k] * r_neg[k] < beta_t
         elif scheme is SchemeId.BSR:
-            fail = (params.Ps * g * r_neg).max(axis=1) < beta_t
+            best = params.Ps * g[:, 0] * r_neg[0]
+            for k in range(1, K):
+                np.maximum(best, params.Ps * g[:, k] * r_neg[k], out=best)
+            fail = best < beta_t
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
         return int(fail.sum())
@@ -130,21 +156,114 @@ def _mc_disc_radii(scheme: SchemeId, layout: NetworkLayout,
     return base, max(outer, base)
 
 
-def _annulus_points(rng, lam, n_real, r_lo, r_hi):
-    """Poisson points on the annulus [r_lo, r_hi): coordinates, counts, index."""
+def _annulus_draws(rng, lam, n_real, r_lo, r_hi):
+    """Poisson points on the annulus [r_lo, r_hi): per-realization counts,
+    radii, and the uniform variates behind the angles."""
     area = math.pi * (r_hi * r_hi - r_lo * r_lo)
     counts = rng.poisson(lam * area, n_real)
     total = int(counts.sum())
-    rad = np.sqrt(r_lo * r_lo + (r_hi * r_hi - r_lo * r_lo) * rng.random(total))
-    ang = 2.0 * math.pi * rng.random(total)
-    seg = np.repeat(np.arange(n_real), counts)
-    return rad * np.cos(ang), rad * np.sin(ang), counts, seg
+    rad = rng.random(total)
+    rad *= r_hi * r_hi - r_lo * r_lo
+    rad += r_lo * r_lo
+    np.sqrt(rad, out=rad)
+    return counts, rad, rng.random(total)
 
 
-def _any_per_realization(violated, seg, n_real):
-    if violated.size == 0:
-        return np.zeros(n_real, dtype=bool)
-    return np.bincount(seg, weights=violated, minlength=n_real) > 0.0
+def _owners(idx, counts):
+    """Realization of each point of the sorted point index array idx."""
+    per_real = np.diff(np.searchsorted(idx, np.cumsum(counts)), prepend=0)
+    return np.repeat(np.arange(counts.size), per_real)
+
+
+def _xy(rad, u_ang, idx):
+    """Cartesian coordinates of the points idx."""
+    ang = 2.0 * math.pi * u_ang[idx]
+    r = rad[idx]
+    return r * np.cos(ang), r * np.sin(ang)
+
+
+def _may_breach(rad, power_fade, d_max: float, alpha: float,
+                beta_e: float) -> np.ndarray:
+    """False only where power_fade * (rad - d_max)^-alpha, the largest SNR a
+    transmitter within d_max of the origin can give a point at radius rad,
+    stays below beta_e with the PRUNE_SLACK margin. Points with no gap
+    left always survive."""
+    gap = rad * (1.0 - PRUNE_SLACK)
+    gap -= d_max * (1.0 + PRUNE_SLACK)
+    np.maximum(gap, 0.0, out=gap)
+    with np.errstate(over="ignore"):
+        gap **= alpha
+        gap *= beta_e
+    return power_fade >= gap
+
+
+class _FieldTest:
+    """One scheme's breach test on an eavesdropper field, in two stages:
+    the conservative pruning bound on every point, the exact test on the
+    survivors. hops = (hop 1, hop 2) selects the relaying hops a field is
+    tested on (both for a shared field); the other schemes ignore it."""
+
+    def __init__(self, scheme: SchemeId, layout: NetworkLayout,
+                 params: ChannelParams, beta_e: float):
+        self.scheme, self.params, self.beta_e = scheme, params, beta_e
+        self.K = layout.K
+        self.sx, self.sy = layout.sbs_xy()
+        self.r_sbs = float(layout.sbs_distances().max())
+        self.mbs = layout.mbs
+
+    def draw_fades(self, rng, m: int) -> tuple:
+        """Fades of m points, one array per hop or partition set."""
+        if self.scheme is SchemeId.DBF:
+            return (rng.standard_exponential(m),)
+        if self.scheme is SchemeId.FOT:
+            return (rng.standard_exponential((m, self.K)),)
+        # relaying draws both hops' fades, also for a field testing one hop
+        return rng.standard_exponential(m), rng.standard_exponential(m)
+
+    def may_breach(self, rad, fades, hops) -> np.ndarray:
+        """Pruning mask: False only for points that cannot breach."""
+        p, a, b = self.params, self.params.alpha, self.beta_e
+        if self.scheme is SchemeId.DBF:
+            return _may_breach(rad, self.K * p.Ps * fades[0], self.r_sbs, a, b)
+        if self.scheme is SchemeId.FOT:
+            f = fades[0]
+            f_max = f[:, 0].copy()
+            for k in range(1, self.K):
+                np.maximum(f_max, f[:, k], out=f_max)
+            return _may_breach(rad, self.K * p.Ps * f_max, self.r_sbs, a, b)
+        keep = np.zeros(rad.size, dtype=bool)
+        if hops[0]:
+            keep |= _may_breach(rad, p.Pm * fades[0], self.mbs.r, a, b)
+        if hops[1]:
+            keep |= _may_breach(rad, p.Ps * fades[1], self.r_sbs, a, b)
+        return keep
+
+    def breaches(self, px, py, idx, fades, serving, hops) -> np.ndarray:
+        """Exact breach test of the points idx at (px, py); serving holds
+        their serving SBS index (relaying only)."""
+        p, alpha, beta_e = self.params, self.params.alpha, self.beta_e
+        if self.scheme is SchemeId.DBF:
+            d_sq = (px[:, None] - self.sx[None, :]) ** 2 \
+                + (py[:, None] - self.sy[None, :]) ** 2
+            mean = p.Ps * dist_pow_neg(d_sq, alpha).sum(axis=1)
+            return mean * fades[0][idx] > beta_e
+        hit = np.zeros(idx.size, dtype=bool)
+        if self.scheme is SchemeId.FOT:
+            # partition by partition, with the elementwise products of the
+            # (points, K) form
+            for k in range(self.K):
+                d_sq = (px - self.sx[k]) ** 2 + (py - self.sy[k]) ** 2
+                hit |= self.K * p.Ps * dist_pow_neg(d_sq, alpha) \
+                    * fades[0][idx, k] > beta_e
+            return hit
+        # relaying: hop 1 from the MBS, hop 2 from the serving SBS
+        if hops[0]:
+            db_sq = (px - self.mbs.x) ** 2 + (py - self.mbs.y) ** 2
+            hit |= p.Pm * dist_pow_neg(db_sq, alpha) * fades[0][idx] > beta_e
+        if hops[1]:
+            ds_sq = (px - self.sx[serving]) ** 2 + (py - self.sy[serving]) ** 2
+            hit |= p.Ps * dist_pow_neg(ds_sq, alpha) * fades[1][idx] > beta_e
+        return hit
 
 
 def mc_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
@@ -155,53 +274,40 @@ def mc_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
     the scheme's secrecy condition: its (exponentially faded) SNR on any
     partition, or on either relaying hop, exceeds beta_e. With
     independent_hops the two relaying hops see two independent fields.
+    With no eavesdroppers (lambda_e = 0) the estimate is exactly 0; with
+    beta_e = 0 every eavesdropper of the unbounded field breaches and it is
+    exactly 1, flagged "divergent" like the analytic evaluators.
     """
-    if beta_e <= 0.0:
-        raise ValueError("beta_e must be positive")
+    if beta_e < 0.0:
+        raise ValueError("beta_e must be nonnegative")
+    if params.lambda_e == 0.0:
+        return OutageEstimate(0.0, METHOD_MC)
+    if beta_e == 0.0:
+        return OutageEstimate(1.0, METHOD_MC, flag="divergent")
     lam = params.lambda_e
     r_base, r_outer = _mc_disc_radii(scheme, layout, params, beta_e, settings)
-    sx, sy = layout.sbs_xy()
+    annuli = [(0.0, r_base)]
+    if r_outer > r_base:
+        annuli.append((r_base, r_outer))
+    if scheme is SchemeId.BSR and settings.independent_hops:
+        fields = [(True, False), (False, True)]
+    else:
+        fields = [(True, True)]
+    test = _FieldTest(scheme, layout, params, beta_e)
     K = layout.K
-    alpha = params.alpha
-    r_neg = layout.sbs_distances() ** -alpha
-    mx, my = layout.mbs.x, layout.mbs.y
+    r_neg = layout.sbs_distances() ** -params.alpha
 
-    def eve_distances_sq(px, py):
-        return (px[:, None] - sx[None, :]) ** 2 + (py[:, None] - sy[None, :]) ** 2
-
-    def breach(rng, px, py, kstar_rep):
-        """Per-point breach indicator(s), consuming rng draws in fixed order."""
-        n_pts = px.size
-        if scheme is SchemeId.DBF:
-            mean = params.Ps * dist_pow_neg(eve_distances_sq(px, py), alpha).sum(axis=1)
-            return mean * rng.standard_exponential(n_pts) > beta_e
-        if scheme is SchemeId.FOT:
-            means = K * params.Ps * dist_pow_neg(eve_distances_sq(px, py), alpha)
-            return (means * rng.standard_exponential((n_pts, K)) > beta_e).any(axis=1)
-        # relaying: hop 1 from the MBS, hop 2 from the serving SBS
-        db_sq = (px - mx) ** 2 + (py - my) ** 2
-        hop1 = params.Pm * dist_pow_neg(db_sq, alpha) \
-            * rng.standard_exponential(n_pts) > beta_e
-        d_sq = eve_distances_sq(px, py)
-        ds_sq = d_sq[np.arange(n_pts), kstar_rep]
-        hop2 = params.Ps * dist_pow_neg(ds_sq, alpha) \
-            * rng.standard_exponential(n_pts) > beta_e
-        return hop1, hop2
-
-    two_fields = scheme is SchemeId.BSR and settings.independent_hops
-
-    def field_outage(rng, n, kstar, r_lo, r_hi):
-        """Outage indicators contributed by one annulus of the field."""
-        px, py, counts, seg = _annulus_points(rng, lam, n, r_lo, r_hi)
-        if scheme is not SchemeId.BSR:
-            return _any_per_realization(breach(rng, px, py, None), seg, n)
-        hop1, hop2 = breach(rng, px, py, np.repeat(kstar, counts))
-        if not two_fields:
-            return _any_per_realization(hop1 | hop2, seg, n)
-        out = _any_per_realization(hop1, seg, n)
-        px, py, counts, seg = _annulus_points(rng, lam, n, r_lo, r_hi)
-        _, hop2b = breach(rng, px, py, np.repeat(kstar, counts))
-        return out | _any_per_realization(hop2b, seg, n)
+    def field_outage(rng, n, kstar, r_lo, r_hi, hops):
+        """Outage indicators contributed by one annulus of one field."""
+        counts, rad, u_ang = _annulus_draws(rng, lam, n, r_lo, r_hi)
+        fades = test.draw_fades(rng, rad.size)
+        idx = np.flatnonzero(test.may_breach(rad, fades, hops))
+        owner = _owners(idx, counts)
+        px, py = _xy(rad, u_ang, idx)
+        serving = None if kstar is None else kstar[owner]
+        out = np.zeros(n, dtype=bool)
+        out[owner[test.breaches(px, py, idx, fades, serving, hops)]] = True
+        return out
 
     def worker(n: int, seq) -> int:
         rng = np.random.default_rng(seq)
@@ -213,9 +319,10 @@ def mc_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
                 kstar = np.zeros(n, dtype=int)
         # all base-disc draws happen before any annulus draw, so the inner
         # realization is independent of the chosen window radius
-        out = field_outage(rng, n, kstar, 0.0, r_base)
-        if r_outer > r_base:
-            out = out | field_outage(rng, n, kstar, r_base, r_outer)
+        out = np.zeros(n, dtype=bool)
+        for r_lo, r_hi in annuli:
+            for hops in fields:
+                out |= field_outage(rng, n, kstar, r_lo, r_hi, hops)
         return int(out.sum())
 
     failures = _run_chunks(worker, _chunk_plan(settings.trials, SOP_CHUNK),

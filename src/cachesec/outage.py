@@ -372,12 +372,13 @@ def _sop_guards(params: ChannelParams, beta_e: float,
                 method: str) -> OutageEstimate | None:
     if beta_e < 0.0:
         raise ValueError("beta_e must be nonnegative")
+    if params.lambda_e == 0.0:
+        # no eavesdroppers: nothing can breach, whatever beta_e
+        return OutageEstimate(0.0, method)
     if beta_e == 0.0:
         # zero redundancy: any eavesdropper anywhere breaches, the secrecy
         # integral diverges and the outage probability is pinned at 1
         return OutageEstimate(1.0, method, flag="divergent")
-    if params.lambda_e == 0.0:
-        return OutageEstimate(0.0, method)
     return None
 
 

@@ -123,14 +123,24 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_threads_do_not_change_output(tmp_path):
-    cfg = SMALL_SWEEP
-    _, serial = run(tmp_path, "cop-sweep", cfg, ["--trials", "1000"],
-                    name="serial.csv")
-    _, pooled = run(tmp_path, "cop-sweep", cfg,
-                    ["--trials", "1000", "--threads", "4"], name="pool.csv")
-    body = lambda p: [ln for ln in p.read_text().splitlines()
-                      if not ln.startswith("# scenario: threads")]
-    assert body(serial) == body(pooled)
+    # one pool task per (point, cell): same bytes, rows in point order and
+    # then cell order, whatever the worker count
+    cfg = "sweep_start = 0\nsweep_stop = 30\nsweep_step = 10\n"
+    for command, per_point in (
+            ("cop-sweep", ["dbf", "dbf-asymptote", "fot", "bsr"]),
+            ("sop-sweep", ["dbf", "fot", "bsr-exact", "bsr-approx"]),
+            ("validate", ["cop"] * 3 + ["sop"] * 3)):
+        outs = [run(tmp_path, command, cfg,
+                    ["--trials", "2000", "--threads", threads],
+                    name=f"{command}-{threads}.csv")[1]
+                for threads in ("1", "2", "4")]
+        body = [[ln for ln in out.read_text().splitlines()
+                 if not ln.startswith("# scenario: threads")] for out in outs]
+        assert body[0] == body[1] == body[2], command
+        _, rows = read_rows(outs[0])
+        assert [row[0] for row in rows] == [
+            ps for ps in ("0", "10", "20", "30") for _ in per_point]
+        assert [row[1] for row in rows] == per_point * 4
 
 
 def test_sop_sweep_includes_both_relay_forms(tmp_path):
@@ -147,6 +157,19 @@ def test_sop_sweep_includes_both_relay_forms(tmp_path):
         assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:]))
     for d, f in zip(by_scheme["dbf"], by_scheme["fot"]):
         assert d <= f + 1e-9
+
+
+def test_sop_sweep_zero_redundancy(tmp_path):
+    # beta_e = 0: every eavesdropper breaches, both columns pinned at 1;
+    # without eavesdroppers nothing can breach, both columns are 0
+    for extra, expected in (("", 1.0), ("lambda_e = 0\n", 0.0)):
+        code, out = run(tmp_path, "sop-sweep",
+                        SMALL_SWEEP + "beta_e = 0\n" + extra,
+                        extra=["--trials", "200"])
+        assert code == 0
+        _, rows = read_rows(out)
+        assert all(float(row[2]) == float(row[3]) == expected
+                   and float(row[4]) == 0.0 for row in rows)
 
 
 def test_sop_sweep_zero_density_all_zero(tmp_path):
@@ -265,7 +288,8 @@ def test_exit_code_2_for_out_of_range_epsilon(tmp_path):
     "lambda_e = -0.1", "K = 0", "N = 0", "L = 0", "tau = 0", "threads = 0",
     "trials = -1", "r_s = 0", "beta_e = -1", "sweep_step = 0",
     "sweep_start = -5000", "sweep_var = N\nsweep_start = 0",
-    "sweep_var = Rs\nsweep_start = -1"])
+    "sweep_var = Rs\nsweep_start = -1", "r_s = 8.98846567431158e+307",
+    "r_s = 8e307\nr_b_s1 = 1e308"])
 def test_exit_code_2_for_invalid_scenarios(tmp_path, bad):
     code, out = run(tmp_path, "throughput", SMALL_SWEEP + bad + "\n")
     assert code == 2

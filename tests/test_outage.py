@@ -165,12 +165,14 @@ def test_cop_scheme_ordering():
 # ---------------------------------------------------------------------------
 
 def test_sop_zero_density_is_zero():
+    # no eavesdroppers: zero also at beta_e = 0, where the integral diverges
     lay = standard_layout(3)
     params = ChannelParams(alpha=4.0, Ps=10.0, Pm=1.0, lambda_e=0.0)
-    assert sop_dbf(lay, params, 1.0).value == 0.0
-    assert sop_fot(lay, params, 1.0).value == 0.0
-    assert sop_bsr_exact(lay, params, 1.0).value == 0.0
-    assert sop_bsr_approx(params, 1.0).value == 0.0
+    for beta_e in (1.0, 0.0):
+        for est in (sop_dbf(lay, params, beta_e), sop_fot(lay, params, beta_e),
+                    sop_bsr_exact(lay, params, beta_e),
+                    sop_bsr_approx(params, beta_e)):
+            assert est.value == 0.0 and est.flag is None
 
 
 def test_sop_zero_redundancy_divergent_flag():

@@ -3,7 +3,7 @@ rejects it with ConfigError, whatever the float values."""
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cachesec.cli import DBW_LIMIT, ConfigError, parse_scenario_text
 
@@ -15,6 +15,7 @@ FLOAT_KEYS = ("r_s1_o", "r_s", "r_b_s1", "alpha", "Ps_dBw", "Pm_dBw",
 @given(st.dictionaries(st.sampled_from(FLOAT_KEYS),
                        st.floats(allow_nan=True, allow_infinity=True),
                        max_size=4))
+@example({"r_s": 8.98846567431158e+307})  # k * r_s overflows in the layout
 def test_loaded_scenarios_are_finite_and_in_range(values):
     text = "".join(f"{k} = {v!r}\n" for k, v in values.items())
     try:
