@@ -6,39 +6,41 @@ probabilities for three cooperative delivery schemes (analytically and by
 Monte Carlo), designs throughput-optimal wiretap codes, and optimizes the
 hybrid cache allocation for overall secrecy throughput and secrecy energy
 efficiency.
+
+Modules: `layout` (geometry), `channel` (scheme ids, channel parameters,
+path loss), `outage` (analytic COP/SOP), `montecarlo` (seeded estimators),
+`rates` (wiretap-code design), `caching` (Zipf demand and allocation),
+`cli` (experiment runner).
 """
 
 __version__ = "0.1.0"
 
 from .layout import NetworkLayout, PolarPoint, build_line_layout, distance
-from .channel import (ChannelParams, FadingDraw, SchemeId, sample_fading,
-                      sample_ppp_disc, snr_eve, snr_user)
-from .outage import (OutageEstimate, WiretapCode, cop, cop_bsr,
-                     cop_dbf_asymptotic, cop_dbf_exact, cop_fot, sop,
-                     sop_bsr_approx, sop_bsr_exact, sop_dbf, sop_fot)
+from .channel import ChannelParams, SchemeId
+from .outage import (OutageEstimate, cop, cop_bsr, cop_dbf_asymptotic,
+                     cop_dbf_exact, cop_fot, sop, sop_bsr_approx,
+                     sop_bsr_exact, sop_dbf, sop_fot)
 from .montecarlo import McSettings, mc_cop, mc_sop
 from .rates import (RateDesign, bsr_approx_threshold, invert_sop, opt_bs_bsr,
-                    opt_bs_dbf, opt_bs_fot, scheme_throughput,
+                    opt_bs_dbf, opt_bs_fot, per_scheme_psi, scheme_throughput,
                     secrecy_throughput_curve)
-from .caching import (CachingPlan, ThroughputReport, ZipfLibrary,
-                      average_power, cum_pop_approx, cum_pop_exact,
-                      exhaustive_opt_m, opt_m_see, opt_m_throughput,
-                      opt_m_throughput_large, optimal_mpc_allocation,
+from .caching import (ThroughputReport, ZipfLibrary, average_power,
+                      cum_pop_approx, cum_pop_exact, exhaustive_opt_m,
+                      opt_m_see, optimal_mpc_allocation, optimize_allocation,
                       overall_throughput, report, scheme_probs, see, zipf_pmf)
 
 __all__ = [
     "NetworkLayout", "PolarPoint", "build_line_layout", "distance",
-    "ChannelParams", "FadingDraw", "SchemeId", "sample_fading",
-    "sample_ppp_disc", "snr_eve", "snr_user",
-    "OutageEstimate", "WiretapCode", "cop", "cop_bsr", "cop_dbf_asymptotic",
+    "ChannelParams", "SchemeId",
+    "OutageEstimate", "cop", "cop_bsr", "cop_dbf_asymptotic",
     "cop_dbf_exact", "cop_fot", "sop", "sop_bsr_approx", "sop_bsr_exact",
     "sop_dbf", "sop_fot",
     "McSettings", "mc_cop", "mc_sop",
     "RateDesign", "bsr_approx_threshold", "invert_sop", "opt_bs_bsr",
-    "opt_bs_dbf", "opt_bs_fot", "scheme_throughput",
+    "opt_bs_dbf", "opt_bs_fot", "per_scheme_psi", "scheme_throughput",
     "secrecy_throughput_curve",
-    "CachingPlan", "ThroughputReport", "ZipfLibrary", "average_power",
-    "cum_pop_approx", "cum_pop_exact", "exhaustive_opt_m", "opt_m_see",
-    "opt_m_throughput", "opt_m_throughput_large", "optimal_mpc_allocation",
-    "overall_throughput", "report", "scheme_probs", "see", "zipf_pmf",
+    "ThroughputReport", "ZipfLibrary", "average_power", "cum_pop_approx",
+    "cum_pop_exact", "exhaustive_opt_m", "opt_m_see",
+    "optimal_mpc_allocation", "optimize_allocation", "overall_throughput",
+    "report", "scheme_probs", "see", "zipf_pmf",
 ]

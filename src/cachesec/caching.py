@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import ChannelParams, SchemeId
 from .layout import NetworkLayout
-from .rates import scheme_throughput
+from .rates import per_scheme_psi
 
 TIE_TOL = 1e-12
 
@@ -105,31 +105,6 @@ def scheme_probs(lib: ZipfLibrary, K: int, L: int, M: int,
 
 
 @dataclass(frozen=True)
-class CachingPlan:
-    """A concrete allocation together with its induced scheme probabilities."""
-
-    K: int
-    L: int
-    M: int
-    p_D: float
-    p_F: float
-    p_B: float
-
-    def __post_init__(self):
-        for p in (self.p_D, self.p_F, self.p_B):
-            if not -1e-12 <= p <= 1.0 + 1e-12:
-                raise ValueError("scheme probabilities must lie in [0, 1]")
-        if abs(self.p_D + self.p_F + self.p_B - 1.0) > 1e-9:
-            raise ValueError("scheme probabilities must sum to 1")
-
-    @classmethod
-    def build(cls, lib: ZipfLibrary, K: int, L: int, M: int,
-              exact: bool = False) -> "CachingPlan":
-        p_d, p_f, p_b = scheme_probs(lib, K, L, M, exact)
-        return cls(K=K, L=L, M=M, p_D=p_d, p_F=p_f, p_B=p_b)
-
-
-@dataclass(frozen=True)
 class ThroughputReport:
     """Per-scheme optima plus the cache-averaged network metrics."""
 
@@ -183,8 +158,8 @@ def _pick_adjacent(m_cont: float, L: int, objective) -> int:
     return hi if f_hi > f_lo else lo
 
 
-def opt_m_throughput(psi_d: float, psi_f: float, psi_b: float,
-                     lib: ZipfLibrary, K: int, L: int) -> int:
+def _opt_m_limited(psi_d: float, psi_f: float, psi_b: float,
+                   lib: ZipfLibrary, K: int, L: int) -> int:
     """Throughput-optimal replicated-cache size when K*L < N.
 
     Writing gain_df = psi_D - psi_F and gain_fb = psi_F - psi_B, the
@@ -193,14 +168,8 @@ def opt_m_throughput(psi_d: float, psi_f: float, psi_b: float,
     cases: all-replicated when gain_df dominates, all-partitioned when
     gain_fb dominates, and an interior stationary point otherwise.
     """
-    if K * L >= lib.N:
-        warnings.warn("K*L >= N: use the large-capacity optimizer",
-                      stacklevel=2)
     gain_df = psi_d - psi_f
     gain_fb = psi_f - psi_b
-    if gain_df <= 0.0:
-        warnings.warn("expected psi_D > psi_F; allocation may be degenerate",
-                      stacklevel=2)
     if K == 1 or gain_fb <= 0.0:
         return L
     k1 = K - 1
@@ -217,39 +186,58 @@ def opt_m_throughput(psi_d: float, psi_f: float, psi_b: float,
         lambda m: overall_throughput(psi_d, psi_f, psi_b, lib, K, L, m))
 
 
-def opt_m_throughput_large(psi_d: float, psi_f: float, psi_b: float,
+def optimal_mpc_allocation(psi_d: float, psi_f: float, psi_b: float,
                            lib: ZipfLibrary, K: int, L: int) -> int:
-    """Throughput-optimal replicated-cache size when K*L >= N.
+    """Throughput-optimal replicated-cache size M in 0..L.
 
-    With L >= N a single SBS holds the whole library and full replication
+    When K*L < N this is the limited-capacity closed form. When K*L >= N
+    and L >= N a single SBS holds the whole library and full replication
     wins. Otherwise every M up to (KL-N)/(K-1) keeps all N files reachable
     (no backhaul) and the throughput rises with M there, so the optimum is
-    the larger of that boundary and the limited-capacity optimum.
+    the better of that boundary and the limited-capacity optimum.
     """
-    if K * L < lib.N:
-        warnings.warn("K*L < N: use the limited-capacity optimizer",
+    if psi_d - psi_f <= 0.0:
+        warnings.warn("expected psi_D > psi_F; allocation may be degenerate",
                       stacklevel=2)
-        return opt_m_throughput(psi_d, psi_f, psi_b, lib, K, L)
+    if K * L < lib.N:
+        return _opt_m_limited(psi_d, psi_f, psi_b, lib, K, L)
     if L >= lib.N:
         return min(lib.N, L)
     bound = (K * L - lib.N) / (K - 1)  # full-coverage boundary, K >= 2 here
     candidates = {min(max(math.floor(bound), 0), L),
-                  min(max(math.ceil(bound), 0), L)}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        candidates.add(opt_m_throughput(psi_d, psi_f, psi_b, lib, K, L))
-    best = max(sorted(candidates),
+                  min(max(math.ceil(bound), 0), L),
+                  _opt_m_limited(psi_d, psi_f, psi_b, lib, K, L)}
+    return max(sorted(candidates),
                key=lambda m: (overall_throughput(psi_d, psi_f, psi_b,
                                                  lib, K, L, m), m))
-    return best
 
 
-def optimal_mpc_allocation(psi_d: float, psi_f: float, psi_b: float,
-                           lib: ZipfLibrary, K: int, L: int) -> int:
-    """Throughput-optimal allocation, dispatching on the capacity regime."""
-    if K * L >= lib.N:
-        return opt_m_throughput_large(psi_d, psi_f, psi_b, lib, K, L)
-    return opt_m_throughput(psi_d, psi_f, psi_b, lib, K, L)
+def _objective(objective: str, psi_d: float, psi_f: float, psi_b: float,
+               lib: ZipfLibrary, K: int, L: int,
+               params: ChannelParams | None, exact: bool = False):
+    """The value of an objective ("throughput" or "see") at an allocation
+    M, and its closed-form optimizer."""
+    if objective == "throughput":
+        def value(m):
+            return overall_throughput(psi_d, psi_f, psi_b, lib, K, L, m,
+                                      exact)
+
+        def closed():
+            return optimal_mpc_allocation(psi_d, psi_f, psi_b, lib, K, L)
+    elif objective == "see":
+        if params is None:
+            raise ValueError("the energy-efficiency objective needs params")
+
+        def value(m):
+            return see(psi_d, psi_f, psi_b, params, lib, K, L, m, exact)
+
+        def closed():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the exhaustive fallback
+                return opt_m_see(psi_d, psi_f, psi_b, params, lib, K, L)
+    else:
+        raise ValueError(f"unknown objective {objective!r}")
+    return value, closed
 
 
 def exhaustive_opt_m(objective: str, psi_d: float, psi_f: float, psi_b: float,
@@ -261,23 +249,27 @@ def exhaustive_opt_m(objective: str, psi_d: float, psi_f: float, psi_b: float,
     Uses the same cumulative-popularity model as the closed forms. Returns
     the smallest argmax on exact ties.
     """
-    if objective == "throughput":
-        def f(m):
-            return overall_throughput(psi_d, psi_f, psi_b, lib, K, L, m, exact)
-    elif objective == "see":
-        if params is None:
-            raise ValueError("the energy-efficiency objective needs params")
-
-        def f(m):
-            return see(psi_d, psi_f, psi_b, params, lib, K, L, m, exact)
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
+    f, _ = _objective(objective, psi_d, psi_f, psi_b, lib, K, L, params,
+                      exact)
     best_m, best_v = 0, f(0)
     for m in range(1, L + 1):
         v = f(m)
         if v > best_v:
             best_m, best_v = m, v
     return best_m, best_v
+
+
+def optimize_allocation(objective: str, psi_d: float, psi_f: float,
+                        psi_b: float, params: ChannelParams,
+                        lib: ZipfLibrary, K: int, L: int):
+    """Closed-form and exhaustive optima of an objective ("throughput" or
+    "see"), and the objective's value as a function of M."""
+    value, closed = _objective(objective, psi_d, psi_f, psi_b, lib, K, L,
+                               params)
+    m_closed = closed()
+    m_ex, _ = exhaustive_opt_m(objective, psi_d, psi_f, psi_b, lib, K, L,
+                               params=params)
+    return m_closed, m_ex, value
 
 
 def opt_m_see(psi_d: float, psi_f: float, psi_b: float,
@@ -349,14 +341,11 @@ def report(layout: NetworkLayout, params: ChannelParams, lib: ZipfLibrary,
            L: int, M: int, epsilon: float, exact: bool = False,
            bsr_exact_sop: bool = False) -> ThroughputReport:
     """Per-scheme rate designs plus the averaged throughput and efficiency."""
-    K = layout.K
-    psi = {s: scheme_throughput(s, layout, params, epsilon,
-                                bsr_exact_sop=bsr_exact_sop).psi_star
-           for s in SchemeId}
-    p_d, p_f, p_b = scheme_probs(lib, K, L, M, exact)
-    psi_bar = p_d * psi[SchemeId.DBF] + p_f * psi[SchemeId.FOT] \
-        + p_b * psi[SchemeId.BSR]
-    p_avg = K * params.Ps * (p_d + p_f) + p_b * (params.Pm + params.Ps)
-    return ThroughputReport(psi_D=psi[SchemeId.DBF], psi_F=psi[SchemeId.FOT],
-                            psi_B=psi[SchemeId.BSR], psi_bar=psi_bar,
-                            p_avg=p_avg, omega=psi_bar / p_avg)
+    psi = per_scheme_psi(layout, params, epsilon, bsr_exact_sop)
+    psi_d, psi_f, psi_b = psi[SchemeId.DBF], psi[SchemeId.FOT], psi[SchemeId.BSR]
+    psi_bar = overall_throughput(psi_d, psi_f, psi_b, lib, layout.K, L, M,
+                                 exact)
+    p_avg = average_power(params, lib, layout.K, L, M, exact)
+    return ThroughputReport(psi_D=psi_d, psi_F=psi_f, psi_B=psi_b,
+                            psi_bar=psi_bar, p_avg=p_avg,
+                            omega=psi_bar / p_avg)

@@ -1,9 +1,9 @@
-"""Random sampling primitives for the wireless model.
+"""Scheme ids, channel parameters and path loss of the wireless model.
 
-Rayleigh-faded links with distance path loss, Poisson fields of
-eavesdroppers, and the instantaneous SNRs seen by the user and by an
-eavesdropper under each cooperative delivery scheme. All samplers are
-stateless: each caller owns its own seeded generator.
+Links are Rayleigh-faded with distance path loss d^-alpha. The per-scheme
+SNR laws are written once each: the user's decoding condition and the
+eavesdroppers' breach test in `montecarlo`, their integrated forms in
+`outage`.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .layout import NetworkLayout, PolarPoint
 
 
 class SchemeId(str, Enum):
@@ -40,6 +38,10 @@ class ChannelParams:
     lambda_e: float
 
     def __post_init__(self):
+        for name in ("alpha", "Ps", "Pm", "lambda_e"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {getattr(self, name)}")
         if not self.alpha > 2.0:
             raise ValueError(f"path-loss exponent must exceed 2, got {self.alpha}")
         if not self.Ps > 0.0:
@@ -50,19 +52,6 @@ class ChannelParams:
             raise ValueError("eavesdropper density must be nonnegative")
 
 
-@dataclass(frozen=True)
-class FadingDraw:
-    """Squared Rayleigh magnitudes of the K main channels, each Exp(1)."""
-
-    gains_sq: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.gains_sq, dtype=float)
-        if g.ndim != 1 or g.size < 1 or (g < 0).any():
-            raise ValueError("gains_sq must be a 1-D array of nonnegative reals")
-        object.__setattr__(self, "gains_sq", g)
-
-
 def dist_pow_neg(d_sq: np.ndarray, alpha: float) -> np.ndarray:
     """d**(-alpha) from squared distances, fast-pathing even exponents."""
     half = 0.5 * alpha
@@ -71,81 +60,3 @@ def dist_pow_neg(d_sq: np.ndarray, alpha: float) -> np.ndarray:
     if half == 3.0:
         return 1.0 / (d_sq * d_sq * d_sq)
     return d_sq ** (-half)
-
-
-def sample_fading(K: int, rng: np.random.Generator) -> FadingDraw:
-    """One joint draw of the K main-channel squared fading magnitudes."""
-    return FadingDraw(rng.standard_exponential(K))
-
-
-def sample_ppp_disc(lambda_e: float, radius: float,
-                    rng: np.random.Generator) -> list[PolarPoint]:
-    """Realize a homogeneous Poisson field on a disc centered at the origin.
-
-    The point count is Poisson(lambda_e * pi * radius^2) and points are
-    uniform on the disc (radial CDF proportional to r^2).
-    """
-    if lambda_e < 0.0:
-        raise ValueError("density must be nonnegative")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    n = rng.poisson(lambda_e * math.pi * radius * radius)
-    r = radius * np.sqrt(rng.random(n))
-    theta = 2.0 * math.pi * rng.random(n)
-    return [PolarPoint(float(ri), float(ti)) for ri, ti in zip(r, theta)]
-
-
-def snr_user(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
-             draw: FadingDraw) -> float:
-    """Instantaneous decoding SNR at the user for one fading draw.
-
-    DBF coherently sums the K amplitudes; FOT splits the band K ways and the
-    value returned is the weakest of the K per-partition SNRs (decoding fails
-    as soon as any partition does); BSR rides the strongest single branch.
-    """
-    g = draw.gains_sq
-    if g.size != layout.K:
-        raise ValueError(f"draw has {g.size} gains for K={layout.K} SBSs")
-    r = layout.sbs_distances()
-    if scheme is SchemeId.DBF:
-        amp = np.sqrt(g) @ r ** (-params.alpha / 2.0)
-        return float(params.Ps * amp * amp)
-    if scheme is SchemeId.FOT:
-        return float((layout.K * params.Ps * g * r ** -params.alpha).min())
-    if scheme is SchemeId.BSR:
-        return float((params.Ps * g * r ** -params.alpha).max())
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def snr_eve(scheme: SchemeId, hop: int, layout: NetworkLayout,
-            params: ChannelParams, eve: PolarPoint, rng: np.random.Generator,
-            serving_index: int = 0):
-    """Instantaneous wiretap SNR at one eavesdropper position.
-
-    Under DBF the beamforming phases are mismatched at the eavesdropper, so
-    its SNR is exactly exponential with mean Ps * sum_k r_k^(-alpha); it is
-    sampled from that law directly. FOT returns the K per-partition SNRs as
-    an array. BSR has two hops: hop 1 is the MBS backhaul broadcast, hop 2
-    the serving SBS (index `serving_index` in the nearest-first list).
-    """
-    if hop not in (1, 2):
-        raise ValueError(f"hop must be 1 or 2, got {hop}")
-    if hop == 1 and scheme is not SchemeId.BSR:
-        raise ValueError("hop 1 only exists for the relaying scheme")
-    ex, ey = eve.x, eve.y
-    sx, sy = layout.sbs_xy()
-    d_sq = (ex - sx) ** 2 + (ey - sy) ** 2
-    if scheme is SchemeId.DBF:
-        mean = params.Ps * dist_pow_neg(d_sq, params.alpha).sum()
-        return float(mean * rng.standard_exponential())
-    if scheme is SchemeId.FOT:
-        means = layout.K * params.Ps * dist_pow_neg(d_sq, params.alpha)
-        return means * rng.standard_exponential(layout.K)
-    if scheme is SchemeId.BSR:
-        if hop == 1:
-            db_sq = (ex - layout.mbs.x) ** 2 + (ey - layout.mbs.y) ** 2
-            mean = params.Pm * float(dist_pow_neg(np.asarray(db_sq), params.alpha))
-            return float(mean * rng.standard_exponential())
-        mean = params.Ps * float(dist_pow_neg(d_sq[serving_index], params.alpha))
-        return float(mean * rng.standard_exponential())
-    raise ValueError(f"unknown scheme {scheme!r}")

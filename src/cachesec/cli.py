@@ -29,7 +29,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -128,6 +127,10 @@ class Scenario:
             raise ConfigError("N sweep must start at >= 1")
         if self.sweep_var == "Rs" and low < 0:
             raise ConfigError("Rs sweep must start at >= 0")
+        if (self.sweep_stop - self.sweep_start) / self.sweep_step \
+                >= MAX_SWEEP_POINTS:
+            raise ConfigError(f"a sweep has at most {MAX_SWEEP_POINTS} "
+                              f"points")
         try:
             lay = self.layout()
         except ValueError as exc:  # a coordinate overflowed to inf
@@ -150,6 +153,9 @@ class Scenario:
 
 # Powers beyond +-3000 dBw leave the range of a positive finite float.
 DBW_LIMIT = 3000.0
+# sweep_values lists every point before the first row is computed; a step
+# of 1e-9 dB would ask for 3e10 of them.
+MAX_SWEEP_POINTS = 10_000
 
 
 def dbw_to_linear(p_dbw: float) -> float:
@@ -377,45 +383,15 @@ def cmd_throughput(scn: Scenario, out) -> int:
     return 0
 
 
-def _per_scheme_psi(scn: Scenario, layout, params) -> dict:
-    bsr_exact = scn.bsr_sop_model == "exact"
-    return {scheme: rates.scheme_throughput(scheme, layout, params,
-                                            scn.epsilon,
-                                            bsr_exact_sop=bsr_exact).psi_star
-            for scheme in SchemeId}
-
-
 def cmd_caching(scn: Scenario, out) -> int:
     if scn.sweep_var not in ("N", "Ps_dBw"):
         raise ConfigError("caching sweeps N or Ps_dBw")
     layout = scn.layout()
-    objective = scn.caching_objective
-
-    def optimize(psi, lib, params):
-        p_d, p_f, p_b = (psi[SchemeId.DBF], psi[SchemeId.FOT],
-                         psi[SchemeId.BSR])
-        if objective == "see":
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                m_closed = caching.opt_m_see(p_d, p_f, p_b, params, lib,
-                                             scn.K, scn.L)
-        else:
-            m_closed = caching.optimal_mpc_allocation(p_d, p_f, p_b, lib,
-                                                      scn.K, scn.L)
-        m_ex, _ = caching.exhaustive_opt_m(objective, p_d, p_f, p_b, lib,
-                                           scn.K, scn.L, params=params)
-
-        def value(m):
-            if objective == "see":
-                return caching.see(p_d, p_f, p_b, params, lib, scn.K, scn.L, m)
-            return caching.overall_throughput(p_d, p_f, p_b, lib, scn.K,
-                                              scn.L, m)
-
-        return m_closed, m_ex, value
-
+    bsr_exact = scn.bsr_sop_model == "exact"
     if scn.sweep_var == "N":
         # psi does not depend on the library size: design the codes once
-        psi_fixed = _per_scheme_psi(scn, layout, scn.params())
+        psi_fixed = rates.per_scheme_psi(layout, scn.params(), scn.epsilon,
+                                         bsr_exact)
 
     def cell(i, v, j):
         if scn.sweep_var == "N":
@@ -425,8 +401,10 @@ def cmd_caching(scn: Scenario, out) -> int:
         else:
             params = replace(scn.params(), Ps=dbw_to_linear(v))
             lib = caching.ZipfLibrary(N=scn.N, tau=scn.tau)
-            psi = _per_scheme_psi(scn, layout, params)
-        m_closed, m_ex, value = optimize(psi, lib, params)
+            psi = rates.per_scheme_psi(layout, params, scn.epsilon, bsr_exact)
+        m_closed, m_ex, value = caching.optimize_allocation(
+            scn.caching_objective, psi[SchemeId.DBF], psi[SchemeId.FOT],
+            psi[SchemeId.BSR], params, lib, scn.K, scn.L)
         return [v, psi[SchemeId.DBF], psi[SchemeId.FOT], psi[SchemeId.BSR],
                 m_closed, m_ex, value(m_closed), value(scn.L), value(0)]
 

@@ -44,6 +44,9 @@ COP_CHUNK = 1 << 16
 SOP_CHUNK = 1 << 11
 # Relative shrink of the pruning gap |e| - d_max, in units of |e| + d_max.
 PRUNE_SLACK = 1e-6
+# Largest expected number of floats (radius, angle variate and fades of
+# every point) that one annulus draw of a chunk may need: 512 MiB.
+MAX_FIELD_FLOATS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -210,6 +213,9 @@ class _FieldTest:
         self.sx, self.sy = layout.sbs_xy()
         self.r_sbs = float(layout.sbs_distances().max())
         self.mbs = layout.mbs
+        # one fade per point, one per partition, or one per relaying hop
+        self.fades_per_point = (1 if scheme is SchemeId.DBF
+                                else self.K if scheme is SchemeId.FOT else 2)
 
     def draw_fades(self, rng, m: int) -> tuple:
         """Fades of m points, one array per hop or partition set."""
@@ -276,7 +282,9 @@ def mc_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
     independent_hops the two relaying hops see two independent fields.
     With no eavesdroppers (lambda_e = 0) the estimate is exactly 0; with
     beta_e = 0 every eavesdropper of the unbounded field breaches and it is
-    exactly 1, flagged "divergent" like the analytic evaluators.
+    exactly 1, flagged "divergent" like the analytic evaluators. Raises
+    ValueError before any draw when one annulus draw of a chunk would need
+    more than MAX_FIELD_FLOATS floats on average.
     """
     if beta_e < 0.0:
         raise ValueError("beta_e must be nonnegative")
@@ -294,6 +302,13 @@ def mc_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
     else:
         fields = [(True, True)]
     test = _FieldTest(scheme, layout, params, beta_e)
+    points = lam * min(settings.trials, SOP_CHUNK) \
+        * max(math.pi * (hi * hi - lo * lo) for lo, hi in annuli)
+    if points * (2 + test.fades_per_point) > MAX_FIELD_FLOATS:
+        raise ValueError(
+            f"eavesdropper field too large for Monte Carlo: {points:.3g} "
+            f"expected points per annulus draw of a chunk (at most "
+            f"{MAX_FIELD_FLOATS} floats)")
     K = layout.K
     r_neg = layout.sbs_distances() ** -params.alpha
 

@@ -48,53 +48,6 @@ QUAD_CERT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class WiretapCode:
-    """Rates of a wiretap code and their linear SNR thresholds.
-
-    The codeword rate splits into the secrecy rate plus the redundancy
-    sacrificed to confuse eavesdroppers: Rt = Rs + Re, and each threshold is
-    beta = 2**R - 1, which chains into beta_t = beta_e + (1 + beta_e) * beta_s.
-    """
-
-    Rt: float
-    Rs: float
-    Re: float
-    beta_t: float
-    beta_s: float
-    beta_e: float
-
-    def __post_init__(self):
-        if min(self.Rt, self.Rs, self.Re) < 0.0:
-            raise ValueError("rates must be nonnegative")
-        checks = (
-            (self.Rt, self.Rs + self.Re),
-            (self.beta_t, 2.0 ** self.Rt - 1.0),
-            (self.beta_s, 2.0 ** self.Rs - 1.0),
-            (self.beta_e, 2.0 ** self.Re - 1.0),
-            (self.beta_t, self.beta_e + (1.0 + self.beta_e) * self.beta_s),
-        )
-        for got, want in checks:
-            if abs(got - want) > 1e-9 * (1.0 + abs(want)):
-                raise ValueError("inconsistent wiretap code fields")
-
-    @classmethod
-    def from_rates(cls, Rs: float, Re: float) -> "WiretapCode":
-        Rt = Rs + Re
-        return cls(Rt=Rt, Rs=Rs, Re=Re, beta_t=2.0 ** Rt - 1.0,
-                   beta_s=2.0 ** Rs - 1.0, beta_e=2.0 ** Re - 1.0)
-
-    @classmethod
-    def from_thresholds(cls, beta_s: float, beta_e: float) -> "WiretapCode":
-        if beta_s < 0.0 or beta_e < 0.0:
-            raise ValueError("thresholds must be nonnegative")
-        Rs = math.log2(1.0 + beta_s)
-        Re = math.log2(1.0 + beta_e)
-        return cls(Rt=Rs + Re, Rs=Rs, Re=Re,
-                   beta_t=beta_e + (1.0 + beta_e) * beta_s,
-                   beta_s=beta_s, beta_e=beta_e)
-
-
-@dataclass(frozen=True)
 class OutageEstimate:
     """A COP or SOP value together with how it was obtained.
 

@@ -40,7 +40,9 @@ class RateDesign:
     beta_e_circ is the smallest redundancy threshold meeting the SOP cap,
     beta_s_star the throughput-maximizing secrecy threshold, psi_star the
     resulting secrecy throughput in bits/s/Hz. sop_evals, sop_residual and
-    sop_flag record how beta_e_circ was found (see SopRoot).
+    sop_flag record how beta_e_circ was found (see SopRoot). Each rate is
+    R = log2(1 + beta); the codeword rate is the secrecy rate plus the
+    redundancy, so its threshold is beta_e + (1 + beta_e) beta_s.
     """
 
     scheme: SchemeId
@@ -389,3 +391,12 @@ def scheme_throughput(scheme: SchemeId, layout: NetworkLayout,
         raise ValueError(f"unknown scheme {scheme!r}")
     return replace(design, epsilon=epsilon, sop_evals=root.evals,
                    sop_residual=root.residual, sop_flag=root.cert_flag)
+
+
+def per_scheme_psi(layout: NetworkLayout, params: ChannelParams,
+                   epsilon: float,
+                   bsr_exact_sop: bool = False) -> dict[SchemeId, float]:
+    """Optimal secrecy throughput psi* of every scheme, in SchemeId order."""
+    return {scheme: scheme_throughput(scheme, layout, params, epsilon,
+                                      bsr_exact_sop=bsr_exact_sop).psi_star
+            for scheme in SchemeId}

@@ -185,7 +185,7 @@ def test_06_caching_optima_vs_oracle():
     exact = 0
     for _ in range(200):
         psi_d, psi_f, psi_b, lib, K, L = _random_throughput_instance(rng)
-        m = cs.opt_m_throughput(psi_d, psi_f, psi_b, lib, K, L)
+        m = cs.optimal_mpc_allocation(psi_d, psi_f, psi_b, lib, K, L)
         m_ref, v_ref = cs.exhaustive_opt_m("throughput", psi_d, psi_f, psi_b,
                                            lib, K, L)
         if m == m_ref:

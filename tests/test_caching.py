@@ -4,10 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from cachesec import (CachingPlan, ChannelParams, SchemeId, ZipfLibrary,
-                      average_power, cum_pop_approx, cum_pop_exact,
-                      exhaustive_opt_m, opt_m_see, opt_m_throughput,
-                      opt_m_throughput_large, optimal_mpc_allocation,
+from cachesec import (ChannelParams, SchemeId, ZipfLibrary, average_power,
+                      cum_pop_approx, cum_pop_exact, exhaustive_opt_m,
+                      opt_m_see, optimal_mpc_allocation, optimize_allocation,
                       overall_throughput, report, scheme_probs, see,
                       zipf_pmf)
 from helpers import standard_layout, standard_params
@@ -88,13 +87,6 @@ def test_scheme_probs_sum_to_one():
             p = scheme_probs(lib, K, L, M, exact=exact)
             assert all(0.0 <= x <= 1.0 for x in p)
             assert sum(p) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_caching_plan_build():
-    lib = ZipfLibrary(N=100, tau=1.5)
-    plan = CachingPlan.build(lib, K=3, L=10, M=4)
-    assert plan.p_D + plan.p_F + plan.p_B == pytest.approx(1.0)
-    assert plan.M == 4
 
 
 # ---------------------------------------------------------------------------
@@ -195,40 +187,37 @@ def test_see_zero_throughput():
 
 def test_opt_m_throughput_k1_always_full():
     lib = ZipfLibrary(N=100, tau=1.5)
-    assert opt_m_throughput(2.0, 1.9, 1.0, lib, K=1, L=10) == 10
+    assert optimal_mpc_allocation(2.0, 1.9, 1.0, lib, K=1, L=10) == 10
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # equal psis are normal at K = 1
-        assert opt_m_throughput(2.0, 2.0, 1.0, lib, K=1, L=10) == 10
+        assert optimal_mpc_allocation(2.0, 2.0, 1.0, lib, K=1, L=10) == 10
 
 
 def test_opt_m_throughput_dominant_gap_cases():
     lib = ZipfLibrary(N=1000, tau=1.2)
     # replication gain 10 vs partition gain 1 with K-1 = 2: full replication
-    assert opt_m_throughput(11.0, 1.0, 0.0, lib, K=3, L=10) == 10
+    assert optimal_mpc_allocation(11.0, 1.0, 0.0, lib, K=3, L=10) == 10
     # overwhelming partition gain: no replication
-    assert opt_m_throughput(1.0 + 1e-9, 1.0, -100.0, lib, K=3, L=10) == 0
+    assert optimal_mpc_allocation(1.0 + 1e-9, 1.0, -100.0, lib, K=3, L=10) == 0
 
 
 def test_opt_m_throughput_interior_example():
     # gaps (1, 1), K=3, L=10, tau=1.2: continuous optimum 7.73, integer 8
     lib = ZipfLibrary(N=1000, tau=1.2)
-    m = opt_m_throughput(3.0, 2.0, 1.0, lib, K=3, L=10)
+    m = optimal_mpc_allocation(3.0, 2.0, 1.0, lib, K=3, L=10)
     m_ref, _ = exhaustive_opt_m("throughput", 3.0, 2.0, 1.0, lib, 3, 10)
     assert m == 8 == m_ref
 
 
 def test_opt_m_throughput_negative_partition_gain():
     lib = ZipfLibrary(N=1000, tau=1.2)
-    assert opt_m_throughput(3.0, 1.0, 2.0, lib, K=3, L=10) == 10
+    assert optimal_mpc_allocation(3.0, 1.0, 2.0, lib, K=3, L=10) == 10
 
 
 def test_opt_m_throughput_warns_outside_regime():
-    lib = ZipfLibrary(N=10, tau=1.2)
+    lib = ZipfLibrary(N=1000, tau=1.2)
     with pytest.warns(UserWarning):
-        opt_m_throughput(3.0, 2.0, 1.0, lib, K=3, L=10)
-    lib2 = ZipfLibrary(N=1000, tau=1.2)
-    with pytest.warns(UserWarning):
-        opt_m_throughput(1.0, 2.0, 0.5, lib2, K=3, L=10)
+        optimal_mpc_allocation(1.0, 2.0, 0.5, lib, K=3, L=10)
 
 
 def test_opt_m_throughput_matches_oracle_randomized():
@@ -243,7 +232,7 @@ def test_opt_m_throughput_matches_oracle_randomized():
         psi_f = float(rng.uniform(0.1, 3.0))
         psi_d = psi_f + float(rng.uniform(0.001, 3.0))
         psi_b = float(rng.uniform(0.0, 4.0))
-        m = opt_m_throughput(psi_d, psi_f, psi_b, lib, K, L)
+        m = optimal_mpc_allocation(psi_d, psi_f, psi_b, lib, K, L)
         m_ref, v_ref = exhaustive_opt_m("throughput", psi_d, psi_f, psi_b,
                                         lib, K, L)
         if m == m_ref:
@@ -261,19 +250,19 @@ def test_opt_m_throughput_monotone_in_tau():
     prev = 0
     for tau in np.arange(0.5, 2.6, 0.25):
         lib = ZipfLibrary(N=2000, tau=float(tau))
-        m = opt_m_throughput(3.0, 2.0, 1.0, lib, K=3, L=20)
+        m = optimal_mpc_allocation(3.0, 2.0, 1.0, lib, K=3, L=20)
         assert m >= prev
         prev = m
 
 
 def test_opt_m_large_capacity_single_sbs_covers_library():
     lib = ZipfLibrary(N=8, tau=1.2)
-    assert opt_m_throughput_large(3.0, 2.0, 1.0, lib, K=2, L=10) == 8
+    assert optimal_mpc_allocation(3.0, 2.0, 1.0, lib, K=2, L=10) == 8
 
 
 def test_opt_m_large_capacity_coverage_bound():
     lib = ZipfLibrary(N=15, tau=1.2)
-    m = opt_m_throughput_large(3.0, 2.0, 1.0, lib, K=2, L=10)
+    m = optimal_mpc_allocation(3.0, 2.0, 1.0, lib, K=2, L=10)
     assert m >= 5  # (K L - N)/(K - 1) = 5 keeps every file reachable
     m_ref, _ = exhaustive_opt_m("throughput", 3.0, 2.0, 1.0, lib, 2, 10)
     assert m == m_ref
@@ -289,7 +278,7 @@ def test_opt_m_large_capacity_randomized_against_oracle():
         psi_f = float(rng.uniform(0.1, 3.0))
         psi_d = psi_f + float(rng.uniform(0.001, 3.0))
         psi_b = float(rng.uniform(0.0, psi_f))
-        m = opt_m_throughput_large(psi_d, psi_f, psi_b, lib, K, L)
+        m = optimal_mpc_allocation(psi_d, psi_f, psi_b, lib, K, L)
         m_ref, v_ref = exhaustive_opt_m("throughput", psi_d, psi_f, psi_b,
                                         lib, K, L)
         gap = abs(v_ref - overall_throughput(psi_d, psi_f, psi_b, lib,
@@ -315,8 +304,9 @@ def test_optimal_mpc_allocation_shape_over_library_size():
     if fall.any():
         last_fall = rise_end + int(np.where(fall)[0][-1])
         assert (diffs[last_fall + 1:] == 0).all()
-    assert arr[-1] == opt_m_throughput(psi_d, psi_f, psi_b,
-                                       ZipfLibrary(N=80, tau=1.2), K, L)
+    m_ref, _ = exhaustive_opt_m("throughput", psi_d, psi_f, psi_b,
+                                ZipfLibrary(N=80, tau=1.2), K, L)
+    assert arr[-1] == m_ref
 
 
 def test_opt_m_see_relaying_never_efficient_gives_full_replication():
@@ -430,6 +420,30 @@ def test_exhaustive_see_needs_params():
     lib = ZipfLibrary(N=100, tau=1.5)
     with pytest.raises(ValueError):
         exhaustive_opt_m("see", 1.0, 1.0, 1.0, lib, 3, 10)
+
+
+def test_optimize_allocation_dispatches_each_objective():
+    psi = (3.0, 2.0, 1.0)
+    params = ChannelParams(alpha=4.0, Ps=1.0, Pm=10.0, lambda_e=0.01)
+    K, L = 3, 10
+    for lib in (ZipfLibrary(N=1000, tau=1.2), ZipfLibrary(N=15, tau=1.2)):
+        m_closed, m_ex, value = optimize_allocation("throughput", *psi,
+                                                    params, lib, K, L)
+        assert m_closed == optimal_mpc_allocation(*psi, lib, K, L)
+        assert m_ex == exhaustive_opt_m("throughput", *psi, lib, K, L)[0]
+        assert value(4) == overall_throughput(*psi, lib, K, L, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the fallback stays quiet
+            m_closed, m_ex, value = optimize_allocation("see", *psi, params,
+                                                        lib, K, L)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert m_closed == opt_m_see(*psi, params, lib, K, L)
+        assert m_ex == exhaustive_opt_m("see", *psi, lib, K, L,
+                                        params=params)[0]
+        assert value(4) == see(*psi, params, lib, K, L, 4)
+    with pytest.raises(ValueError):
+        optimize_allocation("latency", *psi, params, lib, K, L)
 
 
 # ---------------------------------------------------------------------------

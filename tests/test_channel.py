@@ -1,12 +1,17 @@
+"""The channel model's laws, checked on the kernels that implement them:
+channel parameters, the Poisson eavesdropper field, the user's decoding
+SNR of each scheme (through same-seed Monte Carlo) and the eavesdroppers'
+breach test."""
+
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from cachesec import (ChannelParams, FadingDraw, PolarPoint, SchemeId,
-                      sample_fading, sample_ppp_disc, snr_eve, snr_user)
-from helpers import standard_layout
+from cachesec import ChannelParams, McSettings, PolarPoint, SchemeId, mc_cop
+from cachesec.montecarlo import _annulus_draws, _FieldTest, _xy
+from helpers import standard_layout, standard_params
 
 
 def test_channel_params_validation():
@@ -17,123 +22,138 @@ def test_channel_params_validation():
         ChannelParams(alpha=4.0, Ps=0.0, Pm=1.0, lambda_e=0.1)
     with pytest.raises(ValueError):
         ChannelParams(alpha=4.0, Ps=1.0, Pm=1.0, lambda_e=-0.1)
+    good = dict(alpha=4.0, Ps=1.0, Pm=1.0, lambda_e=0.1)
+    for name in good:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                ChannelParams(**{**good, name: bad})
 
 
 def test_fading_gains_unit_mean():
+    # every scheme's eavesdropper fades are squared Rayleigh magnitudes,
+    # Exp(1), whose sample mean has stderr 1/sqrt(n)
+    lay = standard_layout(4)
+    params = standard_params()
     rng = np.random.default_rng(1)
-    draws = [sample_fading(1000, rng).gains_sq for _ in range(1000)]
-    # mean of 1e6 unit exponentials: stderr 1e-3
-    assert abs(np.concatenate(draws).mean() - 1.0) <= 3e-3
-    with pytest.raises(ValueError):
-        FadingDraw(np.array([-0.5, 1.0]))
+    for scheme in SchemeId:
+        fades = _FieldTest(scheme, lay, params, 1.0).draw_fades(rng, 250_000)
+        gains = np.concatenate([f.ravel() for f in fades])
+        assert (gains >= 0.0).all()
+        assert abs(gains.mean() - 1.0) <= 3.0 / math.sqrt(gains.size), scheme
 
 
 def test_sample_ppp_zero_density_is_empty():
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        assert sample_ppp_disc(0.0, 10.0, rng) == []
+    counts, rad, u_ang = _annulus_draws(rng, 0.0, 50, 0.0, 10.0)
+    assert counts.shape == (50,) and not counts.any()
+    assert rad.size == 0 and u_ang.size == 0
 
 
 def test_sample_ppp_poisson_mean():
     rng = np.random.default_rng(3)
-    n_draws = 20000
-    counts = [len(sample_ppp_disc(0.1, 10.0, rng)) for _ in range(n_draws)]
-    expected = 0.1 * math.pi * 100.0
-    stderr = math.sqrt(expected / n_draws)
-    assert abs(np.mean(counts) - expected) <= 3 * stderr
+    n_real = 20000
+    for r_lo, r_hi in ((0.0, 10.0), (4.0, 10.0)):
+        counts, rad, _ = _annulus_draws(rng, 0.1, n_real, r_lo, r_hi)
+        expected = 0.1 * math.pi * (r_hi ** 2 - r_lo ** 2)
+        stderr = math.sqrt(expected / n_real)
+        assert abs(counts.mean() - expected) <= 3 * stderr
+        assert rad.size == counts.sum()
 
 
 def test_sample_ppp_radial_uniformity():
-    # uniform points on a disc have radial CDF (r/R)^2
+    # uniform points on an annulus have radial CDF
+    # (r^2 - r_lo^2) / (r_hi^2 - r_lo^2), and uniform angles
     rng = np.random.default_rng(4)
-    radius = 5.0
-    radii = []
-    while len(radii) < 20000:
-        radii.extend(p.r for p in sample_ppp_disc(1.0, radius, rng))
-    result = stats.kstest(np.array(radii), lambda r: (r / radius) ** 2)
-    assert result.pvalue > 0.01
+    for r_lo, r_hi in ((0.0, 5.0), (2.0, 5.0)):
+        _, rad, u_ang = _annulus_draws(rng, 1.0, 400, r_lo, r_hi)
+        assert rad.size > 20000
+        assert (rad >= r_lo).all() and (rad < r_hi).all()
+        cdf = stats.kstest(rad, lambda r: (r * r - r_lo * r_lo)
+                           / (r_hi * r_hi - r_lo * r_lo))
+        assert cdf.pvalue > 0.01
+        assert stats.kstest(u_ang, "uniform").pvalue > 0.01
 
 
 def test_snr_user_k1_collapse():
+    # with one SBS every scheme decodes on the same link Ps g r^-alpha, so
+    # the same draws fail for all three (beamforming squares sqrt(g), which
+    # could only flip a draw within an ulp of the threshold)
     lay = standard_layout(1)
-    params = ChannelParams(alpha=4.0, Ps=7.0, Pm=1.0, lambda_e=0.1)
-    draw = FadingDraw(np.array([1.0]))
-    for scheme in SchemeId:
-        assert snr_user(scheme, lay, params, draw) == pytest.approx(7.0)
-
-
-def test_snr_user_zero_gains():
-    lay = standard_layout(3)
-    params = ChannelParams(alpha=4.0, Ps=7.0, Pm=1.0, lambda_e=0.1)
-    draw = FadingDraw(np.zeros(3))
-    for scheme in SchemeId:
-        assert snr_user(scheme, lay, params, draw) == 0.0
+    params = standard_params(Ps_dBw=0.0)
+    settings = McSettings(trials=100_000, seed=5)
+    values = {mc_cop(s, lay, params, 1.0, settings).value for s in SchemeId}
+    assert len(values) == 1
 
 
 def test_snr_user_matched_draw_dominance():
-    # beamforming beats the best branch, which beats the weakest
-    # partition SNR divided by K, on every single draw
-    lay = standard_layout(4)
-    params = ChannelParams(alpha=4.0, Ps=3.0, Pm=1.0, lambda_e=0.1)
-    rng = np.random.default_rng(5)
-    for _ in range(500):
-        draw = sample_fading(4, rng)
-        s_dbf = snr_user(SchemeId.DBF, lay, params, draw)
-        s_bsr = snr_user(SchemeId.BSR, lay, params, draw)
-        s_fot = snr_user(SchemeId.FOT, lay, params, draw)
-        assert s_dbf >= s_bsr - 1e-12
-        assert s_bsr >= s_fot / 4 - 1e-12
-
-
-def test_snr_user_wrong_draw_size():
-    lay = standard_layout(3)
-    params = ChannelParams(alpha=4.0, Ps=1.0, Pm=1.0, lambda_e=0.1)
-    with pytest.raises(ValueError):
-        snr_user(SchemeId.DBF, lay, params, FadingDraw(np.ones(2)))
+    # on every draw the beamformed SNR beats the best branch, and the best
+    # branch beats the weakest partition SNR divided by K; with the same
+    # seed mc_cop sees the same draws, so the failures are nested
+    settings = McSettings(trials=100_000, seed=6)
+    for K, ps_dbw, beta_t in ((2, 0.0, 1.0), (4, 5.0, 3.0), (4, -5.0, 0.2),
+                              (8, 10.0, 10.0)):
+        lay = standard_layout(K)
+        params = standard_params(Ps_dBw=ps_dbw)
+        dbf = mc_cop(SchemeId.DBF, lay, params, beta_t, settings).value
+        bsr = mc_cop(SchemeId.BSR, lay, params, beta_t, settings).value
+        fot = mc_cop(SchemeId.FOT, lay, params, K * beta_t, settings).value
+        assert dbf <= bsr <= fot
+        assert dbf < fot
 
 
 def test_snr_user_unknown_scheme():
     lay = standard_layout(2)
-    params = ChannelParams(alpha=4.0, Ps=1.0, Pm=1.0, lambda_e=0.1)
+    params = standard_params()
     with pytest.raises(ValueError):
-        snr_user("broadcast", lay, params, FadingDraw(np.ones(2)))
+        mc_cop("broadcast", lay, params, 1.0, McSettings(trials=10, seed=1))
+
+
+def _breaches_at(test, eve: PolarPoint, fades, hops=(True, True)):
+    """Breach test of len(fades[0]) eavesdroppers that all sit at eve."""
+    m = len(fades[0])
+    rad = np.full(m, eve.r)
+    u_ang = np.full(m, eve.theta / (2.0 * math.pi))
+    idx = np.arange(m)
+    px, py = _xy(rad, u_ang, idx)
+    serving = np.zeros(m, dtype=int)
+    return (test.breaches(px, py, idx, fades, serving, hops),
+            test.may_breach(rad, fades, hops))
 
 
 def test_snr_eve_dbf_mean_matches_closed_form():
+    # the beamforming phases are mismatched at an eavesdropper, so its SNR
+    # is exponential with mean Ps sum_k d_k^-alpha and it breaches with
+    # probability exp(-beta_e / mean)
     lay = standard_layout(3)
     params = ChannelParams(alpha=4.0, Ps=2.0, Pm=1.0, lambda_e=0.1)
     eve = PolarPoint(2.0, 1.0)
     sx, sy = lay.sbs_xy()
     d2 = (eve.x - sx) ** 2 + (eve.y - sy) ** 2
-    expected = params.Ps * float((d2 ** -2.0).sum())
-    rng = np.random.default_rng(6)
-    n = 10 ** 5  # stderr of the mean is expected/sqrt(n) ~ 0.32%
-    mean = sum(snr_eve(SchemeId.DBF, 2, lay, params, eve, rng)
-               for _ in range(n)) / n
-    assert abs(mean - expected) / expected < 0.01
+    mean = params.Ps * float((d2 ** -2.0).sum())
+    test = _FieldTest(SchemeId.DBF, lay, params, beta_e=mean)
+    n = 10 ** 5
+    fades = test.draw_fades(np.random.default_rng(6), n)
+    hit, _ = _breaches_at(test, eve, fades)
+    p = math.exp(-1.0)
+    assert abs(hit.mean() - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
 
 
 def test_snr_eve_far_eavesdropper_vanishes():
     lay = standard_layout(2)
     params = ChannelParams(alpha=4.0, Ps=1.0, Pm=1.0, lambda_e=0.1)
     rng = np.random.default_rng(7)
-    eve = PolarPoint(1e6, 0.5)
-    assert snr_eve(SchemeId.DBF, 2, lay, params, eve, rng) < 1e-12
-    assert (snr_eve(SchemeId.FOT, 2, lay, params, eve, rng) < 1e-12).all()
+    for scheme in SchemeId:
+        test = _FieldTest(scheme, lay, params, beta_e=1e-12)
+        hit, keep = _breaches_at(test, PolarPoint(1e6, 0.5),
+                                 test.draw_fades(rng, 100))
+        assert not hit.any() and not keep.any(), scheme
 
 
 def test_snr_eve_bsr_hop1_zero_power():
     lay = standard_layout(2)
     params = ChannelParams(alpha=4.0, Ps=1.0, Pm=0.0, lambda_e=0.1)
-    rng = np.random.default_rng(8)
-    assert snr_eve(SchemeId.BSR, 1, lay, params, PolarPoint(1.0, 0.0), rng) == 0.0
-
-
-def test_snr_eve_hop_validation():
-    lay = standard_layout(2)
-    params = ChannelParams(alpha=4.0, Ps=1.0, Pm=1.0, lambda_e=0.1)
-    rng = np.random.default_rng(9)
-    with pytest.raises(ValueError):
-        snr_eve(SchemeId.DBF, 1, lay, params, PolarPoint(1.0, 0.0), rng)
-    with pytest.raises(ValueError):
-        snr_eve(SchemeId.BSR, 3, lay, params, PolarPoint(1.0, 0.0), rng)
+    test = _FieldTest(SchemeId.BSR, lay, params, beta_e=1e-6)
+    fades = test.draw_fades(np.random.default_rng(8), 100)
+    near_mbs = PolarPoint(lay.mbs.r + 0.5, lay.mbs.theta)
+    hit, keep = _breaches_at(test, near_mbs, fades, hops=(True, False))
+    assert not hit.any() and not keep.any()

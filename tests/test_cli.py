@@ -289,7 +289,7 @@ def test_exit_code_2_for_out_of_range_epsilon(tmp_path):
     "trials = -1", "r_s = 0", "beta_e = -1", "sweep_step = 0",
     "sweep_start = -5000", "sweep_var = N\nsweep_start = 0",
     "sweep_var = Rs\nsweep_start = -1", "r_s = 8.98846567431158e+307",
-    "r_s = 8e307\nr_b_s1 = 1e308"])
+    "r_s = 8e307\nr_b_s1 = 1e308", "sweep_step = 1e-9"])
 def test_exit_code_2_for_invalid_scenarios(tmp_path, bad):
     code, out = run(tmp_path, "throughput", SMALL_SWEEP + bad + "\n")
     assert code == 2
@@ -316,6 +316,15 @@ def test_exit_code_3_when_sop_inversion_does_not_converge(tmp_path,
     cfg = "sweep_start = 10\nsweep_stop = 10\nsweep_step = 5\n"
     code, out = run(tmp_path, "throughput", cfg)
     assert code == 3
+    assert not out.exists()
+
+
+def test_sop_sweep_exit_code_3_for_an_oversized_field(tmp_path, capsys):
+    cfg = ("K = 10\nalpha = 2.5\nlambda_e = 1\nbeta_e = 0.3\n"
+           "sweep_start = 30\nsweep_stop = 30\nsweep_step = 5\n")
+    code, out = run(tmp_path, "sop-sweep", cfg)
+    assert code == 3
+    assert "too large for Monte Carlo" in capsys.readouterr().err
     assert not out.exists()
 
 

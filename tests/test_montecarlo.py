@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -196,6 +197,18 @@ def test_mc_sop_bsr_nearest_serving_convention():
         est = mc_sop(SchemeId.BSR, lay, params, 1.0,
                      McSettings(trials=trials, seed=14, bsr_serving=serving))
         assert within_3_sigma(an, est.value, est.std_error, trials)
+
+
+def test_mc_sop_rejects_an_oversized_field():
+    # 3.9e8 expected eavesdroppers per 2048-realization chunk: refused
+    # before any draw instead of exhausting memory
+    lay = standard_layout(10)
+    params = standard_params(Ps_dBw=30.0, lambda_e=1.0, alpha=2.5)
+    start = time.perf_counter()
+    for scheme in SchemeId:
+        with pytest.raises(ValueError, match="too large"):
+            mc_sop(scheme, lay, params, 0.3, McSettings(trials=10 ** 5, seed=1))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_mc_rejects_bad_thresholds():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cachesec import (ChannelParams, OutageEstimate, SchemeId, WiretapCode,
+from cachesec import (ChannelParams, OutageEstimate, RateDesign, SchemeId,
                       cop, cop_bsr, cop_dbf_asymptotic, cop_dbf_exact,
                       cop_fot, sop, sop_bsr_approx, sop_bsr_exact, sop_dbf,
                       sop_fot)
@@ -16,23 +16,21 @@ from helpers import dbw, standard_layout, standard_params
 # ---------------------------------------------------------------------------
 
 def test_wiretap_code_from_thresholds():
-    code = WiretapCode.from_thresholds(beta_s=3.0, beta_e=1.0)
-    assert code.Rt == pytest.approx(code.Rs + code.Re)
-    assert code.beta_t == pytest.approx(1.0 + 2.0 * 3.0)
-    assert code.beta_t == pytest.approx(2.0 ** code.Rt - 1.0)
+    code = RateDesign(SchemeId.DBF, beta_e_circ=1.0, beta_s_star=3.0,
+                      psi_star=0.0)
+    assert code.rate_codeword == pytest.approx(code.rate_secrecy
+                                               + code.rate_redundancy)
+    assert code.beta_t_star == pytest.approx(1.0 + 2.0 * 3.0)
+    assert code.beta_t_star == pytest.approx(2.0 ** code.rate_codeword - 1.0)
 
 
 def test_wiretap_code_from_rates_roundtrip():
-    code = WiretapCode.from_rates(Rs=2.0, Re=0.5)
-    again = WiretapCode.from_thresholds(code.beta_s, code.beta_e)
-    assert again.Rt == pytest.approx(code.Rt)
-
-
-def test_wiretap_code_rejects_inconsistency():
-    with pytest.raises(ValueError):
-        WiretapCode(Rt=2.0, Rs=1.0, Re=0.5, beta_t=3.0, beta_s=1.0, beta_e=0.41)
-    with pytest.raises(ValueError):
-        WiretapCode.from_rates(Rs=-1.0, Re=0.5)
+    Rs, Re = 2.0, 0.5
+    code = RateDesign(SchemeId.FOT, beta_e_circ=2.0 ** Re - 1.0,
+                      beta_s_star=2.0 ** Rs - 1.0, psi_star=0.0)
+    assert code.rate_secrecy == pytest.approx(Rs)
+    assert code.rate_redundancy == pytest.approx(Re)
+    assert code.rate_codeword == pytest.approx(Rs + Re)
 
 
 def test_outage_estimate_validation():
