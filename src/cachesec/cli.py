@@ -123,8 +123,11 @@ class Scenario:
         low, high = sorted((self.sweep_start, self.sweep_stop))
         if self.sweep_var == "Ps_dBw" and max(-low, high) > DBW_LIMIT:
             raise ConfigError(f"Ps_dBw sweep must stay {dbw}")
-        if self.sweep_var == "N" and low < 1:
-            raise ConfigError("N sweep must start at >= 1")
+        if self.sweep_var == "N" and (low < 1 or not all(
+                float(v).is_integer()
+                for v in (self.sweep_start, self.sweep_step))):
+            raise ConfigError("N sweep must start at an integer >= 1 and "
+                              "step by an integer")
         if self.sweep_var == "Rs" and low < 0:
             raise ConfigError("Rs sweep must start at >= 0")
         if (self.sweep_stop - self.sweep_start) / self.sweep_step \

@@ -4,8 +4,9 @@ Connection outage (COP): the user's channel capacity falls below the
 codeword rate, so decoding fails. Secrecy outage (SOP): some eavesdropper's
 capacity exceeds the rate redundancy, so perfect secrecy is compromised.
 Each of the three delivery schemes gets its own COP and SOP evaluator;
-closed forms are used where they exist, otherwise fixed-budget quadrature
-whose determinism makes every result reproducible.
+closed forms are used where they exist, otherwise deterministic
+quadrature (for the beamforming COP, a certified saddle-point Laplace
+inversion) that makes every result reproducible.
 
 Eavesdroppers form a Poisson field, so every SOP has the shape
 1 - exp(-lambda_e * I) where I integrates the per-position breach
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import qmc
+from scipy.special import wofz
 
 from .channel import ChannelParams, SchemeId, dist_pow_neg
 from .layout import NetworkLayout
@@ -35,8 +36,16 @@ METHOD_ASYMPTOTIC = "analytic-asymptotic"
 METHOD_APPROX = "analytic-approx"
 METHOD_MC = "monte-carlo"
 
-# Quasi-random budget for the beamforming COP integral (2**18 points).
-SIMPLEX_LOG2_BUDGET = 18
+# Beamforming COP inversion (see _amplitude_sum_cdf): even trapezoid node
+# count and relative certification tolerance; saddle search grid, contour
+# slope and cut; COP = 1 cut (exp(-38) < 2^-54); start of the series.
+COP_NODES, COP_CERT_TOL = 64, 1e-6
+SADDLE_GRID, BEND, TAIL_LOG_COP = 32, 0.35, 40.0
+EXACT_LOG, SERIES_Z = 38.0, 40.0
+# coefficients (-1)^m (2m+1)!/m! of the series, highest power first
+_SERIES = [(-1) ** m * math.factorial(2 * m + 1) / math.factorial(m)
+           for m in range(9, -1, -1)]
+_SQRT_PI = math.sqrt(math.pi)
 # Gauss-Legendre grid for the secrecy integrals.
 RADIAL_NODES = 256
 ANGULAR_NODES = 128
@@ -54,7 +63,7 @@ class OutageEstimate:
     std_error is zero for deterministic methods. flag marks special
     conditions: "clamped" (asymptote exceeded 1 and was clipped),
     "divergent" (secrecy integral diverges, probability pinned at 1) or
-    "quadrature-unconverged" (radial refinement moved the value by more
+    "quadrature-unconverged" (refining the grid moved the value by more
     than the certification tolerance).
     """
 
@@ -74,64 +83,110 @@ class OutageEstimate:
 # connection outage
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _simplex_points(K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Low-discrepancy points on the simplex {y >= 0, sum(y) <= 1}.
-
-    Sobol points in [0,1]^K are sorted per row and differenced; the spacings
-    of K sorted uniforms are uniform on the simplex. Returns the squared
-    coordinates and the per-point product prod_k y_k.
-    """
-    u = qmc.Sobol(d=K, scramble=False).random_base2(SIMPLEX_LOG2_BUDGET)
-    u.sort(axis=1)
-    y = np.diff(u, axis=1, prepend=0.0)
-    return y * y, y.prod(axis=1)
-
-
 @lru_cache(maxsize=4)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _cop_dbf_two_sbs(c1: float, c2: float) -> float:
-    # reduction of the 2-D simplex integral to one smooth 1-D integral:
-    # value = (1 - e^{-c1}) - 2 c1 int_0^1 y e^{-c1 y^2 - c2 (1-y)^2} dy
-    x, w = _leggauss(200)
-    y = 0.5 * (x + 1.0)
-    integral = 0.5 * float(np.sum(w * y * np.exp(-c1 * y * y - c2 * (1.0 - y) ** 2)))
-    return -math.expm1(-c1) - 2.0 * c1 * integral
+def _log_rayleigh_laplace(z: np.ndarray) -> np.ndarray:
+    """log E[exp(-z R)] for a unit-power Rayleigh R, elementwise, complex.
+
+    Re z >= 0: 1 - (sqrt(pi)/2) z w(iz/2), or beyond |z| = SERIES_Z, where
+    that cancels, the series sum_m 2 (-1)^m (2m+1)!/m! z^-(2m+2). Re z < 0:
+    phi(-z) - sqrt(pi) z exp(z^2/4), the Gaussian factor taken out of the
+    log; beyond SERIES_Z it is dropped (below e^-280 within pi/8 of the
+    imaginary axis, where alone the contour reaches that far).
+    """
+    neg = z.real < 0.0
+    zp = np.where(neg, -z, z)
+    out = np.empty_like(zp)
+    far = np.abs(zp) > SERIES_Z
+    zn, zf = zp[~far], zp[far]
+    out[~far] = np.log(1.0 - 0.5 * _SQRT_PI * zn * wofz(0.5j * zn))
+    out[far] = math.log(2.0) - 2.0 * np.log(zf) \
+        + np.log(np.polyval(_SERIES, (1.0 / zf) ** 2))
+    gauss = neg & ~far
+    zg = z[gauss]
+    q = 0.25 * zg * zg
+    p = np.maximum(q.real, 0.0)
+    out[gauss] = p + np.log(np.exp(out[gauss] - p)
+                            - _SQRT_PI * zg * np.exp(q - p))
+    return out
+
+
+def _amplitude_sum_cdf(a: np.ndarray, x: float,
+                       nodes: int) -> tuple[float, float]:
+    """P(S <= x), S = sum_k a_k R_k for unit-power Rayleigh R_k, and the
+    relative nested-halving difference of the side that was integrated.
+
+    Bromwich inversion of E[exp(-sS)]/s through the real saddle point
+    gamma of h(g) = g x + log E[exp(-gS)] - log|g|, the minimum of h on a
+    log grid over the bracket the tilted means imply: g > 0 gives the CDF,
+    g < 0 (x above the mean) its complement. The contour s(t) = gamma +
+    sigma (i sinh t - BEND (cosh t - 1)), sigma the saddle's width, bends
+    left until exp(sx) has decayed by exp(-TAIL_LOG_COP).
+    """
+    mean = 0.5 * _SQRT_PI * float(a.sum())
+    power = float(a @ a)
+    if x > mean and (x - mean) ** 2 > EXACT_LOG * power:
+        # R_k is a 1-Lipschitz function of a Gaussian pair of variance 1/2
+        # each, so P(S > x) <= exp(-(x - mean)^2 / power) < 2^-54
+        return 1.0, 0.0
+    if x <= mean:  # the tilted mean of S lies in (0, 2K/g)
+        sign, lo, hi = 1.0, 1.0 / x, (2 * len(a) + 1) / x
+    else:  # it lies in [|g| power/2, |g| power/2 + mean]
+        sign = -1.0
+        lo = (x - mean + math.sqrt((x - mean) ** 2 + 2.0 * power)) / power
+        hi = (x + math.sqrt(x * x + 2.0 * power)) / power
+    u = np.linspace(math.log(lo) - 0.1, math.log(hi) + 0.1, SADDLE_GRID)
+    g = sign * np.exp(u)
+    h = g * x - u + _log_rayleigh_laplace(
+        np.outer(g, a).astype(complex)).real.sum(axis=1)
+    i = int(np.clip(np.argmin(h), 1, SADDLE_GRID - 2))
+    curv = (h[i - 1] - 2.0 * h[i] + h[i + 1]) / (u[1] - u[0]) ** 2
+    gamma = float(g[i])
+    sigma = abs(gamma) / math.sqrt(max(curv, 1e-3))
+    t = np.linspace(0.0, math.acosh(1.0 + TAIL_LOG_COP / (sigma * BEND * x)),
+                    nodes + 1)
+    s = gamma + sigma * (1j * np.sinh(t) - BEND * (np.cosh(t) - 1.0))
+    ell = s * x + _log_rayleigh_laplace(np.outer(s, a)).sum(axis=1) \
+        - np.log(sign * s) - h[i]
+    f = (np.exp(ell) * (1j * np.cosh(t) - BEND * np.sinh(t))).imag
+    f[[0, -1]] *= 0.5
+    fine, coarse = float(f.sum()), 2.0 * float(f[::2].sum())
+    side = math.exp(h[i]) * sigma * float(t[1] - t[0]) * fine / math.pi
+    delta = abs(fine - coarse) / abs(fine) if fine != 0.0 else math.inf
+    value = side if sign > 0.0 else 1.0 - side
+    return min(max(value, 0.0), 1.0), delta
 
 
 def cop_dbf_exact(layout: NetworkLayout, params: ChannelParams,
                   beta_t: float) -> OutageEstimate:
     """Connection outage of the distributed beamforming scheme.
 
-    The decoding SNR is Ps times the squared sum of K independent Rayleigh
-    amplitudes weighted by r_k^(-alpha/2). After normalizing the amplitudes,
-    the outage probability becomes
-
-        (2 beta_t / Ps)^K * int_{y >= 0, sum y < 1}
-            exp(-(beta_t/Ps) sum_k r_k^alpha y_k^2) prod_k (r_k^alpha y_k) dy.
-
-    K = 1 collapses to the exponential tail and K = 2 to a 1-D quadrature;
-    larger K uses a fixed quasi-random budget, so the value is deterministic.
+    The decoding SNR is Ps S^2 with S = sum_k a_k R_k, K independent
+    unit-power Rayleigh amplitudes weighted by a_k = r_k^(-alpha/2), so the
+    COP is P(S <= x), x = sqrt(beta_t / Ps). K = 1 is the exponential tail
+    1 - exp(-(beta_t/Ps) r^alpha). For K >= 2 the Laplace transform of S
+    is inverted through its saddle point on COP_NODES trapezoid nodes (see
+    _amplitude_sum_cdf): below the mean the CDF, above it the complement,
+    each to relative accuracy. The value is exactly 1 where a sub-Gaussian
+    bound puts the complement below 2^-54, and 0 where the CDF underflows.
+    The sum on every other node certifies it: a relative difference above
+    COP_CERT_TOL sets the flag "quadrature-unconverged".
     """
     if beta_t < 0.0:
         raise ValueError("beta_t must be nonnegative")
-    if beta_t == 0.0:
+    c = beta_t / params.Ps
+    if c == 0.0:
         return OutageEstimate(0.0, METHOD_EXACT)
     ra = layout.sbs_distances() ** params.alpha
-    c = beta_t / params.Ps
-    K = layout.K
-    if K == 1:
-        value = -math.expm1(-c * float(ra[0]))
-    elif K == 2:
-        value = _cop_dbf_two_sbs(c * float(ra[0]), c * float(ra[1]))
-    else:
-        y_sq, y_prod = _simplex_points(K)
-        mean = float(np.mean(y_prod * np.exp(-c * (y_sq @ ra))))
-        value = (2.0 * c) ** K * float(np.prod(ra)) * mean / math.factorial(K)
-    return OutageEstimate(min(max(value, 0.0), 1.0), METHOD_EXACT)
+    if layout.K == 1:
+        return OutageEstimate(min(-math.expm1(-c * float(ra[0])), 1.0),
+                              METHOD_EXACT)
+    value, delta = _amplitude_sum_cdf(ra ** -0.5, math.sqrt(c), COP_NODES)
+    flag = None if delta <= COP_CERT_TOL else "quadrature-unconverged"
+    return OutageEstimate(value, METHOD_EXACT, flag=flag)
 
 
 def cop_dbf_asymptotic(layout: NetworkLayout, params: ChannelParams,

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cachesec
 from cachesec import SchemeId, rates
 from cachesec.cli import (ConfigError, Scenario, load_scenario, main,
                           parse_scenario_text, sweep_values)
@@ -67,6 +72,25 @@ def test_sweep_values_inclusive_endpoint():
     scn_n = Scenario(sweep_var="N", sweep_start=10, sweep_stop=30,
                      sweep_step=10)
     assert sweep_values(scn_n) == [10, 20, 30]
+
+
+def test_n_sweep_rejects_fractional_points():
+    # int() would repeat N = 1, 1, 2, 2, 3 or label N = 1.5 as 1
+    for start, step in ((1, 0.5), (1.5, 1)):
+        with pytest.raises(ConfigError, match="integer"):
+            Scenario(sweep_var="N", sweep_start=start, sweep_stop=3,
+                     sweep_step=step)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone took most of a second to import; a fresh
+    # interpreter shows whether anything pulls it in again
+    code = "import cachesec.cli, sys; print('scipy.stats' in sys.modules)"
+    src = str(Path(cachesec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_cop_sweep_table_shape_and_probabilities(tmp_path):
@@ -289,7 +313,9 @@ def test_exit_code_2_for_out_of_range_epsilon(tmp_path):
     "trials = -1", "r_s = 0", "beta_e = -1", "sweep_step = 0",
     "sweep_start = -5000", "sweep_var = N\nsweep_start = 0",
     "sweep_var = Rs\nsweep_start = -1", "r_s = 8.98846567431158e+307",
-    "r_s = 8e307\nr_b_s1 = 1e308", "sweep_step = 1e-9"])
+    "r_s = 8e307\nr_b_s1 = 1e308", "sweep_step = 1e-9",
+    "sweep_var = N\nsweep_start = 1\nsweep_stop = 3\nsweep_step = 0.5",
+    "sweep_var = N\nsweep_start = 1.5\nsweep_stop = 3\nsweep_step = 1"])
 def test_exit_code_2_for_invalid_scenarios(tmp_path, bad):
     code, out = run(tmp_path, "throughput", SMALL_SWEEP + bad + "\n")
     assert code == 2

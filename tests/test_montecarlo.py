@@ -139,8 +139,8 @@ def test_mc_against_analytic_grid():
 
 
 def test_mc_validates_simplex_integration_at_k5():
-    # the quasi-random simplex route has no closed-form cross-check beyond
-    # K = 2, so pin it against direct simulation on a 5-SBS layout
+    # the saddle-point Laplace inversion has no closed-form cross-check
+    # beyond K = 2, so pin it against direct simulation on a 5-SBS layout
     lay = standard_layout(5)
     trials = 10 ** 6
     for i, (ps, beta) in enumerate([(5.0, 1.0), (10.0, 3.0), (0.0, 0.5)]):

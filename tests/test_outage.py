@@ -1,13 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cachesec import (ChannelParams, OutageEstimate, RateDesign, SchemeId,
-                      cop, cop_bsr, cop_dbf_asymptotic, cop_dbf_exact,
-                      cop_fot, sop, sop_bsr_approx, sop_bsr_exact, sop_dbf,
-                      sop_fot)
-from cachesec.outage import _simplex_points
+                      build_line_layout, cop, cop_bsr, cop_dbf_asymptotic,
+                      cop_dbf_exact, cop_fot, outage, sop, sop_bsr_approx,
+                      sop_bsr_exact, sop_dbf, sop_fot)
 from helpers import dbw, standard_layout, standard_params
 
 
@@ -58,18 +59,42 @@ def test_cop_dbf_k1_exponential_tail():
     assert cop_fot(lay, params, 1.0).value == pytest.approx(1 - math.exp(-1), abs=1e-12)
 
 
+def _cop_dbf_two_sbs(c1: float, c2: float) -> tuple[float, float]:
+    # the 2-D simplex integral of the K = 2 COP reduced to one smooth 1-D
+    # Gauss-Legendre integral I = int_0^1 y e^{-c1 y^2 - c2 (1-y)^2} dy:
+    # COP = (1 - e^{-c1}) - 2 c1 I, and 1 - COP = e^{-c1} + 2 c1 I keeps
+    # its relative accuracy in the upper tail
+    x, w = np.polynomial.legendre.leggauss(200)
+    y = 0.5 * (x + 1.0)
+    integral = 0.5 * float(np.sum(w * y * np.exp(-c1 * y * y
+                                                 - c2 * (1.0 - y) ** 2)))
+    return (-math.expm1(-c1) - 2.0 * c1 * integral,
+            math.exp(-c1) + 2.0 * c1 * integral)
+
+
 def test_cop_dbf_quadrature_matches_qmc_at_k2():
-    # the 1-D reduction and the quasi-random simplex estimate are two
-    # independent routes to the same integral
+    # the K = 2 simplex reduction shares nothing with the Laplace inversion
+    # and pins it to quadrature accuracy
     lay = standard_layout(2)
     ra = lay.sbs_distances() ** 4.0
     for beta, ps in ((0.1, 10.0), (1.0, 10.0), (5.0, 2.0)):
         params = ChannelParams(alpha=4.0, Ps=ps, Pm=1.0, lambda_e=0.1)
         c = beta / ps
-        y_sq, y_prod = _simplex_points(2)
-        mean = float(np.mean(y_prod * np.exp(-c * (y_sq @ ra))))
-        via_qmc = (2 * c) ** 2 * float(np.prod(ra)) * mean / 2
-        assert cop_dbf_exact(lay, params, beta).value == pytest.approx(via_qmc, abs=5e-5)
+        oracle, _ = _cop_dbf_two_sbs(c * float(ra[0]), c * float(ra[1]))
+        assert cop_dbf_exact(lay, params, beta).value == pytest.approx(
+            oracle, abs=1e-9)
+
+
+def test_cop_dbf_upper_tail_is_accurate_to_rounding_at_k2():
+    # above the mean the complement is integrated, so 1 - COP keeps its
+    # value down to the rounding of a COP next to 1
+    lay = standard_layout(2)
+    ra = lay.sbs_distances() ** 4.0
+    params = ChannelParams(alpha=4.0, Ps=1.0, Pm=1.0, lambda_e=0.1)
+    for c in (10.0, 25.0, 35.0, 45.0):
+        _, success = _cop_dbf_two_sbs(c * float(ra[0]), c * float(ra[1]))
+        got = 1.0 - cop_dbf_exact(lay, params, c).value
+        assert got == pytest.approx(success, abs=1e-15), f"c={c}"
 
 
 def test_cop_dbf_asymptotic_formula_values():
@@ -98,6 +123,97 @@ def test_cop_dbf_asymptote_converges_to_exact():
         exact = cop_dbf_exact(lay, params, 1.0).value
         asym = cop_dbf_asymptotic(lay, params, 1.0).value
         assert 0.95 <= asym / exact <= 1.05
+
+
+def _cdf_by_convolution(a: np.ndarray, x: float, n: int) -> float:
+    # P(sum_k a_k R_k <= x) by FFT convolution of the scaled Rayleigh
+    # densities on n + 1 trapezoid nodes over [0, min(x, 9 sum(a))]; the
+    # mass beyond 9 sum(a) is below exp(-81)
+    t = np.linspace(0.0, min(x, 9.0 * float(a.sum())), n + 1)
+    h = float(t[1])
+    f = 2.0 * t / a[0] ** 2 * np.exp(-(t / a[0]) ** 2)
+    for ak in a[1:-1]:
+        dk = 2.0 * t / ak ** 2 * np.exp(-(t / ak) ** 2)
+        size = 2 * n + 2
+        f = np.fft.irfft(np.fft.rfft(f, size) * np.fft.rfft(dk, size),
+                         size)[:n + 1] * h
+    g = f * -np.expm1(-((x - t) / a[-1]) ** 2)
+    return h * float(g.sum() - 0.5 * (g[0] + g[-1]))
+
+
+def _refined_cop_dbf(lay, params, beta: float, n: int = 1 << 14) -> float:
+    # two grid sizes, Richardson-extrapolated (the trapezoid error is O(h^2))
+    a = lay.sbs_distances() ** (-0.5 * params.alpha)
+    x = math.sqrt(beta / params.Ps)
+    coarse = _cdf_by_convolution(a, x, n)
+    fine = _cdf_by_convolution(a, x, 2 * n)
+    return fine + (fine - coarse) / 3.0
+
+
+@pytest.mark.parametrize("K, r_s, Ps", [
+    (8, 0.5, 0.3),                                    # 0.067771
+    (6, 2.0, dbw(-30.0)), (6, 2.0, dbw(-12.0)),
+    (6, 2.0, dbw(-6.0)), (6, 2.0, dbw(0.0))])         # the spaced layout
+def test_cop_dbf_matches_refined_convolution(K, r_s, Ps):
+    lay = build_line_layout(r_s1_o=1.0, r_s=r_s, K=K, r_b_s1=2.0)
+    params = ChannelParams(alpha=4.0, Ps=Ps, Pm=1.0, lambda_e=1.0)
+    est = cop_dbf_exact(lay, params, 1.0)
+    assert est.flag is None
+    assert est.value == pytest.approx(_refined_cop_dbf(lay, params, 1.0),
+                                      abs=1e-6)
+
+
+def test_cop_dbf_matches_asymptote_at_high_power():
+    params = standard_params(Ps_dBw=60.0)
+    for K in range(2, 9):
+        lay = standard_layout(K)
+        ratio = cop_dbf_asymptotic(lay, params, 1.0).value \
+            / cop_dbf_exact(lay, params, 1.0).value
+        assert ratio == pytest.approx(1.0, abs=1e-3), f"K={K}"
+
+
+def test_cop_dbf_flags_too_few_nodes(monkeypatch):
+    lay, params = standard_layout(3), standard_params()
+    assert cop_dbf_exact(lay, params, 1.0).flag is None
+    monkeypatch.setattr(outage, "COP_NODES", 4)
+    assert cop_dbf_exact(lay, params, 1.0).flag == "quadrature-unconverged"
+
+
+@settings(max_examples=150, deadline=None)
+@given(K=st.integers(1, 12),
+       alpha=st.floats(2.0, 8.0, exclude_min=True),
+       ps_dbw=st.floats(-3000.0, 3000.0),
+       betas=st.lists(st.floats(0.0, 1e6), min_size=2, max_size=2))
+def test_cop_dbf_exact_properties(K, alpha, ps_dbw, betas):
+    lay = standard_layout(K)
+    params = ChannelParams(alpha=alpha, Ps=10.0 ** (ps_dbw / 10.0), Pm=1.0,
+                           lambda_e=0.1)
+    lo, hi = sorted(betas)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est_lo = cop_dbf_exact(lay, params, lo)
+        est = cop_dbf_exact(lay, params, hi)
+        c = hi / params.Ps
+        if K == 1 or c == 0.0:  # closed form, nothing to certify
+            refined, delta = est.value, 0.0
+        else:
+            a = lay.sbs_distances() ** (-0.5 * alpha)
+            refined = outage._amplitude_sum_cdf(a, math.sqrt(c),
+                                                 2 * outage.COP_NODES)[0]
+            delta = outage._amplitude_sum_cdf(a, math.sqrt(c),
+                                              outage.COP_NODES)[1]
+    for e in (est_lo, est):
+        assert math.isfinite(e.value) and 0.0 <= e.value <= 1.0
+    assert est_lo.value <= est.value * (1.0 + 1e-9)
+    # cop_bsr overflows its exponent at the far end of the power range
+    with np.errstate(over="ignore"):
+        assert est.value <= cop_bsr(lay, params, hi).value + 1e-9
+    assert (est.flag == "quadrature-unconverged") \
+        == (delta > outage.COP_CERT_TOL)
+    if est.flag is None:
+        # certified to the tolerance on the smaller tail
+        tail = min(refined, 1.0 - refined)
+        assert abs(est.value - refined) <= outage.COP_CERT_TOL * tail
 
 
 def test_cop_fot_formula_value():
