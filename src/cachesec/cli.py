@@ -102,7 +102,9 @@ class Scenario:
                 ("L", self.L >= 1, ">= 1"),
                 ("trials", self.trials is None or self.trials >= 0, ">= 0"),
                 ("threads", self.threads >= 1, ">= 1"),
-                ("sweep_step", self.sweep_step > 0.0, "> 0")):
+                ("sweep_step", self.sweep_step > 0.0, "> 0"),
+                ("sweep_stop", self.sweep_stop >= self.sweep_start,
+                 f">= sweep_start = {self.sweep_start}")):
             if not ok:
                 raise ConfigError(f"{key} must be {rule}, "
                                   f"got {getattr(self, key)}")
@@ -120,7 +122,7 @@ class Scenario:
             raise ConfigError("caching_objective must be throughput|see")
         if self.sweep_var not in ("Ps_dBw", "Rs", "N"):
             raise ConfigError("sweep_var must be Ps_dBw|Rs|N")
-        low, high = sorted((self.sweep_start, self.sweep_stop))
+        low, high = self.sweep_start, self.sweep_stop
         if self.sweep_var == "Ps_dBw" and max(-low, high) > DBW_LIMIT:
             raise ConfigError(f"Ps_dBw sweep must stay {dbw}")
         if self.sweep_var == "N" and (low < 1 or not all(

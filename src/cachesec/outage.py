@@ -13,6 +13,8 @@ Eavesdroppers form a Poisson field, so every SOP has the shape
 probability over the plane. The integrals are truncated at a radius beyond
 which the integrand is below 1e-12 and evaluated on a tensorized
 Gauss-Legendre grid, with one radial refinement to certify convergence.
+The grid is evaluated in blocks of radial rows small enough that no
+temporary reaches the allocator's mmap threshold (see BLOCK_POINTS).
 Each scheme's per-position breach law is written once, as a BreachKernel
 that also yields its analytic derivative in beta_e for the SOP inversion
 in `rates`.
@@ -51,6 +53,14 @@ RADIAL_NODES = 256
 ANGULAR_NODES = 128
 # The doubled grid of the certification pair, whose value every SOP reports.
 FINE_NODES = (2 * RADIAL_NODES, ANGULAR_NODES)
+# Breach laws run on blocks of at most BLOCK_POINTS grid points: each
+# float64 temporary (64 KiB) stays below glibc's 128 KiB mmap threshold, so
+# it is reused from the heap, not mapped and unmapped on every call. Blocks
+# hold whole groups of BLOCK_ROW_GROUP radial rows, which OpenBLAS's gemv
+# reduces together, so rows sum to the same bits as in one whole-grid
+# product (unless one row is left over: numpy reduces it as a dot product).
+BLOCK_POINTS = 8192
+BLOCK_ROW_GROUP = 4
 # The integrand is below exp(-TAIL_LOG) = 1e-12 beyond the cut radius.
 TAIL_LOG = math.log(1e12)
 QUAD_CERT_TOL = 1e-6
@@ -227,12 +237,15 @@ def cop_bsr(layout: NetworkLayout, params: ChannelParams,
     """Connection outage of best-SBS relaying.
 
     The strongest of K independent branches must fail, giving
-    prod_k (1 - exp(-beta_t r_k^alpha / Ps)).
+    prod_k (1 - exp(-beta_t r_k^alpha / Ps)). A branch whose exponent
+    exceeds EXACT_LOG fails with probability 1 to double precision, so its
+    exponent is capped there rather than left to overflow at tiny Ps.
     """
     if beta_t < 0.0:
         raise ValueError("beta_t must be nonnegative")
     ra = layout.sbs_distances() ** params.alpha
-    value = float(np.prod(-np.expm1(-beta_t * ra / params.Ps)))
+    x = np.minimum(beta_t * ra, EXACT_LOG * params.Ps) / params.Ps
+    value = float(np.prod(-np.expm1(-x)))
     return OutageEstimate(min(value, 1.0), METHOD_EXACT)
 
 
@@ -282,22 +295,29 @@ class BreachKernel:
         """Breach integral over the truncated plane, and its derivative in
         beta_e when deriv is set, on an (n_radial, n_angular) Gauss-Legendre
         grid. The derivative ignores the radius' own dependence on beta_e,
-        where the integrand is below 1e-12."""
+        where the integrand is below 1e-12.
+
+        law runs on blocks of consecutive radial rows (see BLOCK_POINTS),
+        each reduced to its angular sums before the next, so that its
+        temporaries stay small; the radial sum is taken once at the end."""
         rmax = trunc_radius(self.d_max, self.power, beta_e, self.alpha)
         n_radial, n_angular = nodes
         xr, wr = _leggauss(n_radial)
         xt, wt = _leggauss(n_angular)
         r = 0.5 * rmax * (xr + 1.0)
         theta = math.pi * (xt + 1.0)
-        px = r[:, None] * np.cos(theta)[None, :]
-        py = r[:, None] * np.sin(theta)[None, :]
-
-        def quad(values):
-            per_radius = values @ (math.pi * wt)
-            return float(np.sum(per_radius * r * wr)) * 0.5 * rmax
-
-        g, dg = self.law(px, py, beta_e, deriv)
-        return (quad(g), quad(dg)) if deriv else quad(g)
+        cos_t, sin_t, wt_pi = np.cos(theta), np.sin(theta), math.pi * wt
+        rows = max(1, BLOCK_POINTS // n_angular // BLOCK_ROW_GROUP) \
+            * BLOCK_ROW_GROUP
+        per_radius = np.empty((2 if deriv else 1, n_radial))
+        for lo in range(0, n_radial, rows):
+            rb = r[lo:lo + rows, None]
+            values = self.law(rb * cos_t, rb * sin_t, beta_e, deriv)
+            for sums, v in zip(per_radius, values):
+                sums[lo:lo + rows] = v @ wt_pi
+        out = [float(np.sum(sums * r * wr)) * 0.5 * rmax
+               for sums in per_radius]
+        return tuple(out) if deriv else out[0]
 
 
 def _dbf_breach(layout: NetworkLayout, params: ChannelParams) -> BreachKernel:

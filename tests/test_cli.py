@@ -315,7 +315,9 @@ def test_exit_code_2_for_out_of_range_epsilon(tmp_path):
     "sweep_var = Rs\nsweep_start = -1", "r_s = 8.98846567431158e+307",
     "r_s = 8e307\nr_b_s1 = 1e308", "sweep_step = 1e-9",
     "sweep_var = N\nsweep_start = 1\nsweep_stop = 3\nsweep_step = 0.5",
-    "sweep_var = N\nsweep_start = 1.5\nsweep_stop = 3\nsweep_step = 1"])
+    "sweep_var = N\nsweep_start = 1.5\nsweep_stop = 3\nsweep_step = 1",
+    "sweep_start = 30\nsweep_stop = 0",
+    "sweep_var = N\nsweep_start = 60\nsweep_stop = 5"])
 def test_exit_code_2_for_invalid_scenarios(tmp_path, bad):
     code, out = run(tmp_path, "throughput", SMALL_SWEEP + bad + "\n")
     assert code == 2

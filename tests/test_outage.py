@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -205,9 +206,7 @@ def test_cop_dbf_exact_properties(K, alpha, ps_dbw, betas):
     for e in (est_lo, est):
         assert math.isfinite(e.value) and 0.0 <= e.value <= 1.0
     assert est_lo.value <= est.value * (1.0 + 1e-9)
-    # cop_bsr overflows its exponent at the far end of the power range
-    with np.errstate(over="ignore"):
-        assert est.value <= cop_bsr(lay, params, hi).value + 1e-9
+    assert est.value <= cop_bsr(lay, params, hi).value + 1e-9
     assert (est.flag == "quadrature-unconverged") \
         == (delta > outage.COP_CERT_TOL)
     if est.flag is None:
@@ -229,6 +228,14 @@ def test_cop_bsr_formula_value():
                         sbs=(PolarPoint(1.0, 0.0), PolarPoint(1.0, 2.0)))
     params = ChannelParams(alpha=4.0, Ps=1.0, Pm=1.0, lambda_e=0.1)
     assert cop_bsr(lay, params, 1.0).value == pytest.approx((1 - math.exp(-1)) ** 2, rel=1e-12)
+
+
+def test_cop_bsr_saturates_without_overflow():
+    # beta_t r^alpha / Ps overflowed to inf at the bottom of the power range
+    params = ChannelParams(alpha=8.0, Ps=dbw(-2995.0), Pm=1.0, lambda_e=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cop_bsr(standard_layout(7), params, 56849.0).value == 1.0
 
 
 def test_cop_bsr_high_power_diversity_slope():
@@ -396,6 +403,39 @@ def test_sop_quadrature_certified_converged():
         doubled = fn(lay, params, 1.0, nodes=(512, 128))
         assert base.flag is None
         assert abs(base.value - doubled.value) < 1e-6
+
+
+@pytest.mark.parametrize("block_points", [1, 24 * outage.ANGULAR_NODES])
+def test_breach_integral_blocks_match_whole_grid(monkeypatch, block_points):
+    # blocks down to one row (rounded up to a gemv row group) or of 24 rows,
+    # which divides neither grid, sum bit for bit as one whole-grid block
+    lay = standard_layout(3)
+    params = standard_params(Pm_dBw=10.0)
+    grids = [(n, outage.ANGULAR_NODES)
+             for n in (outage.RADIAL_NODES, 2 * outage.RADIAL_NODES)]
+
+    def integrals():
+        return [outage.breach_kernel(s, lay, params).integral(0.7, g, d)
+                for s in SchemeId for g in grids for d in (False, True)]
+
+    monkeypatch.setattr(outage, "BLOCK_POINTS",
+                        2 * outage.RADIAL_NODES * outage.ANGULAR_NODES)
+    whole = integrals()
+    monkeypatch.setattr(outage, "BLOCK_POINTS", block_points)
+    assert integrals() == whole
+
+
+def test_sop_peak_memory_stays_in_blocks():
+    # whole-grid temporaries peaked at 4.0 MiB at K = 8, 64-row blocks at 0.64
+    lay, params = standard_layout(8), standard_params()
+    sop_fot(lay, params, 1.0)  # fill the Gauss-Legendre rule cache
+    tracemalloc.start()
+    try:
+        sop_fot(lay, params, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20
 
 
 def test_dispatchers():
