@@ -2,8 +2,9 @@
 
 These are the independent cross-checks for the analytic module. Trials are
 split into fixed-size chunks; each chunk owns a child seed spawned from the
-run seed and the chunk counts are summed in chunk order, so an estimate is
-bit-identical across runs and across worker counts.
+run seed and the chunk counts are summed in chunk order on the calling
+thread, so an estimate is bit-identical across runs. (The CLI's worker pool
+runs one estimate per table cell.)
 
 For secrecy estimates the eavesdropper field is sampled on a disc that at
 least covers the analytic truncation radius. Points inside that base radius
@@ -31,7 +32,6 @@ all points.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,14 +85,9 @@ def _chunk_plan(trials: int, chunk: int) -> list[int]:
     return sizes
 
 
-def _run_chunks(worker, sizes, seed: int, threads: int) -> int:
+def _run_chunks(worker, sizes, seed: int) -> int:
     seqs = np.random.SeedSequence(seed).spawn(len(sizes))
-    if threads <= 1:
-        counts = [worker(n, s) for n, s in zip(sizes, seqs)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(worker, sizes, seqs))
-    return int(sum(counts))
+    return int(sum(worker(n, s) for n, s in zip(sizes, seqs)))
 
 
 def _binomial_estimate(failures: int, trials: int) -> OutageEstimate:
@@ -101,7 +96,7 @@ def _binomial_estimate(failures: int, trials: int) -> OutageEstimate:
 
 
 def mc_cop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
-           beta_t: float, settings: McSettings, threads: int = 1) -> OutageEstimate:
+           beta_t: float, settings: McSettings) -> OutageEstimate:
     """Estimate a connection outage probability by direct fading simulation.
 
     Counts the fraction of draws where the scheme's decoding condition
@@ -138,7 +133,7 @@ def mc_cop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
         return int(fail.sum())
 
     failures = _run_chunks(worker, _chunk_plan(settings.trials, COP_CHUNK),
-                           settings.seed, threads)
+                           settings.seed)
     return _binomial_estimate(failures, settings.trials)
 
 
@@ -273,7 +268,7 @@ class _FieldTest:
 
 
 def mc_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
-           beta_e: float, settings: McSettings, threads: int = 1) -> OutageEstimate:
+           beta_e: float, settings: McSettings) -> OutageEstimate:
     """Estimate a secrecy outage probability over Poisson eavesdropper fields.
 
     A realization counts as an outage when any sampled eavesdropper breaches
@@ -341,5 +336,5 @@ def mc_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
         return int(out.sum())
 
     failures = _run_chunks(worker, _chunk_plan(settings.trials, SOP_CHUNK),
-                           settings.seed, threads)
+                           settings.seed)
     return _binomial_estimate(failures, settings.trials)

@@ -199,20 +199,30 @@ def cop_dbf_exact(layout: NetworkLayout, params: ChannelParams,
     return OutageEstimate(value, METHOD_EXACT, flag=flag)
 
 
+def dbf_asymptote(layout: NetworkLayout, params: ChannelParams,
+                  x: float) -> float:
+    """(2^K / (2K)!) (x/Ps)^K prod r_k^alpha, the unclamped high-power
+    beamforming COP at beta_t = x; inf where (x/Ps)^K overflows."""
+    K = layout.K
+    try:
+        power = (x / params.Ps) ** K
+    except OverflowError:
+        return math.inf
+    return (2.0 ** K / math.factorial(2 * K)) * power \
+        * float(np.prod(layout.sbs_distances() ** params.alpha))
+
+
 def cop_dbf_asymptotic(layout: NetworkLayout, params: ChannelParams,
                        beta_t: float) -> OutageEstimate:
     """High-power beamforming COP: (2^K / (2K)!) (beta_t/Ps)^K prod r_k^alpha.
 
-    Only an asymptote; at low power it can exceed 1 and is then clamped
-    (and flagged) so that downstream rate optimizers always receive a valid
-    probability.
+    Only an asymptote; at low power it can exceed 1 (or overflow) and is
+    then clamped (and flagged) so that downstream rate optimizers always
+    receive a valid probability.
     """
     if beta_t < 0.0:
         raise ValueError("beta_t must be nonnegative")
-    K = layout.K
-    ra = layout.sbs_distances() ** params.alpha
-    value = (2.0 ** K / math.factorial(2 * K)) * (beta_t / params.Ps) ** K \
-        * float(np.prod(ra))
+    value = dbf_asymptote(layout, params, beta_t)
     if value > 1.0:
         return OutageEstimate(1.0, METHOD_ASYMPTOTIC, flag="clamped")
     return OutageEstimate(value, METHOD_ASYMPTOTIC)
@@ -470,10 +480,16 @@ def sop_bsr_approx(params: ChannelParams, beta_e: float) -> OutageEstimate:
     guard = _sop_guards(params, beta_e, METHOD_APPROX)
     if guard is not None:
         return guard
-    a = params.alpha
-    exponent = math.pi * params.lambda_e * math.gamma(1.0 + 2.0 / a) \
-        * (params.Pm ** (2.0 / a) + params.Ps ** (2.0 / a)) * beta_e ** (-2.0 / a)
+    exponent = bsr_approx_coeff(params) * beta_e ** (-2.0 / params.alpha)
     return OutageEstimate(-math.expm1(-exponent), METHOD_APPROX)
+
+
+def bsr_approx_coeff(params: ChannelParams) -> float:
+    """pi lambda_e Gamma(1 + 2/alpha) (Pm^(2/alpha) + Ps^(2/alpha)), the
+    exponent of the layout-free relaying SOP at beta_e = 1."""
+    a = params.alpha
+    return math.pi * params.lambda_e * math.gamma(1.0 + 2.0 / a) \
+        * (params.Pm ** (2.0 / a) + params.Ps ** (2.0 / a))
 
 
 def sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,

@@ -11,14 +11,16 @@ scheme's breach kernel, certified once at the root, then maximize
 
 over the secrecy threshold beta_s, where beta_t = beta_e + (1+beta_e) beta_s
 and eta is 1 except for the relaying scheme, whose two hops halve the
-effective rate. Each scheme's objective is unimodal, so a bracketed search
-finds the unique stationary point.
+effective rate. Each scheme's 1 - COP and its beta_s-derivative are written
+once, as a SuccessLaw that the throughput curve and the one maximizer share.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +29,6 @@ from .layout import NetworkLayout
 from . import outage
 
 SOP_INVERSION_TOL = 1e-8
-DERIVATIVE_TOL = 1e-10
-BRACKET_REL_TOL = 1e-12
 
 _LN2 = math.log(2.0)
 
@@ -170,75 +170,91 @@ def bsr_approx_threshold(params: ChannelParams, epsilon: float) -> float:
     """Algebraic inverse of the layout-free relaying SOP at level epsilon."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    a = params.alpha
-    coeff = math.pi * params.lambda_e * math.gamma(1.0 + 2.0 / a) \
-        * (params.Pm ** (2.0 / a) + params.Ps ** (2.0 / a))
-    return (coeff / -math.log1p(-epsilon)) ** (a / 2.0)
+    return (outage.bsr_approx_coeff(params) / -math.log1p(-epsilon)) \
+        ** (params.alpha / 2.0)
 
 
 # ---------------------------------------------------------------------------
-# per-scheme objectives
+# throughput maximization
 # ---------------------------------------------------------------------------
 
-def _dbf_coeffs(layout, params, beta_e_circ):
-    ra = layout.sbs_distances() ** params.alpha
+class SuccessLaw(NamedTuple):
+    """success(b) = 1 - COP(beta_e + (1 + beta_e) b) of one scheme's code
+    at a fixed redundancy beta_e, for secrecy thresholds b = beta_s (scalar
+    or array); slope(b) is its derivative in b, eta the rate factor. The
+    beamforming COP is the high-power form clamped into [0, 1], the other
+    two are closed forms."""
+
+    eta: float
+    success: Callable
+    slope: Callable
+
+
+def _dbf_law(layout, params, beta_e_circ) -> SuccessLaw:
+    # high-power COP scale (b + shift)^K clamped at 1 (the slope is not:
+    # it stays negative past the clamp). An overflowed scale saturates the
+    # COP at every rate; shift 1 then keeps inf * 0 = nan out of b = 0.
     K = layout.K
-    scale = (2.0 ** K / math.factorial(2 * K)) \
-        * ((1.0 + beta_e_circ) / params.Ps) ** K * float(np.prod(ra))
-    shift = beta_e_circ / (1.0 + beta_e_circ)
-    return scale, shift
+    scale = outage.dbf_asymptote(layout, params, 1.0 + beta_e_circ)
+    shift = beta_e_circ / (1.0 + beta_e_circ) if scale < math.inf else 1.0
+    return SuccessLaw(
+        1.0, lambda b: 1.0 - np.minimum(scale * (b + shift) ** K, 1.0),
+        lambda b: -scale * K * (b + shift) ** (K - 1))
 
 
-def _fot_coeffs(layout, params, beta_e_circ):
+def _fot_law(layout, params, beta_e_circ) -> SuccessLaw:
+    # every partition decodes: gain * exp(-decay * b)
     ra_sum = float(np.sum(layout.sbs_distances() ** params.alpha))
     gain = math.exp(-beta_e_circ * ra_sum / (layout.K * params.Ps))
     decay = (1.0 + beta_e_circ) * ra_sum / (layout.K * params.Ps)
-    return gain, decay
+
+    def success(b):
+        return gain * np.exp(-decay * b)
+
+    return SuccessLaw(1.0, success, lambda b: -decay * success(b))
 
 
-def _bsr_coeffs(layout, params, beta_e_circ):
+def _bsr_law(layout, params, beta_e_circ) -> SuccessLaw:
+    # some branch decodes, branch k with t_k = gains_k exp(-decays_k b),
+    # over two hops (eta 1/2); the union u + t_k (1 - u) keeps its relative
+    # accuracy where 1 - prod_k (1 - t_k) cancels to noise
     ra = layout.sbs_distances() ** params.alpha
     gains = np.exp(-beta_e_circ * ra / params.Ps)
     decays = (1.0 + beta_e_circ) * ra / params.Ps
-    return gains, decays
+
+    def union(b, slope):
+        u = du = 0.0
+        for g, d in zip(gains, decays):
+            t = g * np.exp(-d * b)
+            du = du * (1.0 - t) - d * t * (1.0 - u)
+            u = u + t * (1.0 - u)
+        return du if slope else u
+
+    return SuccessLaw(0.5, lambda b: union(b, False), lambda b: union(b, True))
+
+
+_LAWS = {SchemeId.DBF: _dbf_law, SchemeId.FOT: _fot_law,
+         SchemeId.BSR: _bsr_law}
 
 
 def secrecy_throughput_curve(scheme: SchemeId, layout: NetworkLayout,
                              params: ChannelParams, beta_e_circ: float,
                              beta_s):
-    """Throughput at secrecy threshold(s) beta_s for a fixed redundancy.
-
-    This is exactly the objective each optimizer maximizes: the beamforming
-    scheme uses its high-power COP form (clamped into [0, 1]), the others
-    their closed-form COPs. Accepts a scalar or an array of beta_s.
-    """
+    """Throughput at secrecy threshold(s) beta_s for a fixed redundancy:
+    the objective the rate design maximizes, on the same SuccessLaw.
+    Accepts a scalar or an array of beta_s."""
+    law = _LAWS[scheme](layout, params, beta_e_circ)
     b = np.asarray(beta_s, dtype=float)
-    rate = np.log2(1.0 + b)
-    if scheme is SchemeId.DBF:
-        scale, shift = _dbf_coeffs(layout, params, beta_e_circ)
-        success = 1.0 - np.minimum(scale * (b + shift) ** layout.K, 1.0)
-        psi = success * rate
-    elif scheme is SchemeId.FOT:
-        gain, decay = _fot_coeffs(layout, params, beta_e_circ)
-        psi = gain * np.exp(-decay * b) * rate
-    elif scheme is SchemeId.BSR:
-        gains, decays = _bsr_coeffs(layout, params, beta_e_circ)
-        survive = np.prod(1.0 - gains * np.exp(-np.outer(b, decays)),
-                          axis=-1).reshape(b.shape)
-        psi = 0.5 * (1.0 - survive) * rate
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    # log1p: log2(1 + b) keeps its relative accuracy at small b
+    psi = law.eta * law.success(b) * np.log1p(b) / _LN2
     return float(psi) if np.ndim(beta_s) == 0 else psi
 
 
-def _expand_bracket(deriv, hi0: float = 1.0) -> float:
-    """Double hi until the objective stops rising there.
-
-    A derivative of exactly 0.0 also ends the search: past the peak the
-    relaying objective can underflow to a flat zero, which still brackets
-    the maximum from above.
-    """
-    hi = hi0
+def _expand_bracket(deriv) -> float:
+    """Double hi from 1 until the objective stops rising there; a zero
+    derivative also ends the search (past the peak an objective can
+    underflow to a flat zero, which still brackets the maximum)."""
+    hi = 1.0
     for _ in range(200):
         if deriv(hi) <= 0.0:
             return hi
@@ -246,149 +262,59 @@ def _expand_bracket(deriv, hi0: float = 1.0) -> float:
     raise RuntimeError("derivative never turned negative")
 
 
-def opt_bs_dbf(layout: NetworkLayout, params: ChannelParams,
-               beta_e_circ: float) -> RateDesign:
-    """Optimal secrecy threshold for distributed beamforming.
+def _maximize(law: SuccessLaw) -> float:
+    """beta_s* maximizing the law's throughput, 0 if decoding fails at
+    b = 0. psi rises then falls: the one sign change of its derivative is
+    bracketed by doubling and bisected down to adjacent floats."""
+    if law.success(0.0) <= 0.0:
+        return 0.0
 
-    The objective (1 - scale*(b + shift)^K) log2(1+b) is concave, so the
-    unique zero of its derivative is found by Newton steps safeguarded by
-    the enclosing bisection bracket. If the COP already reaches 1 at zero
-    secrecy rate the design is infeasible and (0, 0) is returned.
-    """
-    scale, shift = _dbf_coeffs(layout, params, beta_e_circ)
-    K = layout.K
-    if scale * shift ** K >= 1.0:
-        return RateDesign(SchemeId.DBF, beta_e_circ, 0.0, 0.0)
+    def deriv(b):  # d psi / d b times ln(2) / eta
+        return law.slope(b) * math.log1p(b) + law.success(b) / (1.0 + b)
 
-    def deriv(b):
-        p = (b + shift) ** (K - 1)
-        cop = scale * p * (b + shift)
-        return (1.0 - cop) / ((1.0 + b) * _LN2) \
-            - scale * K * p * math.log2(1.0 + b)
-
-    def deriv2(b):
-        p1 = (b + shift) ** (K - 1)
-        cop = scale * p1 * (b + shift)
-        first = (-scale * K * p1 * (1.0 + b) - (1.0 - cop)) \
-            / ((1.0 + b) ** 2 * _LN2)
-        cross = scale * K * p1 / ((1.0 + b) * _LN2)
-        if K == 1:
-            curve = 0.0
-        else:
-            curve = scale * K * (K - 1) * (b + shift) ** (K - 2) \
-                * math.log2(1.0 + b)
-        return first - cross - curve
-
-    lo = 0.0
-    hi = _expand_bracket(deriv)
-    b = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = deriv(b)
-        if abs(f) < DERIVATIVE_TOL:
-            break
-        if f > 0.0:
+    lo, hi = 0.0, _expand_bracket(deriv)
+    b = 0.5 * hi
+    while lo < b < hi:  # at most about 1,300 halvings of [0, 2^200]
+        if deriv(b) > 0.0:
             lo = b
         else:
             hi = b
-        if hi - lo < BRACKET_REL_TOL * (1.0 + b):
-            break
-        d2 = deriv2(b)
-        step = b - f / d2 if d2 != 0.0 else math.inf
-        b = step if lo < step < hi else 0.5 * (lo + hi)
-    psi = max(secrecy_throughput_curve(SchemeId.DBF, layout, params,
-                                       beta_e_circ, b), 0.0)
-    return RateDesign(SchemeId.DBF, beta_e_circ, b, psi)
+        b = 0.5 * (lo + hi)
+    return b
+
+
+def _design(scheme, layout, params, beta_e_circ) -> RateDesign:
+    b = _maximize(_LAWS[scheme](layout, params, beta_e_circ))
+    return RateDesign(scheme, beta_e_circ, b, secrecy_throughput_curve(
+        scheme, layout, params, beta_e_circ, b))
+
+
+def opt_bs_dbf(layout: NetworkLayout, params: ChannelParams,
+               beta_e_circ: float) -> RateDesign:
+    """Optimal secrecy threshold for distributed beamforming."""
+    return _design(SchemeId.DBF, layout, params, beta_e_circ)
 
 
 def opt_bs_fot(layout: NetworkLayout, params: ChannelParams,
                beta_e_circ: float) -> RateDesign:
-    """Optimal secrecy threshold for the orthogonal-partition scheme.
-
-    The objective gain * exp(-decay*b) * log2(1+b) is quasi-concave; its
-    stationary point solves decay*ln(1+b) = 1/(1+b), a strictly increasing
-    equation handled by bisection.
-    """
-    gain, decay = _fot_coeffs(layout, params, beta_e_circ)
-
-    def resid(b):
-        return decay * math.log1p(b) * (1.0 + b) - 1.0
-
-    hi = _expand_bracket(lambda b: -resid(b))
-    lo = 0.5 * hi if hi > 1.0 else 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if resid(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-14 * (1.0 + lo):
-            break
-    b = 0.5 * (lo + hi)
-    psi = gain * math.exp(-decay * b) * math.log2(1.0 + b)
-    return RateDesign(SchemeId.FOT, beta_e_circ, b, psi)
+    """Optimal secrecy threshold for the orthogonal-partition scheme."""
+    return _design(SchemeId.FOT, layout, params, beta_e_circ)
 
 
 def opt_bs_bsr(layout: NetworkLayout, params: ChannelParams,
                beta_e_circ: float) -> RateDesign:
-    """Optimal secrecy threshold for best-SBS relaying.
-
-    The derivative of 0.5*(1 - prod_k(1 - g_k e^{-d_k b})) log2(1+b) is
-    positive then negative, so its single sign change is bracketed by
-    doubling and pinned down by bisection. With one SBS this collapses to
-    the orthogonal-partition optimizer at half throughput.
-    """
-    gains, decays = _bsr_coeffs(layout, params, beta_e_circ)
-    K = layout.K
-    if 1.0 - float(np.prod(1.0 - gains)) <= 0.0:
-        # the required redundancy is so large that decoding never succeeds
-        # at any positive secrecy rate (the success probability underflows)
-        return RateDesign(SchemeId.BSR, beta_e_circ, 0.0, 0.0)
-
-    def deriv(b):
-        t = gains * np.exp(-decays * b)
-        survive_terms = 1.0 - t
-        q = float(np.prod(survive_terms))
-        dq = 0.0
-        for k in range(K):
-            rest = np.prod(np.delete(survive_terms, k)) if K > 1 else 1.0
-            dq += float(decays[k] * t[k] * rest)
-        return 0.5 * ((1.0 - q) / ((1.0 + b) * _LN2)
-                      - dq * math.log2(1.0 + b))
-
-    lo = 0.0
-    hi = _expand_bracket(deriv)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < BRACKET_REL_TOL * (1.0 + lo):
-            break
-    b = 0.5 * (lo + hi)
-    psi = secrecy_throughput_curve(SchemeId.BSR, layout, params, beta_e_circ, b)
-    return RateDesign(SchemeId.BSR, beta_e_circ, b, float(psi))
+    """Optimal secrecy threshold for best-SBS relaying."""
+    return _design(SchemeId.BSR, layout, params, beta_e_circ)
 
 
 def scheme_throughput(scheme: SchemeId, layout: NetworkLayout,
                       params: ChannelParams, epsilon: float,
                       bsr_exact_sop: bool = False) -> RateDesign:
-    """Full two-stage design: SOP inversion then throughput maximization.
-
-    COP models feeding the optimizers: the beamforming scheme uses its
-    high-power form, the other two their exact closed forms. The relaying
-    SOP constraint uses the layout-free form unless bsr_exact_sop is set.
-    """
+    """Full two-stage design: SOP inversion (of the layout-free relaying
+    SOP unless bsr_exact_sop is set), then the scheme's opt_bs_*."""
     root = invert_sop(scheme, layout, params, epsilon, bsr_exact=bsr_exact_sop)
-    beta_e_circ = float(root)
-    if scheme is SchemeId.DBF:
-        design = opt_bs_dbf(layout, params, beta_e_circ)
-    elif scheme is SchemeId.FOT:
-        design = opt_bs_fot(layout, params, beta_e_circ)
-    elif scheme is SchemeId.BSR:
-        design = opt_bs_bsr(layout, params, beta_e_circ)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    # by name, so that a wrapper installed on the module is the one called
+    design = globals()[f"opt_bs_{scheme.value}"](layout, params, float(root))
     return replace(design, epsilon=epsilon, sop_evals=root.evals,
                    sop_residual=root.residual, sop_flag=root.cert_flag)
 

@@ -41,3 +41,20 @@ def test_workload_warm_up_runs(workload):
     workloads = _load("workloads")
     assert workload in workloads.NAMES
     workloads.warm_up(workload)
+
+
+def test_traced_design_path_reaches_the_public_optimizers():
+    # the benchmark's rates.opt_bs metrics count calls of the wrapped
+    # opt_bs_* names; they read 0 if scheme_throughput bypasses them
+    from cachesec import rates
+    from helpers import standard_layout, standard_params
+    spans = _load("spans")
+    tracer = spans.Tracer(job=0)
+    tracer.install()
+    try:
+        rates.per_scheme_psi(standard_layout(3), standard_params(), 0.2)
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["rates.opt_bs.calls"] == 3
+    assert metrics["rates.scheme_throughput.calls"] == 3

@@ -48,8 +48,8 @@ def test_mc_cop_reproducible_across_runs_and_threads():
     settings = McSettings(trials=300_000, seed=5)
     one = mc_cop(SchemeId.DBF, lay, params, 1.0, settings)
     two = mc_cop(SchemeId.DBF, lay, params, 1.0, settings)
-    four = mc_cop(SchemeId.DBF, lay, params, 1.0, settings, threads=4)
-    assert one.value == two.value == four.value
+    # across CLI worker threads: test_threads_do_not_change_output
+    assert one.value == two.value
 
 
 def test_mc_sop_reproducible_across_runs_and_threads():
@@ -58,8 +58,7 @@ def test_mc_sop_reproducible_across_runs_and_threads():
     settings = McSettings(trials=5000, seed=6)
     one = mc_sop(SchemeId.BSR, lay, params, 1.0, settings)
     two = mc_sop(SchemeId.BSR, lay, params, 1.0, settings)
-    four = mc_sop(SchemeId.BSR, lay, params, 1.0, settings, threads=4)
-    assert one.value == two.value == four.value
+    assert one.value == two.value
 
 
 def test_mc_sop_zero_density_exact_zero():

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cachesec import (ChannelParams, NetworkLayout, PolarPoint, SchemeId,
-                      rates,
+                      rates, cop_dbf_asymptotic,
                       bsr_approx_threshold, invert_sop, opt_bs_bsr,
                       opt_bs_dbf, opt_bs_fot, scheme_throughput,
                       secrecy_throughput_curve, sop, sop_bsr_approx)
@@ -143,10 +145,14 @@ def test_opt_bs_fot_argmax_independent_of_gain():
 
 
 def test_opt_bs_fot_large_decay_small_beta():
+    # decay is about 2187 at zero redundancy, so beta* is about 4.6e-4
     lay = standard_layout(3)
     params = ChannelParams(alpha=4.0, Ps=1e-3, Pm=1.0, lambda_e=0.1)
-    design = opt_bs_fot(lay, params, 5.0)
-    assert 0.0 < design.beta_s_star < 1e-2
+    design = opt_bs_fot(lay, params, 0.0)
+    assert 0.0 < design.beta_s_star < 1e-2 and design.psi_star > 0.0
+    # at beta_e_circ = 5 the success probability exp(-10937) is 0
+    starved = opt_bs_fot(lay, params, 5.0)
+    assert starved.beta_s_star == starved.psi_star == 0.0
 
 
 def test_opt_bs_bsr_k1_reduces_to_fot_halved():
@@ -292,8 +298,10 @@ def test_invert_sop_raises_when_max_iter_exhausted():
 
 
 def test_opt_bs_fot_unbounded_bracket_raises(monkeypatch):
-    # with zero decay the stationarity residual never turns positive
-    monkeypatch.setattr(rates, "_fot_coeffs", lambda *args: (1.0, 0.0))
+    # with zero decay the success probability never falls, so the
+    # derivative of the throughput never turns negative
+    flat = rates.SuccessLaw(1.0, lambda b: 1.0, lambda b: 0.0)
+    monkeypatch.setitem(rates._LAWS, SchemeId.FOT, lambda *args: flat)
     with pytest.raises(RuntimeError):
         opt_bs_fot(standard_layout(2), standard_params(), 0.5)
 
@@ -315,3 +323,68 @@ def test_scheme_throughput_records_inversion():
     none = scheme_throughput(SchemeId.FOT, lay,
                              standard_params(lambda_e=0.0), 0.2)
     assert none.sop_evals == 0 and none.sop_residual is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(K=st.integers(1, 8), alpha=st.floats(2.0, 6.0, exclude_min=True),
+       ps_dbw=st.floats(-40.0, 40.0), beta_e_circ=st.floats(0.0, 1e4),
+       scheme=st.sampled_from(list(SchemeId)))
+# relaying success 1 - (1 - t) with t about 1e-14 cancels to noise
+@example(K=1, alpha=3.0, ps_dbw=12.0, beta_e_circ=503.0, scheme=SchemeId.BSR)
+# log2(1 + b) rounds 1 + b: up to 2e-12 relative error at b = 4.5e-5
+@example(K=6, alpha=3.0, ps_dbw=-35.0, beta_e_circ=0.0, scheme=SchemeId.FOT)
+def test_rate_design_maximizes_its_curve(K, alpha, ps_dbw, beta_e_circ,
+                                         scheme):
+    # psi* is the largest value of the very curve it was designed on: on a
+    # log grid of beta_s, and next to beta_s* itself
+    lay = standard_layout(K)
+    params = standard_params(Ps_dBw=ps_dbw, alpha=alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        design = getattr(rates, f"opt_bs_{scheme.value}")(lay, params,
+                                                           beta_e_circ)
+        b = design.beta_s_star
+        probes = np.append(np.logspace(-12, 12, 400),
+                           [b * (1.0 - 1e-6), b * (1.0 + 1e-6)])
+        curve = secrecy_throughput_curve(scheme, lay, params, beta_e_circ,
+                                         probes)
+    assert (curve * (1.0 - 1e-12) <= design.psi_star).all()
+
+
+def test_opt_bs_dbf_lands_on_the_stationary_point():
+    # K = 3, lambda_e = 0.001, epsilon = 0.5, Pm = 10 dBw, Ps = 35 dBw
+    lay = standard_layout(3)
+    params = standard_params(Ps_dBw=35.0, Pm_dBw=10.0, lambda_e=0.001)
+    beta_e = 0.153521291626
+    c = 2.0 ** 3 / math.factorial(6) \
+        * float(np.prod(lay.sbs_distances() ** 4.0)) / 10.0 ** 10.5
+
+    def deriv(b):
+        beta_t = beta_e + (1.0 + beta_e) * b
+        return (1.0 - c * beta_t ** 3) / ((1.0 + b) * math.log(2.0)) \
+            - 3.0 * c * beta_t ** 2 * (1.0 + beta_e) * math.log2(1.0 + b)
+
+    lo, hi = 0.0, 1.0
+    while deriv(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if deriv(mid) > 0.0 else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    design = opt_bs_dbf(lay, params, beta_e)
+    assert design.beta_s_star == pytest.approx(mid, rel=1e-11)
+
+
+def test_dbf_asymptote_saturates_instead_of_overflowing():
+    # (beta_t / Ps)^K overflows a float at -400 dBw for K = 8 and K = 12
+    for K in (8, 12):
+        lay = standard_layout(K)
+        params = standard_params(Ps_dBw=-400.0)
+        est = cop_dbf_asymptotic(lay, params, 1.0)
+        assert est.value == 1.0 and est.flag == "clamped"
+        beta_e = invert_sop(SchemeId.DBF, lay, params, 0.2)
+        design = opt_bs_dbf(lay, params, beta_e)
+        assert design.beta_s_star == design.psi_star == 0.0
+        psi = secrecy_throughput_curve(SchemeId.DBF, lay, params, beta_e,
+                                       np.array([0.0, 1e-45, 1.0]))
+        assert (psi == 0.0).all()
