@@ -24,10 +24,10 @@ from .montecarlo import McSettings, mc_cop, mc_sop
 from .rates import (RateDesign, bsr_approx_threshold, invert_sop, opt_bs_bsr,
                     opt_bs_dbf, opt_bs_fot, per_scheme_psi, scheme_throughput,
                     secrecy_throughput_curve)
-from .caching import (ThroughputReport, ZipfLibrary, average_power,
-                      cum_pop_approx, cum_pop_exact, exhaustive_opt_m,
-                      opt_m_see, optimal_mpc_allocation, optimize_allocation,
-                      overall_throughput, report, scheme_probs, see, zipf_pmf)
+from .caching import (ZipfLibrary, average_power, cum_pop_approx,
+                      cum_pop_exact, exhaustive_opt_m, opt_m_see,
+                      optimal_mpc_allocation, optimize_allocation,
+                      overall_throughput, scheme_probs, see, zipf_pmf)
 
 __all__ = [
     "NetworkLayout", "PolarPoint", "build_line_layout", "distance",
@@ -39,8 +39,8 @@ __all__ = [
     "RateDesign", "bsr_approx_threshold", "invert_sop", "opt_bs_bsr",
     "opt_bs_dbf", "opt_bs_fot", "per_scheme_psi", "scheme_throughput",
     "secrecy_throughput_curve",
-    "ThroughputReport", "ZipfLibrary", "average_power", "cum_pop_approx",
-    "cum_pop_exact", "exhaustive_opt_m", "opt_m_see",
-    "optimal_mpc_allocation", "optimize_allocation", "overall_throughput",
-    "report", "scheme_probs", "see", "zipf_pmf",
+    "ZipfLibrary", "average_power", "cum_pop_approx", "cum_pop_exact",
+    "exhaustive_opt_m", "opt_m_see", "optimal_mpc_allocation",
+    "optimize_allocation", "overall_throughput", "scheme_probs", "see",
+    "zipf_pmf",
 ]

@@ -13,15 +13,12 @@ for secrecy energy efficiency, with an exhaustive scan as the reference.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelParams, SchemeId
-from .layout import NetworkLayout
-from .rates import per_scheme_psi
+from .channel import ChannelParams
 
 TIE_TOL = 1e-12
 
@@ -60,7 +57,8 @@ def zipf_pmf(lib: ZipfLibrary, m: int) -> float:
 
 
 def cum_pop_exact(lib: ZipfLibrary, M: int) -> float:
-    """Exact cumulative popularity of the top M files."""
+    """Exact cumulative popularity of the top M files, the reference for
+    cum_pop_approx."""
     if not 0 <= M <= lib.N:
         raise ValueError(f"M={M} outside 0..{lib.N}")
     if M == 0:
@@ -84,61 +82,46 @@ def cum_pop_approx(lib: ZipfLibrary, M: float) -> float:
         / math.expm1(one_minus_tau * math.log(lib.N + 1.0))
 
 
-def scheme_probs(lib: ZipfLibrary, K: int, L: int, M: int,
-                 exact: bool = False) -> tuple[float, float, float]:
+def scheme_probs(lib: ZipfLibrary, K: int, L: int,
+                 M: int) -> tuple[float, float, float]:
     """Probabilities of serving via beamforming, partitions, or backhaul.
 
     A request lands in replicated content with probability cum(M), in
     partitioned content with cum(min(M + K(L-M), N)) - cum(M), and misses
-    the caches otherwise.
+    the caches otherwise, where cum is cum_pop_approx.
     """
     if K < 1 or L < 1:
         raise ValueError("K and L must be positive")
     if not 0 <= M <= L:
         raise ValueError(f"M={M} outside 0..{L}")
     reach = min(M + K * (L - M), lib.N)
-    cum = cum_pop_exact if exact else cum_pop_approx
-    p_d = cum(lib, min(M, lib.N))
-    p_f = max(cum(lib, reach) - p_d, 0.0)
+    p_d = cum_pop_approx(lib, min(M, lib.N))
+    p_f = max(cum_pop_approx(lib, reach) - p_d, 0.0)
     p_b = max(1.0 - p_d - p_f, 0.0)
     return p_d, p_f, p_b
 
 
-@dataclass(frozen=True)
-class ThroughputReport:
-    """Per-scheme optima plus the cache-averaged network metrics."""
-
-    psi_D: float
-    psi_F: float
-    psi_B: float
-    psi_bar: float
-    p_avg: float
-    omega: float
-
-
 def overall_throughput(psi_d: float, psi_f: float, psi_b: float,
-                       lib: ZipfLibrary, K: int, L: int, M: int,
-                       exact: bool = False) -> float:
+                       lib: ZipfLibrary, K: int, L: int, M: int) -> float:
     """Cache-averaged secrecy throughput at allocation M."""
-    p_d, p_f, p_b = scheme_probs(lib, K, L, M, exact)
+    p_d, p_f, p_b = scheme_probs(lib, K, L, M)
     return p_d * psi_d + p_f * psi_f + p_b * psi_b
 
 
 def average_power(params: ChannelParams, lib: ZipfLibrary, K: int, L: int,
-                  M: int, exact: bool = False) -> float:
+                  M: int) -> float:
     """Mean power spent per request: K*Ps on a cache hit, Pm+Ps on a miss."""
-    p_d, p_f, p_b = scheme_probs(lib, K, L, M, exact)
+    p_d, p_f, p_b = scheme_probs(lib, K, L, M)
     return K * params.Ps * (p_d + p_f) + p_b * (params.Pm + params.Ps)
 
 
 def see(psi_d: float, psi_f: float, psi_b: float, params: ChannelParams,
-        lib: ZipfLibrary, K: int, L: int, M: int,
-        exact: bool = False) -> float:
+        lib: ZipfLibrary, K: int, L: int, M: int) -> float:
     """Secrecy energy efficiency: cache-averaged throughput per unit power."""
-    p_avg = average_power(params, lib, K, L, M, exact)
+    p_avg = average_power(params, lib, K, L, M)
     if p_avg <= 0.0:
         raise ValueError("average power must be positive")
-    return overall_throughput(psi_d, psi_f, psi_b, lib, K, L, M, exact) / p_avg
+    return overall_throughput(psi_d, psi_f, psi_b, lib, K, L, M) / p_avg
 
 
 def _pick_adjacent(m_cont: float, L: int, objective) -> int:
@@ -196,9 +179,6 @@ def optimal_mpc_allocation(psi_d: float, psi_f: float, psi_b: float,
     (no backhaul) and the throughput rises with M there, so the optimum is
     the better of that boundary and the limited-capacity optimum.
     """
-    if psi_d - psi_f <= 0.0:
-        warnings.warn("expected psi_D > psi_F; allocation may be degenerate",
-                      stacklevel=2)
     if K * L < lib.N:
         return _opt_m_limited(psi_d, psi_f, psi_b, lib, K, L)
     if L >= lib.N:
@@ -214,13 +194,12 @@ def optimal_mpc_allocation(psi_d: float, psi_f: float, psi_b: float,
 
 def _objective(objective: str, psi_d: float, psi_f: float, psi_b: float,
                lib: ZipfLibrary, K: int, L: int,
-               params: ChannelParams | None, exact: bool = False):
+               params: ChannelParams | None):
     """The value of an objective ("throughput" or "see") at an allocation
     M, and its closed-form optimizer."""
     if objective == "throughput":
         def value(m):
-            return overall_throughput(psi_d, psi_f, psi_b, lib, K, L, m,
-                                      exact)
+            return overall_throughput(psi_d, psi_f, psi_b, lib, K, L, m)
 
         def closed():
             return optimal_mpc_allocation(psi_d, psi_f, psi_b, lib, K, L)
@@ -229,12 +208,10 @@ def _objective(objective: str, psi_d: float, psi_f: float, psi_b: float,
             raise ValueError("the energy-efficiency objective needs params")
 
         def value(m):
-            return see(psi_d, psi_f, psi_b, params, lib, K, L, m, exact)
+            return see(psi_d, psi_f, psi_b, params, lib, K, L, m)
 
         def closed():
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # the exhaustive fallback
-                return opt_m_see(psi_d, psi_f, psi_b, params, lib, K, L)
+            return opt_m_see(psi_d, psi_f, psi_b, params, lib, K, L)
     else:
         raise ValueError(f"unknown objective {objective!r}")
     return value, closed
@@ -242,15 +219,13 @@ def _objective(objective: str, psi_d: float, psi_f: float, psi_b: float,
 
 def exhaustive_opt_m(objective: str, psi_d: float, psi_f: float, psi_b: float,
                      lib: ZipfLibrary, K: int, L: int,
-                     params: ChannelParams | None = None,
-                     exact: bool = False) -> tuple[int, float]:
+                     params: ChannelParams | None = None) -> tuple[int, float]:
     """Reference optimizer: scan every M in 0..L.
 
     Uses the same cumulative-popularity model as the closed forms. Returns
     the smallest argmax on exact ties.
     """
-    f, _ = _objective(objective, psi_d, psi_f, psi_b, lib, K, L, params,
-                      exact)
+    f, _ = _objective(objective, psi_d, psi_f, psi_b, lib, K, L, params)
     best_m, best_v = 0, f(0)
     for m in range(1, L + 1):
         v = f(m)
@@ -296,8 +271,6 @@ def opt_m_see(psi_d: float, psi_f: float, psi_b: float,
                                 params=params)[0]
 
     if params.Pm < K * params.Ps or tau <= 1.0 or K * L >= lib.N:
-        warnings.warn("outside the closed-form regime; scanning exhaustively",
-                      stacklevel=2)
         return fallback()
     n1 = (lib.N + 1.0) ** (1.0 - tau)
     dp1 = K * params.Ps - (params.Pm + params.Ps) * n1
@@ -336,16 +309,3 @@ def opt_m_see(psi_d: float, psi_f: float, psi_b: float,
         m_cont, L,
         lambda m: see(psi_d, psi_f, psi_b, params, lib, K, L, m))
 
-
-def report(layout: NetworkLayout, params: ChannelParams, lib: ZipfLibrary,
-           L: int, M: int, epsilon: float, exact: bool = False,
-           bsr_exact_sop: bool = False) -> ThroughputReport:
-    """Per-scheme rate designs plus the averaged throughput and efficiency."""
-    psi = per_scheme_psi(layout, params, epsilon, bsr_exact_sop)
-    psi_d, psi_f, psi_b = psi[SchemeId.DBF], psi[SchemeId.FOT], psi[SchemeId.BSR]
-    psi_bar = overall_throughput(psi_d, psi_f, psi_b, lib, layout.K, L, M,
-                                 exact)
-    p_avg = average_power(params, lib, layout.K, L, M, exact)
-    return ThroughputReport(psi_D=psi_d, psi_F=psi_f, psi_B=psi_b,
-                            psi_bar=psi_bar, p_avg=p_avg,
-                            omega=psi_bar / p_avg)

@@ -15,10 +15,10 @@ Verbs:
 
 A scenario file is a flat "key = value" text file (or a JSON object with
 the same keys); unknown keys are errors, not warnings, because a silently
-ignored setting would invalidate any comparison. Powers are written in dBw
-and converted to linear exactly once, on load. Every output embeds the
-scenario, tool version and seed, and reruns with the same seed are
-byte-identical.
+ignored setting would invalidate any comparison. Powers are written in dBw;
+Scenario.params converts them to linear where a command builds the channel
+of a sweep point. Every output embeds the scenario, tool version and seed,
+and reruns with the same seed are byte-identical.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical infeasibility.
 """
@@ -29,6 +29,7 @@ import argparse
 import json
 import math
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -65,7 +66,6 @@ class Scenario:
     N: int = 100
     tau: float = 1.5
     L: int = 10
-    M: str = "optimize"  # integer or "optimize"
     caching_objective: str = "throughput"  # "throughput" or "see"
     # monte carlo
     trials: int | None = None
@@ -80,8 +80,8 @@ class Scenario:
     def __post_init__(self):
         """Reject a scenario no experiment can run, on load: every float
         finite and every value in its legal range (exit code 2)."""
-        for key in sorted(_FLOAT_KEYS):
-            if not math.isfinite(getattr(self, key)):
+        for key, kind in _TYPES.items():
+            if kind is float and not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, "
                                   f"got {getattr(self, key)}")
         dbw = f"within +-{DBW_LIMIT:g}"
@@ -108,14 +108,6 @@ class Scenario:
             if not ok:
                 raise ConfigError(f"{key} must be {rule}, "
                                   f"got {getattr(self, key)}")
-        if self.M != "optimize":
-            try:
-                m = int(self.M)
-            except ValueError as exc:
-                raise ConfigError(
-                    "M must be an integer or 'optimize'") from exc
-            if not 0 <= m <= self.L:
-                raise ConfigError(f"M={m} outside 0..L={self.L}")
         if self.bsr_sop_model not in ("approx", "exact"):
             raise ConfigError("bsr_sop_model must be approx|exact")
         if self.caching_objective not in ("throughput", "see"):
@@ -147,8 +139,11 @@ class Scenario:
     def layout(self) -> NetworkLayout:
         return build_line_layout(self.r_s1_o, self.r_s, self.K, self.r_b_s1)
 
-    def params(self) -> ChannelParams:
-        return ChannelParams(alpha=self.alpha, Ps=dbw_to_linear(self.Ps_dBw),
+    def params(self, ps_dbw: float | None = None) -> ChannelParams:
+        """The channel in linear units, at SBS power ps_dbw (a sweep point)
+        in place of Ps_dBw when it is given."""
+        ps = self.Ps_dBw if ps_dbw is None else ps_dbw
+        return ChannelParams(alpha=self.alpha, Ps=dbw_to_linear(ps),
                              Pm=dbw_to_linear(self.Pm_dBw),
                              lambda_e=self.lambda_e)
 
@@ -167,43 +162,29 @@ def dbw_to_linear(p_dbw: float) -> float:
     return 10.0 ** (p_dbw / 10.0)
 
 
-_INT_KEYS = {"K", "N", "L", "seed", "threads", "trials"}
-_FLOAT_KEYS = {"r_s1_o", "r_s", "r_b_s1", "alpha", "Ps_dBw", "Pm_dBw",
-               "lambda_e", "epsilon", "beta_t", "beta_e", "tau",
-               "sweep_start", "sweep_stop", "sweep_step"}
-_STR_KEYS = {"M", "bsr_sop_model", "caching_objective", "sweep_var"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-
-
-def _coerce(key: str, raw, where: str):
-    try:
-        if key in _INT_KEYS:
-            value = int(raw)
-        elif key in _FLOAT_KEYS:
-            value = float(raw)
-        else:
-            value = str(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: bad value for {key!r}: {raw!r}") from exc
-    return value
+# The type of every scenario key, read from its Scenario annotation
+# (int | None reads as int: a scenario file cannot write None).
+_TYPES = {key: (typing.get_args(hint) or (hint,))[0]
+          for key, hint in typing.get_type_hints(Scenario).items()}
 
 
 def parse_scenario_text(text: str, source: str = "<config>") -> Scenario:
-    """Parse a scenario from flat key=value lines or a JSON object."""
-    stripped = text.lstrip()
-    values: dict = {}
-    if stripped.startswith("{"):
+    """Parse a scenario from flat key=value lines or a JSON object.
+
+    Both formats share one check: every key is a Scenario field, and its
+    value is read by the field's type from the value's text, so a JSON 4.7
+    is no more an integer than a 4.7 in a key = value line.
+    """
+    if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{source}: invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{source}: JSON scenario must be an object")
-        for key, raw in data.items():
-            if key not in _ALL_KEYS:
-                raise ConfigError(f"{source}: unknown key {key!r}")
-            values[key] = _coerce(key, raw, source)
+        items = [(source, key, raw) for key, raw in data.items()]
     else:
+        items = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             body = line.split("#", 1)[0].strip()
             if not body:
@@ -211,9 +192,16 @@ def parse_scenario_text(text: str, source: str = "<config>") -> Scenario:
             if "=" not in body:
                 raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
             key, raw = (part.strip() for part in body.split("=", 1))
-            if key not in _ALL_KEYS:
-                raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-            values[key] = _coerce(key, raw, f"{source}:{lineno}")
+            items.append((f"{source}:{lineno}", key, raw))
+    values = {}
+    for where, key, raw in items:
+        if key not in _TYPES:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        try:
+            values[key] = _TYPES[key](str(raw))
+        except ValueError as exc:
+            raise ConfigError(
+                f"{where}: bad value for {key!r}: {raw!r}") from exc
     try:
         return Scenario(**values)
     except ConfigError as exc:
@@ -260,8 +248,11 @@ def write_table(out, command: str, scn: Scenario, columns: list[str],
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out!r}: {exc}") from exc
 
 
 def _map_points(fn, points, cells: int, threads: int) -> list:
@@ -298,7 +289,7 @@ def _outage_sweep(scn: Scenario, out, command: str, default_trials: int,
 
     def cell(i, ps_dbw, j):
         name, analytic, mc = evaluators[j]
-        params = replace(scn.params(), Ps=dbw_to_linear(ps_dbw))
+        params = scn.params(ps_dbw)
         row = [ps_dbw, name, analytic(params).value, None, None]
         if trials > 0 and mc is not None:
             est = mc(params, montecarlo.McSettings(
@@ -375,9 +366,9 @@ def cmd_throughput(scn: Scenario, out) -> int:
     schemes = list(SchemeId)
 
     def cell(i, ps_dbw, j):
-        params = replace(scn.params(), Ps=dbw_to_linear(ps_dbw))
+        params = scn.params(ps_dbw)
         design = rates.scheme_throughput(schemes[j], layout, params,
-                                         scn.epsilon, bsr_exact_sop=bsr_exact)
+                                         scn.epsilon, bsr_exact=bsr_exact)
         return [ps_dbw, schemes[j].value, design.beta_e_circ,
                 design.beta_s_star, design.rate_secrecy, design.psi_star]
 
@@ -404,7 +395,7 @@ def cmd_caching(scn: Scenario, out) -> int:
             lib = caching.ZipfLibrary(N=int(v), tau=scn.tau)
             psi = psi_fixed
         else:
-            params = replace(scn.params(), Ps=dbw_to_linear(v))
+            params = scn.params(v)
             lib = caching.ZipfLibrary(N=scn.N, tau=scn.tau)
             psi = rates.per_scheme_psi(layout, params, scn.epsilon, bsr_exact)
         m_closed, m_ex, value = caching.optimize_allocation(
@@ -434,7 +425,7 @@ def cmd_validate(scn: Scenario, out) -> int:
 
     def cell(i, ps_dbw, j):
         """Cell j < n: COP of scheme j; cell n + k: SOP of scheme k."""
-        params = replace(scn.params(), Ps=dbw_to_linear(ps_dbw))
+        params = scn.params(ps_dbw)
         k = j % n
         scheme = schemes[k]
         if j < n:

@@ -29,6 +29,7 @@ from .layout import NetworkLayout
 from . import outage
 
 SOP_INVERSION_TOL = 1e-8
+SOP_MAX_EVALS = 200  # kernel evaluations one inversion may spend
 
 _LN2 = math.log(2.0)
 
@@ -95,7 +96,7 @@ class SopRoot(float):
 
 
 def _newton_root(kernel: outage.BreachKernel, lambda_e: float,
-                 epsilon: float, max_iter: int) -> tuple[float, int]:
+                 epsilon: float) -> tuple[float, int]:
     """Root of log(lambda_e I(beta_e)) = log(-log(1 - epsilon)) in
     u = log(beta_e), and the number of kernel evaluations it took."""
     a = kernel.alpha
@@ -106,7 +107,7 @@ def _newton_root(kernel: outage.BreachKernel, lambda_e: float,
         - 0.5 * a * (target - math.log(math.pi * math.gamma(1.0 + 2.0 / a)))
     lo, hi = -math.inf, math.inf  # SOP(e^lo) > epsilon > SOP(e^hi)
     reach = 1.0
-    for evals in range(1, max_iter + 1):
+    for evals in range(1, SOP_MAX_EVALS + 1):
         beta = math.exp(u)
         integral, slope = kernel.integral(beta, outage.FINE_NODES, deriv=True)
         value = min(max(-math.expm1(-lambda_e * integral), 0.0), 1.0)
@@ -129,13 +130,12 @@ def _newton_root(kernel: outage.BreachKernel, lambda_e: float,
             reach *= 2.0
         else:
             u = 0.5 * (lo + hi)
-    raise RuntimeError(f"SOP inversion did not converge in {max_iter} "
+    raise RuntimeError(f"SOP inversion did not converge in {SOP_MAX_EVALS} "
                        f"evaluations (epsilon={epsilon})")
 
 
 def invert_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
-               epsilon: float, bsr_exact: bool = False,
-               max_iter: int = 200) -> SopRoot:
+               epsilon: float, bsr_exact: bool = False) -> SopRoot:
     """Smallest redundancy threshold whose SOP equals epsilon.
 
     The SOP 1 - exp(-lambda_e I(beta_e)) falls strictly from 1 to 0, so the
@@ -150,7 +150,8 @@ def invert_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
     layout-free form by default, whose inverse is algebraic (bsr_exact
     switches to the shared-field form).
 
-    Raises RuntimeError when max_iter kernel evaluations do not converge.
+    Raises RuntimeError when SOP_MAX_EVALS kernel evaluations do not
+    converge.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -160,8 +161,7 @@ def invert_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
         beta_e, evals = bsr_approx_threshold(params, epsilon), 0
     else:
         kernel = outage.breach_kernel(scheme, layout, params)
-        beta_e, evals = _newton_root(kernel, params.lambda_e, epsilon,
-                                     max_iter)
+        beta_e, evals = _newton_root(kernel, params.lambda_e, epsilon)
     cert = outage.sop(scheme, layout, params, beta_e, bsr_exact=bsr_exact)
     return SopRoot(beta_e, evals + 1, abs(cert.value - epsilon), cert.flag)
 
@@ -251,11 +251,12 @@ def secrecy_throughput_curve(scheme: SchemeId, layout: NetworkLayout,
 
 
 def _expand_bracket(deriv) -> float:
-    """Double hi from 1 until the objective stops rising there; a zero
-    derivative also ends the search (past the peak an objective can
-    underflow to a flat zero, which still brackets the maximum)."""
+    """Double hi from 1 until the objective stops rising there, at most up
+    to the largest float, 2^1023; a zero derivative also ends the search
+    (past the peak an objective can underflow to a flat zero, which still
+    brackets the maximum)."""
     hi = 1.0
-    for _ in range(200):
+    while hi < math.inf:
         if deriv(hi) <= 0.0:
             return hi
         hi *= 2.0
@@ -274,12 +275,12 @@ def _maximize(law: SuccessLaw) -> float:
 
     lo, hi = 0.0, _expand_bracket(deriv)
     b = 0.5 * hi
-    while lo < b < hi:  # at most about 1,300 halvings of [0, 2^200]
+    while lo < b < hi:  # at most about 2,100 halvings of [0, 2^1023]
         if deriv(b) > 0.0:
             lo = b
         else:
             hi = b
-        b = 0.5 * (lo + hi)
+        b = 0.5 * lo + 0.5 * hi  # lo + hi can overflow near 2^1023
     return b
 
 
@@ -309,10 +310,10 @@ def opt_bs_bsr(layout: NetworkLayout, params: ChannelParams,
 
 def scheme_throughput(scheme: SchemeId, layout: NetworkLayout,
                       params: ChannelParams, epsilon: float,
-                      bsr_exact_sop: bool = False) -> RateDesign:
+                      bsr_exact: bool = False) -> RateDesign:
     """Full two-stage design: SOP inversion (of the layout-free relaying
-    SOP unless bsr_exact_sop is set), then the scheme's opt_bs_*."""
-    root = invert_sop(scheme, layout, params, epsilon, bsr_exact=bsr_exact_sop)
+    SOP unless bsr_exact is set), then the scheme's opt_bs_*."""
+    root = invert_sop(scheme, layout, params, epsilon, bsr_exact=bsr_exact)
     # by name, so that a wrapper installed on the module is the one called
     design = globals()[f"opt_bs_{scheme.value}"](layout, params, float(root))
     return replace(design, epsilon=epsilon, sop_evals=root.evals,
@@ -321,8 +322,8 @@ def scheme_throughput(scheme: SchemeId, layout: NetworkLayout,
 
 def per_scheme_psi(layout: NetworkLayout, params: ChannelParams,
                    epsilon: float,
-                   bsr_exact_sop: bool = False) -> dict[SchemeId, float]:
+                   bsr_exact: bool = False) -> dict[SchemeId, float]:
     """Optimal secrecy throughput psi* of every scheme, in SchemeId order."""
     return {scheme: scheme_throughput(scheme, layout, params, epsilon,
-                                      bsr_exact_sop=bsr_exact_sop).psi_star
+                                      bsr_exact=bsr_exact).psi_star
             for scheme in SchemeId}

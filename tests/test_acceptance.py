@@ -9,7 +9,6 @@ in a few minutes on a desktop machine.
 import functools
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -254,9 +253,7 @@ def test_07_hybrid_dominance():
                for s in cs.SchemeId}
         p_d, p_f, p_b = (psi[cs.SchemeId.DBF], psi[cs.SchemeId.FOT],
                          psi[cs.SchemeId.BSR])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            m_star = cs.opt_m_see(p_d, p_f, p_b, params, lib, K, L)
+        m_star = cs.opt_m_see(p_d, p_f, p_b, params, lib, K, L)
         omega = cs.see(p_d, p_f, p_b, params, lib, K, L, m_star)
         assert omega >= cs.see(p_d, p_f, p_b, params, lib, K, L, L) - 1e-12
         assert omega >= cs.see(p_d, p_f, p_b, params, lib, K, L, 0) - 1e-12

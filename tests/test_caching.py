@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ import pytest
 from cachesec import (ChannelParams, SchemeId, ZipfLibrary, average_power,
                       cum_pop_approx, cum_pop_exact, exhaustive_opt_m,
                       opt_m_see, optimal_mpc_allocation, optimize_allocation,
-                      overall_throughput, report, scheme_probs, see,
+                      overall_throughput, per_scheme_psi, scheme_probs, see,
                       zipf_pmf)
 from helpers import standard_layout, standard_params
 
@@ -83,10 +82,9 @@ def test_scheme_probs_sum_to_one():
         M = int(rng.integers(0, L + 1))
         lib = ZipfLibrary(N=int(rng.integers(5, 500)),
                           tau=float(rng.uniform(0.3, 2.5)))
-        for exact in (False, True):
-            p = scheme_probs(lib, K, L, M, exact=exact)
-            assert all(0.0 <= x <= 1.0 for x in p)
-            assert sum(p) == pytest.approx(1.0, abs=1e-9)
+        p = scheme_probs(lib, K, L, M)
+        assert all(0.0 <= x <= 1.0 for x in p)
+        assert sum(p) == pytest.approx(1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +107,12 @@ def test_overall_throughput_full_replication_split():
 
 
 def test_overall_throughput_matches_exact_sums_up_to_model_error():
+    # the same mix on the exact partial sums: M = 6 replicated files, the
+    # next K (L - M) = 18 partitioned, the rest relayed
     lib = ZipfLibrary(N=200, tau=1.3)
     approx = overall_throughput(5.0, 3.0, 1.0, lib, 3, 12, 6)
-    exact = overall_throughput(5.0, 3.0, 1.0, lib, 3, 12, 6, exact=True)
+    top, reach = cum_pop_exact(lib, 6), cum_pop_exact(lib, 24)
+    exact = 5.0 * top + 3.0 * (reach - top) + 1.0 * (1.0 - reach)
     assert abs(approx - exact) / exact < 0.1
 
 
@@ -188,9 +189,7 @@ def test_see_zero_throughput():
 def test_opt_m_throughput_k1_always_full():
     lib = ZipfLibrary(N=100, tau=1.5)
     assert optimal_mpc_allocation(2.0, 1.9, 1.0, lib, K=1, L=10) == 10
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # equal psis are normal at K = 1
-        assert optimal_mpc_allocation(2.0, 2.0, 1.0, lib, K=1, L=10) == 10
+    assert optimal_mpc_allocation(2.0, 2.0, 1.0, lib, K=1, L=10) == 10
 
 
 def test_opt_m_throughput_dominant_gap_cases():
@@ -214,10 +213,13 @@ def test_opt_m_throughput_negative_partition_gain():
     assert optimal_mpc_allocation(3.0, 1.0, 2.0, lib, K=3, L=10) == 10
 
 
-def test_opt_m_throughput_warns_outside_regime():
+def test_opt_m_throughput_no_replication_gain_matches_oracle():
+    # psi_D <= psi_F: replicating a file gains nothing, so no replication
     lib = ZipfLibrary(N=1000, tau=1.2)
-    with pytest.warns(UserWarning):
-        optimal_mpc_allocation(1.0, 2.0, 0.5, lib, K=3, L=10)
+    for psi_d in (1.0, 2.0):
+        m = optimal_mpc_allocation(psi_d, 2.0, 0.5, lib, K=3, L=10)
+        assert m == 0 == exhaustive_opt_m("throughput", psi_d, 2.0, 0.5,
+                                          lib, 3, 10)[0]
 
 
 def test_opt_m_throughput_matches_oracle_randomized():
@@ -361,16 +363,14 @@ def test_opt_m_see_interior_matches_oracle():
 def test_opt_m_see_falls_back_outside_regime():
     lib = ZipfLibrary(N=500, tau=0.8)  # tau <= 1
     params = ChannelParams(alpha=4.0, Ps=1.0, Pm=10.0, lambda_e=0.01)
-    with pytest.warns(UserWarning):
-        m = opt_m_see(2.0, 1.0, 0.5, params, lib, K=3, L=10)
+    m = opt_m_see(2.0, 1.0, 0.5, params, lib, K=3, L=10)
     m_ref, _ = exhaustive_opt_m("see", 2.0, 1.0, 0.5, lib, 3, 10,
                                 params=params)
     assert m == m_ref
     # weak backhaul power also leaves the closed-form regime
     weak = ChannelParams(alpha=4.0, Ps=1.0, Pm=1.0, lambda_e=0.01)
     lib2 = ZipfLibrary(N=500, tau=1.5)
-    with pytest.warns(UserWarning):
-        m = opt_m_see(2.0, 1.0, 0.5, weak, lib2, K=3, L=10)
+    m = opt_m_see(2.0, 1.0, 0.5, weak, lib2, K=3, L=10)
     m_ref, _ = exhaustive_opt_m("see", 2.0, 1.0, 0.5, lib2, 3, 10,
                                 params=weak)
     assert m == m_ref
@@ -388,10 +388,8 @@ def test_opt_m_see_nonincreasing_in_backhaul_power():
                                lambda_e=0.01)
         psi = {s: cs.scheme_throughput(s, lay, params, 0.2).psi_star
                for s in SchemeId}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ms.append(opt_m_see(psi[SchemeId.DBF], psi[SchemeId.FOT],
-                                psi[SchemeId.BSR], params, lib, 2, 10))
+        ms.append(opt_m_see(psi[SchemeId.DBF], psi[SchemeId.FOT],
+                            psi[SchemeId.BSR], params, lib, 2, 10))
     assert all(a >= b for a, b in zip(ms, ms[1:]))
     assert ms[0] > ms[-1]
 
@@ -432,13 +430,9 @@ def test_optimize_allocation_dispatches_each_objective():
         assert m_closed == optimal_mpc_allocation(*psi, lib, K, L)
         assert m_ex == exhaustive_opt_m("throughput", *psi, lib, K, L)[0]
         assert value(4) == overall_throughput(*psi, lib, K, L, 4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the fallback stays quiet
-            m_closed, m_ex, value = optimize_allocation("see", *psi, params,
-                                                        lib, K, L)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert m_closed == opt_m_see(*psi, params, lib, K, L)
+        m_closed, m_ex, value = optimize_allocation("see", *psi, params,
+                                                    lib, K, L)
+        assert m_closed == opt_m_see(*psi, params, lib, K, L)
         assert m_ex == exhaustive_opt_m("see", *psi, lib, K, L,
                                         params=params)[0]
         assert value(4) == see(*psi, params, lib, K, L, 4)
@@ -447,49 +441,48 @@ def test_optimize_allocation_dispatches_each_objective():
 
 
 # ---------------------------------------------------------------------------
-# full report
+# designed codes through the allocation
 # ---------------------------------------------------------------------------
 
-def test_report_consistency_and_hybrid_dominance():
+def test_hybrid_allocation_dominates_pure_strategies():
     lay = standard_layout(3)
     params = ChannelParams(alpha=4.0, Ps=10 ** 2.5, Pm=10 ** 6.0,
                            lambda_e=0.002)
     lib = ZipfLibrary(N=100, tau=1.2)
     L, eps = 10, 0.2
-    base = report(lay, params, lib, L=L, M=5, epsilon=eps)
-    assert base.psi_bar == pytest.approx(
-        overall_throughput(base.psi_D, base.psi_F, base.psi_B, lib, 3, L, 5))
-    assert base.p_avg == pytest.approx(
-        average_power(params, lib, 3, L, 5))
-    assert base.omega == pytest.approx(base.psi_bar / base.p_avg)
+    psi = per_scheme_psi(lay, params, eps)
+    psi_d, psi_f, psi_b = psi[SchemeId.DBF], psi[SchemeId.FOT], \
+        psi[SchemeId.BSR]
+    omega = see(psi_d, psi_f, psi_b, params, lib, 3, L, 5)
+    assert omega == pytest.approx(
+        overall_throughput(psi_d, psi_f, psi_b, lib, 3, L, 5)
+        / average_power(params, lib, 3, L, 5))
 
-    m_star = optimal_mpc_allocation(base.psi_D, base.psi_F, base.psi_B,
-                                    lib, 3, L)
-    hybrid = report(lay, params, lib, L=L, M=m_star, epsilon=eps)
-    mpc = report(lay, params, lib, L=L, M=L, epsilon=eps)
-    lcd = report(lay, params, lib, L=L, M=0, epsilon=eps)
-    assert hybrid.psi_bar >= mpc.psi_bar - 1e-12
-    assert hybrid.psi_bar >= lcd.psi_bar - 1e-12
+    m_star = optimal_mpc_allocation(psi_d, psi_f, psi_b, lib, 3, L)
+    hybrid = overall_throughput(psi_d, psi_f, psi_b, lib, 3, L, m_star)
+    for m in (0, L):  # all partitioned, all replicated
+        assert hybrid >= overall_throughput(psi_d, psi_f, psi_b, lib, 3, L,
+                                            m) - 1e-12
 
     # efficiency-optimal allocation dominates a full scan
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        m_e = opt_m_see(base.psi_D, base.psi_F, base.psi_B, params, lib, 3, L)
-    omega_best = see(base.psi_D, base.psi_F, base.psi_B, params, lib, 3, L,
-                     m_e)
+    m_e = opt_m_see(psi_d, psi_f, psi_b, params, lib, 3, L)
+    omega_best = see(psi_d, psi_f, psi_b, params, lib, 3, L, m_e)
     for m in range(0, L + 1):
-        assert omega_best >= see(base.psi_D, base.psi_F, base.psi_B, params,
-                                 lib, 3, L, m) - 1e-12
+        assert omega_best >= see(psi_d, psi_f, psi_b, params, lib, 3, L,
+                                 m) - 1e-12
 
 
-def test_report_tiny_eavesdropper_density():
+def test_tiny_eavesdropper_density_mixes_scheme_throughputs():
     lay = standard_layout(2)
     params = ChannelParams(alpha=4.0, Ps=10.0, Pm=10.0, lambda_e=1e-6)
     lib = ZipfLibrary(N=50, tau=1.5)
-    rep = report(lay, params, lib, L=5, M=2, epsilon=0.3)
+    psi = per_scheme_psi(lay, params, 0.3)
+    psi_d, psi_f, psi_b = psi[SchemeId.DBF], psi[SchemeId.FOT], \
+        psi[SchemeId.BSR]
     # negligible secrecy cost: every scheme delivers solid throughput and
     # the average is the probability mix of the three
-    assert rep.psi_D > rep.psi_F > 0
+    assert psi_d > psi_f > 0
     p_d, p_f, p_b = scheme_probs(lib, 2, 5, 2)
-    mix = p_d * rep.psi_D + p_f * rep.psi_F + p_b * rep.psi_B
-    assert rep.psi_bar == pytest.approx(mix)
+    mix = p_d * psi_d + p_f * psi_f + p_b * psi_b
+    assert overall_throughput(psi_d, psi_f, psi_b, lib, 2, 5, 2) == \
+        pytest.approx(mix)

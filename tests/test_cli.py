@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -56,9 +57,40 @@ def test_scenario_value_errors():
     with pytest.raises(ConfigError):
         parse_scenario_text("just text\n")
     with pytest.raises(ConfigError):
-        parse_scenario_text("M = 99\nL = 10\n")
+        parse_scenario_text("K = 4.7\n")
+    with pytest.raises(ConfigError):
+        parse_scenario_text(json.dumps({"K": 4.7}))
     with pytest.raises(ConfigError):
         parse_scenario_text("sweep_var = alpha\n")
+
+
+def test_every_default_round_trips_through_both_formats():
+    # each key is declared once, by its Scenario field: every default
+    # written out as text or as JSON reads back as the same value and type
+    for f in fields(Scenario):
+        default = getattr(Scenario(), f.name)
+        if default is None:
+            continue
+        for text in (f"{f.name} = {default}\n",
+                     json.dumps({f.name: default})):
+            value = getattr(parse_scenario_text(text), f.name)
+            assert value == default and type(value) is type(default), text
+
+
+def test_scenario_key_m_is_unknown(tmp_path, capsys):
+    # the cache allocation is always optimized; a fixed M is not a setting
+    code, out = run(tmp_path, "caching", SMALL_SWEEP + "M = 3\n")
+    assert code == 2
+    assert "unknown key 'M'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "out.csv"
+    code = main(["cop-sweep", "--trials", "0", "--out", str(out)])
+    assert code == 2
+    assert "config error: cannot write" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_load_scenario_missing_file():
@@ -283,10 +315,9 @@ def test_caching_sweep_see_objective(tmp_path):
         assert hybrid >= lcd - 1e-12
 
 
-@pytest.mark.filterwarnings("ignore:expected psi_D > psi_F")
 def test_beamforming_asymptote_saturates_at_tiny_power(tmp_path):
     # (beta_t / Ps)^K overflows a float here; the loader accepts the power.
-    # Every psi is 0, so the caching allocation is degenerate and says so.
+    # Every psi is 0, so every caching allocation is equally good.
     cfg = "K = 8\nsweep_start = -400\nsweep_stop = -390\nsweep_step = 5\n"
     for command in ("cop-sweep", "throughput", "caching"):
         code, out = run(tmp_path, command, cfg, ["--trials", "0"],
@@ -353,12 +384,27 @@ def test_validate_without_trials_is_config_error(tmp_path, capsys):
 
 def test_exit_code_3_when_sop_inversion_does_not_converge(tmp_path,
                                                           monkeypatch):
-    # an unreachable tolerance makes every inversion exhaust max_iter
+    # an unreachable tolerance makes every inversion exhaust SOP_MAX_EVALS
     monkeypatch.setattr(rates, "SOP_INVERSION_TOL", -1.0)
     cfg = "sweep_start = 10\nsweep_stop = 10\nsweep_step = 5\n"
     code, out = run(tmp_path, "throughput", cfg)
     assert code == 3
     assert not out.exists()
+
+
+def test_throughput_without_eavesdroppers_at_huge_power(tmp_path):
+    # no redundancy is needed, so beta_s* grows like Ps: the bracket of
+    # the maximizer passes 2^200 from about 610 dBw on
+    cfg = ("lambda_e = 0\nsweep_start = 600\nsweep_stop = 1000\n"
+           "sweep_step = 100\n")
+    code, out = run(tmp_path, "throughput", cfg)
+    assert code == 0
+    header, rows = read_rows(out)
+    assert len(rows) == 5 * 3
+    beta_s = header.index("beta_s_star")
+    for scheme in ("dbf", "fot", "bsr"):
+        col = [float(row[beta_s]) for row in rows if row[1] == scheme]
+        assert col == sorted(col) and 2.0 ** 200 < col[-1] < float("inf")
 
 
 def test_sop_sweep_exit_code_3_for_an_oversized_field(tmp_path, capsys):

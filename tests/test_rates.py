@@ -58,7 +58,7 @@ def test_invert_sop_bsr_exact_form_round_trip():
         beta = invert_sop(SchemeId.BSR, lay, params, eps, bsr_exact=True)
         assert abs(sop_bsr_exact(lay, params, beta).value - eps) <= 1e-6
     design = scheme_throughput(SchemeId.BSR, lay, params, 0.3,
-                               bsr_exact_sop=True)
+                               bsr_exact=True)
     assert design.psi_star > 0.0
 
 
@@ -289,12 +289,14 @@ def test_invert_sop_meets_tolerance_across_geometry_and_power():
                     assert 2 <= root.evals <= 10
 
 
-def test_invert_sop_raises_when_max_iter_exhausted():
+def test_invert_sop_raises_when_max_iter_exhausted(monkeypatch):
+    # the evaluation budget is the module constant SOP_MAX_EVALS
     lay = standard_layout(3)
     params = standard_params()
-    with pytest.raises(RuntimeError):
-        invert_sop(SchemeId.DBF, lay, params, 0.2, max_iter=1)
     assert invert_sop(SchemeId.DBF, lay, params, 0.2).evals > 2
+    monkeypatch.setattr(rates, "SOP_MAX_EVALS", 1)
+    with pytest.raises(RuntimeError, match="did not converge in 1 "):
+        invert_sop(SchemeId.DBF, lay, params, 0.2)
 
 
 def test_opt_bs_fot_unbounded_bracket_raises(monkeypatch):
@@ -312,7 +314,7 @@ def test_scheme_throughput_records_inversion():
     for scheme, bsr_exact in ((SchemeId.DBF, False), (SchemeId.FOT, False),
                               (SchemeId.BSR, True)):
         design = scheme_throughput(scheme, lay, params, 0.2,
-                                   bsr_exact_sop=bsr_exact)
+                                   bsr_exact=bsr_exact)
         assert type(design.beta_e_circ) is float
         assert 2 <= design.sop_evals <= 10
         assert design.sop_residual <= SOP_INVERSION_TOL
