@@ -1,9 +1,10 @@
 """Scheme ids, channel parameters and path loss of the wireless model.
 
-Links are Rayleigh-faded with distance path loss d^-alpha. The per-scheme
-SNR laws are written once each: the user's decoding condition and the
-eavesdroppers' breach test in `montecarlo`, their integrated forms in
-`outage`.
+Links are Rayleigh-faded with distance path loss d^-alpha. `outage`
+describes each scheme once, by its breach links and decoding branches; the
+breach law, the partition and relaying COPs and their `rates` success laws
+derive from that, the beamforming COP is written on its own. `montecarlo`
+samples the decoding condition and the breach test independently.
 """
 
 from __future__ import annotations

@@ -3,27 +3,29 @@
 Connection outage (COP): the user's channel capacity falls below the
 codeword rate, so decoding fails. Secrecy outage (SOP): some eavesdropper's
 capacity exceeds the rate redundancy, so perfect secrecy is compromised.
-Each of the three delivery schemes gets its own COP and SOP evaluator;
-closed forms are used where they exist, otherwise deterministic
-quadrature (for the beamforming COP, a certified saddle-point Laplace
-inversion) that makes every result reproducible.
+Closed forms are used where they exist, otherwise deterministic quadrature
+(for the beamforming COP, a certified saddle-point Laplace inversion), so
+every result is reproducible.
+
+The schemes differ only in which independent Rayleigh links carry a file,
+and each is described once, as data: `breach_links` lists the links an
+eavesdropper can intercept, `decoding_branches` those the user decodes on.
+One union over links gives every breach law (a BreachKernel, which also
+yields its analytic derivative in beta_e for the SOP inversion in
+`rates`), one product over branches the partition and relaying COPs.
 
 Eavesdroppers form a Poisson field, so every SOP has the shape
-1 - exp(-lambda_e * I) where I integrates the per-position breach
-probability over the plane. The integrals are truncated at a radius beyond
-which the integrand is below 1e-12 and evaluated on a tensorized
-Gauss-Legendre grid, with one radial refinement to certify convergence.
-The grid is evaluated in blocks of radial rows small enough that no
-temporary reaches the allocator's mmap threshold (see BLOCK_POINTS).
-Each scheme's per-position breach law is written once, as a BreachKernel
-that also yields its analytic derivative in beta_e for the SOP inversion
-in `rates`.
+1 - exp(-lambda_e * I) where I integrates the breach law over the plane.
+The integrals are truncated at a radius beyond which the integrand is
+below 1e-12 and evaluated on a tensorized Gauss-Legendre grid, with one
+radial refinement to certify convergence, in blocks of radial rows small
+enough that no temporary reaches the allocator's mmap threshold (see
+BLOCK_POINTS).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,7 +33,7 @@ import numpy as np
 from scipy.special import wofz
 
 from .channel import ChannelParams, SchemeId, dist_pow_neg
-from .layout import NetworkLayout
+from .layout import NetworkLayout, PolarPoint
 
 METHOD_EXACT = "analytic-exact"
 METHOD_ASYMPTOTIC = "analytic-asymptotic"
@@ -64,6 +66,10 @@ BLOCK_ROW_GROUP = 4
 # The integrand is below exp(-TAIL_LOG) = 1e-12 beyond the cut radius.
 TAIL_LOG = math.log(1e12)
 QUAD_CERT_TOL = 1e-6
+# Breach laws take exp(max(arg, EXP_FLOOR)): numpy's vector exp runs about
+# 150 times slower where its result is subnormal, 7 times where it is 0
+# (arguments below about -708), and e^-700 adds nothing to an integral.
+EXP_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -228,6 +234,33 @@ def cop_dbf_asymptotic(layout: NetworkLayout, params: ChannelParams,
     return OutageEstimate(value, METHOD_ASYMPTOTIC)
 
 
+def decoding_branches(scheme: SchemeId, layout: NetworkLayout,
+                      params: ChannelParams) -> tuple[np.ndarray, float]:
+    """The user's independent decoding branches of the partition or
+    relaying scheme, as (r^alpha of each branch, branch power): the file
+    arrives if some branch decodes. All K partitions must decode, each on
+    1/K of the band, so they form one branch (sum_k r_k^alpha, K Ps);
+    relaying decodes through any SBS, K branches (r_k^alpha, Ps).
+    Beamforming adds its amplitudes, which is no union (cop_dbf_exact)."""
+    ra = layout.sbs_distances() ** params.alpha
+    return {SchemeId.FOT: (np.sum(ra, keepdims=True), layout.K * params.Ps),
+            SchemeId.BSR: (ra, params.Ps)}[scheme]
+
+
+def _branch_cop(scheme: SchemeId, layout: NetworkLayout,
+                params: ChannelParams, beta_t: float) -> OutageEstimate:
+    """prod_k (1 - exp(-beta_t ra_k / P)) over the decoding branches. A
+    branch whose exponent exceeds EXACT_LOG fails with probability 1 to
+    double precision, so its exponent is capped there rather than left to
+    overflow at tiny power."""
+    if beta_t < 0.0:
+        raise ValueError("beta_t must be nonnegative")
+    ra, power = decoding_branches(scheme, layout, params)
+    x = np.minimum(beta_t * ra, EXACT_LOG * power) / power
+    return OutageEstimate(min(float(np.prod(-np.expm1(-x))), 1.0),
+                          METHOD_EXACT)
+
+
 def cop_fot(layout: NetworkLayout, params: ChannelParams,
             beta_t: float) -> OutageEstimate:
     """Connection outage of the orthogonal-partition scheme.
@@ -235,11 +268,7 @@ def cop_fot(layout: NetworkLayout, params: ChannelParams,
     All K partitions must decode, each on 1/K of the band, giving the closed
     form 1 - exp(-(beta_t / (K Ps)) sum_k r_k^alpha).
     """
-    if beta_t < 0.0:
-        raise ValueError("beta_t must be nonnegative")
-    ra_sum = float(np.sum(layout.sbs_distances() ** params.alpha))
-    value = -math.expm1(-beta_t * ra_sum / (layout.K * params.Ps))
-    return OutageEstimate(min(value, 1.0), METHOD_EXACT)
+    return _branch_cop(SchemeId.FOT, layout, params, beta_t)
 
 
 def cop_bsr(layout: NetworkLayout, params: ChannelParams,
@@ -247,16 +276,9 @@ def cop_bsr(layout: NetworkLayout, params: ChannelParams,
     """Connection outage of best-SBS relaying.
 
     The strongest of K independent branches must fail, giving
-    prod_k (1 - exp(-beta_t r_k^alpha / Ps)). A branch whose exponent
-    exceeds EXACT_LOG fails with probability 1 to double precision, so its
-    exponent is capped there rather than left to overflow at tiny Ps.
+    prod_k (1 - exp(-beta_t r_k^alpha / Ps)).
     """
-    if beta_t < 0.0:
-        raise ValueError("beta_t must be nonnegative")
-    ra = layout.sbs_distances() ** params.alpha
-    x = np.minimum(beta_t * ra, EXACT_LOG * params.Ps) / params.Ps
-    value = float(np.prod(-np.expm1(-x)))
-    return OutageEstimate(min(value, 1.0), METHOD_EXACT)
+    return _branch_cop(SchemeId.BSR, layout, params, beta_t)
 
 
 def cop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
@@ -279,26 +301,67 @@ def trunc_radius(d_max: float, power: float, beta_e: float, alpha: float) -> flo
     """Radius beyond which a breach-probability integrand is below 1e-12.
 
     d_max is the largest transmitter-to-origin distance and `power` the
-    largest effective transmit power feeding the integrand (K*Ps for the
-    schemes where K SBSs radiate, max(Pm, Ps) for the two relaying hops).
+    largest far-field power of one breach link, its power times its number
+    of transmitters (K*Ps for beamforming and for each partition,
+    max(Pm, Ps) for the two relaying hops).
     """
     return d_max + (TAIL_LOG * power / beta_e) ** (1.0 / alpha)
 
 
+def breach_links(scheme: SchemeId, layout: NetworkLayout,
+                 params: ChannelParams) -> list[tuple[float, tuple]]:
+    """The independent Rayleigh links an eavesdropper can intercept a file
+    of the scheme on, as (power, transmitters): a link's SNR at a position
+    is exponential with mean power * sum over its transmitters of d^-alpha.
+    Beamforming is one link from all SBSs (the beam phases are mismatched
+    off the user); each of the K partitions is its own link at K Ps;
+    relaying is the serving (nearest) SBS's hop plus the MBS backhaul."""
+    return {SchemeId.DBF: [(params.Ps, layout.sbs)],
+            SchemeId.FOT: [(layout.K * params.Ps, (s,)) for s in layout.sbs],
+            SchemeId.BSR: [(params.Ps, layout.sbs[:1]),
+                           (params.Pm, (layout.mbs,))]}[scheme]
+
+
 @dataclass(frozen=True)
 class BreachKernel:
-    """Per-position breach probability of one scheme on one geometry.
+    """Per-position breach probability over one scheme's breach links.
 
     law(px, py, beta_e, deriv) returns the probability that an eavesdropper
-    at (px, py) breaches secrecy, and its analytic derivative in beta_e on
-    the same points when deriv is set (None otherwise). d_max and power set
-    the truncation radius (see trunc_radius).
+    at (px, py) decodes some link, and its analytic derivative in beta_e on
+    the same points when deriv is set (None otherwise). Link k breaches
+    with p_k = exp(-(beta_e / P_k) / W_k), W_k the sum of d^-alpha over its
+    transmitters; the union is u <- u + p_k (1 - u), whose derivative
+    follows du <- du (1 - p_k) + dp_k (1 - u). A silent link (relaying at
+    Pm = 0) is never evaluated, but still counts towards d_max. d_max and
+    power set the truncation radius (see trunc_radius, breach_kernel).
     """
 
-    law: Callable
+    links: tuple[tuple[float, tuple[PolarPoint, ...]], ...]
     d_max: float
     power: float
     alpha: float
+
+    def law(self, px: np.ndarray, py: np.ndarray, beta_e: float, deriv: bool):
+        u = du = None
+        for power, tx in self.links:
+            if power == 0.0:
+                continue
+            w = None
+            for t in tx:  # summed in layout order
+                d = dist_pow_neg((px - t.x) ** 2 + (py - t.y) ** 2, self.alpha)
+                w = d if w is None else np.add(w, d, out=w)
+            p = -(beta_e / power) / w
+            np.exp(np.maximum(p, EXP_FLOOR, out=p), out=p)
+            dp = -p / (power * w) if deriv else None
+            if u is None:  # the first link's values, updated in place below
+                u, du = p, dp
+                continue
+            if deriv:
+                du *= 1.0 - p
+                du += dp * (1.0 - u)
+            p *= 1.0 - u
+            u += p
+        return u, du
 
     def integral(self, beta_e: float, nodes: tuple[int, int],
                  deriv: bool = False):
@@ -330,80 +393,15 @@ class BreachKernel:
         return tuple(out) if deriv else out[0]
 
 
-def _dbf_breach(layout: NetworkLayout, params: ChannelParams) -> BreachKernel:
-    sx, sy = layout.sbs_xy()
-
-    def law(px, py, beta_e, deriv):
-        s = np.zeros_like(px)
-        for k in range(layout.K):
-            d_sq = (px - sx[k]) ** 2 + (py - sy[k]) ** 2
-            s += dist_pow_neg(d_sq, params.alpha)
-        g = np.exp(-(beta_e / params.Ps) / s)
-        return g, (-g / (params.Ps * s) if deriv else None)
-
-    return BreachKernel(law, float(layout.sbs_distances().max()),
-                        layout.K * params.Ps, params.alpha)
-
-
-def _fot_breach(layout: NetworkLayout, params: ChannelParams) -> BreachKernel:
-    sx, sy = layout.sbs_xy()
-    kps = layout.K * params.Ps
-
-    def law(px, py, beta_e, deriv):
-        # the survival product is differentiated factor by factor
-        scale = beta_e / kps
-        survive = np.ones_like(px)
-        d_survive = np.zeros_like(px) if deriv else None
-        for k in range(layout.K):
-            d_sq = (px - sx[k]) ** 2 + (py - sy[k]) ** 2
-            w = dist_pow_neg(d_sq, params.alpha)
-            term = -np.expm1(-scale / w)
-            if deriv:
-                d_survive = d_survive * term \
-                    + survive * (np.exp(-scale / w) / (kps * w))
-            survive *= term
-        return 1.0 - survive, (-d_survive if deriv else None)
-
-    return BreachKernel(law, float(layout.sbs_distances().max()), kps,
-                        params.alpha)
-
-
-def _bsr_breach(layout: NetworkLayout, params: ChannelParams) -> BreachKernel:
-    mbs, serving = layout.mbs, layout.sbs[0]
-    mx, my, kx, ky = mbs.x, mbs.y, serving.x, serving.y
-
-    def hop(d_sq, power, beta_e):
-        w = dist_pow_neg(d_sq, params.alpha)
-        p = np.exp(-(beta_e / power) / w)
-        return p, w
-
-    def law(px, py, beta_e, deriv):
-        hop2, w2 = hop((px - kx) ** 2 + (py - ky) ** 2, params.Ps, beta_e)
-        if params.Pm > 0.0:
-            hop1, w1 = hop((px - mx) ** 2 + (py - my) ** 2, params.Pm, beta_e)
-        else:
-            hop1 = np.zeros_like(px)
-        g = hop1 + hop2 - hop1 * hop2
-        if not deriv:
-            return g, None
-        dg = -hop2 / (params.Ps * w2) * (1.0 - hop1)
-        if params.Pm > 0.0:
-            dg -= hop1 / (params.Pm * w1) * (1.0 - hop2)
-        return g, dg
-
-    return BreachKernel(law, max(mbs.r, serving.r), max(params.Pm, params.Ps),
-                        params.alpha)
-
-
-_BREACH = {SchemeId.DBF: _dbf_breach, SchemeId.FOT: _fot_breach,
-           SchemeId.BSR: _bsr_breach}
-
-
 def breach_kernel(scheme: SchemeId, layout: NetworkLayout,
                   params: ChannelParams) -> BreachKernel:
     """Breach kernel behind the scheme's quadrature SOP (for the relaying
-    scheme, the shared-eavesdropper form of sop_bsr_exact)."""
-    return _BREACH[scheme](layout, params)
+    scheme, the shared-eavesdropper form of sop_bsr_exact). d_max is the
+    farthest transmitter, power the largest link power times its number of
+    transmitters."""
+    links = tuple(breach_links(scheme, layout, params))
+    return BreachKernel(links, max(t.r for _, tx in links for t in tx),
+                        max(p * len(tx) for p, tx in links), params.alpha)
 
 
 def _sop_guards(params: ChannelParams, beta_e: float,
@@ -443,7 +441,8 @@ def sop_dbf(layout: NetworkLayout, params: ChannelParams, beta_e: float,
     Ps * sum_k r_{k,e}^(-alpha) (the beam phases are mismatched there), so
     its breach probability is exp(-(beta_e/Ps) / sum_k r_{k,e}^(-alpha)).
     """
-    return _pgfl_sop(_dbf_breach(layout, params), params, beta_e, nodes)
+    return _pgfl_sop(breach_kernel(SchemeId.DBF, layout, params), params,
+                     beta_e, nodes)
 
 
 def sop_fot(layout: NetworkLayout, params: ChannelParams, beta_e: float,
@@ -453,7 +452,8 @@ def sop_fot(layout: NetworkLayout, params: ChannelParams, beta_e: float,
     Intercepting any single partition breaks secrecy, so the per-position
     breach probability is 1 - prod_k (1 - exp(-beta_e r_{k,e}^alpha / (K Ps))).
     """
-    return _pgfl_sop(_fot_breach(layout, params), params, beta_e, nodes)
+    return _pgfl_sop(breach_kernel(SchemeId.FOT, layout, params), params,
+                     beta_e, nodes)
 
 
 def sop_bsr_exact(layout: NetworkLayout, params: ChannelParams, beta_e: float,
@@ -466,7 +466,8 @@ def sop_bsr_exact(layout: NetworkLayout, params: ChannelParams, beta_e: float,
     position and the nearest SBS is the modal choice. The Monte Carlo module
     keeps the fading-dependent selection so the gap can be measured.
     """
-    return _pgfl_sop(_bsr_breach(layout, params), params, beta_e, nodes)
+    return _pgfl_sop(breach_kernel(SchemeId.BSR, layout, params), params,
+                     beta_e, nodes)
 
 
 def sop_bsr_approx(params: ChannelParams, beta_e: float) -> OutageEstimate:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -182,8 +183,9 @@ class SuccessLaw(NamedTuple):
     """success(b) = 1 - COP(beta_e + (1 + beta_e) b) of one scheme's code
     at a fixed redundancy beta_e, for secrecy thresholds b = beta_s (scalar
     or array); slope(b) is its derivative in b, eta the rate factor. The
-    beamforming COP is the high-power form clamped into [0, 1], the other
-    two are closed forms."""
+    beamforming COP is the high-power form clamped into [0, 1]; the
+    partition and relaying successes are one union over the decoding
+    branches of outage.decoding_branches."""
 
     eta: float
     success: Callable
@@ -202,25 +204,13 @@ def _dbf_law(layout, params, beta_e_circ) -> SuccessLaw:
         lambda b: -scale * K * (b + shift) ** (K - 1))
 
 
-def _fot_law(layout, params, beta_e_circ) -> SuccessLaw:
-    # every partition decodes: gain * exp(-decay * b)
-    ra_sum = float(np.sum(layout.sbs_distances() ** params.alpha))
-    gain = math.exp(-beta_e_circ * ra_sum / (layout.K * params.Ps))
-    decay = (1.0 + beta_e_circ) * ra_sum / (layout.K * params.Ps)
-
-    def success(b):
-        return gain * np.exp(-decay * b)
-
-    return SuccessLaw(1.0, success, lambda b: -decay * success(b))
-
-
-def _bsr_law(layout, params, beta_e_circ) -> SuccessLaw:
-    # some branch decodes, branch k with t_k = gains_k exp(-decays_k b),
-    # over two hops (eta 1/2); the union u + t_k (1 - u) keeps its relative
+def _branch_law(scheme, eta, layout, params, beta_e_circ) -> SuccessLaw:
+    # some decoding branch succeeds, branch k with t_k = gains_k
+    # exp(-decays_k b); the union u + t_k (1 - u) keeps its relative
     # accuracy where 1 - prod_k (1 - t_k) cancels to noise
-    ra = layout.sbs_distances() ** params.alpha
-    gains = np.exp(-beta_e_circ * ra / params.Ps)
-    decays = (1.0 + beta_e_circ) * ra / params.Ps
+    ra, power = outage.decoding_branches(scheme, layout, params)
+    gains = np.exp(-beta_e_circ * ra / power)
+    decays = (1.0 + beta_e_circ) * ra / power
 
     def union(b, slope):
         u = du = 0.0
@@ -230,11 +220,13 @@ def _bsr_law(layout, params, beta_e_circ) -> SuccessLaw:
             u = u + t * (1.0 - u)
         return du if slope else u
 
-    return SuccessLaw(0.5, lambda b: union(b, False), lambda b: union(b, True))
+    return SuccessLaw(eta, lambda b: union(b, False),
+                      lambda b: union(b, True))
 
 
-_LAWS = {SchemeId.DBF: _dbf_law, SchemeId.FOT: _fot_law,
-         SchemeId.BSR: _bsr_law}
+_LAWS = {SchemeId.DBF: _dbf_law,
+         SchemeId.FOT: partial(_branch_law, SchemeId.FOT, 1.0),
+         SchemeId.BSR: partial(_branch_law, SchemeId.BSR, 0.5)}
 
 
 def secrecy_throughput_curve(scheme: SchemeId, layout: NetworkLayout,

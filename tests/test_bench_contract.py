@@ -58,3 +58,23 @@ def test_traced_design_path_reaches_the_public_optimizers():
     metrics = spans.layer_metrics(tracer.spans)
     assert metrics["rates.opt_bs.calls"] == 3
     assert metrics["rates.scheme_throughput.calls"] == 3
+
+
+def test_traced_exact_inversions_reach_the_public_sop_evaluators():
+    # the Newton steps run on the breach kernel itself; only the one
+    # certification per inversion is an SOP call, made through outage.sop
+    # to the wrapped sop_* names (a dispatcher that held the evaluators in
+    # a table of its own would hide them and read 0 here)
+    from cachesec import rates
+    from helpers import standard_layout, standard_params
+    spans = _load("spans")
+    tracer = spans.Tracer(job=0)
+    tracer.install()
+    try:
+        rates.per_scheme_psi(standard_layout(3), standard_params(), 0.2,
+                             bsr_exact=True)
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["rates.sop_evals_per_inversion"] == 1.0
+    assert metrics["outage.sop.calls"] == 3

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -10,6 +11,7 @@ from cachesec import (ChannelParams, OutageEstimate, RateDesign, SchemeId,
                       build_line_layout, cop, cop_bsr, cop_dbf_asymptotic,
                       cop_dbf_exact, cop_fot, outage, sop, sop_bsr_approx,
                       sop_bsr_exact, sop_dbf, sop_fot)
+from cachesec.channel import dist_pow_neg
 from helpers import dbw, standard_layout, standard_params
 
 
@@ -436,6 +438,160 @@ def test_sop_peak_memory_stays_in_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2 ** 20
+
+
+# The per-scheme breach laws that breach_links replaced, kept verbatim as
+# references for the reordered arithmetic of the one union over links.
+
+def _ref_dbf_law(layout, params):
+    sx, sy = layout.sbs_xy()
+
+    def law(px, py, beta_e):
+        s = np.zeros_like(px)
+        for k in range(layout.K):
+            d_sq = (px - sx[k]) ** 2 + (py - sy[k]) ** 2
+            s += dist_pow_neg(d_sq, params.alpha)
+        g = np.exp(-(beta_e / params.Ps) / s)
+        return g, -g / (params.Ps * s)
+
+    return law
+
+
+def _ref_fot_law(layout, params):
+    sx, sy = layout.sbs_xy()
+    kps = layout.K * params.Ps
+
+    def law(px, py, beta_e):
+        scale = beta_e / kps
+        survive = np.ones_like(px)
+        d_survive = np.zeros_like(px)
+        for k in range(layout.K):
+            d_sq = (px - sx[k]) ** 2 + (py - sy[k]) ** 2
+            w = dist_pow_neg(d_sq, params.alpha)
+            term = -np.expm1(-scale / w)
+            d_survive = d_survive * term \
+                + survive * (np.exp(-scale / w) / (kps * w))
+            survive *= term
+        return 1.0 - survive, -d_survive
+
+    return law
+
+
+def _ref_bsr_law(layout, params):
+    mbs, serving = layout.mbs, layout.sbs[0]
+
+    def hop(d_sq, power, beta_e):
+        w = dist_pow_neg(d_sq, params.alpha)
+        return np.exp(-(beta_e / power) / w), w
+
+    def law(px, py, beta_e):
+        hop2, w2 = hop((px - serving.x) ** 2 + (py - serving.y) ** 2,
+                       params.Ps, beta_e)
+        if params.Pm > 0.0:
+            hop1, w1 = hop((px - mbs.x) ** 2 + (py - mbs.y) ** 2,
+                           params.Pm, beta_e)
+        else:
+            hop1 = np.zeros_like(px)
+        dg = -hop2 / (params.Ps * w2) * (1.0 - hop1)
+        if params.Pm > 0.0:
+            dg -= hop1 / (params.Pm * w1) * (1.0 - hop2)
+        return hop1 + hop2 - hop1 * hop2, dg
+
+    return law
+
+
+_REF_LAWS = {SchemeId.DBF: _ref_dbf_law, SchemeId.FOT: _ref_fot_law,
+             SchemeId.BSR: _ref_bsr_law}
+# K = 1, 3 and 8 on the standard line, and the spaced K = 6 layout
+_LAYOUTS = [standard_layout(1), standard_layout(3), standard_layout(8),
+            build_line_layout(1.0, 2.0, 6, 2.0)]
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize("Pm", [0.0, 1.0, 10.0])
+def test_breach_links_match_reference_laws(layout, Pm):
+    # beamforming keeps its arithmetic: the same bits wherever EXP_FLOOR
+    # does not bind, and e^EXP_FLOOR where it does; the union over
+    # partitions and hops reorders it, within 4 ulps of 1 (the derivative
+    # is compared as beta_e * derivative, also a number of order 1)
+    rng = np.random.default_rng(11)
+    tol = 4 * 2.0 ** -52
+    floor = np.exp(outage.EXP_FLOOR)
+    for ps_dbw in (-30.0, 0.0, 30.0):
+        params = ChannelParams(alpha=4.0, Ps=dbw(ps_dbw), Pm=Pm, lambda_e=1.0)
+        for scheme in SchemeId:
+            kernel = outage.breach_kernel(scheme, layout, params)
+            ref = _REF_LAWS[scheme](layout, params)
+            for beta_e in np.exp(rng.uniform(-5.0, 5.0, 4)):
+                rmax = outage.trunc_radius(kernel.d_max, kernel.power,
+                                           beta_e, 4.0)
+                rad = rmax * np.sqrt(rng.random((16, 64)))
+                ang = 2.0 * np.pi * rng.random((16, 64))
+                px, py = rad * np.cos(ang), rad * np.sin(ang)
+                value, slope = kernel.law(px, py, beta_e, True)
+                ref_value, ref_slope = ref(px, py, beta_e)
+                if scheme is SchemeId.DBF:
+                    kept = ref_value >= floor
+                    assert np.array_equal(value[kept], ref_value[kept])
+                    assert np.array_equal(slope[kept], ref_slope[kept])
+                    assert np.all(value[~kept] == floor)
+                else:
+                    assert np.max(np.abs(value - ref_value)) <= tol
+                assert np.max(np.abs(slope - ref_slope)) * beta_e <= tol
+
+
+@pytest.mark.parametrize("layout", [standard_layout(3),
+                                    build_line_layout(1.0, 2.0, 6, 2.0)])
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_breach_integral_slope_matches_central_difference(layout, scheme):
+    # the beta_e-derivative that the SOP inversion steps on
+    params = standard_params(Pm_dBw=10.0)
+    kernel = outage.breach_kernel(scheme, layout, params)
+    for beta_e in (0.3, 3.0):
+        _, slope = kernel.integral(beta_e, outage.FINE_NODES, deriv=True)
+        h = 1e-4 * beta_e
+        diff = (kernel.integral(beta_e + h, outage.FINE_NODES)
+                - kernel.integral(beta_e - h, outage.FINE_NODES)) / (2 * h)
+        assert slope < 0.0
+        assert slope == pytest.approx(diff, rel=1e-6)
+
+
+def test_silent_backhaul_keeps_radius_and_is_never_evaluated():
+    # at Pm = 0 the MBS hop breaches nowhere: it is skipped, not divided
+    # by zero, but the truncation radius still reaches the MBS
+    lay = standard_layout(3)
+    params = standard_params()
+    silent = ChannelParams(params.alpha, params.Ps, 0.0, params.lambda_e)
+    kernel = outage.breach_kernel(SchemeId.BSR, lay, silent)
+    assert kernel.d_max == max(lay.mbs.r, lay.sbs[0].r) > lay.sbs[0].r
+    assert kernel.power == silent.Ps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, slope = kernel.integral(1.0, outage.FINE_NODES, deriv=True)
+    serving_hop = dataclasses.replace(kernel, links=kernel.links[:1])
+    px = np.array([[0.3, lay.mbs.x], [-4.0, 7.5]])
+    py = np.array([[0.2, lay.mbs.y], [1.0, -2.0]])
+    for a, b in zip(kernel.law(px, py, 1.0, True),
+                    serving_hop.law(px, py, 1.0, True)):
+        assert np.array_equal(a, b)
+    assert 0.0 < value and slope < 0.0
+
+
+def test_exp_floor_changes_no_spaced_sop(monkeypatch):
+    # the spaced layout's low-power SOPs evaluate most grid points far
+    # below e^-700; flooring them must not move any SOP visibly
+    lay = build_line_layout(1.0, 2.0, 6, 2.0)
+    fns = (sop_dbf, sop_fot, sop_bsr_exact)
+    powers = (-30.0, 0.0, 30.0)
+
+    def sops():
+        return [fn(lay, standard_params(Ps_dBw=ps, lambda_e=1.0), 1.0).value
+                for fn in fns for ps in powers]
+
+    floored = sops()
+    monkeypatch.setattr(outage, "EXP_FLOOR", -math.inf)
+    for a, b in zip(floored, sops()):
+        assert a == pytest.approx(b, rel=1e-15, abs=0.0)
 
 
 def test_dispatchers():
