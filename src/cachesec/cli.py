@@ -13,6 +13,11 @@ Verbs:
                  vs all-partitioned, closed-form vs exhaustive optimum
     validate     analytic-vs-Monte-Carlo agreement table with 3-sigma flags
 
+Each verb builds the columns and rows of one table, one pool task per
+(sweep point, cell); main checks the sweep axis against the axes the verb
+accepts (_COMMANDS) and writes the table. cop-sweep, sop-sweep and
+validate draw their cells from one evaluator table per outage kind.
+
 A scenario file is a flat "key = value" text file (or a JSON object with
 the same keys); unknown keys are errors, not warnings, because a silently
 ignored setting would invalidate any comparison. Powers are written in dBw;
@@ -32,6 +37,7 @@ import sys
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 from . import __version__, caching, montecarlo, outage, rates
@@ -101,7 +107,8 @@ class Scenario:
                 ("tau", self.tau > 0.0, "> 0"),
                 ("L", self.L >= 1, ">= 1"),
                 ("trials", self.trials is None or self.trials >= 0, ">= 0"),
-                ("threads", self.threads >= 1, ">= 1"),
+                ("threads", 1 <= self.threads <= MAX_THREADS,
+                 f"in [1, {MAX_THREADS}]"),
                 ("sweep_step", self.sweep_step > 0.0, "> 0"),
                 ("sweep_stop", self.sweep_stop >= self.sweep_start,
                  f">= sweep_start = {self.sweep_start}")):
@@ -156,6 +163,8 @@ DBW_LIMIT = 3000.0
 # sweep_values lists every point before the first row is computed; a step
 # of 1e-9 dB would ask for 3e10 of them.
 MAX_SWEEP_POINTS = 10_000
+# The cell pool submits every task at once and so starts all its threads.
+MAX_THREADS = 256
 
 
 def dbw_to_linear(p_dbw: float) -> float:
@@ -269,119 +278,98 @@ def _map_points(fn, points, cells: int, threads: int) -> list:
         return list(pool.map(fn, *zip(*tasks)))
 
 
-def _score_sigma(analytic: float, trials: int) -> float:
-    return math.sqrt(max(analytic * (1.0 - analytic), 0.0) / trials)
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each builds the (columns, rows) of its table
 # ---------------------------------------------------------------------------
 
-def _outage_sweep(scn: Scenario, out, command: str, default_trials: int,
-                  evaluators: list) -> int:
-    """One row per (power, evaluator): the analytic value and, with trials,
-    the Monte Carlo estimate. evaluators holds (name, analytic(params),
-    mc(params, settings) or None); cell j of point i has seed
-    scn.seed + 1000*i + j."""
-    if scn.sweep_var != "Ps_dBw":
-        raise ConfigError(f"{command} sweeps Ps_dBw")
+def _evaluators(kind: str, scn: Scenario) -> dict:
+    """The cop or sop evaluators by row name, in row order: (scheme,
+    analytic(params), mc(params, settings) or None). They are looked up on
+    outage and montecarlo when the command runs, so that a wrapper
+    installed on either module is the one called."""
+    layout = scn.layout()
+    beta = scn.beta_t if kind == "cop" else scn.beta_e
+    sample = getattr(montecarlo, f"mc_{kind}")
+
+    def an(fn):
+        return lambda params: fn(layout, params, beta)
+
+    def mc(scheme, **settings):
+        return lambda params, base: sample(scheme, layout, params, beta,
+                                           replace(base, **settings))
+
+    dbf, fot, bsr = SchemeId
+    if kind == "cop":
+        return {"dbf": (dbf, an(outage.cop_dbf_exact), mc(dbf)),
+                "dbf-asymptote": (dbf, an(outage.cop_dbf_asymptotic), None),
+                "fot": (fot, an(outage.cop_fot), mc(fot)),
+                "bsr": (bsr, an(outage.cop_bsr), mc(bsr))}
+    return {"dbf": (dbf, an(outage.sop_dbf), mc(dbf)),
+            "fot": (fot, an(outage.sop_fot), mc(fot)),
+            "bsr-exact": (bsr, an(outage.sop_bsr_exact), mc(bsr)),
+            "bsr-approx": (bsr,
+                           lambda params: outage.sop_bsr_approx(params, beta),
+                           mc(bsr, independent_hops=True))}
+
+
+def _outage_cell(evaluator, params: ChannelParams, trials: int,
+                 seed: int) -> list:
+    """[analytic, mc, mc_stderr] of one evaluator at one sweep point; the
+    Monte Carlo pair is None without trials or without an estimator."""
+    _, analytic, mc = evaluator
+    row = [analytic(params).value, None, None]
+    if trials > 0 and mc is not None:
+        est = mc(params, montecarlo.McSettings(trials=trials, seed=seed))
+        row[1:] = [est.value, est.std_error]
+    return row
+
+
+def _outage_sweep(kind: str, default_trials: int, scn: Scenario):
+    """The cop-sweep or sop-sweep table: one row per (power, evaluator);
+    cell j of point i has seed scn.seed + 1000*i + j."""
+    evaluators = list(_evaluators(kind, scn).items())
     trials = scn.trials if scn.trials is not None else default_trials
 
     def cell(i, ps_dbw, j):
-        name, analytic, mc = evaluators[j]
-        params = scn.params(ps_dbw)
-        row = [ps_dbw, name, analytic(params).value, None, None]
-        if trials > 0 and mc is not None:
-            est = mc(params, montecarlo.McSettings(
-                trials=trials, seed=scn.seed + 1000 * i + j))
-            row[3:] = [est.value, est.std_error]
-        return row
+        name, evaluator = evaluators[j]
+        return [ps_dbw, name] + _outage_cell(
+            evaluator, scn.params(ps_dbw), trials, scn.seed + 1000 * i + j)
 
-    rows = _map_points(cell, sweep_values(scn), len(evaluators), scn.threads)
-    write_table(out, command, scn,
-                ["Ps_dBw", "scheme", "analytic", "mc", "mc_stderr"], rows)
-    return 0
+    return (["Ps_dBw", "scheme", "analytic", "mc", "mc_stderr"],
+            _map_points(cell, sweep_values(scn), len(evaluators),
+                        scn.threads))
 
 
-def cmd_cop_sweep(scn: Scenario, out) -> int:
-    layout = scn.layout()
-
-    def mc(scheme):
-        return lambda params, settings: montecarlo.mc_cop(
-            scheme, layout, params, scn.beta_t, settings)
-
-    def an(fn):
-        return lambda params: fn(layout, params, scn.beta_t)
-
-    return _outage_sweep(scn, out, "cop-sweep", 10 ** 6, [
-        ("dbf", an(outage.cop_dbf_exact), mc(SchemeId.DBF)),
-        ("dbf-asymptote", an(outage.cop_dbf_asymptotic), None),
-        ("fot", an(outage.cop_fot), mc(SchemeId.FOT)),
-        ("bsr", an(outage.cop_bsr), mc(SchemeId.BSR)),
-    ])
-
-
-def cmd_sop_sweep(scn: Scenario, out) -> int:
-    layout = scn.layout()
-
-    def mc(scheme, independent_hops=False):
-        return lambda params, settings: montecarlo.mc_sop(
-            scheme, layout, params, scn.beta_e,
-            replace(settings, independent_hops=independent_hops))
-
-    def an(fn):
-        return lambda params: fn(layout, params, scn.beta_e)
-
-    return _outage_sweep(scn, out, "sop-sweep", 10 ** 5, [
-        ("dbf", an(outage.sop_dbf), mc(SchemeId.DBF)),
-        ("fot", an(outage.sop_fot), mc(SchemeId.FOT)),
-        ("bsr-exact", an(outage.sop_bsr_exact), mc(SchemeId.BSR)),
-        ("bsr-approx",
-         lambda params: outage.sop_bsr_approx(params, scn.beta_e),
-         mc(SchemeId.BSR, independent_hops=True)),
-    ])
-
-
-def cmd_throughput(scn: Scenario, out) -> int:
+def cmd_throughput(scn: Scenario):
     layout = scn.layout()
     bsr_exact = scn.bsr_sop_model == "exact"
+    schemes = list(SchemeId)
     if scn.sweep_var == "Rs":
         params = scn.params()
-        thresholds = {
-            scheme: rates.invert_sop(scheme, layout, params, scn.epsilon,
-                                     bsr_exact=bsr_exact)
-            for scheme in SchemeId}
-        rows = []
-        for rs in sweep_values(scn):
-            beta_s = 2.0 ** rs - 1.0
-            for scheme in SchemeId:
-                psi = rates.secrecy_throughput_curve(
-                    scheme, layout, params, thresholds[scheme], beta_s)
-                rows.append([rs, scheme.value, psi])
-        write_table(out, "throughput", scn, ["Rs", "scheme", "psi"], rows)
-        return 0
-    if scn.sweep_var != "Ps_dBw":
-        raise ConfigError("throughput sweeps Rs or Ps_dBw")
+        thresholds = [rates.invert_sop(scheme, layout, params, scn.epsilon,
+                                       bsr_exact=bsr_exact)
+                      for scheme in schemes]
 
-    schemes = list(SchemeId)
+        def cell(i, rs, j):
+            return [rs, schemes[j].value, rates.secrecy_throughput_curve(
+                schemes[j], layout, params, thresholds[j], 2.0 ** rs - 1.0)]
 
-    def cell(i, ps_dbw, j):
-        params = scn.params(ps_dbw)
-        design = rates.scheme_throughput(schemes[j], layout, params,
-                                         scn.epsilon, bsr_exact=bsr_exact)
-        return [ps_dbw, schemes[j].value, design.beta_e_circ,
-                design.beta_s_star, design.rate_secrecy, design.psi_star]
+        columns = ["Rs", "scheme", "psi"]
+    else:
+        def cell(i, ps_dbw, j):
+            design = rates.scheme_throughput(schemes[j], layout,
+                                             scn.params(ps_dbw), scn.epsilon,
+                                             bsr_exact=bsr_exact)
+            return [ps_dbw, schemes[j].value, design.beta_e_circ,
+                    design.beta_s_star, design.rate_secrecy, design.psi_star]
 
-    rows = _map_points(cell, sweep_values(scn), len(schemes), scn.threads)
-    write_table(out, "throughput", scn,
-                ["Ps_dBw", "scheme", "beta_e_circ", "beta_s_star", "Rs_star",
-                 "psi_star"], rows)
-    return 0
+        columns = ["Ps_dBw", "scheme", "beta_e_circ", "beta_s_star",
+                   "Rs_star", "psi_star"]
+    return columns, _map_points(cell, sweep_values(scn), len(schemes),
+                                scn.threads)
 
 
-def cmd_caching(scn: Scenario, out) -> int:
-    if scn.sweep_var not in ("N", "Ps_dBw"):
-        raise ConfigError("caching sweeps N or Ps_dBw")
+def cmd_caching(scn: Scenario):
     layout = scn.layout()
     bsr_exact = scn.bsr_sop_model == "exact"
     if scn.sweep_var == "N":
@@ -404,65 +392,54 @@ def cmd_caching(scn: Scenario, out) -> int:
         return [v, psi[SchemeId.DBF], psi[SchemeId.FOT], psi[SchemeId.BSR],
                 m_closed, m_ex, value(m_closed), value(scn.L), value(0)]
 
-    rows = _map_points(cell, sweep_values(scn), 1, scn.threads)
-    write_table(out, "caching", scn,
-                [scn.sweep_var, "psi_D", "psi_F", "psi_B", "M_closed",
-                 "M_exhaustive", "obj_hybrid", "obj_mpc", "obj_lcd"], rows)
-    return 0
+    return ([scn.sweep_var, "psi_D", "psi_F", "psi_B", "M_closed",
+             "M_exhaustive", "obj_hybrid", "obj_mpc", "obj_lcd"],
+            _map_points(cell, sweep_values(scn), 1, scn.threads))
 
 
-def cmd_validate(scn: Scenario, out) -> int:
-    """Analytic vs Monte Carlo on the configured power sweep, with verdicts."""
-    if scn.sweep_var != "Ps_dBw":
-        raise ConfigError("validate sweeps Ps_dBw")
+# the cop-sweep and sop-sweep rows that validate checks, by metric
+_VALIDATED = {"cop": ("dbf", "fot", "bsr"), "sop": ("dbf", "fot", "bsr-exact")}
+
+
+def cmd_validate(scn: Scenario):
+    """Analytic vs Monte Carlo on the configured power sweep, with verdicts:
+    the rows of the cop-sweep and sop-sweep evaluators in _VALIDATED, COP
+    cell k of point i with seed scn.seed + 1000*i + k, SOP cell k with
+    seed scn.seed + 1000*i + 100 + k and a tenth of the trials."""
     if scn.trials == 0:
         raise ConfigError("validate needs Monte Carlo trials (--trials > 0)")
-    layout = scn.layout()
     cop_trials = scn.trials if scn.trials is not None else 10 ** 5
-    sop_trials = max(cop_trials // 10, 1)
-    schemes = list(SchemeId)
-    n = len(schemes)
+    cells = []  # (metric, evaluator, trials, seed offset)
+    for metric, trials, offset in (("cop", cop_trials, 0),
+                                   ("sop", max(cop_trials // 10, 1), 100)):
+        evaluators = _evaluators(metric, scn)
+        cells += [(metric, evaluators[name], trials, offset + k)
+                  for k, name in enumerate(_VALIDATED[metric])]
 
     def cell(i, ps_dbw, j):
-        """Cell j < n: COP of scheme j; cell n + k: SOP of scheme k."""
-        params = scn.params(ps_dbw)
-        k = j % n
-        scheme = schemes[k]
-        if j < n:
-            metric, trials = "cop", cop_trials
-            an = outage.cop(scheme, layout, params, scn.beta_t).value
-            mc = montecarlo.mc_cop(
-                scheme, layout, params, scn.beta_t,
-                montecarlo.McSettings(trials=trials,
-                                      seed=scn.seed + 1000 * i + k))
-        else:
-            metric, trials = "sop", sop_trials
-            an = outage.sop(scheme, layout, params, scn.beta_e).value
-            mc = montecarlo.mc_sop(
-                scheme, layout, params, scn.beta_e,
-                montecarlo.McSettings(trials=trials,
-                                      seed=scn.seed + 1000 * i + 100 + k))
-        sigma = max(_score_sigma(an, trials), mc.std_error)
-        ok = abs(an - mc.value) <= 3.0 * sigma + 1e-12
-        return [ps_dbw, metric, scheme.value, an, mc.value, mc.std_error,
-                int(ok)]
+        metric, evaluator, trials, offset = cells[j]
+        an, mc, stderr = _outage_cell(evaluator, scn.params(ps_dbw), trials,
+                                      scn.seed + 1000 * i + offset)
+        # the binomial error of the analytic value: the empirical one is 0
+        # when no outage was drawn
+        sigma = max(math.sqrt(max(an * (1.0 - an), 0.0) / trials), stderr)
+        return [ps_dbw, metric, evaluator[0].value, an, mc, stderr,
+                int(abs(an - mc) <= 3.0 * sigma + 1e-12)]
 
-    rows = _map_points(cell, sweep_values(scn), 2 * n, scn.threads)
-    write_table(out, "validate", scn,
-                ["Ps_dBw", "metric", "scheme", "analytic", "mc", "mc_stderr",
-                 "within_3sigma"], rows)
-    passed = sum(row[-1] for row in rows)
-    print(f"validate: {passed}/{len(rows)} cells within 3 sigma",
-          file=sys.stderr)
-    return 0
+    rows = _map_points(cell, sweep_values(scn), len(cells), scn.threads)
+    print(f"validate: {sum(row[-1] for row in rows)}/{len(rows)} cells "
+          f"within 3 sigma", file=sys.stderr)
+    return (["Ps_dBw", "metric", "scheme", "analytic", "mc", "mc_stderr",
+             "within_3sigma"], rows)
 
 
+# every command's table builder and the sweep axes it accepts
 _COMMANDS = {
-    "cop-sweep": cmd_cop_sweep,
-    "sop-sweep": cmd_sop_sweep,
-    "throughput": cmd_throughput,
-    "caching": cmd_caching,
-    "validate": cmd_validate,
+    "cop-sweep": (partial(_outage_sweep, "cop", 10 ** 6), ("Ps_dBw",)),
+    "sop-sweep": (partial(_outage_sweep, "sop", 10 ** 5), ("Ps_dBw",)),
+    "throughput": (cmd_throughput, ("Rs", "Ps_dBw")),
+    "caching": (cmd_caching, ("N", "Ps_dBw")),
+    "validate": (cmd_validate, ("Ps_dBw",)),
 }
 
 
@@ -487,17 +464,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        scn = load_scenario(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.trials is not None:
-            overrides["trials"] = args.trials
-        if args.threads is not None:
-            overrides["threads"] = args.threads
-        if overrides:
-            scn = replace(scn, **overrides)
-        return _COMMANDS[args.command](scn, args.out)
+        overrides = {key: getattr(args, key)
+                     for key in ("seed", "trials", "threads")
+                     if getattr(args, key) is not None}
+        scn = replace(load_scenario(args.config), **overrides)
+        build, axes = _COMMANDS[args.command]
+        if scn.sweep_var not in axes:
+            raise ConfigError(f"{args.command} sweeps {' or '.join(axes)}")
+        columns, rows = build(scn)
+        write_table(args.out, args.command, scn, columns, rows)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -205,17 +205,17 @@ def cop_dbf_exact(layout: NetworkLayout, params: ChannelParams,
     return OutageEstimate(value, METHOD_EXACT, flag=flag)
 
 
-def dbf_asymptote(layout: NetworkLayout, params: ChannelParams,
-                  x: float) -> float:
-    """(2^K / (2K)!) (x/Ps)^K prod r_k^alpha, the unclamped high-power
-    beamforming COP at beta_t = x; inf where (x/Ps)^K overflows."""
+def dbf_log_asymptote(layout: NetworkLayout, params: ChannelParams,
+                      x: float) -> float:
+    """log of (2^K / (2K)!) (x/Ps)^K prod r_k^alpha, the unclamped
+    high-power beamforming COP at beta_t = x, summed from the logs of its
+    factors: finite where the COP over- or underflows (-inf at x = 0)."""
+    if x == 0.0:
+        return -math.inf
     K = layout.K
-    try:
-        power = (x / params.Ps) ** K
-    except OverflowError:
-        return math.inf
-    return (2.0 ** K / math.factorial(2 * K)) * power \
-        * float(np.prod(layout.sbs_distances() ** params.alpha))
+    return K * (math.log(2.0) + math.log(x) - math.log(params.Ps)) \
+        - math.log(math.factorial(2 * K)) \
+        + params.alpha * float(np.sum(np.log(layout.sbs_distances())))
 
 
 def cop_dbf_asymptotic(layout: NetworkLayout, params: ChannelParams,
@@ -228,10 +228,10 @@ def cop_dbf_asymptotic(layout: NetworkLayout, params: ChannelParams,
     """
     if beta_t < 0.0:
         raise ValueError("beta_t must be nonnegative")
-    value = dbf_asymptote(layout, params, beta_t)
-    if value > 1.0:
+    log_value = dbf_log_asymptote(layout, params, beta_t)
+    if log_value > 0.0:
         return OutageEstimate(1.0, METHOD_ASYMPTOTIC, flag="clamped")
-    return OutageEstimate(value, METHOD_ASYMPTOTIC)
+    return OutageEstimate(math.exp(log_value), METHOD_ASYMPTOTIC)
 
 
 def decoding_branches(scheme: SchemeId, layout: NetworkLayout,

@@ -193,15 +193,30 @@ class SuccessLaw(NamedTuple):
 
 
 def _dbf_law(layout, params, beta_e_circ) -> SuccessLaw:
-    # high-power COP scale (b + shift)^K clamped at 1 (the slope is not:
-    # it stays negative past the clamp). An overflowed scale saturates the
-    # COP at every rate; shift 1 then keeps inf * 0 = nan out of b = 0.
+    # the high-power COP clamped at 1, in log form: c0 (1 + b/shift)^K from
+    # its value c0 at b = 0, or c_1 b^K without redundancy, so that the
+    # success keeps its relative accuracy next to the clamp (1 - COP
+    # cancels there) and no power of b overflows
     K = layout.K
-    scale = outage.dbf_asymptote(layout, params, 1.0 + beta_e_circ)
-    shift = beta_e_circ / (1.0 + beta_e_circ) if scale < math.inf else 1.0
-    return SuccessLaw(
-        1.0, lambda b: 1.0 - np.minimum(scale * (b + shift) ** K, 1.0),
-        lambda b: -scale * K * (b + shift) ** (K - 1))
+    shift = beta_e_circ / (1.0 + beta_e_circ)
+    log_c = outage.dbf_log_asymptote(layout, params, beta_e_circ or 1.0)
+
+    def law(b, slope):
+        # log 0 = -inf gives COP 0 at b = 0; an overflowed b/shift is
+        # replaced by its log, and an overflowed slope is -inf
+        with np.errstate(divide="ignore", over="ignore"):
+            if shift > 0.0:
+                ratio = b / shift
+                t = np.where(ratio < math.inf, np.log1p(ratio),
+                             np.log(b) - math.log(shift))
+            else:
+                t = np.log(b)
+            log_cop = np.minimum(log_c + K * t, 0.0)
+            if slope:
+                return -K * np.exp(log_cop) / (b + shift)
+            return 0.0 - np.expm1(log_cop)  # 0.0 - : never -0
+
+    return SuccessLaw(1.0, partial(law, slope=False), partial(law, slope=True))
 
 
 def _branch_law(scheme, eta, layout, params, beta_e_circ) -> SuccessLaw:

@@ -78,3 +78,37 @@ def test_traced_exact_inversions_reach_the_public_sop_evaluators():
     metrics = spans.layer_metrics(tracer.spans)
     assert metrics["rates.sop_evals_per_inversion"] == 1.0
     assert metrics["outage.sop.calls"] == 3
+
+
+@pytest.mark.parametrize("command, per_point", [
+    ("cop-sweep", {"outage.cop_dbf_exact": 1, "outage.cop_dbf_asymptotic": 1,
+                   "outage.cop_fot": 1, "outage.cop_bsr": 1,
+                   "montecarlo.mc_cop": 3}),
+    ("sop-sweep", {"outage.sop_dbf": 1, "outage.sop_fot": 1,
+                   "outage.sop_bsr_exact": 1, "outage.sop_bsr_approx": 1,
+                   "montecarlo.mc_sop": 4}),
+    ("validate", {"outage.cop_dbf_exact": 1, "outage.cop_fot": 1,
+                  "outage.cop_bsr": 1, "outage.sop_dbf": 1,
+                  "outage.sop_fot": 1, "outage.sop_bsr_exact": 1,
+                  "montecarlo.mc_cop": 3, "montecarlo.mc_sop": 3})])
+def test_traced_outage_tables_reach_the_wrapped_evaluators(tmp_path, command,
+                                                           per_point):
+    # the CLI must look its evaluators up on outage and montecarlo when a
+    # command runs: a table filled when cachesec.cli was imported holds
+    # the unwrapped functions, and these counts would read 0
+    from collections import Counter
+    from cachesec.cli import main
+    spans = _load("spans")
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("sweep_start = 0\nsweep_stop = 10\nsweep_step = 10\n")
+    tracer = spans.Tracer(job=0)
+    tracer.install()
+    try:
+        code = main([command, "--config", str(cfg), "--trials", "200",
+                     "--out", str(tmp_path / "out.csv")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    calls = Counter(s.name for s in tracer.spans)
+    assert calls.pop("cli.write_table") == 1
+    assert calls == {name: 2 * n for name, n in per_point.items()}

@@ -362,10 +362,24 @@ def test_exit_code_2_for_out_of_range_epsilon(tmp_path):
     "sweep_var = N\nsweep_start = 1\nsweep_stop = 3\nsweep_step = 0.5",
     "sweep_var = N\nsweep_start = 1.5\nsweep_stop = 3\nsweep_step = 1",
     "sweep_start = 30\nsweep_stop = 0",
-    "sweep_var = N\nsweep_start = 60\nsweep_stop = 5"])
+    "sweep_var = N\nsweep_start = 60\nsweep_stop = 5", "threads = 100000"])
 def test_exit_code_2_for_invalid_scenarios(tmp_path, bad):
     code, out = run(tmp_path, "throughput", SMALL_SWEEP + bad + "\n")
     assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, axis", [
+    ("cop-sweep", "N"), ("cop-sweep", "Rs"), ("sop-sweep", "N"),
+    ("sop-sweep", "Rs"), ("validate", "N"), ("validate", "Rs"),
+    ("caching", "Rs"), ("throughput", "N")])
+def test_exit_code_2_for_an_unsupported_sweep_axis(tmp_path, capsys,
+                                                   command, axis):
+    cfg = (f"sweep_var = {axis}\nsweep_start = 1\nsweep_stop = 2\n"
+           "sweep_step = 1\n")
+    code, out = run(tmp_path, command, cfg, ["--trials", "10"])
+    assert code == 2
+    assert f"config error: {command} sweeps " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -394,17 +408,20 @@ def test_exit_code_3_when_sop_inversion_does_not_converge(tmp_path,
 
 def test_throughput_without_eavesdroppers_at_huge_power(tmp_path):
     # no redundancy is needed, so beta_s* grows like Ps: the bracket of
-    # the maximizer passes 2^200 from about 610 dBw on
-    cfg = ("lambda_e = 0\nsweep_start = 600\nsweep_stop = 1000\n"
-           "sweep_step = 100\n")
-    code, out = run(tmp_path, "throughput", cfg)
-    assert code == 0
-    header, rows = read_rows(out)
-    assert len(rows) == 5 * 3
-    beta_s = header.index("beta_s_star")
-    for scheme in ("dbf", "fot", "bsr"):
-        col = [float(row[beta_s]) for row in rows if row[1] == scheme]
-        assert col == sorted(col) and 2.0 ** 200 < col[-1] < float("inf")
+    # the maximizer passes 2^200 from about 610 dBw on, and the
+    # beamforming COP's (beta_t / Ps)^K leaves the float range
+    for K in (3, 8):
+        cfg = (f"K = {K}\nlambda_e = 0\nsweep_start = 600\n"
+               "sweep_stop = 3000\nsweep_step = 300\n")
+        code, out = run(tmp_path, "throughput", cfg, name=f"K{K}.csv")
+        assert code == 0
+        header, rows = read_rows(out)
+        assert len(rows) == 9 * 3
+        assert not any(cell.startswith("-") for row in rows for cell in row)
+        beta_s = header.index("beta_s_star")
+        for scheme in ("dbf", "fot", "bsr"):
+            col = [float(row[beta_s]) for row in rows if row[1] == scheme]
+            assert col == sorted(col) and 2.0 ** 200 < col[-1] < float("inf")
 
 
 def test_sop_sweep_exit_code_3_for_an_oversized_field(tmp_path, capsys):

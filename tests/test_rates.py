@@ -335,6 +335,15 @@ def test_scheme_throughput_records_inversion():
 @example(K=1, alpha=3.0, ps_dbw=12.0, beta_e_circ=503.0, scheme=SchemeId.BSR)
 # log2(1 + b) rounds 1 + b: up to 2e-12 relative error at b = 4.5e-5
 @example(K=6, alpha=3.0, ps_dbw=-35.0, beta_e_circ=0.0, scheme=SchemeId.FOT)
+# beamforming next to the clamp: the COP at beta_s = 0 is 1 - 1e-12, where
+# 1 - COP cancels unless the law is kept in log form
+@example(K=3, alpha=4.0, ps_dbw=0.0, beta_e_circ=2.4328807979860723,
+         scheme=SchemeId.DBF)
+@example(K=2, alpha=4.0, ps_dbw=10.0, beta_e_circ=19.59591794224583,
+         scheme=SchemeId.DBF)
+# beta_s / beta_e_circ overflows from beta_s = 4e-5 on
+@example(K=1, alpha=3.0, ps_dbw=0.0, beta_e_circ=2.2250738585e-313,
+         scheme=SchemeId.DBF)
 def test_rate_design_maximizes_its_curve(K, alpha, ps_dbw, beta_e_circ,
                                          scheme):
     # psi* is the largest value of the very curve it was designed on: on a
