@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,35 +34,6 @@ class ZipfLibrary:
             raise ValueError("N must be a positive integer")
         if not self.tau > 0.0:
             raise ValueError("tau must be positive")
-
-
-@lru_cache(maxsize=64)
-def _zipf_norm(N: int, tau: float) -> float:
-    ranks = np.arange(1, N + 1, dtype=float)
-    return float(np.sum(ranks ** -tau))
-
-
-@lru_cache(maxsize=64)
-def _zipf_cumulative(N: int, tau: float) -> np.ndarray:
-    ranks = np.arange(1, N + 1, dtype=float)
-    return np.cumsum(ranks ** -tau) / _zipf_norm(N, tau)
-
-
-def zipf_pmf(lib: ZipfLibrary, m: int) -> float:
-    """Request probability of the m-th most popular file."""
-    if not 1 <= m <= lib.N:
-        raise ValueError(f"rank {m} outside 1..{lib.N}")
-    return float(m) ** -lib.tau / _zipf_norm(lib.N, lib.tau)
-
-
-def cum_pop_exact(lib: ZipfLibrary, M: int) -> float:
-    """Exact cumulative popularity of the top M files, the reference for
-    cum_pop_approx."""
-    if not 0 <= M <= lib.N:
-        raise ValueError(f"M={M} outside 0..{lib.N}")
-    if M == 0:
-        return 0.0
-    return float(_zipf_cumulative(lib.N, lib.tau)[M - 1])
 
 
 def cum_pop_approx(lib: ZipfLibrary, M: float) -> float:

@@ -6,12 +6,6 @@ run seed and the chunk counts are summed in chunk order on the calling
 thread, so an estimate is bit-identical across runs. (The CLI's worker pool
 runs one estimate per table cell.)
 
-For secrecy estimates the eavesdropper field is sampled on a disc that at
-least covers the analytic truncation radius. Points inside that base radius
-are always drawn before any extra annulus points, so enlarging the disc
-never perturbs the inner realization; widening the window can only add
-(negligible) tail eavesdroppers.
-
 Most sampled eavesdroppers are too far away to breach, so each field is
 tested in two stages. First every random number of the field is drawn:
 Poisson counts, radii, angle variates and fades, always with the same
@@ -45,7 +39,7 @@ SOP_CHUNK = 1 << 11
 # Relative shrink of the pruning gap |e| - d_max, in units of |e| + d_max.
 PRUNE_SLACK = 1e-6
 # Largest expected number of floats (radius, angle variate and fades of
-# every point) that one annulus draw of a chunk may need: 512 MiB.
+# every point) that one field draw of a chunk may need: 512 MiB.
 MAX_FIELD_FLOATS = 1 << 26
 
 
@@ -53,7 +47,7 @@ MAX_FIELD_FLOATS = 1 << 26
 class McSettings:
     """Budget and reproducibility knobs for one Monte Carlo estimate.
 
-    eve_disc_radius of None means "use the analytic truncation radius".
+    Eavesdroppers are drawn on the disc of the analytic truncation radius.
     independent_hops redraws the eavesdropper field between the two relaying
     hops (matching the layout-free closed form). bsr_serving picks how the
     relaying SBS is chosen: "fading" follows the actual channel draw,
@@ -63,7 +57,6 @@ class McSettings:
 
     trials: int
     seed: int
-    eve_disc_radius: float | None = None
     independent_hops: bool = False
     bsr_serving: str = "fading"
 
@@ -72,8 +65,6 @@ class McSettings:
             raise ValueError("trials must be a positive integer")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.eve_disc_radius is not None and self.eve_disc_radius <= 0.0:
-            raise ValueError("eve_disc_radius must be positive")
         if self.bsr_serving not in ("fading", "nearest"):
             raise ValueError("bsr_serving must be 'fading' or 'nearest'")
 
@@ -137,32 +128,25 @@ def mc_cop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
     return _binomial_estimate(failures, settings.trials)
 
 
-def _mc_disc_radii(scheme: SchemeId, layout: NetworkLayout,
-                   params: ChannelParams, beta_e: float,
-                   settings: McSettings) -> tuple[float, float]:
+def _mc_disc_radius(scheme: SchemeId, layout: NetworkLayout,
+                    params: ChannelParams, beta_e: float) -> float:
+    """The analytic truncation radius of the scheme's breach integrand."""
     r = layout.sbs_distances()
     if scheme is SchemeId.BSR:
-        base = trunc_radius(max(layout.mbs.r, float(r.max())),
+        return trunc_radius(max(layout.mbs.r, float(r.max())),
                             max(params.Pm, params.Ps), beta_e, params.alpha)
-    else:
-        base = trunc_radius(float(r.max()), layout.K * params.Ps, beta_e,
-                            params.alpha)
-    outer = settings.eve_disc_radius if settings.eve_disc_radius is not None else base
-    if outer < base * (1.0 - 1e-12):
-        raise ValueError(
-            f"eve_disc_radius {outer} is below the truncation radius {base}")
-    return base, max(outer, base)
+    return trunc_radius(float(r.max()), layout.K * params.Ps, beta_e,
+                        params.alpha)
 
 
-def _annulus_draws(rng, lam, n_real, r_lo, r_hi):
-    """Poisson points on the annulus [r_lo, r_hi): per-realization counts,
-    radii, and the uniform variates behind the angles."""
-    area = math.pi * (r_hi * r_hi - r_lo * r_lo)
-    counts = rng.poisson(lam * area, n_real)
+def _disc_draws(rng, lam, n_real, radius):
+    """Poisson points on the disc of the given radius: per-realization
+    counts, radii, and the uniform variates behind the angles."""
+    r_sq = radius * radius
+    counts = rng.poisson(lam * (math.pi * r_sq), n_real)
     total = int(counts.sum())
     rad = rng.random(total)
-    rad *= r_hi * r_hi - r_lo * r_lo
-    rad += r_lo * r_lo
+    rad *= r_sq
     np.sqrt(rad, out=rad)
     return counts, rad, rng.random(total)
 
@@ -278,7 +262,7 @@ def mc_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
     With no eavesdroppers (lambda_e = 0) the estimate is exactly 0; with
     beta_e = 0 every eavesdropper of the unbounded field breaches and it is
     exactly 1, flagged "divergent" like the analytic evaluators. Raises
-    ValueError before any draw when one annulus draw of a chunk would need
+    ValueError before any draw when one field draw of a chunk would need
     more than MAX_FIELD_FLOATS floats on average.
     """
     if beta_e < 0.0:
@@ -288,28 +272,25 @@ def mc_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
     if beta_e == 0.0:
         return OutageEstimate(1.0, METHOD_MC, flag="divergent")
     lam = params.lambda_e
-    r_base, r_outer = _mc_disc_radii(scheme, layout, params, beta_e, settings)
-    annuli = [(0.0, r_base)]
-    if r_outer > r_base:
-        annuli.append((r_base, r_outer))
+    radius = _mc_disc_radius(scheme, layout, params, beta_e)
     if scheme is SchemeId.BSR and settings.independent_hops:
         fields = [(True, False), (False, True)]
     else:
         fields = [(True, True)]
     test = _FieldTest(scheme, layout, params, beta_e)
     points = lam * min(settings.trials, SOP_CHUNK) \
-        * max(math.pi * (hi * hi - lo * lo) for lo, hi in annuli)
+        * (math.pi * (radius * radius))
     if points * (2 + test.fades_per_point) > MAX_FIELD_FLOATS:
         raise ValueError(
             f"eavesdropper field too large for Monte Carlo: {points:.3g} "
-            f"expected points per annulus draw of a chunk (at most "
+            f"expected points per field draw of a chunk (at most "
             f"{MAX_FIELD_FLOATS} floats)")
     K = layout.K
     r_neg = layout.sbs_distances() ** -params.alpha
 
-    def field_outage(rng, n, kstar, r_lo, r_hi, hops):
-        """Outage indicators contributed by one annulus of one field."""
-        counts, rad, u_ang = _annulus_draws(rng, lam, n, r_lo, r_hi)
+    def field_outage(rng, n, kstar, hops):
+        """Outage indicators contributed by one field."""
+        counts, rad, u_ang = _disc_draws(rng, lam, n, radius)
         fades = test.draw_fades(rng, rad.size)
         idx = np.flatnonzero(test.may_breach(rad, fades, hops))
         owner = _owners(idx, counts)
@@ -327,12 +308,9 @@ def mc_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
                 kstar = np.argmax(rng.standard_exponential((n, K)) * r_neg, axis=1)
             else:
                 kstar = np.zeros(n, dtype=int)
-        # all base-disc draws happen before any annulus draw, so the inner
-        # realization is independent of the chosen window radius
         out = np.zeros(n, dtype=bool)
-        for r_lo, r_hi in annuli:
-            for hops in fields:
-                out |= field_outage(rng, n, kstar, r_lo, r_hi, hops)
+        for hops in fields:
+            out |= field_outage(rng, n, kstar, hops)
         return int(out.sum())
 
     failures = _run_chunks(worker, _chunk_plan(settings.trials, SOP_CHUNK),

@@ -281,18 +281,6 @@ def cop_bsr(layout: NetworkLayout, params: ChannelParams,
     return _branch_cop(SchemeId.BSR, layout, params, beta_t)
 
 
-def cop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
-        beta_t: float) -> OutageEstimate:
-    """Scheme-dispatched exact COP."""
-    if scheme is SchemeId.DBF:
-        return cop_dbf_exact(layout, params, beta_t)
-    if scheme is SchemeId.FOT:
-        return cop_fot(layout, params, beta_t)
-    if scheme is SchemeId.BSR:
-        return cop_bsr(layout, params, beta_t)
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 # ---------------------------------------------------------------------------
 # secrecy outage
 # ---------------------------------------------------------------------------
@@ -418,23 +406,25 @@ def _sop_guards(params: ChannelParams, beta_e: float,
     return None
 
 
-def _pgfl_sop(kernel: BreachKernel, params: ChannelParams, beta_e: float,
-              nodes: tuple[int, int]) -> OutageEstimate:
-    """SOP = 1 - exp(-lambda_e * I), I certified by radial doubling: the
-    value is the one on the doubled grid (FINE_NODES by default)."""
+def _pgfl_sop(kernel: BreachKernel, params: ChannelParams,
+              beta_e: float) -> OutageEstimate:
+    """SOP = 1 - exp(-lambda_e * I), I certified by radial doubling of the
+    RADIAL_NODES by ANGULAR_NODES grid (read when called): the value is the
+    one on the doubled grid."""
     guard = _sop_guards(params, beta_e, METHOD_EXACT)
     if guard is not None:
         return guard
-    n_r, n_t = nodes
     lam = params.lambda_e
-    coarse = -math.expm1(-lam * kernel.integral(beta_e, (n_r, n_t)))
-    fine = -math.expm1(-lam * kernel.integral(beta_e, (2 * n_r, n_t)))
+    coarse = -math.expm1(-lam * kernel.integral(
+        beta_e, (RADIAL_NODES, ANGULAR_NODES)))
+    fine = -math.expm1(-lam * kernel.integral(
+        beta_e, (2 * RADIAL_NODES, ANGULAR_NODES)))
     flag = None if abs(fine - coarse) < QUAD_CERT_TOL else "quadrature-unconverged"
     return OutageEstimate(min(max(fine, 0.0), 1.0), METHOD_EXACT, flag=flag)
 
 
-def sop_dbf(layout: NetworkLayout, params: ChannelParams, beta_e: float,
-            nodes: tuple[int, int] = (RADIAL_NODES, ANGULAR_NODES)) -> OutageEstimate:
+def sop_dbf(layout: NetworkLayout, params: ChannelParams,
+            beta_e: float) -> OutageEstimate:
     """Secrecy outage of distributed beamforming.
 
     An eavesdropper at position e sees an exponential SNR of mean
@@ -442,22 +432,22 @@ def sop_dbf(layout: NetworkLayout, params: ChannelParams, beta_e: float,
     its breach probability is exp(-(beta_e/Ps) / sum_k r_{k,e}^(-alpha)).
     """
     return _pgfl_sop(breach_kernel(SchemeId.DBF, layout, params), params,
-                     beta_e, nodes)
+                     beta_e)
 
 
-def sop_fot(layout: NetworkLayout, params: ChannelParams, beta_e: float,
-            nodes: tuple[int, int] = (RADIAL_NODES, ANGULAR_NODES)) -> OutageEstimate:
+def sop_fot(layout: NetworkLayout, params: ChannelParams,
+            beta_e: float) -> OutageEstimate:
     """Secrecy outage of the orthogonal-partition scheme.
 
     Intercepting any single partition breaks secrecy, so the per-position
     breach probability is 1 - prod_k (1 - exp(-beta_e r_{k,e}^alpha / (K Ps))).
     """
     return _pgfl_sop(breach_kernel(SchemeId.FOT, layout, params), params,
-                     beta_e, nodes)
+                     beta_e)
 
 
-def sop_bsr_exact(layout: NetworkLayout, params: ChannelParams, beta_e: float,
-                  nodes: tuple[int, int] = (RADIAL_NODES, ANGULAR_NODES)) -> OutageEstimate:
+def sop_bsr_exact(layout: NetworkLayout, params: ChannelParams,
+                  beta_e: float) -> OutageEstimate:
     """Secrecy outage of best-SBS relaying, same eavesdroppers on both hops.
 
     A position breaches if it decodes either the MBS backhaul hop or the
@@ -467,7 +457,7 @@ def sop_bsr_exact(layout: NetworkLayout, params: ChannelParams, beta_e: float,
     keeps the fading-dependent selection so the gap can be measured.
     """
     return _pgfl_sop(breach_kernel(SchemeId.BSR, layout, params), params,
-                     beta_e, nodes)
+                     beta_e)
 
 
 def sop_bsr_approx(params: ChannelParams, beta_e: float) -> OutageEstimate:

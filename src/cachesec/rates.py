@@ -60,18 +60,6 @@ class RateDesign:
     def rate_secrecy(self) -> float:
         return math.log2(1.0 + self.beta_s_star)
 
-    @property
-    def rate_redundancy(self) -> float:
-        return math.log2(1.0 + self.beta_e_circ)
-
-    @property
-    def rate_codeword(self) -> float:
-        return self.rate_secrecy + self.rate_redundancy
-
-    @property
-    def beta_t_star(self) -> float:
-        return self.beta_e_circ + (1.0 + self.beta_e_circ) * self.beta_s_star
-
 
 class SopRoot(float):
     """A redundancy threshold beta_e_circ that also records its inversion.
@@ -152,18 +140,30 @@ def invert_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
     switches to the shared-field form).
 
     Raises RuntimeError when SOP_MAX_EVALS kernel evaluations do not
-    converge.
+    converge, and ValueError at once when the root leaves the float range
+    (a tiny lambda_e): it underflows to 0, or a float operation on the way
+    overflows, divides by zero or turns invalid.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if params.lambda_e == 0.0:
         return SopRoot(0.0)  # no eavesdroppers: no redundancy needed
-    if scheme is SchemeId.BSR and not bsr_exact:
-        beta_e, evals = bsr_approx_threshold(params, epsilon), 0
-    else:
-        kernel = outage.breach_kernel(scheme, layout, params)
-        beta_e, evals = _newton_root(kernel, params.lambda_e, epsilon)
-    cert = outage.sop(scheme, layout, params, beta_e, bsr_exact=bsr_exact)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if scheme is SchemeId.BSR and not bsr_exact:
+                beta_e, evals = bsr_approx_threshold(params, epsilon), 0
+            else:
+                kernel = outage.breach_kernel(scheme, layout, params)
+                beta_e, evals = _newton_root(kernel, params.lambda_e,
+                                             epsilon)
+            if beta_e == 0.0:
+                raise ArithmeticError("the root underflows to 0")
+            cert = outage.sop(scheme, layout, params, beta_e,
+                              bsr_exact=bsr_exact)
+    except ArithmeticError as exc:  # numpy's FloatingPointError included
+        raise ValueError(
+            f"SOP root outside the float range (lambda_e={params.lambda_e:g}, "
+            f"epsilon={epsilon:g}): {exc}") from exc
     return SopRoot(beta_e, evals + 1, abs(cert.value - epsilon), cert.flag)
 
 

@@ -2,7 +2,12 @@
 
 import math
 
-from cachesec import ChannelParams, build_line_layout
+from cachesec import (ChannelParams, SchemeId, build_line_layout, cop_bsr,
+                      cop_dbf_exact, cop_fot)
+
+# the exact COP of each scheme: the analytic side of every COP cross-check
+COP = {SchemeId.DBF: cop_dbf_exact, SchemeId.FOT: cop_fot,
+       SchemeId.BSR: cop_bsr}
 
 
 def dbw(value: float) -> float:
@@ -30,3 +35,18 @@ def within_3_sigma(analytic: float, mc_value: float, mc_stderr: float,
     sigma = max(mc_stderr,
                 math.sqrt(max(analytic * (1.0 - analytic), 0.0) / trials))
     return abs(analytic - mc_value) <= 3.0 * sigma + 1e-12
+
+
+def rate_redundancy(design) -> float:
+    """Redundancy rate R_e = log2(1 + beta_e_circ) of a RateDesign."""
+    return math.log2(1.0 + design.beta_e_circ)
+
+
+def rate_codeword(design) -> float:
+    """Codeword rate R_t = R_s + R_e of a RateDesign."""
+    return design.rate_secrecy + rate_redundancy(design)
+
+
+def beta_t_star(design) -> float:
+    """Codeword threshold beta_e + (1 + beta_e) beta_s of a RateDesign."""
+    return design.beta_e_circ + (1.0 + design.beta_e_circ) * design.beta_s_star

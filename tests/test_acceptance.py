@@ -15,7 +15,8 @@ import pytest
 
 import cachesec as cs
 from cachesec.cli import main as cli_main
-from helpers import dbw, standard_layout, standard_params, within_3_sigma
+from helpers import (COP, dbw, standard_layout, standard_params,
+                     within_3_sigma)
 
 COP_TRIALS = 10 ** 6
 SOP_TRIALS = 10 ** 5
@@ -53,7 +54,7 @@ def test_01_analytic_mc_agreement():
     for i, ps in enumerate(POWER_GRID_DBW):
         params = standard_params(Ps_dBw=ps)
         for j, scheme in enumerate(cs.SchemeId):
-            an = cs.cop(scheme, lay3, params, 1.0).value
+            an = COP[scheme](lay3, params, 1.0).value
             est = cs.mc_cop(scheme, lay3, params, 1.0,
                             cs.McSettings(trials=COP_TRIALS,
                                           seed=100 + 10 * i + j))

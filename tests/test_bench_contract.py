@@ -1,8 +1,10 @@
 """The benchmark in bench/ patches and calls the program by name: every
 function its tracer wraps must exist, and every workload's warm-up must
 run. A refactor that breaks either fails here, not only when the benchmark
-runs. bench/ is read, never written."""
+runs. bench/ is read, never written. The public surface is held to the
+same two directories: every exported name has a user in src/ or bench/."""
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -10,7 +12,10 @@ from pathlib import Path
 
 import pytest
 
+import cachesec
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(cachesec.__file__).resolve().parent
 
 
 def _load(name: str):
@@ -112,3 +117,29 @@ def test_traced_outage_tables_reach_the_wrapped_evaluators(tmp_path, command,
     calls = Counter(s.name for s in tracer.spans)
     assert calls.pop("cli.write_table") == 1
     assert calls == {name: 2 * n for name, n in per_point.items()}
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    # a use is a load of the bare name in its own module, an access
+    # module.name or an import of it from its module in another module of
+    # src/ or bench/, or a name the benchmark's tracer wraps; a name that
+    # only tests use belongs in the tests
+    used = {(mod, name) for mod, names in _load("spans").WRAPPED.items()
+            for name in names}
+    for path in [*SRC.glob("*.py"), *BENCH.glob("*.py")]:
+        if path.name == "__init__.py":
+            continue
+        here = path.stem if path.parent == SRC else None
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and here is not None:
+                used.add((here, node.id))
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name):
+                used.add((node.value.id, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                mod = node.module.rsplit(".", 1)[-1]
+                used.update((mod, alias.name) for alias in node.names)
+    unused = [name for name in cachesec.__all__
+              if (getattr(cachesec, name).__module__.rsplit(".", 1)[-1],
+                  name) not in used]
+    assert not unused

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from cachesec import (ChannelParams, SchemeId, ZipfLibrary, average_power,
-                      cum_pop_approx, cum_pop_exact, exhaustive_opt_m,
-                      opt_m_see, optimal_mpc_allocation, optimize_allocation,
-                      overall_throughput, per_scheme_psi, scheme_probs, see,
-                      zipf_pmf)
+                      cum_pop_approx, exhaustive_opt_m, opt_m_see,
+                      optimal_mpc_allocation, optimize_allocation,
+                      overall_throughput, per_scheme_psi, scheme_probs, see)
 from helpers import standard_layout, standard_params
 
 
@@ -15,26 +14,29 @@ from helpers import standard_layout, standard_params
 # popularity model
 # ---------------------------------------------------------------------------
 
+def zipf_pmf(lib: ZipfLibrary) -> np.ndarray:
+    """Request probability of the files of rank 1..N."""
+    weights = np.arange(1.0, lib.N + 1) ** -lib.tau
+    return weights / weights.sum()
+
+
+def cum_pop_exact(lib: ZipfLibrary, M: int) -> float:
+    """Exact cumulative popularity of the top M files, the reference for
+    cum_pop_approx."""
+    return float(np.sum(zipf_pmf(lib)[:M]))
+
+
 def test_zipf_single_file():
-    assert zipf_pmf(ZipfLibrary(N=1, tau=2.0), 1) == 1.0
+    assert zipf_pmf(ZipfLibrary(N=1, tau=2.0))[0] == 1.0
 
 
 def test_zipf_two_files_tau_one():
-    assert zipf_pmf(ZipfLibrary(N=2, tau=1.0), 1) == pytest.approx(2 / 3)
+    assert zipf_pmf(ZipfLibrary(N=2, tau=1.0))[0] == pytest.approx(2 / 3)
 
 
 def test_zipf_normalization():
     lib = ZipfLibrary(N=100, tau=1.5)
-    total = sum(zipf_pmf(lib, m) for m in range(1, 101))
-    assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_zipf_rank_bounds():
-    lib = ZipfLibrary(N=10, tau=1.0)
-    with pytest.raises(ValueError):
-        zipf_pmf(lib, 0)
-    with pytest.raises(ValueError):
-        zipf_pmf(lib, 11)
+    assert np.sum(zipf_pmf(lib)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cum_pop_approx_endpoints():

@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 from cachesec import ChannelParams, McSettings, PolarPoint, SchemeId, mc_cop
-from cachesec.montecarlo import _annulus_draws, _FieldTest, _xy
+from cachesec.montecarlo import _disc_draws, _FieldTest, _xy
 from helpers import standard_layout, standard_params
 
 
@@ -44,7 +44,7 @@ def test_fading_gains_unit_mean():
 
 def test_sample_ppp_zero_density_is_empty():
     rng = np.random.default_rng(2)
-    counts, rad, u_ang = _annulus_draws(rng, 0.0, 50, 0.0, 10.0)
+    counts, rad, u_ang = _disc_draws(rng, 0.0, 50, 10.0)
     assert counts.shape == (50,) and not counts.any()
     assert rad.size == 0 and u_ang.size == 0
 
@@ -52,26 +52,22 @@ def test_sample_ppp_zero_density_is_empty():
 def test_sample_ppp_poisson_mean():
     rng = np.random.default_rng(3)
     n_real = 20000
-    for r_lo, r_hi in ((0.0, 10.0), (4.0, 10.0)):
-        counts, rad, _ = _annulus_draws(rng, 0.1, n_real, r_lo, r_hi)
-        expected = 0.1 * math.pi * (r_hi ** 2 - r_lo ** 2)
-        stderr = math.sqrt(expected / n_real)
-        assert abs(counts.mean() - expected) <= 3 * stderr
-        assert rad.size == counts.sum()
+    counts, rad, _ = _disc_draws(rng, 0.1, n_real, 10.0)
+    expected = 0.1 * math.pi * 10.0 ** 2
+    stderr = math.sqrt(expected / n_real)
+    assert abs(counts.mean() - expected) <= 3 * stderr
+    assert rad.size == counts.sum()
 
 
 def test_sample_ppp_radial_uniformity():
-    # uniform points on an annulus have radial CDF
-    # (r^2 - r_lo^2) / (r_hi^2 - r_lo^2), and uniform angles
+    # uniform points on a disc of radius R have radial CDF r^2 / R^2, and
+    # uniform angles
     rng = np.random.default_rng(4)
-    for r_lo, r_hi in ((0.0, 5.0), (2.0, 5.0)):
-        _, rad, u_ang = _annulus_draws(rng, 1.0, 400, r_lo, r_hi)
-        assert rad.size > 20000
-        assert (rad >= r_lo).all() and (rad < r_hi).all()
-        cdf = stats.kstest(rad, lambda r: (r * r - r_lo * r_lo)
-                           / (r_hi * r_hi - r_lo * r_lo))
-        assert cdf.pvalue > 0.01
-        assert stats.kstest(u_ang, "uniform").pvalue > 0.01
+    _, rad, u_ang = _disc_draws(rng, 1.0, 400, 5.0)
+    assert rad.size > 20000
+    assert (rad >= 0.0).all() and (rad < 5.0).all()
+    assert stats.kstest(rad, lambda r: r * r / 25.0).pvalue > 0.01
+    assert stats.kstest(u_ang, "uniform").pvalue > 0.01
 
 
 def test_snr_user_k1_collapse():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -403,6 +404,19 @@ def test_exit_code_3_when_sop_inversion_does_not_converge(tmp_path,
     cfg = "sweep_start = 10\nsweep_stop = 10\nsweep_step = 5\n"
     code, out = run(tmp_path, "throughput", cfg)
     assert code == 3
+    assert not out.exists()
+
+
+def test_exit_code_3_when_the_sop_root_leaves_the_float_range(tmp_path,
+                                                              capsys):
+    cfg = ("lambda_e = 1e-150\n"
+           "sweep_start = 10\nsweep_stop = 10\nsweep_step = 5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "throughput", cfg)
+    assert code == 3
+    assert "infeasible: SOP root outside the float range" \
+        in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,0 +1,66 @@
+"""Exact invariants of every analytic COP and SOP.
+
+Every SNR in the model is a power times a fade times d^-alpha, and every
+outage compares an SNR with a threshold, so the outage probabilities keep
+their value under two changes of units:
+- power scaling: Ps, Pm and the threshold all times c;
+- uniform scaling: every distance times s, every power times s^alpha, and
+  the eavesdropper density divided by s^2 (the same expected number of
+  eavesdroppers on the scaled plane). The COPs do not take the density.
+An evaluator that breaks either has a units error, whatever its accuracy.
+"""
+
+import pytest
+
+from cachesec import (ChannelParams, build_line_layout, cop_bsr,
+                      cop_dbf_asymptotic, cop_dbf_exact, cop_fot,
+                      sop_bsr_approx, sop_bsr_exact, sop_dbf, sop_fot)
+
+REL_TOL = 1e-13
+# (K, r_s): the standard geometry at K = 1, 3, 8 and the benchmark's wide
+# K = 6 layout
+GEOMETRIES = [(1, 0.5), (3, 0.5), (8, 0.5), (6, 2.0)]
+ALPHAS = [2.5, 4.0, 5.0]
+POWERS = [1e-3, 1.0, 1e3]
+
+COPS = [cop_dbf_exact, cop_dbf_asymptotic, cop_fot, cop_bsr]
+SOPS = [sop_dbf, sop_fot, sop_bsr_exact,
+        lambda layout, params, beta_e: sop_bsr_approx(params, beta_e)]
+
+
+def _cases():
+    return [(geometry, alpha, ps) for geometry in GEOMETRIES
+            for alpha in ALPHAS for ps in POWERS]
+
+
+def _values(geometry, params, beta, scale=1.0):
+    """Every COP at beta_t = beta and every SOP at beta_e = beta, with the
+    geometry's distances times scale."""
+    K, r_s = geometry
+    layout = build_line_layout(scale * 1.0, scale * r_s, K, scale * 2.0)
+    return [fn(layout, params, beta).value for fn in COPS + SOPS]
+
+
+def _assert_same(got, want):
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a == pytest.approx(b, rel=REL_TOL, abs=0.0), (COPS + SOPS)[i]
+
+
+@pytest.mark.parametrize("geometry, alpha, ps", _cases())
+def test_power_scaling(geometry, alpha, ps):
+    params = ChannelParams(alpha=alpha, Ps=ps, Pm=1.0, lambda_e=0.1)
+    base = _values(geometry, params, 1.0)
+    for c in (4.0, 10.0):
+        scaled = ChannelParams(alpha=alpha, Ps=c * ps, Pm=c * 1.0,
+                               lambda_e=0.1)
+        _assert_same(_values(geometry, scaled, c), base)
+
+
+@pytest.mark.parametrize("geometry, alpha, ps", _cases())
+def test_uniform_scaling(geometry, alpha, ps):
+    params = ChannelParams(alpha=alpha, Ps=ps, Pm=1.0, lambda_e=0.1)
+    gain = 2.0 ** alpha
+    scaled = ChannelParams(alpha=alpha, Ps=gain * ps, Pm=gain * 1.0,
+                           lambda_e=0.1 / 4.0)
+    _assert_same(_values(geometry, scaled, 1.0, scale=2.0),
+                 _values(geometry, params, 1.0))

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -11,7 +12,8 @@ from cachesec import (ChannelParams, NetworkLayout, PolarPoint, SchemeId,
                       opt_bs_dbf, opt_bs_fot, scheme_throughput,
                       secrecy_throughput_curve, sop, sop_bsr_approx)
 from cachesec.rates import SOP_INVERSION_TOL
-from helpers import standard_layout, standard_params
+from helpers import (beta_t_star, rate_codeword, rate_redundancy,
+                     standard_layout, standard_params)
 
 
 def test_invert_sop_rejects_bad_epsilon():
@@ -20,6 +22,30 @@ def test_invert_sop_rejects_bad_epsilon():
     for eps in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(ValueError):
             invert_sop(SchemeId.DBF, lay, params, eps)
+
+
+@pytest.mark.parametrize("scheme, bsr_exact, alpha, lambda_e", [
+    (SchemeId.DBF, False, 4.0, 1e-150),   # the derivative overflows
+    (SchemeId.DBF, False, 4.0, 1e-155),   # the integrand divides by 0
+    (SchemeId.DBF, False, 4.0, 1e-170),   # the start point underflows
+    (SchemeId.FOT, False, 4.0, 1e-150),
+    (SchemeId.FOT, False, 4.0, 1e-170),
+    (SchemeId.BSR, True, 4.0, 1e-150),
+    (SchemeId.BSR, True, 4.0, 1e-170),
+    (SchemeId.BSR, False, 8.0, 1e-100)])  # the algebraic root is 0
+def test_invert_sop_root_outside_the_float_range_fails_at_once(
+        scheme, bsr_exact, alpha, lambda_e):
+    lay = standard_layout(3)
+    params = ChannelParams(alpha=alpha, Ps=10.0, Pm=1.0, lambda_e=lambda_e)
+    # a feasible inversion first, so that the timing leaves out the one-off
+    # set-up of the quadrature grids
+    invert_sop(scheme, lay, standard_params(), 0.2, bsr_exact=bsr_exact)
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="outside the float range"):
+            invert_sop(scheme, lay, params, 0.2, bsr_exact=bsr_exact)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_invert_sop_round_trip_grid():
@@ -264,9 +290,9 @@ def test_rate_design_properties():
     lay = standard_layout(2)
     params = standard_params()
     design = scheme_throughput(SchemeId.FOT, lay, params, 0.3)
-    assert design.rate_codeword == pytest.approx(
-        design.rate_secrecy + design.rate_redundancy)
-    assert design.beta_t_star == pytest.approx(
+    assert rate_codeword(design) == pytest.approx(
+        design.rate_secrecy + rate_redundancy(design))
+    assert beta_t_star(design) == pytest.approx(
         design.beta_e_circ + (1 + design.beta_e_circ) * design.beta_s_star)
     assert design.epsilon == 0.3
 
