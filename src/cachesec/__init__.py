@@ -17,12 +17,12 @@ __version__ = "0.1.0"
 
 from .layout import NetworkLayout, PolarPoint, build_line_layout, distance
 from .channel import ChannelParams, SchemeId
-from .outage import (OutageEstimate, cop_bsr, cop_dbf_asymptotic,
-                     cop_dbf_exact, cop_fot, sop, sop_bsr_approx,
-                     sop_bsr_exact, sop_dbf, sop_fot)
+from .outage import (OutageEstimate, bsr_approx_threshold, cop_bsr,
+                     cop_dbf_asymptotic, cop_dbf_exact, cop_fot, sop,
+                     sop_bsr_approx, sop_bsr_exact, sop_dbf, sop_fot)
 from .montecarlo import McSettings, mc_cop, mc_sop
-from .rates import (RateDesign, bsr_approx_threshold, invert_sop, opt_bs_bsr,
-                    opt_bs_dbf, opt_bs_fot, per_scheme_psi, scheme_throughput,
+from .rates import (RateDesign, invert_sop, opt_bs_bsr, opt_bs_dbf,
+                    opt_bs_fot, per_scheme_psi, scheme_throughput,
                     secrecy_throughput_curve)
 from .caching import (ZipfLibrary, average_power, cum_pop_approx,
                       exhaustive_opt_m, opt_m_see, optimal_mpc_allocation,
@@ -32,13 +32,12 @@ from .caching import (ZipfLibrary, average_power, cum_pop_approx,
 __all__ = [
     "NetworkLayout", "PolarPoint", "build_line_layout", "distance",
     "ChannelParams", "SchemeId",
-    "OutageEstimate", "cop_bsr", "cop_dbf_asymptotic",
-    "cop_dbf_exact", "cop_fot", "sop", "sop_bsr_approx", "sop_bsr_exact",
-    "sop_dbf", "sop_fot",
+    "OutageEstimate", "bsr_approx_threshold", "cop_bsr",
+    "cop_dbf_asymptotic", "cop_dbf_exact", "cop_fot", "sop", "sop_bsr_approx",
+    "sop_bsr_exact", "sop_dbf", "sop_fot",
     "McSettings", "mc_cop", "mc_sop",
-    "RateDesign", "bsr_approx_threshold", "invert_sop", "opt_bs_bsr",
-    "opt_bs_dbf", "opt_bs_fot", "per_scheme_psi", "scheme_throughput",
-    "secrecy_throughput_curve",
+    "RateDesign", "invert_sop", "opt_bs_bsr", "opt_bs_dbf", "opt_bs_fot",
+    "per_scheme_psi", "scheme_throughput", "secrecy_throughput_curve",
     "ZipfLibrary", "average_power", "cum_pop_approx", "exhaustive_opt_m",
     "opt_m_see", "optimal_mpc_allocation", "optimize_allocation",
     "overall_throughput", "scheme_probs", "see",

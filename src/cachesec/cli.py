@@ -107,6 +107,7 @@ class Scenario:
                 ("tau", self.tau > 0.0, "> 0"),
                 ("L", self.L >= 1, ">= 1"),
                 ("trials", self.trials is None or self.trials >= 0, ">= 0"),
+                ("seed", self.seed >= 0, ">= 0"),
                 ("threads", 1 <= self.threads <= MAX_THREADS,
                  f"in [1, {MAX_THREADS}]"),
                 ("sweep_step", self.sweep_step > 0.0, "> 0"),

@@ -10,9 +10,8 @@ every result is reproducible.
 The schemes differ only in which independent Rayleigh links carry a file,
 and each is described once, as data: `breach_links` lists the links an
 eavesdropper can intercept, `decoding_branches` those the user decodes on.
-One union over links gives every breach law (a BreachKernel, which also
-yields its analytic derivative in beta_e for the SOP inversion in
-`rates`), one product over branches the partition and relaying COPs.
+One union over links gives every breach law (a BreachKernel), one
+product over branches the partition and relaying COPs.
 
 Eavesdroppers form a Poisson field, so every SOP has the shape
 1 - exp(-lambda_e * I) where I integrates the breach law over the plane.
@@ -21,6 +20,10 @@ below 1e-12 and evaluated on a tensorized Gauss-Legendre grid, with one
 radial refinement to certify convergence, in blocks of radial rows small
 enough that no temporary reaches the allocator's mmap threshold (see
 BLOCK_POINTS).
+
+Each SOP's inverse lives beside it: BreachKernel.root (Newton steps in
+log(beta_e) on the kernel's derivative in log(beta_e)) and the algebraic
+bsr_approx_threshold, for the rate design in `rates`.
 """
 
 from __future__ import annotations
@@ -53,8 +56,6 @@ _SQRT_PI = math.sqrt(math.pi)
 # Gauss-Legendre grid for the secrecy integrals.
 RADIAL_NODES = 256
 ANGULAR_NODES = 128
-# The doubled grid of the certification pair, whose value every SOP reports.
-FINE_NODES = (2 * RADIAL_NODES, ANGULAR_NODES)
 # Breach laws run on blocks of at most BLOCK_POINTS grid points: each
 # float64 temporary (64 KiB) stays below glibc's 128 KiB mmap threshold, so
 # it is reused from the heap, not mapped and unmapped on every call. Blocks
@@ -66,6 +67,8 @@ BLOCK_ROW_GROUP = 4
 # The integrand is below exp(-TAIL_LOG) = 1e-12 beyond the cut radius.
 TAIL_LOG = math.log(1e12)
 QUAD_CERT_TOL = 1e-6
+SOP_INVERSION_TOL = 1e-8
+SOP_MAX_EVALS = 200  # kernel evaluations one inversion may spend
 # Breach laws take exp(max(arg, EXP_FLOOR)): numpy's vector exp runs about
 # 150 times slower where its result is subnormal, 7 times where it is 0
 # (arguments below about -708), and e^-700 adds nothing to an integral.
@@ -315,13 +318,14 @@ class BreachKernel:
     """Per-position breach probability over one scheme's breach links.
 
     law(px, py, beta_e, deriv) returns the probability that an eavesdropper
-    at (px, py) decodes some link, and its analytic derivative in beta_e on
-    the same points when deriv is set (None otherwise). Link k breaches
-    with p_k = exp(-(beta_e / P_k) / W_k), W_k the sum of d^-alpha over its
-    transmitters; the union is u <- u + p_k (1 - u), whose derivative
-    follows du <- du (1 - p_k) + dp_k (1 - u). A silent link (relaying at
-    Pm = 0) is never evaluated, but still counts towards d_max. d_max and
-    power set the truncation radius (see trunc_radius, breach_kernel).
+    at (px, py) decodes some link, and its derivative in log(beta_e) on the
+    same points when deriv is set (None otherwise). Link k breaches with
+    p_k = exp(a_k), a_k = -(beta_e / P_k) / W_k and W_k the sum of d^-alpha
+    over its transmitters, so dp_k = a_k p_k (a_k unfloored); the union is
+    u <- u + p_k (1 - u), whose derivative follows
+    du <- du (1 - p_k) + dp_k (1 - u). A silent link (relaying at Pm = 0)
+    is never evaluated, but still counts towards d_max. d_max and power set
+    the truncation radius (see trunc_radius, breach_kernel).
     """
 
     links: tuple[tuple[float, tuple[PolarPoint, ...]], ...]
@@ -339,8 +343,9 @@ class BreachKernel:
                 d = dist_pow_neg((px - t.x) ** 2 + (py - t.y) ** 2, self.alpha)
                 w = d if w is None else np.add(w, d, out=w)
             p = -(beta_e / power) / w
+            a = p.copy() if deriv else None  # the unfloored exponent
             np.exp(np.maximum(p, EXP_FLOOR, out=p), out=p)
-            dp = -p / (power * w) if deriv else None
+            dp = np.multiply(a, p, out=a) if deriv else None
             if u is None:  # the first link's values, updated in place below
                 u, du = p, dp
                 continue
@@ -351,18 +356,20 @@ class BreachKernel:
             u += p
         return u, du
 
-    def integral(self, beta_e: float, nodes: tuple[int, int],
+    def integral(self, beta_e: float, nodes: tuple[int, int] | None = None,
                  deriv: bool = False):
         """Breach integral over the truncated plane, and its derivative in
-        beta_e when deriv is set, on an (n_radial, n_angular) Gauss-Legendre
-        grid. The derivative ignores the radius' own dependence on beta_e,
-        where the integrand is below 1e-12.
+        log(beta_e) when deriv is set, on an (n_radial, n_angular)
+        Gauss-Legendre grid; by default (2 RADIAL_NODES, ANGULAR_NODES),
+        read when called, the grid every SOP reports. The derivative ignores
+        the radius' own dependence on beta_e, where the integrand is below
+        1e-12.
 
         law runs on blocks of consecutive radial rows (see BLOCK_POINTS),
         each reduced to its angular sums before the next, so that its
         temporaries stay small; the radial sum is taken once at the end."""
         rmax = trunc_radius(self.d_max, self.power, beta_e, self.alpha)
-        n_radial, n_angular = nodes
+        n_radial, n_angular = nodes or (2 * RADIAL_NODES, ANGULAR_NODES)
         xr, wr = _leggauss(n_radial)
         xt, wt = _leggauss(n_angular)
         r = 0.5 * rmax * (xr + 1.0)
@@ -379,6 +386,44 @@ class BreachKernel:
         out = [float(np.sum(sums * r * wr)) * 0.5 * rmax
                for sums in per_radius]
         return tuple(out) if deriv else out[0]
+
+    def root(self, lambda_e: float, epsilon: float) -> tuple[float, int]:
+        """beta_e where the reported SOP 1 - exp(-lambda_e I) is epsilon to
+        SOP_INVERSION_TOL, and the kernel evaluations spent: Newton steps
+        on log I = log(-log(1 - epsilon) / lambda_e), nearly linear in
+        u = log(beta_e), bisecting in u (or doubling a move out while the
+        bracket is open) where a step leaves the bracket around the root.
+        RuntimeError after SOP_MAX_EVALS evaluations."""
+        a = self.alpha
+        target = math.log(-math.log1p(-epsilon) / lambda_e)  # log I at root
+        # start from the root of one transmitter of the kernel's largest
+        # power, whose integral is pi Gamma(1 + 2/a) (power/beta_e)^(2/a)
+        u = math.log(self.power) \
+            - 0.5 * a * (target - math.log(math.pi * math.gamma(1 + 2 / a)))
+        lo, hi = -math.inf, math.inf  # SOP(e^lo) > epsilon > SOP(e^hi)
+        reach = 1.0
+        for evals in range(1, SOP_MAX_EVALS + 1):
+            beta = math.exp(u)
+            integral, slope = self.integral(beta, deriv=True)
+            value = min(max(-math.expm1(-lambda_e * integral), 0.0), 1.0)
+            if abs(value - epsilon) <= SOP_INVERSION_TOL:
+                return beta, evals
+            if value > epsilon:
+                lo = u
+            else:
+                hi = u
+            step = math.nan
+            if integral > 0.0 and slope < 0.0:
+                step = u - (math.log(integral) - target) * integral / slope
+            if lo < step < hi:
+                u = step
+            elif math.isinf(lo) or math.isinf(hi):
+                u = hi - reach if math.isinf(lo) else lo + reach
+                reach *= 2.0
+            else:
+                u = 0.5 * (lo + hi)
+        raise RuntimeError(f"SOP inversion did not converge in "
+                           f"{SOP_MAX_EVALS} evaluations (epsilon={epsilon})")
 
 
 def breach_kernel(scheme: SchemeId, layout: NetworkLayout,
@@ -417,8 +462,7 @@ def _pgfl_sop(kernel: BreachKernel, params: ChannelParams,
     lam = params.lambda_e
     coarse = -math.expm1(-lam * kernel.integral(
         beta_e, (RADIAL_NODES, ANGULAR_NODES)))
-    fine = -math.expm1(-lam * kernel.integral(
-        beta_e, (2 * RADIAL_NODES, ANGULAR_NODES)))
+    fine = -math.expm1(-lam * kernel.integral(beta_e))
     flag = None if abs(fine - coarse) < QUAD_CERT_TOL else "quadrature-unconverged"
     return OutageEstimate(min(max(fine, 0.0), 1.0), METHOD_EXACT, flag=flag)
 
@@ -481,6 +525,14 @@ def bsr_approx_coeff(params: ChannelParams) -> float:
     a = params.alpha
     return math.pi * params.lambda_e * math.gamma(1.0 + 2.0 / a) \
         * (params.Pm ** (2.0 / a) + params.Ps ** (2.0 / a))
+
+
+def bsr_approx_threshold(params: ChannelParams, epsilon: float) -> float:
+    """Algebraic inverse of the layout-free relaying SOP at level epsilon."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    return (bsr_approx_coeff(params) / -math.log1p(-epsilon)) \
+        ** (params.alpha / 2.0)
 
 
 def sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,

@@ -4,8 +4,7 @@ Secrecy throughput is the secrecy rate times the decoding success
 probability, subject to a cap epsilon on the secrecy outage probability.
 The design runs in two stages: invert the SOP to the smallest redundancy
 threshold beta_e that meets epsilon (redundancy only costs throughput, so
-the constraint binds) by safeguarded Newton steps in log(beta_e) on the
-scheme's breach kernel, certified once at the root, then maximize
+the constraint binds), certified once at the root, then maximize
 
     psi(beta_s) = eta * (1 - COP(beta_t)) * log2(1 + beta_s),
 
@@ -13,6 +12,9 @@ over the secrecy threshold beta_s, where beta_t = beta_e + (1+beta_e) beta_s
 and eta is 1 except for the relaying scheme, whose two hops halve the
 effective rate. Each scheme's 1 - COP and its beta_s-derivative are written
 once, as a SuccessLaw that the throughput curve and the one maximizer share.
+
+The SOP roots live in `outage`, beside the SOPs they invert; invert_sop
+picks the root, then certifies and records it.
 """
 
 from __future__ import annotations
@@ -28,9 +30,6 @@ import numpy as np
 from .channel import ChannelParams, SchemeId
 from .layout import NetworkLayout
 from . import outage
-
-SOP_INVERSION_TOL = 1e-8
-SOP_MAX_EVALS = 200  # kernel evaluations one inversion may spend
 
 _LN2 = math.log(2.0)
 
@@ -84,62 +83,18 @@ class SopRoot(float):
         return root
 
 
-def _newton_root(kernel: outage.BreachKernel, lambda_e: float,
-                 epsilon: float) -> tuple[float, int]:
-    """Root of log(lambda_e I(beta_e)) = log(-log(1 - epsilon)) in
-    u = log(beta_e), and the number of kernel evaluations it took."""
-    a = kernel.alpha
-    target = math.log(-math.log1p(-epsilon) / lambda_e)  # log I at the root
-    # start from the root of one transmitter of the kernel's largest
-    # power, whose integral is pi Gamma(1 + 2/a) (power/beta_e)^(2/a)
-    u = math.log(kernel.power) \
-        - 0.5 * a * (target - math.log(math.pi * math.gamma(1.0 + 2.0 / a)))
-    lo, hi = -math.inf, math.inf  # SOP(e^lo) > epsilon > SOP(e^hi)
-    reach = 1.0
-    for evals in range(1, SOP_MAX_EVALS + 1):
-        beta = math.exp(u)
-        integral, slope = kernel.integral(beta, outage.FINE_NODES, deriv=True)
-        value = min(max(-math.expm1(-lambda_e * integral), 0.0), 1.0)
-        if abs(value - epsilon) <= SOP_INVERSION_TOL:
-            return beta, evals
-        if value > epsilon:
-            lo = u
-        else:
-            hi = u
-        step = math.nan
-        if integral > 0.0 and slope < 0.0:
-            # f(u) = log I - target has f'(u) = beta I'(beta) / I
-            step = u - (math.log(integral) - target) \
-                * integral / (beta * slope)
-        if lo < step < hi:
-            u = step
-        elif math.isinf(lo) or math.isinf(hi):
-            # the bracket is still open: move further out on its open side
-            u = hi - reach if math.isinf(lo) else lo + reach
-            reach *= 2.0
-        else:
-            u = 0.5 * (lo + hi)
-    raise RuntimeError(f"SOP inversion did not converge in {SOP_MAX_EVALS} "
-                       f"evaluations (epsilon={epsilon})")
-
-
 def invert_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
                epsilon: float, bsr_exact: bool = False) -> SopRoot:
     """Smallest redundancy threshold whose SOP equals epsilon.
 
-    The SOP 1 - exp(-lambda_e I(beta_e)) falls strictly from 1 to 0, so the
-    root solves log(lambda_e I) = log(-log(1 - epsilon)), an equation that
-    is nearly linear in u = log(beta_e). Safeguarded Newton steps in u use
-    the analytic derivative of the scheme's breach kernel on the fine grid
-    of the SOP certification pair; a step leaving the bracket kept around
-    the root is replaced by a bisection step in u (or, while one side of
-    the bracket is still open, by a doubling move towards it). Iteration
-    stops once |SOP - epsilon| <= SOP_INVERSION_TOL, and the root is then
-    certified once through outage.sop. The relaying scheme inverts the
-    layout-free form by default, whose inverse is algebraic (bsr_exact
-    switches to the shared-field form).
+    The SOP 1 - exp(-lambda_e I(beta_e)) falls strictly from 1 to 0. A
+    quadrature SOP is inverted by its breach kernel (outage.BreachKernel.
+    root, to outage.SOP_INVERSION_TOL on the grid the SOP reports); the
+    relaying scheme inverts the layout-free form by default, whose inverse
+    is algebraic (outage.bsr_approx_threshold; bsr_exact switches to the
+    shared-field form). The root is then certified once through outage.sop.
 
-    Raises RuntimeError when SOP_MAX_EVALS kernel evaluations do not
+    Raises RuntimeError when outage.SOP_MAX_EVALS kernel evaluations do not
     converge, and ValueError at once when the root leaves the float range
     (a tiny lambda_e): it underflows to 0, or a float operation on the way
     overflows, divides by zero or turns invalid.
@@ -151,11 +106,10 @@ def invert_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             if scheme is SchemeId.BSR and not bsr_exact:
-                beta_e, evals = bsr_approx_threshold(params, epsilon), 0
+                beta_e, evals = outage.bsr_approx_threshold(params, epsilon), 0
             else:
-                kernel = outage.breach_kernel(scheme, layout, params)
-                beta_e, evals = _newton_root(kernel, params.lambda_e,
-                                             epsilon)
+                beta_e, evals = outage.breach_kernel(
+                    scheme, layout, params).root(params.lambda_e, epsilon)
             if beta_e == 0.0:
                 raise ArithmeticError("the root underflows to 0")
             cert = outage.sop(scheme, layout, params, beta_e,
@@ -165,14 +119,6 @@ def invert_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
             f"SOP root outside the float range (lambda_e={params.lambda_e:g}, "
             f"epsilon={epsilon:g}): {exc}") from exc
     return SopRoot(beta_e, evals + 1, abs(cert.value - epsilon), cert.flag)
-
-
-def bsr_approx_threshold(params: ChannelParams, epsilon: float) -> float:
-    """Algebraic inverse of the layout-free relaying SOP at level epsilon."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    return (outage.bsr_approx_coeff(params) / -math.log1p(-epsilon)) \
-        ** (params.alpha / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cachesec
-from cachesec import SchemeId, rates
+from cachesec import SchemeId, outage, rates
 from cachesec.cli import (ConfigError, Scenario, load_scenario, main,
                           parse_scenario_text, sweep_values)
 
@@ -363,7 +363,8 @@ def test_exit_code_2_for_out_of_range_epsilon(tmp_path):
     "sweep_var = N\nsweep_start = 1\nsweep_stop = 3\nsweep_step = 0.5",
     "sweep_var = N\nsweep_start = 1.5\nsweep_stop = 3\nsweep_step = 1",
     "sweep_start = 30\nsweep_stop = 0",
-    "sweep_var = N\nsweep_start = 60\nsweep_stop = 5", "threads = 100000"])
+    "sweep_var = N\nsweep_start = 60\nsweep_stop = 5", "threads = 100000",
+    "seed = -1"])
 def test_exit_code_2_for_invalid_scenarios(tmp_path, bad):
     code, out = run(tmp_path, "throughput", SMALL_SWEEP + bad + "\n")
     assert code == 2
@@ -385,7 +386,7 @@ def test_exit_code_2_for_an_unsupported_sweep_axis(tmp_path, capsys,
 
 
 def test_exit_code_2_for_invalid_overrides(tmp_path):
-    for extra in (["--threads", "0"], ["--trials", "-5"]):
+    for extra in (["--threads", "0"], ["--trials", "-5"], ["--seed", "-1"]):
         code, _ = run(tmp_path, "cop-sweep", SMALL_SWEEP, extra=extra)
         assert code == 2
 
@@ -400,7 +401,7 @@ def test_validate_without_trials_is_config_error(tmp_path, capsys):
 def test_exit_code_3_when_sop_inversion_does_not_converge(tmp_path,
                                                           monkeypatch):
     # an unreachable tolerance makes every inversion exhaust SOP_MAX_EVALS
-    monkeypatch.setattr(rates, "SOP_INVERSION_TOL", -1.0)
+    monkeypatch.setattr(outage, "SOP_INVERSION_TOL", -1.0)
     cfg = "sweep_start = 10\nsweep_stop = 10\nsweep_step = 5\n"
     code, out = run(tmp_path, "throughput", cfg)
     assert code == 3
@@ -409,7 +410,7 @@ def test_exit_code_3_when_sop_inversion_does_not_converge(tmp_path,
 
 def test_exit_code_3_when_the_sop_root_leaves_the_float_range(tmp_path,
                                                               capsys):
-    cfg = ("lambda_e = 1e-150\n"
+    cfg = ("lambda_e = 1e-170\n"
            "sweep_start = 10\nsweep_stop = 10\nsweep_step = 5\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")

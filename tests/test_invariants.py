@@ -8,12 +8,19 @@ their value under two changes of units:
   the eavesdropper density divided by s^2 (the same expected number of
   eavesdroppers on the scaled plane). The COPs do not take the density.
 An evaluator that breaks either has a units error, whatever its accuracy.
+
+Two more symmetries hold exactly: the beamforming and partition SOPs do
+not depend on the order of the SBSs, and no SOP depends on where the user
+is, which the Monte Carlo estimates show in distribution.
 """
+
+import math
 
 import pytest
 
-from cachesec import (ChannelParams, build_line_layout, cop_bsr,
-                      cop_dbf_asymptotic, cop_dbf_exact, cop_fot,
+from cachesec import (ChannelParams, McSettings, NetworkLayout, PolarPoint,
+                      SchemeId, build_line_layout, cop_bsr,
+                      cop_dbf_asymptotic, cop_dbf_exact, cop_fot, mc_sop,
                       sop_bsr_approx, sop_bsr_exact, sop_dbf, sop_fot)
 
 REL_TOL = 1e-13
@@ -64,3 +71,40 @@ def test_uniform_scaling(geometry, alpha, ps):
                            lambda_e=0.1 / 4.0)
     _assert_same(_values(geometry, scaled, 1.0, scale=2.0),
                  _values(geometry, params, 1.0))
+
+
+def _circle(angles) -> NetworkLayout:
+    """SBSs at distance 1 from the user, at the given angles, in order."""
+    return NetworkLayout(mbs=PolarPoint(3.0, 0.5 * math.pi),
+                         sbs=tuple(PolarPoint(1.0, a) for a in angles))
+
+
+@pytest.mark.parametrize("K", [2, 3, 5])
+@pytest.mark.parametrize("alpha", [2.5, 4.0])
+@pytest.mark.parametrize("ps", POWERS)
+def test_sbs_order(K, alpha, ps):
+    # SBSs at one distance from the user may be listed in any order; the
+    # relaying SOP is left out: it serves from the first SBS listed
+    angles = [0.3 + 2.0 * math.pi * k / K for k in range(K)]
+    params = ChannelParams(alpha=alpha, Ps=ps, Pm=1.0, lambda_e=0.1)
+    orders = [angles[::-1], angles[1:] + angles[:1]]
+    for fn in (sop_dbf, sop_fot):
+        want = fn(_circle(angles), params, 1.0).value
+        for order in orders:
+            assert fn(_circle(order), params, 1.0).value \
+                == pytest.approx(want, rel=REL_TOL, abs=0.0), fn
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_monte_carlo_sop_translation(scheme):
+    # moving the user from 1 to 10 away from the nearest SBS moves no
+    # transmitter relative to another; relaying serves from the nearest
+    # SBS, as fading-chosen serving depends on where the user is
+    params = ChannelParams(alpha=4.0, Ps=10.0, Pm=1.0, lambda_e=0.1)
+    near, far = [
+        mc_sop(scheme, build_line_layout(r, 0.5, 3, 2.0), params, 1.0,
+               McSettings(trials=40_000, seed=seed, bsr_serving="nearest"))
+        for r, seed in ((1.0, 1), (10.0, 2))]
+    sigma = math.hypot(near.std_error, far.std_error)
+    assert 0.0 < sigma
+    assert abs(near.value - far.value) <= 4.0 * sigma

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cachesec import (ChannelParams, NetworkLayout, PolarPoint, SchemeId,
-                      rates, cop_dbf_asymptotic,
+                      build_line_layout, outage, rates, cop_dbf_asymptotic,
                       bsr_approx_threshold, invert_sop, opt_bs_bsr,
                       opt_bs_dbf, opt_bs_fot, scheme_throughput,
                       secrecy_throughput_curve, sop, sop_bsr_approx)
-from cachesec.rates import SOP_INVERSION_TOL
+from cachesec.outage import SOP_INVERSION_TOL
 from helpers import (beta_t_star, rate_codeword, rate_redundancy,
                      standard_layout, standard_params)
 
@@ -25,12 +25,9 @@ def test_invert_sop_rejects_bad_epsilon():
 
 
 @pytest.mark.parametrize("scheme, bsr_exact, alpha, lambda_e", [
-    (SchemeId.DBF, False, 4.0, 1e-150),   # the derivative overflows
     (SchemeId.DBF, False, 4.0, 1e-155),   # the integrand divides by 0
     (SchemeId.DBF, False, 4.0, 1e-170),   # the start point underflows
-    (SchemeId.FOT, False, 4.0, 1e-150),
     (SchemeId.FOT, False, 4.0, 1e-170),
-    (SchemeId.BSR, True, 4.0, 1e-150),
     (SchemeId.BSR, True, 4.0, 1e-170),
     (SchemeId.BSR, False, 8.0, 1e-100)])  # the algebraic root is 0
 def test_invert_sop_root_outside_the_float_range_fails_at_once(
@@ -46,6 +43,37 @@ def test_invert_sop_root_outside_the_float_range_fails_at_once(
         with pytest.raises(ValueError, match="outside the float range"):
             invert_sop(scheme, lay, params, 0.2, bsr_exact=bsr_exact)
     assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("scheme, bsr_exact, alpha, lambda_e", [
+    (SchemeId.DBF, False, 4.0, 1e-150),
+    (SchemeId.FOT, False, 4.0, 1e-150),
+    (SchemeId.BSR, True, 4.0, 1e-150)])
+def test_invert_sop_reaches_roots_near_the_float_limit(scheme, bsr_exact,
+                                                       alpha, lambda_e):
+    # roots of about 1e-297, where the beta_e-derivative of the breach
+    # integral overflows but the log(beta_e)-derivative Newton steps on
+    # stays finite
+    lay = standard_layout(3)
+    params = ChannelParams(alpha=alpha, Ps=10.0, Pm=1.0, lambda_e=lambda_e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        root = invert_sop(scheme, lay, params, 0.2, bsr_exact=bsr_exact)
+    assert 1e-300 < root < 1e-295
+    assert root.residual <= SOP_INVERSION_TOL
+
+
+def test_invert_sop_evaluations_on_the_alpha_8_stress_case():
+    # the spaced K = 6 layout at alpha = 8, lambda_e = 1000, epsilon = 0.5
+    # and 0 dBw: the evaluation counts of Newton steps on the unfloored
+    # log(beta_e)-derivative (flooring its exponent costs 67-89)
+    lay = build_line_layout(1.0, 2.0, 6, 2.0)
+    params = ChannelParams(alpha=8.0, Ps=1.0, Pm=1.0, lambda_e=1000.0)
+    for scheme, most in ((SchemeId.DBF, 18), (SchemeId.FOT, 17),
+                         (SchemeId.BSR, 13)):
+        root = invert_sop(scheme, lay, params, 0.5, bsr_exact=True)
+        assert root.evals <= most
+        assert root.residual <= SOP_INVERSION_TOL
 
 
 def test_invert_sop_round_trip_grid():
@@ -316,11 +344,11 @@ def test_invert_sop_meets_tolerance_across_geometry_and_power():
 
 
 def test_invert_sop_raises_when_max_iter_exhausted(monkeypatch):
-    # the evaluation budget is the module constant SOP_MAX_EVALS
+    # the evaluation budget is the module constant outage.SOP_MAX_EVALS
     lay = standard_layout(3)
     params = standard_params()
     assert invert_sop(SchemeId.DBF, lay, params, 0.2).evals > 2
-    monkeypatch.setattr(rates, "SOP_MAX_EVALS", 1)
+    monkeypatch.setattr(outage, "SOP_MAX_EVALS", 1)
     with pytest.raises(RuntimeError, match="did not converge in 1 "):
         invert_sop(SchemeId.DBF, lay, params, 0.2)
 
