@@ -15,7 +15,7 @@ path loss), `outage` (analytic COP/SOP), `montecarlo` (seeded estimators),
 
 __version__ = "0.1.0"
 
-from .layout import NetworkLayout, PolarPoint, build_line_layout, distance
+from .layout import NetworkLayout, PolarPoint, build_line_layout
 from .channel import ChannelParams, SchemeId
 from .outage import (OutageEstimate, bsr_approx_threshold, cop_bsr,
                      cop_dbf_asymptotic, cop_dbf_exact, cop_fot, sop,
@@ -30,7 +30,7 @@ from .caching import (ZipfLibrary, average_power, cum_pop_approx,
                       see)
 
 __all__ = [
-    "NetworkLayout", "PolarPoint", "build_line_layout", "distance",
+    "NetworkLayout", "PolarPoint", "build_line_layout",
     "ChannelParams", "SchemeId",
     "OutageEstimate", "bsr_approx_threshold", "cop_bsr",
     "cop_dbf_asymptotic", "cop_dbf_exact", "cop_fot", "sop", "sop_bsr_approx",

@@ -20,7 +20,9 @@ validate draw their cells from one evaluator table per outage kind.
 
 A scenario file is a flat "key = value" text file (or a JSON object with
 the same keys); unknown keys are errors, not warnings, because a silently
-ignored setting would invalidate any comparison. Powers are written in dBw;
+ignored setting would invalidate any comparison. Each Scenario field
+declares its key's default and legal range together; loading checks every
+key against its range, then the rules that join keys. Powers are in dBw;
 Scenario.params converts them to linear where a command builds the channel
 of a sweep point. Every output embeds the scenario, tool version and seed,
 and reruns with the same seed are byte-identical.
@@ -36,113 +38,112 @@ import math
 import sys
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
 from . import __version__, caching, montecarlo, outage, rates
 from .channel import ChannelParams, SchemeId
-from .layout import NetworkLayout, build_line_layout, distance
+from .layout import NetworkLayout, build_line_layout
 
 
 class ConfigError(Exception):
     """Malformed scenario file or invalid option combination."""
 
 
+# Powers beyond +-3000 dBw leave the range of a positive finite float.
+DBW_LIMIT = 3000.0
+# sweep_values lists every point before the first row is computed; a step
+# of 1e-9 dB would ask for 3e10 of them.
+MAX_SWEEP_POINTS = 10_000
+# The cell pool submits every task at once and so starts all its threads.
+MAX_THREADS = 256
+
+
+def _key(default, rule: str, ok):
+    """A scenario key's default and legal range: ok(value) must hold, and
+    the error message says the value must be rule."""
+    return field(default=default, metadata={"rule": rule, "ok": ok})
+
+
+def _choice(*names: str):
+    return _key(names[0], "|".join(names), lambda v: v in names)
+
+
+_DBW = (f"within +-{DBW_LIMIT:g}", lambda v: abs(v) <= DBW_LIMIT)
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """Every knob of an experiment, as read from a scenario file."""
+    """Every knob of an experiment, as read from a scenario file, with its
+    default and legal range (sweep_start and sweep_stop have none alone)."""
 
     # geometry
-    r_s1_o: float = 1.0
-    r_s: float = 0.5
-    K: int = 3
-    r_b_s1: float = 2.0
+    r_s1_o: float = _key(1.0, "> 0", lambda v: v > 0.0)
+    r_s: float = _key(0.5, "> 0", lambda v: v > 0.0)
+    K: int = _key(3, ">= 1", lambda v: v >= 1)
+    r_b_s1: float = _key(2.0, "> 0", lambda v: v > 0.0)
     # channel (powers in dBw)
-    alpha: float = 4.0
-    Ps_dBw: float = 10.0
-    Pm_dBw: float = 0.0
-    lambda_e: float = 0.1
+    alpha: float = _key(4.0, "> 2", lambda v: v > 2.0)
+    Ps_dBw: float = _key(10.0, *_DBW)
+    Pm_dBw: float = _key(0.0, *_DBW)
+    lambda_e: float = _key(0.1, ">= 0", lambda v: v >= 0.0)
     # wiretap code / secrecy
-    epsilon: float = 0.2
-    beta_t: float = 1.0
-    beta_e: float = 1.0
-    bsr_sop_model: str = "approx"  # "approx" or "exact"
+    epsilon: float = _key(0.2, "in (0, 1)", lambda v: 0.0 < v < 1.0)
+    beta_t: float = _key(1.0, ">= 0", lambda v: v >= 0.0)
+    beta_e: float = _key(1.0, ">= 0", lambda v: v >= 0.0)
+    bsr_sop_model: str = _choice("approx", "exact")
     # caching
-    N: int = 100
-    tau: float = 1.5
-    L: int = 10
-    caching_objective: str = "throughput"  # "throughput" or "see"
+    N: int = _key(100, ">= 1", lambda v: v >= 1)
+    tau: float = _key(1.5, "> 0", lambda v: v > 0.0)
+    L: int = _key(10, ">= 1", lambda v: v >= 1)
+    caching_objective: str = _choice("throughput", "see")
     # monte carlo
-    trials: int | None = None
-    seed: int = 12345
-    threads: int = 1
+    trials: int | None = _key(None, ">= 0", lambda v: v is None or v >= 0)
+    seed: int = _key(12345, ">= 0", lambda v: v >= 0)
+    threads: int = _key(1, f"in [1, {MAX_THREADS}]",
+                        lambda v: 1 <= v <= MAX_THREADS)
     # sweep axis
-    sweep_var: str = "Ps_dBw"
+    sweep_var: str = _choice("Ps_dBw", "Rs", "N")
     sweep_start: float = 0.0
     sweep_stop: float = 30.0
-    sweep_step: float = 5.0
+    sweep_step: float = _key(5.0, "> 0", lambda v: v > 0.0)
 
     def __post_init__(self):
-        """Reject a scenario no experiment can run, on load: every float
-        finite and every value in its legal range (exit code 2)."""
-        for key, kind in _TYPES.items():
-            if kind is float and not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, "
-                                  f"got {getattr(self, key)}")
-        dbw = f"within +-{DBW_LIMIT:g}"
-        for key, ok, rule in (
-                ("r_s1_o", self.r_s1_o > 0.0, "> 0"),
-                ("r_s", self.r_s > 0.0, "> 0"),
-                ("r_b_s1", self.r_b_s1 > 0.0, "> 0"),
-                ("K", self.K >= 1, ">= 1"),
-                ("alpha", self.alpha > 2.0, "> 2"),
-                ("Ps_dBw", abs(self.Ps_dBw) <= DBW_LIMIT, dbw),
-                ("Pm_dBw", abs(self.Pm_dBw) <= DBW_LIMIT, dbw),
-                ("lambda_e", self.lambda_e >= 0.0, ">= 0"),
-                ("epsilon", 0.0 < self.epsilon < 1.0, "in (0, 1)"),
-                ("beta_t", self.beta_t >= 0.0, ">= 0"),
-                ("beta_e", self.beta_e >= 0.0, ">= 0"),
-                ("N", self.N >= 1, ">= 1"),
-                ("tau", self.tau > 0.0, "> 0"),
-                ("L", self.L >= 1, ">= 1"),
-                ("trials", self.trials is None or self.trials >= 0, ">= 0"),
-                ("seed", self.seed >= 0, ">= 0"),
-                ("threads", 1 <= self.threads <= MAX_THREADS,
-                 f"in [1, {MAX_THREADS}]"),
-                ("sweep_step", self.sweep_step > 0.0, "> 0"),
-                ("sweep_stop", self.sweep_stop >= self.sweep_start,
-                 f">= sweep_start = {self.sweep_start}")):
-            if not ok:
-                raise ConfigError(f"{key} must be {rule}, "
-                                  f"got {getattr(self, key)}")
-        if self.bsr_sop_model not in ("approx", "exact"):
-            raise ConfigError("bsr_sop_model must be approx|exact")
-        if self.caching_objective not in ("throughput", "see"):
-            raise ConfigError("caching_objective must be throughput|see")
-        if self.sweep_var not in ("Ps_dBw", "Rs", "N"):
-            raise ConfigError("sweep_var must be Ps_dBw|Rs|N")
+        """Reject a scenario no experiment can run, on load (exit code 2):
+        every float finite and every key in its declared range, then the
+        rules that join keys (sweep bounds and points, geometry)."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+            if "ok" in f.metadata and not f.metadata["ok"](value):
+                raise ConfigError(f"{f.name} must be {f.metadata['rule']}, "
+                                  f"got {value}")
         low, high = self.sweep_start, self.sweep_stop
+        if high < low:
+            raise ConfigError(f"sweep_stop must be >= sweep_start = {low}, "
+                              f"got {high}")
         if self.sweep_var == "Ps_dBw" and max(-low, high) > DBW_LIMIT:
-            raise ConfigError(f"Ps_dBw sweep must stay {dbw}")
+            raise ConfigError(f"Ps_dBw sweep must stay {_DBW[0]}")
         if self.sweep_var == "N" and (low < 1 or not all(
-                float(v).is_integer()
-                for v in (self.sweep_start, self.sweep_step))):
+                float(v).is_integer() for v in (low, self.sweep_step))):
             raise ConfigError("N sweep must start at an integer >= 1 and "
                               "step by an integer")
         if self.sweep_var == "Rs" and low < 0:
             raise ConfigError("Rs sweep must start at >= 0")
-        if (self.sweep_stop - self.sweep_start) / self.sweep_step \
-                >= MAX_SWEEP_POINTS:
-            raise ConfigError(f"a sweep has at most {MAX_SWEEP_POINTS} "
-                              f"points")
+        if (high - low) / self.sweep_step >= MAX_SWEEP_POINTS:
+            raise ConfigError(f"a sweep has at most {MAX_SWEEP_POINTS} points")
         try:
             lay = self.layout()
         except ValueError as exc:  # a coordinate overflowed to inf
             raise ConfigError(f"geometry is not finite: {exc}") from exc
-        if not all(math.isfinite(distance(lay.mbs, p)) for p in lay.sbs):
-            raise ConfigError("geometry is not finite: an SBS-to-MBS "
-                              "distance overflows")
+        # K d^alpha and K d^-alpha (sums over SBSs) stay normal floats
+        bound = 708.0 - math.log(self.K)
+        if not all(abs(self.alpha * math.log(p.r)) < bound
+                   for p in (lay.mbs, *lay.sbs)):
+            raise ConfigError(f"geometry leaves the float range: |alpha log(d)|"
+                              f" must be < {bound:g} at every BS distance d")
 
     def layout(self) -> NetworkLayout:
         return build_line_layout(self.r_s1_o, self.r_s, self.K, self.r_b_s1)
@@ -157,15 +158,6 @@ class Scenario:
 
     def header_items(self) -> list[str]:
         return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
-
-
-# Powers beyond +-3000 dBw leave the range of a positive finite float.
-DBW_LIMIT = 3000.0
-# sweep_values lists every point before the first row is computed; a step
-# of 1e-9 dB would ask for 3e10 of them.
-MAX_SWEEP_POINTS = 10_000
-# The cell pool submits every task at once and so starts all its threads.
-MAX_THREADS = 256
 
 
 def dbw_to_linear(p_dbw: float) -> float:

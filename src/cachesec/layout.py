@@ -46,16 +46,6 @@ class PolarPoint:
         return cls(math.hypot(x, y), math.atan2(y, x))
 
 
-def distance(a: PolarPoint, b: PolarPoint) -> float:
-    """Euclidean distance between two points.
-
-    Equivalent to the law of cosines sqrt(ra^2 + rb^2 - 2 ra rb cos(ta - tb));
-    computed in Cartesian form, which is symmetric and exactly zero for
-    coincident points.
-    """
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
 @dataclass(frozen=True)
 class NetworkLayout:
     """MBS position plus the K SBS positions, nearest SBS first.

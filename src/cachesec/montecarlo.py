@@ -101,6 +101,7 @@ def mc_cop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
     r_neg = r ** -params.alpha
     r_neg_half = r ** (-params.alpha / 2.0)
 
+    @np.errstate(over="ignore")  # an SNR overflowed to inf compares right
     def worker(n: int, seq) -> int:
         rng = np.random.default_rng(seq)
         g = rng.standard_exponential((n, K))

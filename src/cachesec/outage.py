@@ -11,7 +11,8 @@ The schemes differ only in which independent Rayleigh links carry a file,
 and each is described once, as data: `breach_links` lists the links an
 eavesdropper can intercept, `decoding_branches` those the user decodes on.
 One union over links gives every breach law (a BreachKernel), one
-product over branches the partition and relaying COPs.
+product over branches the partition and relaying COPs. An exponent that
+would leave the float range is floored (EXP_FLOOR) or capped (EXACT_LOG).
 
 Eavesdroppers form a Poisson field, so every SOP has the shape
 1 - exp(-lambda_e * I) where I integrates the breach law over the plane.
@@ -259,7 +260,8 @@ def _branch_cop(scheme: SchemeId, layout: NetworkLayout,
     if beta_t < 0.0:
         raise ValueError("beta_t must be nonnegative")
     ra, power = decoding_branches(scheme, layout, params)
-    x = np.minimum(beta_t * ra, EXACT_LOG * power) / power
+    with np.errstate(over="ignore"):  # an overflowed product is capped
+        x = np.minimum(beta_t * ra, EXACT_LOG * power) / power
     return OutageEstimate(min(float(np.prod(-np.expm1(-x))), 1.0),
                           METHOD_EXACT)
 
@@ -320,8 +322,10 @@ class BreachKernel:
     law(px, py, beta_e, deriv) returns the probability that an eavesdropper
     at (px, py) decodes some link, and its derivative in log(beta_e) on the
     same points when deriv is set (None otherwise). Link k breaches with
-    p_k = exp(a_k), a_k = -(beta_e / P_k) / W_k and W_k the sum of d^-alpha
-    over its transmitters, so dp_k = a_k p_k (a_k unfloored); the union is
+    p_k = exp(max(a_k, EXP_FLOOR)), a_k = -(beta_e / P_k) / W_k and W_k the
+    sum of d^-alpha over its transmitters; a_k may overflow to -inf, which
+    the floor takes. The slope is that of the floored law, dp_k = a_k p_k
+    and 0 where the floor binds; the union is
     u <- u + p_k (1 - u), whose derivative follows
     du <- du (1 - p_k) + dp_k (1 - u). A silent link (relaying at Pm = 0)
     is never evaluated, but still counts towards d_max. d_max and power set
@@ -342,8 +346,12 @@ class BreachKernel:
             for t in tx:  # summed in layout order
                 d = dist_pow_neg((px - t.x) ** 2 + (py - t.y) ** 2, self.alpha)
                 w = d if w is None else np.add(w, d, out=w)
-            p = -(beta_e / power) / w
-            a = p.copy() if deriv else None  # the unfloored exponent
+            p = -(beta_e / power) / w  # may reach -inf: the floor takes it
+            # the exponent's slope, 0 where the floor binds (masked only in
+            # the blocks where it binds)
+            if deriv:
+                a = p.copy() if p.min() > EXP_FLOOR \
+                    else np.where(p > EXP_FLOOR, p, 0.0)
             np.exp(np.maximum(p, EXP_FLOOR, out=p), out=p)
             dp = np.multiply(a, p, out=a) if deriv else None
             if u is None:  # the first link's values, updated in place below
@@ -363,7 +371,7 @@ class BreachKernel:
         Gauss-Legendre grid; by default (2 RADIAL_NODES, ANGULAR_NODES),
         read when called, the grid every SOP reports. The derivative ignores
         the radius' own dependence on beta_e, where the integrand is below
-        1e-12.
+        1e-12. An exponent of law may overflow to -inf without a warning.
 
         law runs on blocks of consecutive radial rows (see BLOCK_POINTS),
         each reduced to its angular sums before the next, so that its
@@ -378,11 +386,12 @@ class BreachKernel:
         rows = max(1, BLOCK_POINTS // n_angular // BLOCK_ROW_GROUP) \
             * BLOCK_ROW_GROUP
         per_radius = np.empty((2 if deriv else 1, n_radial))
-        for lo in range(0, n_radial, rows):
-            rb = r[lo:lo + rows, None]
-            values = self.law(rb * cos_t, rb * sin_t, beta_e, deriv)
-            for sums, v in zip(per_radius, values):
-                sums[lo:lo + rows] = v @ wt_pi
+        with np.errstate(over="ignore"):  # see law: exponents below the floor
+            for lo in range(0, n_radial, rows):
+                rb = r[lo:lo + rows, None]
+                values = self.law(rb * cos_t, rb * sin_t, beta_e, deriv)
+                for sums, v in zip(per_radius, values):
+                    sums[lo:lo + rows] = v @ wt_pi
         out = [float(np.sum(sums * r * wr)) * 0.5 * rmax
                for sums in per_radius]
         return tuple(out) if deriv else out[0]

@@ -170,8 +170,14 @@ def _branch_law(scheme, eta, layout, params, beta_e_circ) -> SuccessLaw:
     # exp(-decays_k b); the union u + t_k (1 - u) keeps its relative
     # accuracy where 1 - prod_k (1 - t_k) cancels to noise
     ra, power = outage.decoding_branches(scheme, layout, params)
-    gains = np.exp(-beta_e_circ * ra / power)
-    decays = (1.0 + beta_e_circ) * ra / power
+    with np.errstate(over="ignore"):
+        gains = np.exp(-beta_e_circ * ra / power)
+        decays = (1.0 + beta_e_circ) * ra / power
+    # a branch with gain 0 or an overflowed decay adds t = 0 at every b > 0
+    # (dropped before 0 * inf is nan); as Python floats, an overflowing
+    # d * b is inf, so t = 0, without a warning
+    keep = (gains > 0.0) & (decays < math.inf)
+    gains, decays = gains[keep].tolist(), decays[keep].tolist()
 
     def union(b, slope):
         u = du = 0.0

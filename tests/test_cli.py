@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cachesec
-from cachesec import SchemeId, outage, rates
+from cachesec import ChannelParams, SchemeId, outage, rates
 from cachesec.cli import (ConfigError, Scenario, load_scenario, main,
                           parse_scenario_text, sweep_values)
 
@@ -364,10 +364,42 @@ def test_exit_code_2_for_out_of_range_epsilon(tmp_path):
     "sweep_var = N\nsweep_start = 1.5\nsweep_stop = 3\nsweep_step = 1",
     "sweep_start = 30\nsweep_stop = 0",
     "sweep_var = N\nsweep_start = 60\nsweep_stop = 5", "threads = 100000",
-    "seed = -1"])
+    "seed = -1",
+    # K d^alpha or K d^-alpha of a transmitter distance d leaves the
+    # normal floats: a nan COP, an exit 3 or a subnormal r^4 once loaded,
+    # or a partition COP whose sum over the SBSs overflows
+    "r_s1_o = 1e-300", "r_s1_o = 1e-80", "r_b_s1 = 1e200",
+    "alpha = 30\nr_s1_o = 1e-24", "alpha = 30\nr_s = 1e24",
+    "K = 6\nr_s1_o = 5e76"])
 def test_exit_code_2_for_invalid_scenarios(tmp_path, bad):
     code, out = run(tmp_path, "throughput", SMALL_SWEEP + bad + "\n")
     assert code == 2
+    assert not out.exists()
+
+
+# a value just outside each key's declared range
+OUT_OF_RANGE = {
+    "r_s1_o": "0", "r_s": "-1", "K": "0", "r_b_s1": "0", "alpha": "2",
+    "Ps_dBw": "3001", "Pm_dBw": "-3001", "lambda_e": "-1e-300",
+    "epsilon": "1", "beta_t": "-1", "beta_e": "-1", "bsr_sop_model": "both",
+    "N": "0", "tau": "0", "L": "0", "caching_objective": "energy",
+    "trials": "-1", "seed": "-1", "threads": "257", "sweep_var": "alpha",
+    "sweep_step": "0"}
+
+
+@pytest.mark.parametrize("key", [f for f in fields(Scenario)
+                                 if f.name not in ("sweep_start",
+                                                   "sweep_stop")],
+                         ids=lambda f: f.name)
+def test_every_key_declares_its_legal_range(tmp_path, capsys, key):
+    # a key's range is declared with its default, so a new key cannot be
+    # added without one; only the sweep bounds are checked together
+    assert "ok" in key.metadata, f"{key.name} declares no legal range"
+    code, out = run(tmp_path, "throughput",
+                    SMALL_SWEEP + f"{key.name} = {OUT_OF_RANGE[key.name]}\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{key.name} must be {key.metadata['rule']}, got " in err
     assert not out.exists()
 
 
@@ -419,6 +451,49 @@ def test_exit_code_3_when_the_sop_root_leaves_the_float_range(tmp_path,
     assert "infeasible: SOP root outside the float range" \
         in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_throughput_with_a_near_silent_mbs(tmp_path):
+    # Pm_dBw = -3000 is the quietest MBS a scenario can set: the exact
+    # relaying SOP inverts to the root of a silent MBS (Pm = 0), 26.537...
+    cfg = ("Pm_dBw = -3000\nalpha = 8\nlambda_e = 1\nbsr_sop_model = exact\n"
+           "sweep_start = -30\nsweep_stop = -30\nsweep_step = 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "throughput", cfg)
+    assert code == 0
+    header, rows = read_rows(out)
+    silent = ChannelParams(8.0, Ps=1e-3, Pm=0.0, lambda_e=1.0)
+    root = rates.invert_sop(SchemeId.BSR, Scenario().layout(), silent, 0.2,
+                            bsr_exact=True)
+    assert rows[2][:3] == ["-30", "bsr", f"{root:.12g}"]
+
+
+@pytest.mark.parametrize("cfg", [
+    "K = 20\nPs_dBw = 3000\nPm_dBw = 3000\n",
+    "Ps_dBw = -3000\nalpha = 2.5\nPm_dBw = 100\nbsr_sop_model = exact\n",
+    "lambda_e = 0\nPs_dBw = -3000\nr_s1_o = 1000\n"])
+def test_caching_with_branches_that_never_decode(tmp_path, cfg):
+    # a decoding branch whose gain underflows to 0, or whose decay
+    # overflows, made the rate design nan and the table exit 3
+    cfg += "sweep_var = N\nsweep_start = 100\nsweep_stop = 100\nsweep_step = 1\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "caching", cfg)
+    assert code == 0
+    _, rows = read_rows(out)
+    assert all(float(cell) >= 0.0 for cell in rows[0])
+
+
+def test_cop_sweep_caps_an_overflowing_branch_exponent(tmp_path):
+    cfg = ("beta_t = 1e300\nr_s1_o = 1e6\nr_b_s1 = 1e4\n"
+           "sweep_start = -30\nsweep_stop = -30\nsweep_step = 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "cop-sweep", cfg, ["--trials", "0"])
+    assert code == 0
+    _, rows = read_rows(out)
+    assert [row[2] for row in rows] == ["1"] * 4
 
 
 def test_throughput_without_eavesdroppers_at_huge_power(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cachesec import NetworkLayout, PolarPoint, build_line_layout, distance
+from cachesec import NetworkLayout, PolarPoint, build_line_layout
 
 
 def test_line_layout_matches_figure_geometry():
@@ -41,21 +41,6 @@ def test_line_layout_k1_two_distances():
 def test_line_layout_rejects_bad_args(bad):
     with pytest.raises(ValueError):
         build_line_layout(**bad)
-
-
-def test_distance_identity_antipodal_right_angle():
-    assert distance(PolarPoint(1.0, 0.3), PolarPoint(1.0, 0.3)) == 0.0
-    assert distance(PolarPoint(1.0, 0.0), PolarPoint(1.0, math.pi)) == pytest.approx(2.0)
-    assert distance(PolarPoint(1.0, 0.0), PolarPoint(1.0, math.pi / 2)) == pytest.approx(math.sqrt(2.0))
-
-
-def test_distance_symmetry_and_triangle_inequality():
-    rng = np.random.default_rng(0)
-    pts = [PolarPoint(float(r), float(t))
-           for r, t in zip(rng.uniform(0, 5, 60), rng.uniform(0, 7, 60))]
-    for a, b, c in zip(pts[::3], pts[1::3], pts[2::3]):
-        assert distance(a, b) == distance(b, a)
-        assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-12
 
 
 def test_polar_point_normalizes_angle():

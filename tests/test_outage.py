@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from cachesec import (ChannelParams, OutageEstimate, RateDesign, SchemeId,
                       build_line_layout, cop_bsr, cop_dbf_asymptotic,
-                      cop_dbf_exact, cop_fot, outage, sop, sop_bsr_approx,
-                      sop_bsr_exact, sop_dbf, sop_fot)
+                      cop_dbf_exact, cop_fot, invert_sop, outage, sop,
+                      sop_bsr_approx, sop_bsr_exact, sop_dbf, sop_fot)
 from cachesec.channel import dist_pow_neg
 from helpers import (beta_t_star, dbw, rate_codeword, rate_redundancy,
                      standard_layout, standard_params)
@@ -611,6 +611,31 @@ def test_exp_floor_changes_no_spaced_sop(monkeypatch):
     monkeypatch.setattr(outage, "EXP_FLOOR", -math.inf)
     for a, b in zip(floored, sops()):
         assert a == pytest.approx(b, rel=1e-15, abs=0.0)
+
+
+def test_every_vector_exp_on_the_sop_path_is_floored(monkeypatch):
+    # numpy's vector exp is about 150 times slower where its result is
+    # subnormal; on the spaced layout at -30 dBw most grid points lie far
+    # below e^-700, and no SOP or SOP inversion may hand exp such an
+    # argument
+    lowest = []
+    real_exp = np.exp
+
+    def exp(x, *args, **kwargs):
+        if np.ndim(x) > 0:
+            lowest.append(float(np.min(x)))
+        return real_exp(x, *args, **kwargs)
+
+    lay = build_line_layout(1.0, 2.0, 6, 2.0)
+    params = standard_params(Ps_dBw=-30.0, lambda_e=1.0)
+    monkeypatch.setattr(np, "exp", exp)
+    for fn in (sop_dbf, sop_fot, sop_bsr_exact):
+        fn(lay, params, 1.0)
+    for scheme in SchemeId:
+        invert_sop(scheme, lay, params, 0.2, bsr_exact=True)
+    monkeypatch.undo()
+    assert len(lowest) > 100
+    assert min(lowest) >= outage.EXP_FLOOR
 
 
 def test_dispatchers():

@@ -65,8 +65,9 @@ def test_invert_sop_reaches_roots_near_the_float_limit(scheme, bsr_exact,
 
 def test_invert_sop_evaluations_on_the_alpha_8_stress_case():
     # the spaced K = 6 layout at alpha = 8, lambda_e = 1000, epsilon = 0.5
-    # and 0 dBw: the evaluation counts of Newton steps on the unfloored
-    # log(beta_e)-derivative (flooring its exponent costs 67-89)
+    # and 0 dBw: the evaluation counts of Newton steps on the
+    # log(beta_e)-derivative of the floored law (a slope of EXP_FLOOR
+    # e^EXP_FLOOR, not 0, where the floor binds costs 67-89)
     lay = build_line_layout(1.0, 2.0, 6, 2.0)
     params = ChannelParams(alpha=8.0, Ps=1.0, Pm=1.0, lambda_e=1000.0)
     for scheme, most in ((SchemeId.DBF, 18), (SchemeId.FOT, 17),
@@ -74,6 +75,25 @@ def test_invert_sop_evaluations_on_the_alpha_8_stress_case():
         root = invert_sop(scheme, lay, params, 0.5, bsr_exact=True)
         assert root.evals <= most
         assert root.residual <= SOP_INVERSION_TOL
+
+
+@pytest.mark.parametrize("alpha, root, evals", [
+    (8.0, 26.537007973765437, 3), (15.0, 258991.81871579043, 4),
+    (30.0, 98112059606576.83, 4)])
+def test_invert_sop_with_a_near_silent_mbs(alpha, root, evals):
+    # Pm = 1e-300 (-3000 dBw): the MBS hop's exponent, about -1e305 on the
+    # far grid points, is floored to e^EXP_FLOOR, so its law and slope add
+    # nothing and the root is that of a silent MBS (Pm = 0) in as many
+    # evaluations; the unfloored exponent times e^EXP_FLOOR would add about
+    # -10 per far point to the slope and exhaust the evaluations
+    lay = standard_layout(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pm in (0.0, 1e-300):
+            params = ChannelParams(alpha=alpha, Ps=1e-3, Pm=pm, lambda_e=1.0)
+            got = invert_sop(SchemeId.BSR, lay, params, 0.2, bsr_exact=True)
+            assert float(got) == pytest.approx(root, rel=1e-12)
+            assert got.evals == evals
 
 
 def test_invert_sop_round_trip_grid():

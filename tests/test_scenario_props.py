@@ -1,11 +1,19 @@
 """Property tests: scenario loading either accepts a runnable scenario or
-rejects it with ConfigError, whatever the float values."""
+rejects it with ConfigError, whatever the float values, and every command
+runs an accepted scenario or fails it with a one-line message."""
 
+import io
 import math
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from cachesec.cli import DBW_LIMIT, ConfigError, parse_scenario_text
+from cachesec import montecarlo
+from cachesec.cli import DBW_LIMIT, ConfigError, main, parse_scenario_text
 
 FLOAT_KEYS = ("r_s1_o", "r_s", "r_b_s1", "alpha", "Ps_dBw", "Pm_dBw",
               "lambda_e", "epsilon", "beta_t", "beta_e", "tau")
@@ -17,7 +25,7 @@ FLOAT_KEYS = ("r_s1_o", "r_s", "r_b_s1", "alpha", "Ps_dBw", "Pm_dBw",
                        max_size=4))
 @example({"r_s": 8.98846567431158e+307})  # k * r_s overflows in the layout
 def test_loaded_scenarios_are_finite_and_in_range(values):
-    text = "".join(f"{k} = {v!r}\n" for k, v in values.items())
+    text = "".join(f"{k} = {v}\n" for k, v in values.items())
     try:
         scn = parse_scenario_text(text)
     except ConfigError:
@@ -30,3 +38,58 @@ def test_loaded_scenarios_are_finite_and_in_range(values):
     # what every command builds from the scenario must then construct
     scn.layout()
     scn.params()
+
+
+# edge values of the declared ranges; a distance d is drawn by alpha log d,
+# so that d^alpha reaches both float limits whatever alpha is
+_EDGES = {
+    "Ps_dBw": st.sampled_from([-3000.0, -300.0, -30.0, 0.0, 30.0, 300.0,
+                               3000.0]),
+    "Pm_dBw": st.sampled_from([-3000.0, -30.0, 0.0, 30.0, 3000.0]),
+    "alpha": st.sampled_from([2.0 + 1e-9, 2.5, 4.0, 8.0, 30.0]),
+    "lambda_e": st.sampled_from([0.0, 1e-300, 1e-6, 0.1, 1.0, 1e6]),
+    "K": st.integers(1, 20),
+    "bsr_sop_model": st.sampled_from(["approx", "exact"]),
+}
+_LOG_POWERS = st.sampled_from([-707.0, -300.0, 0.0, 300.0, 708.0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.fixed_dictionaries(_EDGES),
+       st.tuples(_LOG_POWERS, _LOG_POWERS, _LOG_POWERS))
+@example({"Ps_dBw": -30.0, "Pm_dBw": -3000.0, "alpha": 8.0, "lambda_e": 1.0,
+          "K": 3, "bsr_sop_model": "exact"}, (0.0, -0.7, 0.7))
+@example({"Ps_dBw": 3000.0, "Pm_dBw": 3000.0, "alpha": 4.0, "lambda_e": 0.1,
+          "K": 20, "bsr_sop_model": "approx"}, (0.0, -2.8, 2.8))
+def test_every_loaded_scenario_runs_or_fails_cleanly(values, log_powers):
+    # whatever the loader accepts runs without a floating-point warning, or
+    # is refused with one line: exit 2 (config) or 3 (infeasible). Monte
+    # Carlo fields are capped at 2^20 floats so that a dense field fails
+    # fast and small, as it does at the program's own cap
+    keys = ("r_s1_o", "r_s", "r_b_s1")
+    text = "".join(f"{k} = {v}\n" for k, v in values.items())
+    text += "".join(f"{k} = {math.exp(x / values['alpha'])!r}\n"
+                    for k, x in zip(keys, log_powers))
+    point = {"Ps_dBw": values["Ps_dBw"], "Rs": 1.0, "N": 100}
+    runs = [("cop-sweep", "Ps_dBw", ["--trials", "50"]),
+            ("sop-sweep", "Ps_dBw", ["--trials", "50"]),
+            ("throughput", "Rs", []), ("throughput", "Ps_dBw", []),
+            ("caching", "N", [])]
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(montecarlo, "MAX_FIELD_FLOATS", 1 << 20):
+        cfg = Path(tmp) / "scenario.cfg"
+        for command, axis, extra in runs:
+            v = point[axis]
+            cfg.write_text(text + f"sweep_var = {axis}\nsweep_start = {v}\n"
+                           f"sweep_stop = {v}\nsweep_step = 1\n")
+            err = io.StringIO()
+            with warnings.catch_warnings(), redirect_stderr(err), \
+                    redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error")
+                code = main([command, "--config", str(cfg), *extra])
+            lines = err.getvalue().splitlines()
+            if code == 0:
+                continue
+            assert code in (2, 3), (command, code)
+            prefix = "config error: " if code == 2 else "infeasible: "
+            assert len(lines) == 1 and lines[0].startswith(prefix), lines
