@@ -16,7 +16,9 @@ Verbs:
 Each verb builds the columns and rows of one table, one pool task per
 (sweep point, cell); main checks the sweep axis against the axes the verb
 accepts (_COMMANDS) and writes the table. cop-sweep, sop-sweep and
-validate draw their cells from one evaluator table per outage kind.
+validate draw their cells from one evaluator table per outage kind. A
+throughput or caching power sweep inverts the beamforming and partition SOPs
+once per table, before the pool starts (rates.power_sweep_roots).
 
 A scenario file is a flat "key = value" text file (or a JSON object with
 the same keys); unknown keys are errors, not warnings, because a silently
@@ -349,10 +351,13 @@ def cmd_throughput(scn: Scenario):
 
         columns = ["Rs", "scheme", "psi"]
     else:
+        roots = rates.power_sweep_roots(  # before the pool: once per table
+            layout, [scn.params(v) for v in sweep_values(scn)], scn.epsilon)
+
         def cell(i, ps_dbw, j):
-            design = rates.scheme_throughput(schemes[j], layout,
-                                             scn.params(ps_dbw), scn.epsilon,
-                                             bsr_exact=bsr_exact)
+            design = rates.scheme_throughput(
+                schemes[j], layout, scn.params(ps_dbw), scn.epsilon,
+                bsr_exact, roots[i].get(schemes[j]))
             return [ps_dbw, schemes[j].value, design.beta_e_circ,
                     design.beta_s_star, design.rate_secrecy, design.psi_star]
 
@@ -365,20 +370,20 @@ def cmd_throughput(scn: Scenario):
 def cmd_caching(scn: Scenario):
     layout = scn.layout()
     bsr_exact = scn.bsr_sop_model == "exact"
-    if scn.sweep_var == "N":
+    n_sweep = scn.sweep_var == "N"
+    if n_sweep:
         # psi does not depend on the library size: design the codes once
         psi_fixed = rates.per_scheme_psi(layout, scn.params(), scn.epsilon,
                                          bsr_exact)
+    else:  # see cmd_throughput
+        roots = rates.power_sweep_roots(
+            layout, [scn.params(v) for v in sweep_values(scn)], scn.epsilon)
 
     def cell(i, v, j):
-        if scn.sweep_var == "N":
-            params = scn.params()
-            lib = caching.ZipfLibrary(N=int(v), tau=scn.tau)
-            psi = psi_fixed
-        else:
-            params = scn.params(v)
-            lib = caching.ZipfLibrary(N=scn.N, tau=scn.tau)
-            psi = rates.per_scheme_psi(layout, params, scn.epsilon, bsr_exact)
+        params = scn.params(None if n_sweep else v)
+        lib = caching.ZipfLibrary(N=int(v) if n_sweep else scn.N, tau=scn.tau)
+        psi = psi_fixed if n_sweep else rates.per_scheme_psi(
+            layout, params, scn.epsilon, bsr_exact, roots[i])
         m_closed, m_ex, value = caching.optimize_allocation(
             scn.caching_objective, psi[SchemeId.DBF], psi[SchemeId.FOT],
             psi[SchemeId.BSR], params, lib, scn.K, scn.L)

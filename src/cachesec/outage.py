@@ -401,8 +401,9 @@ class BreachKernel:
         SOP_INVERSION_TOL, and the kernel evaluations spent: Newton steps
         on log I = log(-log(1 - epsilon) / lambda_e), nearly linear in
         u = log(beta_e), bisecting in u (or doubling a move out while the
-        bracket is open) where a step leaves the bracket around the root.
-        RuntimeError after SOP_MAX_EVALS evaluations."""
+        bracket is open) where a step leaves the bracket. RuntimeError after
+        SOP_MAX_EVALS evaluations; ArithmeticError where the next beta_e is
+        a bracket end already tried (a root among the subnormals)."""
         a = self.alpha
         target = math.log(-math.log1p(-epsilon) / lambda_e)  # log I at root
         # start from the root of one transmitter of the kernel's largest
@@ -413,6 +414,8 @@ class BreachKernel:
         reach = 1.0
         for evals in range(1, SOP_MAX_EVALS + 1):
             beta = math.exp(u)
+            if beta in (math.exp(lo), math.exp(hi)):  # tried: it cannot move
+                raise ArithmeticError(f"no float left to try beside {beta!r}")
             integral, slope = self.integral(beta, deriv=True)
             value = min(max(-math.expm1(-lambda_e * integral), 0.0), 1.0)
             if abs(value - epsilon) <= SOP_INVERSION_TOL:

@@ -14,7 +14,10 @@ effective rate. Each scheme's 1 - COP and its beta_s-derivative are written
 once, as a SuccessLaw that the throughput curve and the one maximizer share.
 
 The SOP roots live in `outage`, beside the SOPs they invert; invert_sop
-picks the root, then certifies and records it.
+picks the root, then certifies and records it. Both breach laws of the
+beamforming and partition SOPs are exp(-(beta_e/P)/W), P = Ps or K Ps, and
+their truncation radius reads P/beta_e: they depend on beta_e/Ps alone, so a
+power sweep inverts them once and scales the root (power_sweep_roots).
 """
 
 from __future__ import annotations
@@ -115,10 +118,34 @@ def invert_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
             cert = outage.sop(scheme, layout, params, beta_e,
                               bsr_exact=bsr_exact)
     except ArithmeticError as exc:  # numpy's FloatingPointError included
-        raise ValueError(
-            f"SOP root outside the float range (lambda_e={params.lambda_e:g}, "
-            f"epsilon={epsilon:g}): {exc}") from exc
+        raise _outside_float_range(params, epsilon, exc) from exc
     return SopRoot(beta_e, evals + 1, abs(cert.value - epsilon), cert.flag)
+
+
+def _outside_float_range(params, epsilon, reason) -> ValueError:
+    return ValueError(f"SOP root outside the float range (lambda_e="
+                      f"{params.lambda_e:g}, epsilon={epsilon:g}): {reason}")
+
+
+def power_sweep_roots(layout: NetworkLayout, sweep: list[ChannelParams],
+                      epsilon: float) -> list[dict[SchemeId, SopRoot]]:
+    """The beamforming and partition roots at each power Ps of a sweep:
+    root_0 / Ps_0 * Ps with root_0's record, root_0 = invert_sop at the
+    first power Ps_0. invert_sop's ValueError if one is 0, subnormal or inf."""
+    first = sweep[0]
+    found = {scheme: invert_sop(scheme, layout, first, epsilon)
+             for scheme in (SchemeId.DBF, SchemeId.FOT)}
+
+    def scaled(root, params):
+        if params.Ps == first.Ps or root == 0.0:  # 0: no eavesdroppers
+            return root
+        value = root / first.Ps * params.Ps
+        if not np.finfo(float).tiny <= value < math.inf:
+            raise _outside_float_range(params, epsilon, f"scaled to {value!r}")
+        return SopRoot(value, root.evals, root.residual, root.cert_flag)
+
+    return [{scheme: scaled(root, params) for scheme, root in found.items()}
+            for params in sweep]
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +246,7 @@ def _expand_bracket(deriv) -> float:
         if deriv(hi) <= 0.0:
             return hi
         hi *= 2.0
-    raise RuntimeError("derivative never turned negative")
+    raise RuntimeError("the throughput optimum lies beyond the float range")
 
 
 def _maximize(law: SuccessLaw) -> float:
@@ -269,10 +296,13 @@ def opt_bs_bsr(layout: NetworkLayout, params: ChannelParams,
 
 def scheme_throughput(scheme: SchemeId, layout: NetworkLayout,
                       params: ChannelParams, epsilon: float,
-                      bsr_exact: bool = False) -> RateDesign:
+                      bsr_exact: bool = False,
+                      root: SopRoot | None = None) -> RateDesign:
     """Full two-stage design: SOP inversion (of the layout-free relaying
-    SOP unless bsr_exact is set), then the scheme's opt_bs_*."""
-    root = invert_sop(scheme, layout, params, epsilon, bsr_exact=bsr_exact)
+    SOP unless bsr_exact is set; a given root replaces it), then the
+    scheme's opt_bs_*."""
+    if root is None:
+        root = invert_sop(scheme, layout, params, epsilon, bsr_exact=bsr_exact)
     # by name, so that a wrapper installed on the module is the one called
     design = globals()[f"opt_bs_{scheme.value}"](layout, params, float(root))
     return replace(design, epsilon=epsilon, sop_evals=root.evals,
@@ -280,9 +310,10 @@ def scheme_throughput(scheme: SchemeId, layout: NetworkLayout,
 
 
 def per_scheme_psi(layout: NetworkLayout, params: ChannelParams,
-                   epsilon: float,
-                   bsr_exact: bool = False) -> dict[SchemeId, float]:
-    """Optimal secrecy throughput psi* of every scheme, in SchemeId order."""
+                   epsilon: float, bsr_exact: bool = False,
+                   roots: dict | None = None) -> dict[SchemeId, float]:
+    """Optimal secrecy throughput psi* of every scheme, in SchemeId order,
+    from the given roots (see scheme_throughput)."""
     return {scheme: scheme_throughput(scheme, layout, params, epsilon,
-                                      bsr_exact=bsr_exact).psi_star
-            for scheme in SchemeId}
+                                      bsr_exact, (roots or {}).get(scheme))
+            .psi_star for scheme in SchemeId}

@@ -551,6 +551,54 @@ def test_caching_n_sweep_designs_codes_once(tmp_path, monkeypatch):
     assert len(calls) == 3 + 3 * 4
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("throughput", "bsr_sop_model = exact\n"),
+    ("caching", "Pm_dBw = 20\ncaching_objective = see\n")])
+def test_power_sweep_inverts_beamforming_and_partition_once(
+        tmp_path, monkeypatch, command, extra):
+    # both SOPs depend on beta_e/Ps alone: one beamforming and one
+    # partition inversion per table, scaled to every power, and the same
+    # rows as one-point tables; relaying still inverts at every point
+    base = "K = 3\nlambda_e = 0.05\nsweep_step = 10\n" + extra
+    calls = []
+    real = rates.invert_sop
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rates, "invert_sop", counted)
+    sweep = base + "sweep_start = 0\nsweep_stop = 30\n"
+    tables = [run(tmp_path, command, sweep, ["--threads", str(n)],
+                  name=f"threads{n}.csv")[1].read_text() for n in (1, 2)]
+    # the same bytes but for the scenario line naming the thread count
+    assert tables[0].replace("threads=1\n", "threads=2\n") == tables[1]
+    points = (0, 10, 20, 30)
+    assert sorted(calls) == sorted(
+        2 * ([SchemeId.DBF, SchemeId.FOT] + [SchemeId.BSR] * len(points)))
+    _, rows = read_rows(tmp_path / "threads1.csv")
+    per_point = len(rows) // len(points)
+    for k, ps in enumerate(points):
+        code, single = run(tmp_path, command,
+                           base + f"sweep_start = {ps}\nsweep_stop = {ps}\n",
+                           name=f"ps{ps}.csv")
+        assert code == 0
+        assert read_rows(single)[1] == rows[k * per_point:(k + 1) * per_point]
+
+
+@pytest.mark.parametrize("command", ["throughput", "caching"])
+def test_exit_code_3_when_the_throughput_optimum_leaves_the_float_range(
+        tmp_path, capsys, command):
+    # no redundancy at 3000 dBw: psi still rises at beta_s = 2^1023
+    cfg = ("lambda_e = 0\nPs_dBw = 3000\nalpha = 30\nK = 2\n"
+           "r_s1_o = 4.54e-5\nsweep_start = 3000\nsweep_stop = 3000\n")
+    code, out = run(tmp_path, command, cfg)
+    assert code == 3
+    assert "infeasible: the throughput optimum lies beyond the float range" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stdout_output(tmp_path, capsys):
     cfg = tmp_path / "s.cfg"
     cfg.write_text(SMALL_SWEEP)

@@ -11,7 +11,8 @@ An evaluator that breaks either has a units error, whatever its accuracy.
 
 Two more symmetries hold exactly: the beamforming and partition SOPs do
 not depend on the order of the SBSs, and no SOP depends on where the user
-is, which the Monte Carlo estimates show in distribution.
+is, which the Monte Carlo estimates show in distribution. Power scaling
+also moves the beamforming and partition SOP roots by the factor c.
 """
 
 import math
@@ -20,8 +21,8 @@ import pytest
 
 from cachesec import (ChannelParams, McSettings, NetworkLayout, PolarPoint,
                       SchemeId, build_line_layout, cop_bsr,
-                      cop_dbf_asymptotic, cop_dbf_exact, cop_fot, mc_sop,
-                      sop_bsr_approx, sop_bsr_exact, sop_dbf, sop_fot)
+                      cop_dbf_asymptotic, cop_dbf_exact, cop_fot, invert_sop,
+                      mc_sop, sop_bsr_approx, sop_bsr_exact, sop_dbf, sop_fot)
 
 REL_TOL = 1e-13
 # (K, r_s): the standard geometry at K = 1, 3, 8 and the benchmark's wide
@@ -108,3 +109,22 @@ def test_monte_carlo_sop_translation(scheme):
     sigma = math.hypot(near.std_error, far.std_error)
     assert 0.0 < sigma
     assert abs(near.value - far.value) <= 4.0 * sigma
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+@pytest.mark.parametrize("alpha", [2.5, 4.0])
+def test_beamforming_and_partition_roots_scale_with_power(geometry, alpha):
+    # power scaling makes both SOPs functions of beta_e/Ps, so the root at
+    # c Ps is c times the root at Ps: a power sweep inverts them once
+    K, r_s = geometry
+    layout = build_line_layout(1.0, r_s, K, 2.0)
+
+    def root(scheme, ps):
+        params = ChannelParams(alpha=alpha, Ps=ps, Pm=1.0, lambda_e=0.1)
+        return invert_sop(scheme, layout, params, 0.2)
+
+    for scheme in (SchemeId.DBF, SchemeId.FOT):
+        base = root(scheme, 1.0)
+        for c in (1e-3, 10.0, 1e3):
+            assert root(scheme, c) == pytest.approx(c * base, rel=1e-14,
+                                                    abs=0.0), (scheme, c)

@@ -1,6 +1,7 @@
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,6 +62,33 @@ def test_invert_sop_reaches_roots_near_the_float_limit(scheme, bsr_exact,
         root = invert_sop(scheme, lay, params, 0.2, bsr_exact=bsr_exact)
     assert 1e-300 < root < 1e-295
     assert root.residual <= SOP_INVERSION_TOL
+
+
+def test_invert_sop_stops_when_the_iterate_cannot_move(monkeypatch):
+    # a line of 14 SBSs 1 apart, alpha = 8, lambda_e = 1e-6: at -2900 dBw
+    # the roots are subnormal yet found; at -3000 dBw each lies between two
+    # adjacent subnormals, and the inversion stops as soon as its next
+    # beta_e is a bracket end already tried, not after SOP_MAX_EVALS
+    lay = build_line_layout(1.0, 1.0, 14, 1.0)
+    params = ChannelParams(alpha=8.0, Ps=1e-290, Pm=1.0, lambda_e=1e-6)
+    for scheme, root, evals in ((SchemeId.DBF, 3.726166695544083e-309, 3),
+                                (SchemeId.FOT, 1.7127813556368965e-308, 4)):
+        got = invert_sop(scheme, lay, params, 0.2)
+        assert (float(got), got.evals) == (root, evals)
+    calls = []
+    real = outage.BreachKernel.integral
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(outage.BreachKernel, "integral", counted)
+    for scheme in (SchemeId.DBF, SchemeId.FOT):
+        calls.clear()
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="outside the float range"):
+            invert_sop(scheme, lay, replace(params, Ps=1e-300), 0.2)
+        assert len(calls) <= 3 and time.perf_counter() - start < 0.1
 
 
 def test_invert_sop_evaluations_on_the_alpha_8_stress_case():
