@@ -159,7 +159,9 @@ class Scenario:
                              lambda_e=self.lambda_e)
 
     def header_items(self) -> list[str]:
-        return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
+        # threads changes no table, so no table names it
+        return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)
+                if f.name != "threads"]
 
 
 def dbw_to_linear(p_dbw: float) -> float:

@@ -4,8 +4,9 @@ Connection outage (COP): the user's channel capacity falls below the
 codeword rate, so decoding fails. Secrecy outage (SOP): some eavesdropper's
 capacity exceeds the rate redundancy, so perfect secrecy is compromised.
 Closed forms are used where they exist, otherwise deterministic quadrature
-(for the beamforming COP, a certified saddle-point Laplace inversion), so
-every result is reproducible.
+(for the beamforming COP, a certified saddle-point Laplace inversion whose
+Faddeeva function is Weideman's N = 40 rational approximation, SIAM J.
+Numer. Anal. 31(5), 1994), so every result is reproducible from numpy alone.
 
 The schemes differ only in which independent Rayleigh links carry a file,
 and each is described once, as data: `breach_links` lists the links an
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import wofz
 
 from .channel import ChannelParams, SchemeId, dist_pow_neg
 from .layout import NetworkLayout, PolarPoint
@@ -54,6 +54,16 @@ EXACT_LOG, SERIES_Z = 38.0, 40.0
 _SERIES = [(-1) ** m * math.factorial(2 * m + 1) / math.factorial(m)
            for m in range(9, -1, -1)]
 _SQRT_PI = math.sqrt(math.pi)
+# Weideman's rational approximation of the Faddeeva function w(z), Im z >= 0
+# (SIAM J. Numer. Anal. 31(5), 1994): a polynomial in (L + iz)/(L - iz)
+# whose WEIDEMAN_N coefficients, highest power first, come from one FFT.
+WEIDEMAN_N = 40
+_WL = math.sqrt(WEIDEMAN_N / math.sqrt(2.0))
+_WT = _WL * np.tan(np.arange(1 - 2 * WEIDEMAN_N, 2 * WEIDEMAN_N)
+                   * (math.pi / (4 * WEIDEMAN_N)))
+_WEIDEMAN = np.fft.fft(np.fft.fftshift(np.append(
+    0.0, np.exp(-_WT * _WT) * (_WL ** 2 + _WT * _WT)))).real[WEIDEMAN_N:0:-1] \
+    / (4 * WEIDEMAN_N)
 # Gauss-Legendre grid for the secrecy integrals.
 RADIAL_NODES = 256
 ANGULAR_NODES = 128
@@ -108,21 +118,29 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
+def _faddeeva(z: np.ndarray) -> np.ndarray:
+    """w(z) = exp(-z^2) erfc(-iz), Im z >= 0, to about 2e-14 relative."""
+    d = 1.0 / (_WL - 1j * z)
+    return (2.0 * np.polyval(_WEIDEMAN, (_WL + 1j * z) * d) * d
+            + 1.0 / _SQRT_PI) * d
+
+
 def _log_rayleigh_laplace(z: np.ndarray) -> np.ndarray:
     """log E[exp(-z R)] for a unit-power Rayleigh R, elementwise, complex.
 
-    Re z >= 0: 1 - (sqrt(pi)/2) z w(iz/2), or beyond |z| = SERIES_Z, where
-    that cancels, the series sum_m 2 (-1)^m (2m+1)!/m! z^-(2m+2). Re z < 0:
-    phi(-z) - sqrt(pi) z exp(z^2/4), the Gaussian factor taken out of the
-    log; beyond SERIES_Z it is dropped (below e^-280 within pi/8 of the
-    imaginary axis, where alone the contour reaches that far).
+    Re z >= 0: 1 - (sqrt(pi)/2) z w(iz/2), w by Weideman's N = 40 rational
+    approximation (iz/2 lies in its half plane), or beyond |z| = SERIES_Z,
+    where that cancels, the series sum_m 2 (-1)^m (2m+1)!/m! z^-(2m+2).
+    Re z < 0: phi(-z) - sqrt(pi) z exp(z^2/4), the Gaussian factor taken out
+    of the log; beyond SERIES_Z it is dropped (below e^-280 within pi/8 of
+    the imaginary axis, where alone the contour reaches that far).
     """
     neg = z.real < 0.0
     zp = np.where(neg, -z, z)
     out = np.empty_like(zp)
     far = np.abs(zp) > SERIES_Z
     zn, zf = zp[~far], zp[far]
-    out[~far] = np.log(1.0 - 0.5 * _SQRT_PI * zn * wofz(0.5j * zn))
+    out[~far] = np.log(1.0 - 0.5 * _SQRT_PI * zn * _faddeeva(0.5j * zn))
     out[far] = math.log(2.0) - 2.0 * np.log(zf) \
         + np.log(np.polyval(_SERIES, (1.0 / zf) ** 2))
     gauss = neg & ~far

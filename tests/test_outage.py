@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import wofz
 
 from cachesec import (ChannelParams, OutageEstimate, RateDesign, SchemeId,
                       build_line_layout, cop_bsr, cop_dbf_asymptotic,
@@ -181,6 +182,19 @@ def test_cop_dbf_flags_too_few_nodes(monkeypatch):
     assert cop_dbf_exact(lay, params, 1.0).flag is None
     monkeypatch.setattr(outage, "COP_NODES", 4)
     assert cop_dbf_exact(lay, params, 1.0).flag == "quadrature-unconverged"
+
+
+def test_faddeeva_matches_scipy_wofz():
+    # the beamforming COP passes w only iz/2 with Re z >= 0 and |z| <=
+    # SERIES_Z = 40: the upper half plane within |z| <= 20. scipy is an
+    # oracle of the tests only; the program never imports it
+    rng = np.random.default_rng(20260415)
+    z = 20.0 * np.sqrt(rng.random(4000)) * np.exp(1j * math.pi
+                                                  * rng.random(4000))
+    z = np.concatenate((z, rng.uniform(-20.0, 20.0, 400),  # on the real axis
+                        1j * rng.uniform(0.0, 20.0, 400)))
+    rel = np.abs(outage._faddeeva(z) - wofz(z)) / np.abs(wofz(z))
+    assert rel.max() <= 1e-13
 
 
 @settings(max_examples=150, deadline=None)
