@@ -17,11 +17,14 @@ would leave the float range is floored (EXP_FLOOR) or capped (EXACT_LOG).
 
 Eavesdroppers form a Poisson field, so every SOP has the shape
 1 - exp(-lambda_e * I) where I integrates the breach law over the plane.
-The integrals are truncated at a radius beyond which the integrand is
-below 1e-12 and evaluated on a tensorized Gauss-Legendre grid, with one
-radial refinement to certify convergence, in blocks of radial rows small
-enough that no temporary reaches the allocator's mmap threshold (see
-BLOCK_POINTS).
+The breach law splits into one term per transmitter, each on the breach
+disc of that transmitter alone (a partition of unity over the transmitters,
+Bruno & Kunyansky, J. Comput. Phys. 169, 2001), and each term is integrated
+on a polar grid centred at its transmitter: Clenshaw-Curtis in radius out
+to where the term is below 1e-12, the periodic trapezoid rule in angle
+(Trefethen & Weideman, SIAM Rev. 56(3), 2014). Both rules are nested, so
+the same points also give the integral on the grids of half and a quarter
+the nodes, which certify it (_pgfl_sop).
 
 Each SOP's inverse lives beside it: BreachKernel.root (Newton steps in
 log(beta_e) on the kernel's derivative in log(beta_e)) and the algebraic
@@ -64,17 +67,11 @@ _WT = _WL * np.tan(np.arange(1 - 2 * WEIDEMAN_N, 2 * WEIDEMAN_N)
 _WEIDEMAN = np.fft.fft(np.fft.fftshift(np.append(
     0.0, np.exp(-_WT * _WT) * (_WL ** 2 + _WT * _WT)))).real[WEIDEMAN_N:0:-1] \
     / (4 * WEIDEMAN_N)
-# Gauss-Legendre grid for the secrecy integrals.
-RADIAL_NODES = 256
-ANGULAR_NODES = 128
-# Breach laws run on blocks of at most BLOCK_POINTS grid points: each
-# float64 temporary (64 KiB) stays below glibc's 128 KiB mmap threshold, so
-# it is reused from the heap, not mapped and unmapped on every call. Blocks
-# hold whole groups of BLOCK_ROW_GROUP radial rows, which OpenBLAS's gemv
-# reduces together, so rows sum to the same bits as in one whole-grid
-# product (unless one row is left over: numpy reduces it as a dot product).
-BLOCK_POINTS = 8192
-BLOCK_ROW_GROUP = 4
+# Each transmitter's grid: SOP_NODES Clenshaw-Curtis intervals in radius by
+# SOP_NODES angles (read when called). Its (SOP_NODES - 1) * SOP_NODES
+# float64 temporaries (32 KiB) stay below glibc's 128 KiB mmap threshold, so
+# they are reused from the heap, not mapped and unmapped on every call.
+SOP_NODES = 64
 # The integrand is below exp(-TAIL_LOG) = 1e-12 beyond the cut radius.
 TAIL_LOG = math.log(1e12)
 QUAD_CERT_TOL = 1e-6
@@ -93,8 +90,8 @@ class OutageEstimate:
     std_error is zero for deterministic methods. flag marks special
     conditions: "clamped" (asymptote exceeded 1 and was clipped),
     "divergent" (secrecy integral diverges, probability pinned at 1) or
-    "quadrature-unconverged" (refining the grid moved the value by more
-    than the certification tolerance).
+    "quadrature-unconverged" (the error estimate from the coarser nested
+    grids exceeds the certification tolerance).
     """
 
     value: float
@@ -112,11 +109,6 @@ class OutageEstimate:
 # ---------------------------------------------------------------------------
 # connection outage
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=4)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
 
 def _faddeeva(z: np.ndarray) -> np.ndarray:
     """w(z) = exp(-z^2) erfc(-iz), Im z >= 0, to about 2e-14 relative."""
@@ -333,6 +325,25 @@ def breach_links(scheme: SchemeId, layout: NetworkLayout,
                            (params.Pm, (layout.mbs,))]}[scheme]
 
 
+@lru_cache(maxsize=4)
+def _nested_rules(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The interior Clenshaw-Curtis nodes s of [0, 1] (r = 0 and the cut
+    radius carry no mass), their weights times the Jacobian s of r dr, and
+    the periodic trapezoid weights of n angles, per level of n, n/2 and n/4
+    intervals and angles: zero off that level's nodes."""
+    s = 0.5 * (1.0 - np.cos(math.pi * np.arange(1, n) / n))
+    radial, angular = np.zeros((3, n - 1)), np.zeros((n, 3))
+    for level in range(3):
+        m, step = n >> level, 1 << level
+        k = np.arange(1, m // 2 + 1)
+        b = np.where(k == m // 2, 1.0, 2.0) / (4.0 * k * k - 1.0)
+        j = np.arange(1, m)
+        radial[level, j * step - 1] = \
+            (1.0 - b @ np.cos(2.0 * math.pi * np.outer(k, j) / m)) / m
+        angular[::step, level] = 2.0 * math.pi / m
+    return s, radial * s, angular
+
+
 @dataclass(frozen=True)
 class BreachKernel:
     """Per-position breach probability over one scheme's breach links.
@@ -346,31 +357,65 @@ class BreachKernel:
     and 0 where the floor binds; the union is
     u <- u + p_k (1 - u), whose derivative follows
     du <- du (1 - p_k) + dp_k (1 - u). A silent link (relaying at Pm = 0)
-    is never evaluated, but still counts towards d_max. d_max and power set
-    the truncation radius (see trunc_radius, breach_kernel).
+    is never evaluated. A link's far-field power is its power times its
+    number of transmitters; breach_kernel orders the links by it, largest
+    first, and `power` is the largest.
+
+    law(..., centre=(k, i)) is the term of transmitter i of live link k.
+    Its group, the links of its link's far-field power, adds u1 - u0 to
+    the union u0 of the links before; the term is that increment times
+    p_k / sum of the group's p, and for a link of n > 1 transmitters times
+    q_i / sum_j q_j, q_j = exp(max(-(beta_e / (n P_k)) d_j^alpha,
+    EXP_FLOOR)). The terms sum to the law, and each is below its
+    transmitter's breach probability at its link's far-field power: it
+    lives on that disc, where the union of larger discs before it varies
+    slowly. Its slope leaves out those of the shares, which sum to 0.
     """
 
     links: tuple[tuple[float, tuple[PolarPoint, ...]], ...]
-    d_max: float
     power: float
     alpha: float
 
-    def law(self, px: np.ndarray, py: np.ndarray, beta_e: float, deriv: bool):
-        u = du = None
-        for power, tx in self.links:
-            if power == 0.0:
-                continue
+    @property
+    def centres(self) -> list[tuple[int, int]]:
+        return [(k, i) for k, (power, tx) in enumerate(self.links)
+                if power > 0.0 for i in range(len(tx))]
+
+    def far_power(self, k: int) -> float:
+        return self.links[k][0] * len(self.links[k][1])
+
+    def law(self, px: np.ndarray, py: np.ndarray, beta_e: float, deriv: bool,
+            centre: tuple[int, int] | None = None):
+        u = du = start = share = links_sum = mine = total = None
+        group = math.nan if centre is None else self.far_power(centre[0])
+        for k, (power, tx) in enumerate(self.links):
+            if power == 0.0 or self.far_power(k) < group:
+                break  # a silent link, or past the centre's group
+            if self.far_power(k) == group and start is None:  # the union so far
+                start = (0.0, 0.0) if u is None \
+                    else (u.copy(), du.copy() if deriv else None)
+            weigh = centre is not None and centre[0] == k and len(tx) > 1
             w = None
-            for t in tx:  # summed in layout order
+            for i, t in enumerate(tx):  # summed in layout order
                 d = dist_pow_neg((px - t.x) ** 2 + (py - t.y) ** 2, self.alpha)
+                if weigh:
+                    q = np.exp(np.fmax(-(beta_e / (power * len(tx))) / d,
+                                       EXP_FLOOR))
+                    mine = q if i == centre[1] else mine
+                    total = q.copy() if i == 0 else np.add(total, q, out=total)
                 w = d if w is None else np.add(w, d, out=w)
-            p = -(beta_e / power) / w  # may reach -inf: the floor takes it
+            p = -(beta_e / power) / w  # may reach -inf or nan: see integral
             # the exponent's slope, 0 where the floor binds (masked only in
             # the blocks where it binds)
             if deriv:
                 a = p.copy() if p.min() > EXP_FLOOR \
                     else np.where(p > EXP_FLOOR, p, 0.0)
-            np.exp(np.maximum(p, EXP_FLOOR, out=p), out=p)
+            np.exp(np.fmax(p, EXP_FLOOR, out=p), out=p)
+            if start is not None:  # the group's link terms
+                if k == centre[0]:
+                    share = p.copy() if not weigh else p * (mine / total)
+                links_sum = p.copy() if links_sum is None \
+                    else np.add(links_sum, p, out=links_sum)
             dp = np.multiply(a, p, out=a) if deriv else None
             if u is None:  # the first link's values, updated in place below
                 u, du = p, dp
@@ -380,39 +425,38 @@ class BreachKernel:
                 du += dp * (1.0 - u)
             p *= 1.0 - u
             u += p
-        return u, du
+        if centre is None:
+            return u, du
+        share /= links_sum
+        return (u - start[0]) * share, \
+            (du - start[1]) * share if deriv else None
 
-    def integral(self, beta_e: float, nodes: tuple[int, int] | None = None,
-                 deriv: bool = False):
-        """Breach integral over the truncated plane, and its derivative in
-        log(beta_e) when deriv is set, on an (n_radial, n_angular)
-        Gauss-Legendre grid; by default (2 RADIAL_NODES, ANGULAR_NODES),
-        read when called, the grid every SOP reports. The derivative ignores
-        the radius' own dependence on beta_e, where the integrand is below
-        1e-12. An exponent of law may overflow to -inf without a warning.
-
-        law runs on blocks of consecutive radial rows (see BLOCK_POINTS),
-        each reduced to its angular sums before the next, so that its
-        temporaries stay small; the radial sum is taken once at the end."""
-        rmax = trunc_radius(self.d_max, self.power, beta_e, self.alpha)
-        n_radial, n_angular = nodes or (2 * RADIAL_NODES, ANGULAR_NODES)
-        xr, wr = _leggauss(n_radial)
-        xt, wt = _leggauss(n_angular)
-        r = 0.5 * rmax * (xr + 1.0)
-        theta = math.pi * (xt + 1.0)
-        cos_t, sin_t, wt_pi = np.cos(theta), np.sin(theta), math.pi * wt
-        rows = max(1, BLOCK_POINTS // n_angular // BLOCK_ROW_GROUP) \
-            * BLOCK_ROW_GROUP
-        per_radius = np.empty((2 if deriv else 1, n_radial))
-        with np.errstate(over="ignore"):  # see law: exponents below the floor
-            for lo in range(0, n_radial, rows):
-                rb = r[lo:lo + rows, None]
-                values = self.law(rb * cos_t, rb * sin_t, beta_e, deriv)
-                for sums, v in zip(per_radius, values):
-                    sums[lo:lo + rows] = v @ wt_pi
-        out = [float(np.sum(sums * r * wr)) * 0.5 * rmax
-               for sums in per_radius]
-        return tuple(out) if deriv else out[0]
+    def integral(self, beta_e: float, deriv: bool = False):
+        """Breach integral over the plane on the nested levels of
+        _nested_rules(SOP_NODES), finest first, and its derivative in
+        log(beta_e) when deriv is set: the sum of the centres' terms, each
+        on a polar grid around its transmitter out to the cut radius of its
+        link's far-field power, so every grid moves with beta_e / P alone.
+        The derivative ignores the radius' dependence on beta_e. An
+        exponent may overflow to -inf or divide by an underflowed path gain
+        without a warning, or be inf / inf = nan beside a transmitter whose
+        beta_e / P overflows (its disc is below 1e-120 across): the floor
+        takes both (np.fmax)."""
+        s, radial, angular = _nested_rules(SOP_NODES)
+        theta = 2.0 * math.pi * np.arange(SOP_NODES) / SOP_NODES
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        out = np.zeros((2 if deriv else 1, 3))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for k, i in self.centres:
+                power, tx = self.links[k]
+                rmax = trunc_radius(0.0, power * len(tx), beta_e, self.alpha)
+                r = rmax * s[:, None]
+                terms = self.law(tx[i].x + r * cos_t, tx[i].y + r * sin_t,
+                                 beta_e, deriv, (k, i))
+                for sums, v in zip(out, terms):
+                    sums += rmax * rmax * np.einsum("lj,jl->l", radial,
+                                                    v @ angular)
+        return (out[0], out[1]) if deriv else out[0]
 
     def root(self, lambda_e: float, epsilon: float) -> tuple[float, int]:
         """beta_e where the reported SOP 1 - exp(-lambda_e I) is epsilon to
@@ -434,7 +478,8 @@ class BreachKernel:
             beta = math.exp(u)
             if beta in (math.exp(lo), math.exp(hi)):  # tried: it cannot move
                 raise ArithmeticError(f"no float left to try beside {beta!r}")
-            integral, slope = self.integral(beta, deriv=True)
+            integral, slope = (float(x[0]) for x in
+                               self.integral(beta, deriv=True))
             value = min(max(-math.expm1(-lambda_e * integral), 0.0), 1.0)
             if abs(value - epsilon) <= SOP_INVERSION_TOL:
                 return beta, evals
@@ -459,12 +504,11 @@ class BreachKernel:
 def breach_kernel(scheme: SchemeId, layout: NetworkLayout,
                   params: ChannelParams) -> BreachKernel:
     """Breach kernel behind the scheme's quadrature SOP (for the relaying
-    scheme, the shared-eavesdropper form of sop_bsr_exact). d_max is the
-    farthest transmitter, power the largest link power times its number of
-    transmitters."""
-    links = tuple(breach_links(scheme, layout, params))
-    return BreachKernel(links, max(t.r for _, tx in links for t in tx),
-                        max(p * len(tx) for p, tx in links), params.alpha)
+    scheme, the shared-eavesdropper form of sop_bsr_exact)."""
+    links = sorted(breach_links(scheme, layout, params),
+                   key=lambda link: -link[0] * len(link[1]))
+    return BreachKernel(tuple(links), links[0][0] * len(links[0][1]),
+                        params.alpha)
 
 
 def _sop_guards(params: ChannelParams, beta_e: float,
@@ -483,18 +527,23 @@ def _sop_guards(params: ChannelParams, beta_e: float,
 
 def _pgfl_sop(kernel: BreachKernel, params: ChannelParams,
               beta_e: float) -> OutageEstimate:
-    """SOP = 1 - exp(-lambda_e * I), I certified by radial doubling of the
-    RADIAL_NODES by ANGULAR_NODES grid (read when called): the value is the
-    one on the doubled grid."""
+    """SOP = 1 - exp(-lambda_e * I) on the finest nested grid of
+    BreachKernel.integral. With d1, d0 the SOP's changes from the half to
+    the finest and from the quarter to the half level, its error estimate
+    is d1^2 / (d0 - d1), the changes still to come if each shrinks by
+    d1 / d0 again (d1 where it did not shrink); above QUAD_CERT_TOL the
+    value is flagged "quadrature-unconverged". Where convergence is slow
+    (beamforming at alpha = 2.5) it fell short of the change to the grid
+    doubled on both axes by up to 300 times, on errors below 5e-7."""
     guard = _sop_guards(params, beta_e, METHOD_EXACT)
     if guard is not None:
         return guard
-    lam = params.lambda_e
-    coarse = -math.expm1(-lam * kernel.integral(
-        beta_e, (RADIAL_NODES, ANGULAR_NODES)))
-    fine = -math.expm1(-lam * kernel.integral(beta_e))
-    flag = None if abs(fine - coarse) < QUAD_CERT_TOL else "quadrature-unconverged"
-    return OutageEstimate(min(max(fine, 0.0), 1.0), METHOD_EXACT, flag=flag)
+    fine, half, quarter = -np.expm1(-params.lambda_e * kernel.integral(beta_e))
+    d1, d0 = abs(fine - half), abs(half - quarter)
+    error = d1 if d1 >= d0 else d1 * d1 / (d0 - d1)
+    flag = None if error <= QUAD_CERT_TOL else "quadrature-unconverged"
+    return OutageEstimate(min(max(float(fine), 0.0), 1.0), METHOD_EXACT,
+                          flag=flag)
 
 
 def sop_dbf(layout: NetworkLayout, params: ChannelParams,

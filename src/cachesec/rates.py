@@ -16,7 +16,7 @@ once, as a SuccessLaw that the throughput curve and the one maximizer share.
 The SOP roots live in `outage`, beside the SOPs they invert; invert_sop
 picks the root, then certifies and records it. Both breach laws of the
 beamforming and partition SOPs are exp(-(beta_e/P)/W), P = Ps or K Ps, and
-their truncation radius reads P/beta_e: they depend on beta_e/Ps alone, so a
+their grids read P/beta_e: they depend on beta_e/Ps alone, so a
 power sweep inverts them once and scales the root (power_sweep_roots).
 """
 

@@ -12,6 +12,7 @@ from cachesec import (ChannelParams, OutageEstimate, RateDesign, SchemeId,
                       build_line_layout, cop_bsr, cop_dbf_asymptotic,
                       cop_dbf_exact, cop_fot, invert_sop, outage, sop,
                       sop_bsr_approx, sop_bsr_exact, sop_dbf, sop_fot)
+from cachesec import montecarlo
 from cachesec.channel import dist_pow_neg
 from helpers import (beta_t_star, dbw, rate_codeword, rate_redundancy,
                      standard_layout, standard_params)
@@ -341,12 +342,18 @@ def test_sop_fot_k1_equals_dbf():
 
 
 def test_sop_bsr_small_pm_reduces_to_single_hop():
-    # as Pm -> 0 the backhaul hop is never intercepted
+    # as Pm -> 0 the backhaul hop is intercepted only on the MBS's own
+    # breach disc, of area pi Gamma(1.5) sqrt(Pm / beta_e) at alpha = 4,
+    # where the serving hop does not already breach
     lay = standard_layout(3)
     base = ChannelParams(alpha=4.0, Ps=10.0, Pm=1e-12, lambda_e=0.1)
     zero = ChannelParams(alpha=4.0, Ps=10.0, Pm=0.0, lambda_e=0.1)
-    assert sop_bsr_exact(lay, base, 1.0).value == pytest.approx(
-        sop_bsr_exact(lay, zero, 1.0).value, abs=1e-9)
+    single = sop_bsr_exact(lay, zero, 1.0).value
+    serving = lay.sbs[0]
+    d_sq = (lay.mbs.x - serving.x) ** 2 + (lay.mbs.y - serving.y) ** 2
+    disc = math.pi * math.gamma(1.5) * 1e-6 * -math.expm1(-d_sq ** 2 / 10.0)
+    assert sop_bsr_exact(lay, base, 1.0).value - single == pytest.approx(
+        (1.0 - single) * 0.1 * disc, rel=1e-3)
 
 
 def test_sop_bsr_approx_closed_form_value():
@@ -417,31 +424,54 @@ def test_sop_quadrature_certified_converged(monkeypatch):
     params = standard_params()
     fns = (sop_dbf, sop_fot, sop_bsr_exact)
     base = [fn(lay, params, 1.0) for fn in fns]
-    monkeypatch.setattr(outage, "RADIAL_NODES", 512)
+    monkeypatch.setattr(outage, "SOP_NODES", 2 * outage.SOP_NODES)
     for fn, b in zip(fns, base):
         doubled = fn(lay, params, 1.0)
         assert b.flag is None
         assert abs(b.value - doubled.value) < 1e-6
 
 
-@pytest.mark.parametrize("block_points", [1, 24 * outage.ANGULAR_NODES])
-def test_breach_integral_blocks_match_whole_grid(monkeypatch, block_points):
-    # blocks down to one row (rounded up to a gemv row group) or of 24 rows,
-    # which divides neither grid, sum bit for bit as one whole-grid block
-    lay = standard_layout(3)
-    params = standard_params(Pm_dBw=10.0)
-    grids = [(n, outage.ANGULAR_NODES)
-             for n in (outage.RADIAL_NODES, 2 * outage.RADIAL_NODES)]
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(1, 8), alpha=st.sampled_from([2.5, 4.0, 8.0]),
+       r_s1_o=st.floats(0.1, 100.0), r_s=st.floats(0.1, 10.0),
+       r_b_s1=st.floats(0.1, 10.0), ps_dbw=st.floats(-30.0, 30.0),
+       pm_dbw=st.floats(-30.0, 30.0), lambda_e=st.floats(1e-3, 10.0))
+def test_unflagged_sops_are_within_tolerance_of_the_doubled_grid(
+        K, alpha, r_s1_o, r_s, r_b_s1, ps_dbw, pm_dbw, lambda_e):
+    # the certification (see outage._pgfl_sop) against the same integral
+    # on a grid doubled on both axes
+    lay = build_line_layout(r_s1_o, r_s, K, r_b_s1)
+    params = ChannelParams(alpha, dbw(ps_dbw), dbw(pm_dbw), lambda_e)
+    fns = (sop_dbf, sop_fot, sop_bsr_exact)
+    base = [fn(lay, params, 1.0) for fn in fns]
+    nodes = outage.SOP_NODES
+    try:
+        outage.SOP_NODES = 2 * nodes
+        doubled = [fn(lay, params, 1.0).value for fn in fns]
+    finally:
+        outage.SOP_NODES = nodes
+    for b, d in zip(base, doubled):
+        assert b.flag is not None or abs(b.value - d) <= outage.QUAD_CERT_TOL
 
-    def integrals():
-        return [outage.breach_kernel(s, lay, params).integral(0.7, g, d)
-                for s in SchemeId for g in grids for d in (False, True)]
 
-    monkeypatch.setattr(outage, "BLOCK_POINTS",
-                        2 * outage.RADIAL_NODES * outage.ANGULAR_NODES)
-    whole = integrals()
-    monkeypatch.setattr(outage, "BLOCK_POINTS", block_points)
-    assert integrals() == whole
+@pytest.mark.parametrize("layout", [standard_layout(1), standard_layout(8),
+                                    build_line_layout(1.0, 2.0, 6, 2.0)])
+@pytest.mark.parametrize("Pm", [0.0, 0.1, 10.0, 1e4])
+def test_centre_terms_sum_to_the_law(layout, Pm):
+    # the terms each centre's grid integrates partition the law and its
+    # slope, the union's links largest first; the terms of the equal-power
+    # partitions are symmetric in them
+    rng = np.random.default_rng(3)
+    px, py = rng.normal(0.0, 3.0, (2, 16, 32))
+    for scheme in SchemeId:
+        params = ChannelParams(alpha=3.0, Ps=10.0, Pm=Pm, lambda_e=1.0)
+        kernel = outage.breach_kernel(scheme, layout, params)
+        powers = [kernel.far_power(k) for k in range(len(kernel.links))]
+        assert powers == sorted(powers, reverse=True)
+        law = kernel.law(px, py, 0.7, True)
+        terms = [kernel.law(px, py, 0.7, True, c) for c in kernel.centres]
+        for whole, parts in zip(law, zip(*terms)):
+            assert np.max(np.abs(sum(parts) - whole)) <= 1e-15 * len(parts)
 
 
 def test_sop_peak_memory_stays_in_blocks():
@@ -541,8 +571,8 @@ def test_breach_links_match_reference_laws(layout, Pm):
             kernel = outage.breach_kernel(scheme, layout, params)
             ref = _REF_LAWS[scheme](layout, params)
             for beta_e in np.exp(rng.uniform(-5.0, 5.0, 4)):
-                rmax = outage.trunc_radius(kernel.d_max, kernel.power,
-                                           beta_e, 4.0)
+                d_max = max(t.r for _, tx in kernel.links for t in tx)
+                rmax = outage.trunc_radius(d_max, kernel.power, beta_e, 4.0)
                 rad = rmax * np.sqrt(rng.random((16, 64)))
                 ang = 2.0 * np.pi * rng.random((16, 64))
                 px, py = rad * np.cos(ang), rad * np.sin(ang)
@@ -561,28 +591,32 @@ def test_breach_links_match_reference_laws(layout, Pm):
                                     build_line_layout(1.0, 2.0, 6, 2.0)])
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_breach_integral_slope_matches_central_difference(layout, scheme):
-    # the log(beta_e)-derivative that the SOP inversion steps on
+    # the log(beta_e)-derivative that the SOP inversion steps on, which
+    # leaves out the slopes of the beamforming weights (they sum to 0) and
+    # of the cut radius
     params = standard_params(Pm_dBw=10.0)
     kernel = outage.breach_kernel(scheme, layout, params)
-    grid = (2 * outage.RADIAL_NODES, outage.ANGULAR_NODES)
     h = 1e-4
     for beta_e in (0.3, 3.0):
-        _, slope = kernel.integral(beta_e, grid, deriv=True)
-        diff = (kernel.integral(beta_e * math.exp(h), grid)
-                - kernel.integral(beta_e * math.exp(-h), grid)) / (2 * h)
+        slope = kernel.integral(beta_e, deriv=True)[1][0]
+        diff = (kernel.integral(beta_e * math.exp(h))[0]
+                - kernel.integral(beta_e * math.exp(-h))[0]) / (2 * h)
         assert slope < 0.0
         assert slope == pytest.approx(diff, rel=1e-6)
 
 
 def test_breach_integral_defaults_to_the_reported_grid(monkeypatch):
     # the grid every SOP reports is read when called, by the quadrature
-    # SOPs and by the root search alike
+    # SOPs and by the root search alike, and its levels are nested: the
+    # half level of SOP_NODES is the finest of SOP_NODES / 2
     lay = standard_layout(3)
     params = standard_params()
     kernel = outage.breach_kernel(SchemeId.DBF, lay, params)
-    monkeypatch.setattr(outage, "RADIAL_NODES", 16)
-    assert kernel.integral(0.7, deriv=True) \
-        == kernel.integral(0.7, (32, outage.ANGULAR_NODES), True)
+    value, slope = kernel.integral(0.7, deriv=True)
+    monkeypatch.setattr(outage, "SOP_NODES", outage.SOP_NODES // 2)
+    half = kernel.integral(0.7, deriv=True)
+    assert half[0][:2] == pytest.approx(value[1:], rel=1e-13)
+    assert half[1][:2] == pytest.approx(slope[1:], rel=1e-13)
     root, _ = kernel.root(params.lambda_e, 0.2)
     assert abs(sop_dbf(lay, params, root).value - 0.2) \
         <= outage.SOP_INVERSION_TOL
@@ -590,24 +624,26 @@ def test_breach_integral_defaults_to_the_reported_grid(monkeypatch):
 
 def test_silent_backhaul_keeps_radius_and_is_never_evaluated():
     # at Pm = 0 the MBS hop breaches nowhere: it is skipped, not divided
-    # by zero, but the truncation radius still reaches the MBS
+    # by zero, and is no centre, but the Monte Carlo disc still reaches
+    # the MBS
     lay = standard_layout(3)
     params = standard_params()
     silent = ChannelParams(params.alpha, params.Ps, 0.0, params.lambda_e)
     kernel = outage.breach_kernel(SchemeId.BSR, lay, silent)
-    assert kernel.d_max == max(lay.mbs.r, lay.sbs[0].r) > lay.sbs[0].r
+    assert montecarlo._mc_disc_radius(SchemeId.BSR, lay, silent, 1.0) \
+        == outage.trunc_radius(lay.mbs.r, silent.Ps, 1.0, silent.alpha)
     assert kernel.power == silent.Ps
+    assert kernel.centres == [(0, 0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value, slope = kernel.integral(
-            1.0, (2 * outage.RADIAL_NODES, outage.ANGULAR_NODES), deriv=True)
+        value, slope = kernel.integral(1.0, deriv=True)
     serving_hop = dataclasses.replace(kernel, links=kernel.links[:1])
     px = np.array([[0.3, lay.mbs.x], [-4.0, 7.5]])
     py = np.array([[0.2, lay.mbs.y], [1.0, -2.0]])
     for a, b in zip(kernel.law(px, py, 1.0, True),
                     serving_hop.law(px, py, 1.0, True)):
         assert np.array_equal(a, b)
-    assert 0.0 < value and slope < 0.0
+    assert 0.0 < value[0] and slope[0] < 0.0
 
 
 def test_exp_floor_changes_no_spaced_sop(monkeypatch):

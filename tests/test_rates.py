@@ -71,8 +71,8 @@ def test_invert_sop_stops_when_the_iterate_cannot_move(monkeypatch):
     # beta_e is a bracket end already tried, not after SOP_MAX_EVALS
     lay = build_line_layout(1.0, 1.0, 14, 1.0)
     params = ChannelParams(alpha=8.0, Ps=1e-290, Pm=1.0, lambda_e=1e-6)
-    for scheme, root, evals in ((SchemeId.DBF, 3.726166695544083e-309, 3),
-                                (SchemeId.FOT, 1.7127813556368965e-308, 4)):
+    for scheme, root, evals in ((SchemeId.DBF, 3.726166695543663e-309, 3),
+                                (SchemeId.FOT, 1.7127813556520846e-308, 4)):
         got = invert_sop(scheme, lay, params, 0.2)
         assert (float(got), got.evals) == (root, evals)
     calls = []
@@ -98,22 +98,23 @@ def test_invert_sop_evaluations_on_the_alpha_8_stress_case():
     # e^EXP_FLOOR, not 0, where the floor binds costs 67-89)
     lay = build_line_layout(1.0, 2.0, 6, 2.0)
     params = ChannelParams(alpha=8.0, Ps=1.0, Pm=1.0, lambda_e=1000.0)
-    for scheme, most in ((SchemeId.DBF, 18), (SchemeId.FOT, 17),
-                         (SchemeId.BSR, 13)):
+    for scheme, most in ((SchemeId.DBF, 4), (SchemeId.FOT, 4),
+                         (SchemeId.BSR, 4)):
         root = invert_sop(scheme, lay, params, 0.5, bsr_exact=True)
         assert root.evals <= most
         assert root.residual <= SOP_INVERSION_TOL
 
 
-@pytest.mark.parametrize("alpha, root, evals", [
-    (8.0, 26.537007973765437, 3), (15.0, 258991.81871579043, 4),
-    (30.0, 98112059606576.83, 4)])
-def test_invert_sop_with_a_near_silent_mbs(alpha, root, evals):
+@pytest.mark.parametrize("alpha", [8.0, 15.0, 30.0])
+def test_invert_sop_with_a_near_silent_mbs(alpha):
     # Pm = 1e-300 (-3000 dBw): the MBS hop's exponent, about -1e305 on the
-    # far grid points, is floored to e^EXP_FLOOR, so its law and slope add
-    # nothing and the root is that of a silent MBS (Pm = 0) in as many
-    # evaluations; the unfloored exponent times e^EXP_FLOOR would add about
-    # -10 per far point to the slope and exhaust the evaluations
+    # serving SBS's grid, is floored to e^EXP_FLOOR, and the MBS's own
+    # breach disc is some 1e-40 across, so its law and slope add nothing
+    # and the root is that of a silent MBS (Pm = 0), the closed form of the
+    # serving link alone, in as many evaluations; the unfloored exponent
+    # times e^EXP_FLOOR would add about -10 per far point to the slope
+    root = 1e-3 * (math.pi * math.gamma(1.0 + 2.0 / alpha)
+                   / -math.log(0.8)) ** (alpha / 2.0)
     lay = standard_layout(3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -121,7 +122,7 @@ def test_invert_sop_with_a_near_silent_mbs(alpha, root, evals):
             params = ChannelParams(alpha=alpha, Ps=1e-3, Pm=pm, lambda_e=1.0)
             got = invert_sop(SchemeId.BSR, lay, params, 0.2, bsr_exact=True)
             assert float(got) == pytest.approx(root, rel=1e-12)
-            assert got.evals == evals
+            assert got.evals == 2
 
 
 def test_invert_sop_round_trip_grid():
