@@ -8,6 +8,9 @@ ones are fetched over the wireless backhaul and relayed. The allocation M
 trades the beamforming gain on popular files against content diversity and
 backhaul cost; this module optimizes M for overall secrecy throughput and
 for secrecy energy efficiency, with an exhaustive scan as the reference.
+Both closed forms rest on the premise psi_D >= psi_F (a replicated file is
+worth at least a partitioned one); outside it they return the scan's
+optimum.
 """
 
 from __future__ import annotations
@@ -149,6 +152,8 @@ def optimal_mpc_allocation(psi_d: float, psi_f: float, psi_b: float,
     (no backhaul) and the throughput rises with M there, so the optimum is
     the better of that boundary and the limited-capacity optimum.
     """
+    if psi_d < psi_f:  # outside the premise
+        return exhaustive_opt_m("throughput", psi_d, psi_f, psi_b, lib, K, L)[0]
     if K * L < lib.N:
         return _opt_m_limited(psi_d, psi_f, psi_b, lib, K, L)
     if L >= lib.N:
@@ -221,9 +226,10 @@ def opt_m_see(psi_d: float, psi_f: float, psi_b: float,
               params: ChannelParams, lib: ZipfLibrary, K: int, L: int) -> int:
     """Energy-efficiency-optimal replicated-cache size.
 
-    The closed form holds when the backhaul power dominates (Pm >= K*Ps),
-    popularity is concentrated (tau > 1) and capacity is limited (KL < N);
-    outside that regime the exhaustive scan is used instead. Within it, with
+    The closed form holds, beside the premise, when the backhaul power
+    dominates (Pm >= K*Ps), popularity is concentrated (tau > 1) and
+    capacity is limited (KL < N); outside that regime the exhaustive scan
+    is used instead. Within it, with
     power gaps dp1 = K*Ps - (Pm+Ps)(N+1)^(1-tau) and dp2 = Pm - (K-1)*Ps and
     the aggregate gain agg = dp1*(psi_F - psi_B) + dp2*(psi_D -
     psi_B (N+1)^(1-tau)), the efficiency is increasing wherever
@@ -240,7 +246,8 @@ def opt_m_see(psi_d: float, psi_f: float, psi_b: float,
         return exhaustive_opt_m("see", psi_d, psi_f, psi_b, lib, K, L,
                                 params=params)[0]
 
-    if params.Pm < K * params.Ps or tau <= 1.0 or K * L >= lib.N:
+    if psi_d < psi_f or params.Pm < K * params.Ps or tau <= 1.0 \
+            or K * L >= lib.N:
         return fallback()
     n1 = (lib.N + 1.0) ** (1.0 - tau)
     dp1 = K * params.Ps - (params.Pm + params.Ps) * n1

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cachesec import (ChannelParams, SchemeId, ZipfLibrary, average_power,
                       cum_pop_approx, exhaustive_opt_m, opt_m_see,
                       optimal_mpc_allocation, optimize_allocation,
                       overall_throughput, per_scheme_psi, scheme_probs, see)
+from cachesec.caching import TIE_TOL
 from helpers import standard_layout, standard_params
 
 
@@ -488,3 +490,23 @@ def test_tiny_eavesdropper_density_mixes_scheme_throughputs():
     mix = p_d * psi_d + p_f * psi_f + p_b * psi_b
     assert overall_throughput(psi_d, psi_f, psi_b, lib, 2, 5, 2) == \
         pytest.approx(mix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(objective=st.sampled_from(["throughput", "see"]),
+       psi=st.lists(st.floats(0.0, 3.0), min_size=3, max_size=3),
+       K=st.integers(1, 10), L=st.integers(1, 30), N=st.integers(1, 400),
+       tau=st.floats(0.1, 3.0), ps=st.floats(0.1, 10.0),
+       pm=st.floats(0.0, 100.0))
+def test_closed_form_allocation_is_worth_the_scan(objective, psi, K, L, N,
+                                                  tau, ps, pm):
+    # psi in any order, every capacity regime: outside the closed forms'
+    # premise psi_D >= psi_F they return the scan's optimum (before, the
+    # default scenario at K = 1 reported M = 10, about 80 times worse than
+    # M = 0)
+    params = ChannelParams(alpha=4.0, Ps=ps, Pm=pm, lambda_e=0.1)
+    lib = ZipfLibrary(N=N, tau=tau)
+    m_closed, _, value = optimize_allocation(objective, *psi, params, lib,
+                                             K, L)
+    _, v_scan = exhaustive_opt_m(objective, *psi, lib, K, L, params=params)
+    assert value(m_closed) >= v_scan - TIE_TOL

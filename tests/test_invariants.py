@@ -11,8 +11,11 @@ An evaluator that breaks either has a units error, whatever its accuracy.
 
 Two more symmetries hold exactly: the beamforming and partition SOPs do
 not depend on the order of the SBSs, and no SOP depends on where the user
-is, which the Monte Carlo estimates show in distribution. Power scaling
-also moves the beamforming and partition SOP roots by the factor c.
+is or on how the plane is turned, which the Monte Carlo estimates show in
+distribution. Power scaling also moves the beamforming and partition SOP
+roots by the factor c. One transmitter alone (K = 1, or relaying without
+backhaul) has the closed-form SOP 1 - exp(-lambda_e pi Gamma(1 + 2/alpha)
+(P / beta_e)^(2/alpha)) wherever it stands.
 """
 
 import math
@@ -128,3 +131,76 @@ def test_beamforming_and_partition_roots_scale_with_power(geometry, alpha):
         for c in (1e-3, 10.0, 1e3):
             assert root(scheme, c) == pytest.approx(c * base, rel=1e-14,
                                                     abs=0.0), (scheme, c)
+
+
+QUADRATURE_SOPS = [sop_dbf, sop_fot, sop_bsr_exact]
+
+
+def _single_link_sop(alpha, power, lambda_e):
+    return -math.expm1(-lambda_e * math.pi * math.gamma(1.0 + 2.0 / alpha)
+                       * power ** (2.0 / alpha))
+
+
+@pytest.mark.parametrize("alpha", [2.5, 4.0, 8.0])
+@pytest.mark.parametrize("r_s1_o", [1.0, 5.0, 20.0, 100.0])
+def test_single_link_closed_form(alpha, r_s1_o):
+    # one SBS anywhere, relaying without backhaul: within 1e-9 relative,
+    # or flagged (the origin-centred grid was 3 times the closed form at
+    # r_s1_o = 20 and -30 dBw)
+    layout = build_line_layout(r_s1_o, 0.5, 1, 2.0)
+    for ps_dbw in range(-30, 31, 5):
+        params = ChannelParams(alpha, 10.0 ** (ps_dbw / 10.0), 0.0, 1.0)
+        exact = _single_link_sop(alpha, params.Ps, 1.0)
+        for fn in QUADRATURE_SOPS:
+            est = fn(layout, params, 1.0)
+            assert est.flag is not None \
+                or est.value == pytest.approx(exact, rel=1e-9, abs=0.0), fn
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_relaying_without_backhaul_is_its_single_link(geometry):
+    # at Pm = 0 only the serving SBS's hop can be intercepted
+    K, r_s = geometry
+    layout = build_line_layout(1.0, r_s, K, 2.0)
+    for alpha in ALPHAS:
+        for ps in POWERS:
+            params = ChannelParams(alpha=alpha, Ps=ps, Pm=0.0, lambda_e=0.1)
+            assert sop_bsr_exact(layout, params, 1.0).value == pytest.approx(
+                _single_link_sop(alpha, ps, 0.1), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("ps_dbw", [-10.0, 20.0])
+def test_sop_translation(ps_dbw):
+    # moving the user from 1 to 10 away from the nearest SBS moves no
+    # transmitter relative to another (the origin-centred grid moved the
+    # beamforming SOP by 5.8e-3 at -10 dBw)
+    params = ChannelParams(alpha=4.0, Ps=10.0 ** (ps_dbw / 10.0), Pm=100.0,
+                           lambda_e=0.1)
+    want = [fn(build_line_layout(1.0, 0.5, 3, 2.0), params, 1.0).value
+            for fn in QUADRATURE_SOPS]
+    for r_s1_o in (2.0, 3.7, 5.0, 10.0):
+        layout = build_line_layout(r_s1_o, 0.5, 3, 2.0)
+        _assert_same([fn(layout, params, 1.0).value for fn in QUADRATURE_SOPS],
+                     want)
+
+
+@pytest.mark.parametrize("ps_dbw", [-30.0, -10.0, 0.0, 30.0])
+def test_sop_rotation(ps_dbw):
+    # turning the spaced K = 6 layout by up to 2 pi/128 changes no SOP
+    # beyond its quadrature error (the origin-centred grid moved the
+    # beamforming SOP by 1.9e-2)
+    layout = build_line_layout(1.0, 2.0, 6, 2.0)
+    params = ChannelParams(alpha=4.0, Ps=10.0 ** (ps_dbw / 10.0), Pm=1.0,
+                           lambda_e=1.0)
+    want = [fn(layout, params, 1.0).value for fn in QUADRATURE_SOPS]
+    for step in range(1, 9):
+        turn = step * 2.0 * math.pi / 128 / 8
+
+        def turned(p):
+            return PolarPoint(p.r, p.theta + turn)
+
+        rotated = NetworkLayout(mbs=turned(layout.mbs),
+                                sbs=tuple(map(turned, layout.sbs)))
+        for fn, value in zip(QUADRATURE_SOPS, want):
+            assert fn(rotated, params, 1.0).value == pytest.approx(
+                value, rel=1e-10, abs=0.0), (fn, step)
