@@ -8,9 +8,8 @@ ones are fetched over the wireless backhaul and relayed. The allocation M
 trades the beamforming gain on popular files against content diversity and
 backhaul cost; this module optimizes M for overall secrecy throughput and
 for secrecy energy efficiency, with an exhaustive scan as the reference.
-Both closed forms rest on the premise psi_D >= psi_F (a replicated file is
-worth at least a partitioned one); outside it they return the scan's
-optimum.
+Both closed forms assume psi_D >= psi_F; outside that premise they return
+the scan's optimum.
 """
 
 from __future__ import annotations
@@ -226,10 +225,9 @@ def opt_m_see(psi_d: float, psi_f: float, psi_b: float,
               params: ChannelParams, lib: ZipfLibrary, K: int, L: int) -> int:
     """Energy-efficiency-optimal replicated-cache size.
 
-    The closed form holds, beside the premise, when the backhaul power
+    Within the premise the closed form holds when the backhaul power
     dominates (Pm >= K*Ps), popularity is concentrated (tau > 1) and
-    capacity is limited (KL < N); outside that regime the exhaustive scan
-    is used instead. Within it, with
+    capacity is limited (KL < N), else the scan is used. Within it, with
     power gaps dp1 = K*Ps - (Pm+Ps)(N+1)^(1-tau) and dp2 = Pm - (K-1)*Ps and
     the aggregate gain agg = dp1*(psi_F - psi_B) + dp2*(psi_D -
     psi_B (N+1)^(1-tau)), the efficiency is increasing wherever

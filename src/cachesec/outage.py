@@ -17,14 +17,12 @@ would leave the float range is floored (EXP_FLOOR) or capped (EXACT_LOG).
 
 Eavesdroppers form a Poisson field, so every SOP has the shape
 1 - exp(-lambda_e * I) where I integrates the breach law over the plane.
-The breach law splits into one term per transmitter, each on the breach
-disc of that transmitter alone (a partition of unity over the transmitters,
-Bruno & Kunyansky, J. Comput. Phys. 169, 2001), and each term is integrated
-on a polar grid centred at its transmitter: Clenshaw-Curtis in radius out
-to where the term is below 1e-12, the periodic trapezoid rule in angle
-(Trefethen & Weideman, SIAM Rev. 56(3), 2014). Both rules are nested, so
-the same points also give the integral on the grids of half and a quarter
-the nodes, which certify it (_pgfl_sop).
+Each breach law splits into one term per transmitter, on that
+transmitter's breach disc (a partition of unity, Bruno & Kunyansky, J.
+Comput. Phys. 169, 2001), integrated on a polar grid centred there:
+Clenshaw-Curtis in radius, the periodic trapezoid rule in angle (Trefethen
+& Weideman, SIAM Rev. 56(3), 2014). Both rules are nested, so the same
+points give the coarser grids that certify the value.
 
 Each SOP's inverse lives beside it: BreachKernel.root (Newton steps in
 log(beta_e) on the kernel's derivative in log(beta_e)) and the algebraic
@@ -67,10 +65,9 @@ _WT = _WL * np.tan(np.arange(1 - 2 * WEIDEMAN_N, 2 * WEIDEMAN_N)
 _WEIDEMAN = np.fft.fft(np.fft.fftshift(np.append(
     0.0, np.exp(-_WT * _WT) * (_WL ** 2 + _WT * _WT)))).real[WEIDEMAN_N:0:-1] \
     / (4 * WEIDEMAN_N)
-# Each transmitter's grid: SOP_NODES Clenshaw-Curtis intervals in radius by
-# SOP_NODES angles (read when called). Its (SOP_NODES - 1) * SOP_NODES
-# float64 temporaries (32 KiB) stay below glibc's 128 KiB mmap threshold, so
-# they are reused from the heap, not mapped and unmapped on every call.
+# Each transmitter's grid: SOP_NODES Clenshaw-Curtis intervals by SOP_NODES
+# angles (read when called); its float64 temporaries (32 KiB) stay below
+# glibc's 128 KiB mmap threshold, so they are reused from the heap.
 SOP_NODES = 64
 # The integrand is below exp(-TAIL_LOG) = 1e-12 beyond the cut radius.
 TAIL_LOG = math.log(1e12)
@@ -327,10 +324,9 @@ def breach_links(scheme: SchemeId, layout: NetworkLayout,
 
 @lru_cache(maxsize=4)
 def _nested_rules(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The interior Clenshaw-Curtis nodes s of [0, 1] (r = 0 and the cut
-    radius carry no mass), their weights times the Jacobian s of r dr, and
-    the periodic trapezoid weights of n angles, per level of n, n/2 and n/4
-    intervals and angles: zero off that level's nodes."""
+    """Interior Clenshaw-Curtis nodes s of [0, 1], their weights times the
+    Jacobian s of r dr, and the trapezoid weights of n angles, per level of
+    n, n/2 and n/4 intervals and angles (zero off the level's nodes)."""
     s = 0.5 * (1.0 - np.cos(math.pi * np.arange(1, n) / n))
     radial, angular = np.zeros((3, n - 1)), np.zeros((n, 3))
     for level in range(3):
@@ -357,65 +353,47 @@ class BreachKernel:
     and 0 where the floor binds; the union is
     u <- u + p_k (1 - u), whose derivative follows
     du <- du (1 - p_k) + dp_k (1 - u). A silent link (relaying at Pm = 0)
-    is never evaluated. A link's far-field power is its power times its
-    number of transmitters; breach_kernel orders the links by it, largest
-    first, and `power` is the largest.
+    is never evaluated.
 
-    law(..., centre=(k, i)) is the term of transmitter i of live link k.
-    Its group, the links of its link's far-field power, adds u1 - u0 to
-    the union u0 of the links before; the term is that increment times
-    p_k / sum of the group's p, and for a link of n > 1 transmitters times
-    q_i / sum_j q_j, q_j = exp(max(-(beta_e / (n P_k)) d_j^alpha,
-    EXP_FLOOR)). The terms sum to the law, and each is below its
-    transmitter's breach probability at its link's far-field power: it
-    lives on that disc, where the union of larger discs before it varies
-    slowly. Its slope leaves out those of the shares, which sum to 0.
+    law(..., centre=(k, i)) is the term of transmitter i of live link k:
+    the union's increment over the links of its link's far-field power
+    n P (power times transmitters; breach_kernel sorts the links by it,
+    largest first, and `power` is the largest), times its share q / sum q
+    over their transmitters, q = exp(max(-(beta_e / (n P)) d^alpha,
+    EXP_FLOOR)) (p_k itself where n = 1). The terms sum to the law, each on
+    its own breach disc; their slopes leave out the shares'.
     """
 
     links: tuple[tuple[float, tuple[PolarPoint, ...]], ...]
     power: float
     alpha: float
 
-    @property
-    def centres(self) -> list[tuple[int, int]]:
-        return [(k, i) for k, (power, tx) in enumerate(self.links)
-                if power > 0.0 for i in range(len(tx))]
-
-    def far_power(self, k: int) -> float:
-        return self.links[k][0] * len(self.links[k][1])
-
     def law(self, px: np.ndarray, py: np.ndarray, beta_e: float, deriv: bool,
             centre: tuple[int, int] | None = None):
-        u = du = start = share = links_sum = mine = total = None
-        group = math.nan if centre is None else self.far_power(centre[0])
+        far = [power * len(tx) for power, tx in self.links]
+        group = math.nan if centre is None else far[centre[0]]
+        u = du = start = None
+        shares = {}  # the centre's group: q of each transmitter
         for k, (power, tx) in enumerate(self.links):
-            if power == 0.0 or self.far_power(k) < group:
+            if power == 0.0 or far[k] < group:
                 break  # a silent link, or past the centre's group
-            if self.far_power(k) == group and start is None:  # the union so far
+            if far[k] == group and start is None:  # the union so far
                 start = (0.0, 0.0) if u is None \
                     else (u.copy(), du.copy() if deriv else None)
-            weigh = centre is not None and centre[0] == k and len(tx) > 1
             w = None
             for i, t in enumerate(tx):  # summed in layout order
                 d = dist_pow_neg((px - t.x) ** 2 + (py - t.y) ** 2, self.alpha)
-                if weigh:
-                    q = np.exp(np.fmax(-(beta_e / (power * len(tx))) / d,
-                                       EXP_FLOOR))
-                    mine = q if i == centre[1] else mine
-                    total = q.copy() if i == 0 else np.add(total, q, out=total)
+                if start is not None and len(tx) > 1:
+                    shares[k, i] = np.exp(np.fmax(-(beta_e / far[k]) / d,
+                                                  EXP_FLOOR))
                 w = d if w is None else np.add(w, d, out=w)
             p = -(beta_e / power) / w  # may reach -inf or nan: see integral
-            # the exponent's slope, 0 where the floor binds (masked only in
-            # the blocks where it binds)
-            if deriv:
+            if deriv:  # the exponent's slope, 0 where the floor binds
                 a = p.copy() if p.min() > EXP_FLOOR \
                     else np.where(p > EXP_FLOOR, p, 0.0)
             np.exp(np.fmax(p, EXP_FLOOR, out=p), out=p)
-            if start is not None:  # the group's link terms
-                if k == centre[0]:
-                    share = p.copy() if not weigh else p * (mine / total)
-                links_sum = p.copy() if links_sum is None \
-                    else np.add(links_sum, p, out=links_sum)
+            if start is not None and len(tx) == 1:
+                shares[k, 0] = p.copy()
             dp = np.multiply(a, p, out=a) if deriv else None
             if u is None:  # the first link's values, updated in place below
                 u, du = p, dp
@@ -427,35 +405,31 @@ class BreachKernel:
             u += p
         if centre is None:
             return u, du
-        share /= links_sum
+        share = shares[centre] / sum(shares.values())
         return (u - start[0]) * share, \
             (du - start[1]) * share if deriv else None
 
     def integral(self, beta_e: float, deriv: bool = False):
-        """Breach integral over the plane on the nested levels of
-        _nested_rules(SOP_NODES), finest first, and its derivative in
-        log(beta_e) when deriv is set: the sum of the centres' terms, each
-        on a polar grid around its transmitter out to the cut radius of its
-        link's far-field power, so every grid moves with beta_e / P alone.
-        The derivative ignores the radius' dependence on beta_e. An
-        exponent may overflow to -inf or divide by an underflowed path gain
-        without a warning, or be inf / inf = nan beside a transmitter whose
-        beta_e / P overflows (its disc is below 1e-120 across): the floor
-        takes both (np.fmax)."""
+        """Breach integral on the levels of _nested_rules(SOP_NODES), finest
+        first, and its log(beta_e)-derivative when deriv is set (ignoring
+        the radii's dependence on beta_e): the sum of the live transmitters'
+        terms, each on a polar grid out to the cut radius of its link's
+        far-field power. Exponents of -inf, or inf/inf = nan where beta_e/P
+        overflows (a disc below 1e-120 across), pass silently to the floor."""
         s, radial, angular = _nested_rules(SOP_NODES)
         theta = 2.0 * math.pi * np.arange(SOP_NODES) / SOP_NODES
         cos_t, sin_t = np.cos(theta), np.sin(theta)
         out = np.zeros((2 if deriv else 1, 3))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for k, i in self.centres:
-                power, tx = self.links[k]
+            for k, (power, tx) in enumerate(self.links):
                 rmax = trunc_radius(0.0, power * len(tx), beta_e, self.alpha)
-                r = rmax * s[:, None]
-                terms = self.law(tx[i].x + r * cos_t, tx[i].y + r * sin_t,
-                                 beta_e, deriv, (k, i))
-                for sums, v in zip(out, terms):
-                    sums += rmax * rmax * np.einsum("lj,jl->l", radial,
-                                                    v @ angular)
+                for i, t in enumerate(tx if power > 0.0 else ()):
+                    r = rmax * s[:, None]
+                    terms = self.law(t.x + r * cos_t, t.y + r * sin_t, beta_e,
+                                     deriv, (k, i))
+                    for sums, v in zip(out, terms):
+                        sums += rmax * rmax * np.einsum("lj,jl->l", radial,
+                                                        v @ angular)
         return (out[0], out[1]) if deriv else out[0]
 
     def root(self, lambda_e: float, epsilon: float) -> tuple[float, int]:
@@ -525,20 +499,21 @@ def _sop_guards(params: ChannelParams, beta_e: float,
     return None
 
 
-def _pgfl_sop(kernel: BreachKernel, params: ChannelParams,
+def _pgfl_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
               beta_e: float) -> OutageEstimate:
-    """SOP = 1 - exp(-lambda_e * I) on the finest nested grid of
+    """SOP = 1 - exp(-lambda_e I), I on the finest level of the scheme's
     BreachKernel.integral. With d1, d0 the SOP's changes from the half to
-    the finest and from the quarter to the half level, its error estimate
-    is d1^2 / (d0 - d1), the changes still to come if each shrinks by
-    d1 / d0 again (d1 where it did not shrink); above QUAD_CERT_TOL the
-    value is flagged "quadrature-unconverged". Where convergence is slow
-    (beamforming at alpha = 2.5) it fell short of the change to the grid
-    doubled on both axes by up to 300 times, on errors below 5e-7."""
+    the finest and from the quarter to the half level, the error estimate
+    d1^2 / (d0 - d1) (d1 if d1 >= d0) sums the changes to come if each
+    shrinks by d1 / d0 again; above QUAD_CERT_TOL the value is flagged
+    "quadrature-unconverged". Where convergence is slow (beamforming at
+    alpha = 2.5) it fell short of the change to the grid doubled on both
+    axes by up to 300 times, on errors below 5e-7."""
     guard = _sop_guards(params, beta_e, METHOD_EXACT)
     if guard is not None:
         return guard
-    fine, half, quarter = -np.expm1(-params.lambda_e * kernel.integral(beta_e))
+    levels = breach_kernel(scheme, layout, params).integral(beta_e)
+    fine, half, quarter = -np.expm1(-params.lambda_e * levels)
     d1, d0 = abs(fine - half), abs(half - quarter)
     error = d1 if d1 >= d0 else d1 * d1 / (d0 - d1)
     flag = None if error <= QUAD_CERT_TOL else "quadrature-unconverged"
@@ -554,8 +529,7 @@ def sop_dbf(layout: NetworkLayout, params: ChannelParams,
     Ps * sum_k r_{k,e}^(-alpha) (the beam phases are mismatched there), so
     its breach probability is exp(-(beta_e/Ps) / sum_k r_{k,e}^(-alpha)).
     """
-    return _pgfl_sop(breach_kernel(SchemeId.DBF, layout, params), params,
-                     beta_e)
+    return _pgfl_sop(SchemeId.DBF, layout, params, beta_e)
 
 
 def sop_fot(layout: NetworkLayout, params: ChannelParams,
@@ -565,8 +539,7 @@ def sop_fot(layout: NetworkLayout, params: ChannelParams,
     Intercepting any single partition breaks secrecy, so the per-position
     breach probability is 1 - prod_k (1 - exp(-beta_e r_{k,e}^alpha / (K Ps))).
     """
-    return _pgfl_sop(breach_kernel(SchemeId.FOT, layout, params), params,
-                     beta_e)
+    return _pgfl_sop(SchemeId.FOT, layout, params, beta_e)
 
 
 def sop_bsr_exact(layout: NetworkLayout, params: ChannelParams,
@@ -579,8 +552,7 @@ def sop_bsr_exact(layout: NetworkLayout, params: ChannelParams,
     position and the nearest SBS is the modal choice. The Monte Carlo module
     keeps the fading-dependent selection so the gap can be measured.
     """
-    return _pgfl_sop(breach_kernel(SchemeId.BSR, layout, params), params,
-                     beta_e)
+    return _pgfl_sop(SchemeId.BSR, layout, params, beta_e)
 
 
 def sop_bsr_approx(params: ChannelParams, beta_e: float) -> OutageEstimate:

@@ -458,18 +458,19 @@ def test_unflagged_sops_are_within_tolerance_of_the_doubled_grid(
                                     build_line_layout(1.0, 2.0, 6, 2.0)])
 @pytest.mark.parametrize("Pm", [0.0, 0.1, 10.0, 1e4])
 def test_centre_terms_sum_to_the_law(layout, Pm):
-    # the terms each centre's grid integrates partition the law and its
-    # slope, the union's links largest first; the terms of the equal-power
-    # partitions are symmetric in them
+    # the terms each transmitter's grid integrates partition the law and
+    # its slope, the union's links largest first
     rng = np.random.default_rng(3)
     px, py = rng.normal(0.0, 3.0, (2, 16, 32))
     for scheme in SchemeId:
         params = ChannelParams(alpha=3.0, Ps=10.0, Pm=Pm, lambda_e=1.0)
         kernel = outage.breach_kernel(scheme, layout, params)
-        powers = [kernel.far_power(k) for k in range(len(kernel.links))]
+        powers = [power * len(tx) for power, tx in kernel.links]
         assert powers == sorted(powers, reverse=True)
         law = kernel.law(px, py, 0.7, True)
-        terms = [kernel.law(px, py, 0.7, True, c) for c in kernel.centres]
+        terms = [kernel.law(px, py, 0.7, True, (k, i))
+                 for k, (power, tx) in enumerate(kernel.links) if power > 0.0
+                 for i in range(len(tx))]
         for whole, parts in zip(law, zip(*terms)):
             assert np.max(np.abs(sum(parts) - whole)) <= 1e-15 * len(parts)
 
@@ -632,8 +633,7 @@ def test_silent_backhaul_keeps_radius_and_is_never_evaluated():
     kernel = outage.breach_kernel(SchemeId.BSR, lay, silent)
     assert montecarlo._mc_disc_radius(SchemeId.BSR, lay, silent, 1.0) \
         == outage.trunc_radius(lay.mbs.r, silent.Ps, 1.0, silent.alpha)
-    assert kernel.power == silent.Ps
-    assert kernel.centres == [(0, 0)]
+    assert kernel.power == silent.Ps and kernel.links[1][0] == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value, slope = kernel.integral(1.0, deriv=True)
