@@ -32,7 +32,7 @@ import numpy as np
 
 from .channel import ChannelParams, SchemeId, dist_pow_neg
 from .layout import NetworkLayout
-from .outage import METHOD_MC, OutageEstimate, trunc_radius
+from .outage import METHOD_MC, OutageEstimate, sop_guards, trunc_radius
 
 COP_CHUNK = 1 << 16
 SOP_CHUNK = 1 << 11
@@ -266,12 +266,9 @@ def mc_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
     ValueError before any draw when one field draw of a chunk would need
     more than MAX_FIELD_FLOATS floats on average.
     """
-    if beta_e < 0.0:
-        raise ValueError("beta_e must be nonnegative")
-    if params.lambda_e == 0.0:
-        return OutageEstimate(0.0, METHOD_MC)
-    if beta_e == 0.0:
-        return OutageEstimate(1.0, METHOD_MC, flag="divergent")
+    guard = sop_guards(params, beta_e, METHOD_MC)
+    if guard is not None:
+        return guard
     lam = params.lambda_e
     radius = _mc_disc_radius(scheme, layout, params, beta_e)
     if scheme is SchemeId.BSR and settings.independent_hops:

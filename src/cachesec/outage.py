@@ -315,11 +315,13 @@ def breach_links(scheme: SchemeId, layout: NetworkLayout,
     is exponential with mean power * sum over its transmitters of d^-alpha.
     Beamforming is one link from all SBSs (the beam phases are mismatched
     off the user); each of the K partitions is its own link at K Ps;
-    relaying is the serving (nearest) SBS's hop plus the MBS backhaul."""
-    return {SchemeId.DBF: [(params.Ps, layout.sbs)],
-            SchemeId.FOT: [(layout.K * params.Ps, (s,)) for s in layout.sbs],
-            SchemeId.BSR: [(params.Ps, layout.sbs[:1]),
-                           (params.Pm, (layout.mbs,))]}[scheme]
+    relaying is the serving (nearest) SBS's hop plus the MBS backhaul;
+    largest far-field power (power times transmitters) first."""
+    links = {SchemeId.DBF: [(params.Ps, layout.sbs)],
+             SchemeId.FOT: [(layout.K * params.Ps, (s,)) for s in layout.sbs],
+             SchemeId.BSR: [(params.Ps, layout.sbs[:1]),
+                            (params.Pm, (layout.mbs,))]}[scheme]
+    return sorted(links, key=lambda link: -link[0] * len(link[1]))
 
 
 @lru_cache(maxsize=4)
@@ -350,22 +352,19 @@ class BreachKernel:
     p_k = exp(max(a_k, EXP_FLOOR)), a_k = -(beta_e / P_k) / W_k and W_k the
     sum of d^-alpha over its transmitters; a_k may overflow to -inf, which
     the floor takes. The slope is that of the floored law, dp_k = a_k p_k
-    and 0 where the floor binds; the union is
-    u <- u + p_k (1 - u), whose derivative follows
-    du <- du (1 - p_k) + dp_k (1 - u). A silent link (relaying at Pm = 0)
-    is never evaluated.
+    and 0 where the floor binds; the union is u <- u + p_k (1 - u), whose
+    derivative follows du <- du (1 - p_k) + dp_k (1 - u). A silent link
+    (relaying at Pm = 0) is never evaluated.
 
     law(..., centre=(k, i)) is the term of transmitter i of live link k:
-    the union's increment over the links of its link's far-field power
-    n P (power times transmitters; breach_kernel sorts the links by it,
-    largest first, and `power` is the largest), times its share q / sum q
-    over their transmitters, q = exp(max(-(beta_e / (n P)) d^alpha,
-    EXP_FLOOR)) (p_k itself where n = 1). The terms sum to the law, each on
-    its own breach disc; their slopes leave out the shares'.
+    the union's increment over the links of its link's far-field power n P
+    (power times transmitters), times its share q / sum q over their
+    transmitters, q = exp(max(-(beta_e / (n P)) d^alpha, EXP_FLOOR)) (p_k
+    itself where n = 1). The terms sum to the law, each on its own breach
+    disc; their slopes leave out the shares'.
     """
 
     links: tuple[tuple[float, tuple[PolarPoint, ...]], ...]
-    power: float
     alpha: float
 
     def law(self, px: np.ndarray, py: np.ndarray, beta_e: float, deriv: bool,
@@ -423,8 +422,8 @@ class BreachKernel:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for k, (power, tx) in enumerate(self.links):
                 rmax = trunc_radius(0.0, power * len(tx), beta_e, self.alpha)
+                r = rmax * s[:, None]
                 for i, t in enumerate(tx if power > 0.0 else ()):
-                    r = rmax * s[:, None]
                     terms = self.law(t.x + r * cos_t, t.y + r * sin_t, beta_e,
                                      deriv, (k, i))
                     for sums, v in zip(out, terms):
@@ -442,9 +441,10 @@ class BreachKernel:
         a bracket end already tried (a root among the subnormals)."""
         a = self.alpha
         target = math.log(-math.log1p(-epsilon) / lambda_e)  # log I at root
-        # start from the root of one transmitter of the kernel's largest
-        # power, whose integral is pi Gamma(1 + 2/a) (power/beta_e)^(2/a)
-        u = math.log(self.power) \
+        # start from the root of one transmitter at the largest far-field
+        # power P (the first link's), whose integral is
+        # pi Gamma(1 + 2/a) (P/beta_e)^(2/a)
+        u = math.log(self.links[0][0] * len(self.links[0][1])) \
             - 0.5 * a * (target - math.log(math.pi * math.gamma(1 + 2 / a)))
         lo, hi = -math.inf, math.inf  # SOP(e^lo) > epsilon > SOP(e^hi)
         reach = 1.0
@@ -479,14 +479,13 @@ def breach_kernel(scheme: SchemeId, layout: NetworkLayout,
                   params: ChannelParams) -> BreachKernel:
     """Breach kernel behind the scheme's quadrature SOP (for the relaying
     scheme, the shared-eavesdropper form of sop_bsr_exact)."""
-    links = sorted(breach_links(scheme, layout, params),
-                   key=lambda link: -link[0] * len(link[1]))
-    return BreachKernel(tuple(links), links[0][0] * len(links[0][1]),
+    return BreachKernel(tuple(breach_links(scheme, layout, params)),
                         params.alpha)
 
 
-def _sop_guards(params: ChannelParams, beta_e: float,
-                method: str) -> OutageEstimate | None:
+def sop_guards(params: ChannelParams, beta_e: float,
+               method: str) -> OutageEstimate | None:
+    """The SOP where no integral is needed (else None), for every method."""
     if beta_e < 0.0:
         raise ValueError("beta_e must be nonnegative")
     if params.lambda_e == 0.0:
@@ -509,7 +508,7 @@ def _pgfl_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
     "quadrature-unconverged". Where convergence is slow (beamforming at
     alpha = 2.5) it fell short of the change to the grid doubled on both
     axes by up to 300 times, on errors below 5e-7."""
-    guard = _sop_guards(params, beta_e, METHOD_EXACT)
+    guard = sop_guards(params, beta_e, METHOD_EXACT)
     if guard is not None:
         return guard
     levels = breach_kernel(scheme, layout, params).integral(beta_e)
@@ -563,7 +562,7 @@ def sop_bsr_approx(params: ChannelParams, beta_e: float) -> OutageEstimate:
     1 - exp(-pi lambda_e Gamma(1 + 2/alpha) (Pm^(2/alpha) + Ps^(2/alpha))
     beta_e^(-2/alpha)).
     """
-    guard = _sop_guards(params, beta_e, METHOD_APPROX)
+    guard = sop_guards(params, beta_e, METHOD_APPROX)
     if guard is not None:
         return guard
     exponent = bsr_approx_coeff(params) * beta_e ** (-2.0 / params.alpha)

@@ -501,9 +501,7 @@ def test_tiny_eavesdropper_density_mixes_scheme_throughputs():
 def test_closed_form_allocation_is_worth_the_scan(objective, psi, K, L, N,
                                                   tau, ps, pm):
     # psi in any order, every capacity regime: outside the closed forms'
-    # premise psi_D >= psi_F they return the scan's optimum (before, the
-    # default scenario at K = 1 reported M = 10, about 80 times worse than
-    # M = 0)
+    # premise psi_D >= psi_F they return the scan's optimum
     params = ChannelParams(alpha=4.0, Ps=ps, Pm=pm, lambda_e=0.1)
     lib = ZipfLibrary(N=N, tau=tau)
     m_closed, _, value = optimize_allocation(objective, *psi, params, lib,

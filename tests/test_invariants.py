@@ -145,8 +145,7 @@ def _single_link_sop(alpha, power, lambda_e):
 @pytest.mark.parametrize("r_s1_o", [1.0, 5.0, 20.0, 100.0])
 def test_single_link_closed_form(alpha, r_s1_o):
     # one SBS anywhere, relaying without backhaul: within 1e-9 relative,
-    # or flagged (the origin-centred grid was 3 times the closed form at
-    # r_s1_o = 20 and -30 dBw)
+    # or flagged, also where its breach disc is far smaller than r_s1_o
     layout = build_line_layout(r_s1_o, 0.5, 1, 2.0)
     for ps_dbw in range(-30, 31, 5):
         params = ChannelParams(alpha, 10.0 ** (ps_dbw / 10.0), 0.0, 1.0)
@@ -172,8 +171,7 @@ def test_relaying_without_backhaul_is_its_single_link(geometry):
 @pytest.mark.parametrize("ps_dbw", [-10.0, 20.0])
 def test_sop_translation(ps_dbw):
     # moving the user from 1 to 10 away from the nearest SBS moves no
-    # transmitter relative to another (the origin-centred grid moved the
-    # beamforming SOP by 5.8e-3 at -10 dBw)
+    # transmitter relative to another
     params = ChannelParams(alpha=4.0, Ps=10.0 ** (ps_dbw / 10.0), Pm=100.0,
                            lambda_e=0.1)
     want = [fn(build_line_layout(1.0, 0.5, 3, 2.0), params, 1.0).value
@@ -187,8 +185,7 @@ def test_sop_translation(ps_dbw):
 @pytest.mark.parametrize("ps_dbw", [-30.0, -10.0, 0.0, 30.0])
 def test_sop_rotation(ps_dbw):
     # turning the spaced K = 6 layout by up to 2 pi/128 changes no SOP
-    # beyond its quadrature error (the origin-centred grid moved the
-    # beamforming SOP by 1.9e-2)
+    # beyond its quadrature error
     layout = build_line_layout(1.0, 2.0, 6, 2.0)
     params = ChannelParams(alpha=4.0, Ps=10.0 ** (ps_dbw / 10.0), Pm=1.0,
                            lambda_e=1.0)
