@@ -1,9 +1,9 @@
 """Accuracy and cost of the SOP quadrature grid, per grid size.
 
-    PYTHONPATH=src python scripts/sop_grid_accuracy.py [--nodes 64 80 96]
+    PYTHONPATH=src python scripts/sop_grid_accuracy.py [--nodes 64,64 80,64]
 
-For each grid size (outage.SOP_NODES, radial intervals and angles per
-transmitter-centred grid) it
+For each grid size (outage.SOP_NODES: Clenshaw-Curtis intervals in radius
+and angles of each transmitter-centred grid, multiples of 4) it
 
 * evaluates every analytic SOP cell of the benchmark's outage-grid tables
   (K = 3, K = 8 and the spaced K = 6 layout, 1-dB Ps grids) at all four
@@ -16,9 +16,13 @@ transmitter-centred grid) it
   (P / beta_e)^(2/a)) at K = 1 for every quadrature SOP (relaying at
   Pm = 0), r_s1_o in {1, 5, 20, 100}, Ps from -30 to 30 dBw and alpha in
   {2.5, 4, 8}: the largest relative error among unflagged values;
+* counts the flagged SOPs on a 0.1-dB Ps scan of the same three layouts
+  from -30 to 30 dBw (a certification that flags converged values there
+  would flag benchmark cells at other offsets);
 * times the outage-grid sweep of one offset (SOP quadrature only).
 
-It is not part of the test suite; it takes about a minute per grid size.
+It is not part of the test suite; it takes about half a minute per grid
+size on one core.
 """
 
 from __future__ import annotations
@@ -105,17 +109,32 @@ def single_link() -> dict:
     return {"cells": cells, "flagged": flagged, "max_rel_err": worst}
 
 
+def flag_scan() -> dict:
+    flagged, cells = 0, 0
+    for geo, extra in W.GEOMETRIES.items():
+        g = {**W.BASE, **extra}
+        layout = build_line_layout(g["r_s1_o"], g["r_s"], g["K"], g["r_b_s1"])
+        for i in range(601):
+            params = ChannelParams(g["alpha"], dbw(-30.0 + 0.1 * i),
+                                   dbw(g["Pm_dBw"]), g["lambda_e"])
+            for fn in SOPS.values():
+                cells += 1
+                flagged += fn(layout, params, g["beta_e"]).flag is not None
+    return {"cells": cells, "flagged": flagged}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--nodes", type=int, nargs="+",
-                        default=[outage.SOP_NODES],
-                        help="grid sizes to try (multiples of 4)")
+    parser.add_argument("--nodes", nargs="+",
+                        default=[",".join(map(str, outage.SOP_NODES))],
+                        help="grid sizes to try, as radial,angular")
     args = parser.parse_args()
     refs = json.loads((ROOT / "bench" / "refs.json").read_text())
-    for nodes in args.nodes:
+    for arg in args.nodes:
+        nodes = tuple(int(n) for n in arg.split(","))
         outage.SOP_NODES = nodes
         report = {"nodes": nodes, "outage_grid": outage_grid(refs),
-                  "single_link": single_link()}
+                  "single_link": single_link(), "flag_scan": flag_scan()}
         print(json.dumps(report), flush=True)
     return 0
 

@@ -21,8 +21,8 @@ Each breach law splits into one term per transmitter, on that
 transmitter's breach disc (a partition of unity, Bruno & Kunyansky, J.
 Comput. Phys. 169, 2001), integrated on a polar grid centred there:
 Clenshaw-Curtis in radius, the periodic trapezoid rule in angle (Trefethen
-& Weideman, SIAM Rev. 56(3), 2014). Both rules are nested, so the same
-points give the coarser grids that certify the value.
+& Weideman, SIAM Rev. 56(3), 2014). Both rules are nested, so every other
+node of the same points gives the coarser grid that certifies the value.
 
 Each SOP's inverse lives beside it: BreachKernel.root (Newton steps in
 log(beta_e) on the kernel's derivative in log(beta_e)) and the algebraic
@@ -65,10 +65,10 @@ _WT = _WL * np.tan(np.arange(1 - 2 * WEIDEMAN_N, 2 * WEIDEMAN_N)
 _WEIDEMAN = np.fft.fft(np.fft.fftshift(np.append(
     0.0, np.exp(-_WT * _WT) * (_WL ** 2 + _WT * _WT)))).real[WEIDEMAN_N:0:-1] \
     / (4 * WEIDEMAN_N)
-# Each transmitter's grid: SOP_NODES Clenshaw-Curtis intervals by SOP_NODES
-# angles (read when called); its float64 temporaries (32 KiB) stay below
-# glibc's 128 KiB mmap threshold, so they are reused from the heap.
-SOP_NODES = 64
+# Each transmitter's grid: SOP_NODES = (Clenshaw-Curtis intervals in
+# radius, angles), read when called; its float64 temporaries (40 KiB) stay
+# below glibc's 128 KiB mmap threshold, so they are reused from the heap.
+SOP_NODES = (80, 64)
 # The integrand is below exp(-TAIL_LOG) = 1e-12 beyond the cut radius.
 TAIL_LOG = math.log(1e12)
 QUAD_CERT_TOL = 1e-6
@@ -325,20 +325,21 @@ def breach_links(scheme: SchemeId, layout: NetworkLayout,
 
 
 @lru_cache(maxsize=4)
-def _nested_rules(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Interior Clenshaw-Curtis nodes s of [0, 1], their weights times the
-    Jacobian s of r dr, and the trapezoid weights of n angles, per level of
-    n, n/2 and n/4 intervals and angles (zero off the level's nodes)."""
+def _nested_rules(n: int, n_angles: int):
+    """Interior Clenshaw-Curtis nodes s of [0, 1] for n intervals, their
+    weights times the Jacobian s of r dr, and the trapezoid weights of
+    n_angles angles, for all and for every other interval and angle (zero
+    off that level's nodes)."""
     s = 0.5 * (1.0 - np.cos(math.pi * np.arange(1, n) / n))
-    radial, angular = np.zeros((3, n - 1)), np.zeros((n, 3))
-    for level in range(3):
+    radial, angular = np.zeros((2, n - 1)), np.zeros((n_angles, 2))
+    for level in range(2):
         m, step = n >> level, 1 << level
         k = np.arange(1, m // 2 + 1)
         b = np.where(k == m // 2, 1.0, 2.0) / (4.0 * k * k - 1.0)
         j = np.arange(1, m)
         radial[level, j * step - 1] = \
             (1.0 - b @ np.cos(2.0 * math.pi * np.outer(k, j) / m)) / m
-        angular[::step, level] = 2.0 * math.pi / m
+        angular[::step, level] = 2.0 * math.pi * step / n_angles
     return s, radial * s, angular
 
 
@@ -409,16 +410,16 @@ class BreachKernel:
             (du - start[1]) * share if deriv else None
 
     def integral(self, beta_e: float, deriv: bool = False):
-        """Breach integral on the levels of _nested_rules(SOP_NODES), finest
-        first, and its log(beta_e)-derivative when deriv is set (ignoring
+        """Breach integral on the two levels of _nested_rules(*SOP_NODES),
+        finest first, and its log(beta_e)-derivative when deriv is set (ignoring
         the radii's dependence on beta_e): the sum of the live transmitters'
         terms, each on a polar grid out to the cut radius of its link's
         far-field power. Exponents of -inf, or inf/inf = nan where beta_e/P
         overflows (a disc below 1e-120 across), pass silently to the floor."""
-        s, radial, angular = _nested_rules(SOP_NODES)
-        theta = 2.0 * math.pi * np.arange(SOP_NODES) / SOP_NODES
+        s, radial, angular = _nested_rules(*SOP_NODES)
+        theta = 2.0 * math.pi * np.arange(SOP_NODES[1]) / SOP_NODES[1]
         cos_t, sin_t = np.cos(theta), np.sin(theta)
-        out = np.zeros((2 if deriv else 1, 3))
+        out = np.zeros((2 if deriv else 1, 2))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for k, (power, tx) in enumerate(self.links):
                 rmax = trunc_radius(0.0, power * len(tx), beta_e, self.alpha)
@@ -501,21 +502,17 @@ def sop_guards(params: ChannelParams, beta_e: float,
 def _pgfl_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
               beta_e: float) -> OutageEstimate:
     """SOP = 1 - exp(-lambda_e I), I on the finest level of the scheme's
-    BreachKernel.integral. With d1, d0 the SOP's changes from the half to
-    the finest and from the quarter to the half level, the error estimate
-    d1^2 / (d0 - d1) (d1 if d1 >= d0) sums the changes to come if each
-    shrinks by d1 / d0 again; above QUAD_CERT_TOL the value is flagged
-    "quadrature-unconverged". Where convergence is slow (beamforming at
-    alpha = 2.5) it fell short of the change to the grid doubled on both
-    axes by up to 300 times, on errors below 5e-7."""
+    BreachKernel.integral, certified by the level of half the intervals and
+    angles: a change above QUAD_CERT_TOL flags "quadrature-unconverged".
+    The change is mostly the half level's own error, far above the finest
+    level's; a feature that both levels miss goes unseen."""
     guard = sop_guards(params, beta_e, METHOD_EXACT)
     if guard is not None:
         return guard
     levels = breach_kernel(scheme, layout, params).integral(beta_e)
-    fine, half, quarter = -np.expm1(-params.lambda_e * levels)
-    d1, d0 = abs(fine - half), abs(half - quarter)
-    error = d1 if d1 >= d0 else d1 * d1 / (d0 - d1)
-    flag = None if error <= QUAD_CERT_TOL else "quadrature-unconverged"
+    fine, half = -np.expm1(-params.lambda_e * levels)
+    flag = None if abs(fine - half) <= QUAD_CERT_TOL \
+        else "quadrature-unconverged"
     return OutageEstimate(min(max(float(fine), 0.0), 1.0), METHOD_EXACT,
                           flag=flag)
 

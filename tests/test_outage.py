@@ -424,7 +424,8 @@ def test_sop_quadrature_certified_converged(monkeypatch):
     params = standard_params()
     fns = (sop_dbf, sop_fot, sop_bsr_exact)
     base = [fn(lay, params, 1.0) for fn in fns]
-    monkeypatch.setattr(outage, "SOP_NODES", 2 * outage.SOP_NODES)
+    monkeypatch.setattr(outage, "SOP_NODES",
+                        tuple(2 * n for n in outage.SOP_NODES))
     for fn, b in zip(fns, base):
         doubled = fn(lay, params, 1.0)
         assert b.flag is None
@@ -446,7 +447,7 @@ def test_unflagged_sops_are_within_tolerance_of_the_doubled_grid(
     base = [fn(lay, params, 1.0) for fn in fns]
     nodes = outage.SOP_NODES
     try:
-        outage.SOP_NODES = 2 * nodes
+        outage.SOP_NODES = tuple(2 * n for n in nodes)
         doubled = [fn(lay, params, 1.0).value for fn in fns]
     finally:
         outage.SOP_NODES = nodes
@@ -610,15 +611,16 @@ def test_breach_integral_slope_matches_central_difference(layout, scheme):
 def test_breach_integral_defaults_to_the_reported_grid(monkeypatch):
     # the grid every SOP reports is read when called, by the quadrature
     # SOPs and by the root search alike, and its levels are nested: the
-    # half level of SOP_NODES is the finest of SOP_NODES / 2
+    # half level of SOP_NODES is the finest of half the nodes
     lay = standard_layout(3)
     params = standard_params()
     kernel = outage.breach_kernel(SchemeId.DBF, lay, params)
     value, slope = kernel.integral(0.7, deriv=True)
-    monkeypatch.setattr(outage, "SOP_NODES", outage.SOP_NODES // 2)
+    monkeypatch.setattr(outage, "SOP_NODES",
+                        tuple(n // 2 for n in outage.SOP_NODES))
     half = kernel.integral(0.7, deriv=True)
-    assert half[0][:2] == pytest.approx(value[1:], rel=1e-13)
-    assert half[1][:2] == pytest.approx(slope[1:], rel=1e-13)
+    assert half[0][0] == pytest.approx(value[1], rel=1e-13)
+    assert half[1][0] == pytest.approx(slope[1], rel=1e-13)
     root, _ = kernel.root(params.lambda_e, 0.2)
     assert abs(sop_dbf(lay, params, root).value - 0.2) \
         <= outage.SOP_INVERSION_TOL

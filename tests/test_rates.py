@@ -72,7 +72,7 @@ def test_invert_sop_stops_when_the_iterate_cannot_move(monkeypatch):
     lay = build_line_layout(1.0, 1.0, 14, 1.0)
     params = ChannelParams(alpha=8.0, Ps=1e-290, Pm=1.0, lambda_e=1e-6)
     for scheme, root, evals in ((SchemeId.DBF, 3.726166695543663e-309, 3),
-                                (SchemeId.FOT, 1.7127813556520846e-308, 4)):
+                                (SchemeId.FOT, 1.712781355635728e-308, 4)):
         got = invert_sop(scheme, lay, params, 0.2)
         assert (float(got), got.evals) == (root, evals)
     calls = []
