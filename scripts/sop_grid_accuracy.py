@@ -21,8 +21,11 @@ and angles of each transmitter-centred grid, multiples of 4) it
   would flag benchmark cells at other offsets);
 * times the outage-grid sweep of one offset (SOP quadrature only).
 
-It is not part of the test suite; it takes about half a minute per grid
-size on one core.
+It exits 1 when a grid fails a gate of the SOP quadrature: a reference
+miss, an unflagged cell more than QUAD_CERT_TOL off its reference, or an
+unflagged K = 1 value more than SINGLE_LINK_TOL relative from its closed
+form. It is not part of the test suite; it takes about 15 s per grid size
+on one core.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from cachesec.layout import build_line_layout  # noqa: E402
 
 SOPS = {"sop-dbf": outage.sop_dbf, "sop-fot": outage.sop_fot,
         "sop-bsr": outage.sop_bsr_exact}
+SINGLE_LINK_TOL = 1e-9  # relative, unflagged K = 1 values
 
 
 def dbw(x: float) -> float:
@@ -123,6 +127,16 @@ def flag_scan() -> dict:
     return {"cells": cells, "flagged": flagged}
 
 
+def failed_gates(report: dict) -> list[str]:
+    """The gates a grid's report fails, by name (none when it passes)."""
+    grid, link = report["outage_grid"], report["single_link"]
+    return [name for name, failed in (
+        ("outage_grid.misses", grid["misses"] > 0),
+        ("outage_grid.unflagged_over_tol", grid["unflagged_over_tol"] > 0),
+        ("single_link.max_rel_err", link["max_rel_err"] > SINGLE_LINK_TOL))
+        if failed]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--nodes", nargs="+",
@@ -130,13 +144,18 @@ def main() -> int:
                         help="grid sizes to try, as radial,angular")
     args = parser.parse_args()
     refs = json.loads((ROOT / "bench" / "refs.json").read_text())
+    status = 0
     for arg in args.nodes:
         nodes = tuple(int(n) for n in arg.split(","))
         outage.SOP_NODES = nodes
         report = {"nodes": nodes, "outage_grid": outage_grid(refs),
                   "single_link": single_link(), "flag_scan": flag_scan()}
         print(json.dumps(report), flush=True)
-    return 0
+        failed = failed_gates(report)
+        if failed:
+            print(f"grid {arg} fails: {', '.join(failed)}", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 from .layout import NetworkLayout, PolarPoint, build_line_layout
 from .channel import ChannelParams, SchemeId
 from .outage import (OutageEstimate, bsr_approx_threshold, cop_bsr,
-                     cop_dbf_asymptotic, cop_dbf_exact, cop_fot, sop,
+                     cop_dbf_asymptotic, cop_dbf_exact, cop_fot,
                      sop_bsr_approx, sop_bsr_exact, sop_dbf, sop_fot)
 from .montecarlo import McSettings, mc_cop, mc_sop
 from .rates import (RateDesign, invert_sop, opt_bs_bsr, opt_bs_dbf,
@@ -33,7 +33,7 @@ __all__ = [
     "NetworkLayout", "PolarPoint", "build_line_layout",
     "ChannelParams", "SchemeId",
     "OutageEstimate", "bsr_approx_threshold", "cop_bsr",
-    "cop_dbf_asymptotic", "cop_dbf_exact", "cop_fot", "sop", "sop_bsr_approx",
+    "cop_dbf_asymptotic", "cop_dbf_exact", "cop_fot", "sop_bsr_approx",
     "sop_bsr_exact", "sop_dbf", "sop_fot",
     "McSettings", "mc_cop", "mc_sop",
     "RateDesign", "invert_sop", "opt_bs_bsr", "opt_bs_dbf", "opt_bs_fot",

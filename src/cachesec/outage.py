@@ -25,7 +25,8 @@ Clenshaw-Curtis in radius, the periodic trapezoid rule in angle (Trefethen
 node of the same points gives the coarser grid that certifies the value.
 
 Each SOP's inverse lives beside it: BreachKernel.root (Newton steps in
-log(beta_e) on the kernel's derivative in log(beta_e)) and the algebraic
+log(beta_e) on the kernel's derivative in log(beta_e)), which returns the
+certified SOP of the evaluation that accepted its root, and the algebraic
 bsr_approx_threshold, for the rate design in `rates`.
 """
 
@@ -432,9 +433,11 @@ class BreachKernel:
                                                         v @ angular)
         return (out[0], out[1]) if deriv else out[0]
 
-    def root(self, lambda_e: float, epsilon: float) -> tuple[float, int]:
+    def root(self, lambda_e: float, epsilon: float
+             ) -> tuple[float, int, OutageEstimate]:
         """beta_e where the reported SOP 1 - exp(-lambda_e I) is epsilon to
-        SOP_INVERSION_TOL, and the kernel evaluations spent: Newton steps
+        SOP_INVERSION_TOL, the kernel evaluations spent and that SOP, as
+        the quadrature SOPs report it (_reported_sop): Newton steps
         on log I = log(-log(1 - epsilon) / lambda_e), nearly linear in
         u = log(beta_e), bisecting in u (or doubling a move out while the
         bracket is open) where a step leaves the bracket. RuntimeError after
@@ -453,12 +456,12 @@ class BreachKernel:
             beta = math.exp(u)
             if beta in (math.exp(lo), math.exp(hi)):  # tried: it cannot move
                 raise ArithmeticError(f"no float left to try beside {beta!r}")
-            integral, slope = (float(x[0]) for x in
-                               self.integral(beta, deriv=True))
-            value = min(max(-math.expm1(-lambda_e * integral), 0.0), 1.0)
-            if abs(value - epsilon) <= SOP_INVERSION_TOL:
-                return beta, evals
-            if value > epsilon:
+            levels, slopes = self.integral(beta, deriv=True)
+            estimate = _reported_sop(lambda_e, levels)
+            if abs(estimate.value - epsilon) <= SOP_INVERSION_TOL:
+                return beta, evals, estimate
+            integral, slope = float(levels[0]), float(slopes[0])
+            if estimate.value > epsilon:
                 lo = u
             else:
                 hi = u
@@ -499,22 +502,28 @@ def sop_guards(params: ChannelParams, beta_e: float,
     return None
 
 
-def _pgfl_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
-              beta_e: float) -> OutageEstimate:
-    """SOP = 1 - exp(-lambda_e I), I on the finest level of the scheme's
-    BreachKernel.integral, certified by the level of half the intervals and
-    angles: a change above QUAD_CERT_TOL flags "quadrature-unconverged".
-    The change is mostly the half level's own error, far above the finest
-    level's; a feature that both levels miss goes unseen."""
-    guard = sop_guards(params, beta_e, METHOD_EXACT)
-    if guard is not None:
-        return guard
-    levels = breach_kernel(scheme, layout, params).integral(beta_e)
-    fine, half = -np.expm1(-params.lambda_e * levels)
+def _reported_sop(lambda_e: float, levels: np.ndarray) -> OutageEstimate:
+    """SOP = 1 - exp(-lambda_e I), I on the finest of the nested levels of
+    BreachKernel.integral, clamped into [0, 1] and certified by the level
+    of half the intervals and angles: a change above QUAD_CERT_TOL flags
+    "quadrature-unconverged". The change is mostly the half level's own
+    error, far above the finest level's; a feature that both levels miss
+    goes unseen."""
+    fine, half = -np.expm1(-lambda_e * levels)
     flag = None if abs(fine - half) <= QUAD_CERT_TOL \
         else "quadrature-unconverged"
     return OutageEstimate(min(max(float(fine), 0.0), 1.0), METHOD_EXACT,
                           flag=flag)
+
+
+def _pgfl_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
+              beta_e: float) -> OutageEstimate:
+    """The scheme's quadrature SOP at beta_e (see _reported_sop)."""
+    guard = sop_guards(params, beta_e, METHOD_EXACT)
+    if guard is not None:
+        return guard
+    return _reported_sop(params.lambda_e, breach_kernel(
+        scheme, layout, params).integral(beta_e))
 
 
 def sop_dbf(layout: NetworkLayout, params: ChannelParams,
@@ -580,17 +589,3 @@ def bsr_approx_threshold(params: ChannelParams, epsilon: float) -> float:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     return (bsr_approx_coeff(params) / -math.log1p(-epsilon)) \
         ** (params.alpha / 2.0)
-
-
-def sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
-        beta_e: float, bsr_exact: bool = True) -> OutageEstimate:
-    """Scheme-dispatched SOP; bsr_exact selects the shared-eavesdropper form."""
-    if scheme is SchemeId.DBF:
-        return sop_dbf(layout, params, beta_e)
-    if scheme is SchemeId.FOT:
-        return sop_fot(layout, params, beta_e)
-    if scheme is SchemeId.BSR:
-        if bsr_exact:
-            return sop_bsr_exact(layout, params, beta_e)
-        return sop_bsr_approx(params, beta_e)
-    raise ValueError(f"unknown scheme {scheme!r}")

@@ -4,7 +4,8 @@ Secrecy throughput is the secrecy rate times the decoding success
 probability, subject to a cap epsilon on the secrecy outage probability.
 The design runs in two stages: invert the SOP to the smallest redundancy
 threshold beta_e that meets epsilon (redundancy only costs throughput, so
-the constraint binds), certified once at the root, then maximize
+the constraint binds), certified by the SOP evaluation that accepts it,
+then maximize
 
     psi(beta_s) = eta * (1 - COP(beta_t)) * log2(1 + beta_s),
 
@@ -14,10 +15,10 @@ effective rate. Each scheme's 1 - COP and its beta_s-derivative are written
 once, as a SuccessLaw that the throughput curve and the one maximizer share.
 
 The SOP roots live in `outage`, beside the SOPs they invert; invert_sop
-picks the root, then certifies and records it. Both breach laws of the
-beamforming and partition SOPs are exp(-(beta_e/P)/W), P = Ps or K Ps, and
-their grids read P/beta_e: they depend on beta_e/Ps alone, so a
-power sweep inverts them once and scales the root (power_sweep_roots).
+picks the root and records it with the SOP that accepted it. Both breach
+laws of the beamforming and partition SOPs are exp(-(beta_e/P)/W), P = Ps
+or K Ps, and their grids read P/beta_e: they depend on beta_e/Ps alone, so
+a power sweep inverts them once and scales the root (power_sweep_roots).
 """
 
 from __future__ import annotations
@@ -67,10 +68,10 @@ class SopRoot(float):
     """A redundancy threshold beta_e_circ that also records its inversion.
 
     It is the float beta_e_circ, so every caller can use it as such. evals
-    counts the SOP evaluations spent (fine-grid kernel evaluations plus the
-    certification at the root), residual is |SOP(root) - epsilon| with the
-    certified SOP (None when nothing was inverted), cert_flag the
-    certification's OutageEstimate flag.
+    counts the SOP evaluations spent (the breach kernel's, or 1 for the
+    algebraic relaying root), residual is |SOP(root) - epsilon| with the
+    certified SOP that accepted the root (None when nothing was inverted),
+    cert_flag that SOP's OutageEstimate flag.
     """
 
     evals: int
@@ -94,8 +95,10 @@ def invert_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
     quadrature SOP is inverted by its breach kernel (outage.BreachKernel.
     root, to outage.SOP_INVERSION_TOL on the grid the SOP reports); the
     relaying scheme inverts the layout-free form by default, whose inverse
-    is algebraic (outage.bsr_approx_threshold; bsr_exact switches to the
-    shared-field form). The root is then certified once through outage.sop.
+    is algebraic (outage.bsr_approx_threshold, certified by
+    outage.sop_bsr_approx; bsr_exact switches to the shared-field form).
+    Each root keeps the SOP of the evaluation that accepted it: nothing is
+    evaluated again.
 
     Raises RuntimeError when outage.SOP_MAX_EVALS kernel evaluations do not
     converge, and ValueError at once when the root leaves the float range
@@ -109,17 +112,16 @@ def invert_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             if scheme is SchemeId.BSR and not bsr_exact:
-                beta_e, evals = outage.bsr_approx_threshold(params, epsilon), 0
+                beta_e = outage.bsr_approx_threshold(params, epsilon)
+                evals, cert = 1, outage.sop_bsr_approx(params, beta_e)
             else:
-                beta_e, evals = outage.breach_kernel(
+                beta_e, evals, cert = outage.breach_kernel(
                     scheme, layout, params).root(params.lambda_e, epsilon)
             if beta_e == 0.0:
                 raise ArithmeticError("the root underflows to 0")
-            cert = outage.sop(scheme, layout, params, beta_e,
-                              bsr_exact=bsr_exact)
     except ArithmeticError as exc:  # numpy's FloatingPointError included
         raise _outside_float_range(params, epsilon, exc) from exc
-    return SopRoot(beta_e, evals + 1, abs(cert.value - epsilon), cert.flag)
+    return SopRoot(beta_e, evals, abs(cert.value - epsilon), cert.flag)
 
 
 def _outside_float_range(params, epsilon, reason) -> ValueError:

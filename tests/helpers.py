@@ -3,11 +3,21 @@
 import math
 
 from cachesec import (ChannelParams, SchemeId, build_line_layout, cop_bsr,
-                      cop_dbf_exact, cop_fot)
+                      cop_dbf_exact, cop_fot, sop_bsr_approx, sop_bsr_exact,
+                      sop_dbf, sop_fot)
 
 # the exact COP of each scheme: the analytic side of every COP cross-check
 COP = {SchemeId.DBF: cop_dbf_exact, SchemeId.FOT: cop_fot,
        SchemeId.BSR: cop_bsr}
+
+
+def sop(scheme, layout, params, beta_e, bsr_exact=True):
+    """The analytic SOP of each scheme, the analytic side of every SOP
+    cross-check; bsr_exact=False selects the layout-free relaying form."""
+    if scheme is SchemeId.BSR and not bsr_exact:
+        return sop_bsr_approx(params, beta_e)
+    return {SchemeId.DBF: sop_dbf, SchemeId.FOT: sop_fot,
+            SchemeId.BSR: sop_bsr_exact}[scheme](layout, params, beta_e)
 
 
 def dbw(value: float) -> float:

@@ -15,7 +15,7 @@ import pytest
 
 import cachesec as cs
 from cachesec.cli import main as cli_main
-from helpers import (COP, dbw, standard_layout, standard_params,
+from helpers import (COP, dbw, sop, standard_layout, standard_params,
                      within_3_sigma)
 
 COP_TRIALS = 10 ** 6
@@ -67,7 +67,7 @@ def test_01_analytic_mc_agreement():
     for i, ps in enumerate(POWER_GRID_DBW):
         params = standard_params(Ps_dBw=ps, Pm_dBw=0.0, lambda_e=0.1)
         for j, scheme in enumerate(cs.SchemeId):
-            an = cs.sop(scheme, lay5, params, 1.0).value
+            an = sop(scheme, lay5, params, 1.0).value
             est = cs.mc_sop(scheme, lay5, params, 1.0,
                             cs.McSettings(trials=SOP_TRIALS,
                                           seed=200 + 10 * i + j))
@@ -158,8 +158,7 @@ def test_05_rate_optimizers():
     for scheme in cs.SchemeId:
         for eps in (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9):
             be = cs.invert_sop(scheme, lay, params, eps)
-            achieved = cs.sop(scheme, lay, params, be,
-                              bsr_exact=False).value
+            achieved = sop(scheme, lay, params, be, bsr_exact=False).value
             assert abs(achieved - eps) <= 1e-6
     # optimal secrecy threshold grows with the tolerated outage level
     for scheme in cs.SchemeId:

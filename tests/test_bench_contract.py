@@ -65,11 +65,11 @@ def test_traced_design_path_reaches_the_public_optimizers():
     assert metrics["rates.scheme_throughput.calls"] == 3
 
 
-def test_traced_exact_inversions_reach_the_public_sop_evaluators():
-    # the Newton steps run on the breach kernel itself; only the one
-    # certification per inversion is an SOP call, made through outage.sop
-    # to the wrapped sop_* names (a dispatcher that held the evaluators in
-    # a table of its own would hide them and read 0 here)
+def test_traced_exact_inversions_call_no_sop_evaluator():
+    # the Newton steps run on the breach kernel itself, and each root is
+    # certified by the kernel evaluation that accepted it: an exact
+    # inversion calls no wrapped sop_* evaluator (a second certification
+    # pass would count one SOP call per inversion here)
     from cachesec import rates
     from helpers import standard_layout, standard_params
     spans = _load("spans")
@@ -81,8 +81,10 @@ def test_traced_exact_inversions_reach_the_public_sop_evaluators():
     finally:
         tracer.uninstall()
     metrics = spans.layer_metrics(tracer.spans)
-    assert metrics["rates.sop_evals_per_inversion"] == 1.0
-    assert metrics["outage.sop.calls"] == 3
+    assert metrics["rates.invert_sop.calls"] == 3
+    assert metrics["outage.sop.calls"] == 0
+    assert not [s.name for s in tracer.spans
+                if s.name.startswith("outage.sop")]
 
 
 @pytest.mark.parametrize("command, per_point", [

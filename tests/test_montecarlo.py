@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cachesec import (ChannelParams, McSettings, SchemeId, build_line_layout,
-                      mc_cop, mc_sop, outage, sop, sop_bsr_approx)
+                      mc_cop, mc_sop, outage, sop_bsr_approx)
 from cachesec.montecarlo import _FieldTest, _mc_disc_radius, _xy
-from helpers import COP, standard_layout, standard_params, within_3_sigma
+from helpers import (COP, sop, standard_layout, standard_params,
+                     within_3_sigma)
 
 
 def test_settings_validation():

@@ -10,7 +10,7 @@ from scipy.special import wofz
 
 from cachesec import (ChannelParams, OutageEstimate, RateDesign, SchemeId,
                       build_line_layout, cop_bsr, cop_dbf_asymptotic,
-                      cop_dbf_exact, cop_fot, invert_sop, outage, sop,
+                      cop_dbf_exact, cop_fot, invert_sop, outage,
                       sop_bsr_approx, sop_bsr_exact, sop_dbf, sop_fot)
 from cachesec import montecarlo
 from cachesec.channel import dist_pow_neg
@@ -621,9 +621,9 @@ def test_breach_integral_defaults_to_the_reported_grid(monkeypatch):
     half = kernel.integral(0.7, deriv=True)
     assert half[0][0] == pytest.approx(value[1], rel=1e-13)
     assert half[1][0] == pytest.approx(slope[1], rel=1e-13)
-    root, _ = kernel.root(params.lambda_e, 0.2)
-    assert abs(sop_dbf(lay, params, root).value - 0.2) \
-        <= outage.SOP_INVERSION_TOL
+    root, _, estimate = kernel.root(params.lambda_e, 0.2)
+    assert sop_dbf(lay, params, root) == estimate
+    assert abs(estimate.value - 0.2) <= outage.SOP_INVERSION_TOL
 
 
 def test_silent_backhaul_keeps_radius_and_is_never_evaluated():
@@ -689,14 +689,3 @@ def test_every_vector_exp_on_the_sop_path_is_floored(monkeypatch):
     monkeypatch.undo()
     assert len(lowest) > 100
     assert min(lowest) >= outage.EXP_FLOOR
-
-
-def test_dispatchers():
-    lay = standard_layout(2)
-    params = standard_params()
-    assert sop(SchemeId.BSR, lay, params, 1.0).value == \
-        sop_bsr_exact(lay, params, 1.0).value
-    assert sop(SchemeId.BSR, lay, params, 1.0, bsr_exact=False).value == \
-        sop_bsr_approx(params, 1.0).value
-    with pytest.raises(ValueError):
-        sop("nope", lay, params, 1.0)
