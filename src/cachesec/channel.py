@@ -4,7 +4,12 @@ Links are Rayleigh-faded with distance path loss d^-alpha. `outage`
 describes each scheme once, by its breach links and decoding branches; the
 breach law, the partition and relaying COPs and their `rates` success laws
 derive from that, the beamforming COP is written on its own. `montecarlo`
-samples the decoding condition and the breach test independently.
+samples the decoding condition and the breach test independently, from a
+hop table of its own rather than `breach_links`: the simulation must stay a
+check of that description, it picks the relaying SBS per trial (where
+`breach_links` fixes the nearest one), and `breach_links` orders the
+relaying hops by far-field power, which would swap the rows of the drawn
+fades when Ps > Pm.
 """
 
 from __future__ import annotations

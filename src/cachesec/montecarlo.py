@@ -6,21 +6,22 @@ run seed and the chunk counts are summed in chunk order on the calling
 thread, so an estimate is bit-identical across runs. (The CLI's worker pool
 runs one estimate per table cell.)
 
-Most sampled eavesdroppers are too far away to breach, so each field is
-tested in two stages. First every random number of the field is drawn:
-Poisson counts, radii, angle variates and fades, always with the same
+Each scheme's secrecy test reads one hop table, `_FieldTest.hops`: one entry
+(power, transmitter xs, ys, d_max) per link an eavesdropper may decode. Most
+sampled eavesdroppers are too far away to breach, so each field is tested in
+two stages. First every random number of the field is drawn: Poisson
+counts, radii, angle variates and one fade per hop, always with the same
 calls, shapes and order. Then a conservative bound prunes the points: every
 transmitter of a hop lies within d_max of the origin, so an eavesdropper at
-origin distance |e| is at least |e| - d_max away from it and its SNR is at
-most power * fade * (|e| - d_max)^-alpha (power is K*Ps for beamforming,
-K*Ps times the largest of the K fades for orthogonal partitions, Pm or Ps
-for a relaying hop). The gap |e| - d_max is shrunk by PRUNE_SLACK times
-|e| + d_max, which dwarfs the rounding of the coordinates and distances,
-and points with no gap left always survive. Only the survivors get
-coordinates, distances and the exact breach test, which is elementwise per
-point (the beamforming row sum included). The draws do not move and no
-breaching point is pruned, so every estimate is bit-identical to testing
-all points.
+origin distance |e| is at least |e| - d_max away from it and the hop's SNR
+is at most its far-field power (power times transmitters) * fade *
+(|e| - d_max)^-alpha; hops that share a d_max share one bound. The gap
+|e| - d_max is shrunk by PRUNE_SLACK times |e| + d_max, which dwarfs the
+rounding of the coordinates and distances, and points with no gap left
+always survive. Only the survivors get coordinates, distances and the exact
+breach test, which is elementwise per point (the beamforming row sum
+included). The draws do not move and no breaching point is pruned, so every
+estimate is bit-identical to testing all points.
 """
 
 from __future__ import annotations
@@ -91,15 +92,21 @@ def mc_cop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
     """Estimate a connection outage probability by direct fading simulation.
 
     Counts the fraction of draws where the scheme's decoding condition
-    fails: the beamformed sum SNR, every orthogonal partition, or the best
-    relay branch falls below beta_t.
+    fails: the beamformed sum SNR, the weakest orthogonal partition, or the
+    best relay branch falls below beta_t.
     """
+    scheme = SchemeId(scheme)
     if beta_t < 0.0:
         raise ValueError("beta_t must be nonnegative")
     r = layout.sbs_distances()
     K = layout.K
     r_neg = r ** -params.alpha
     r_neg_half = r ** (-params.alpha / 2.0)
+    # each link's power; the partitions fail when any link does, a relay
+    # when every branch does
+    power, combine = {SchemeId.DBF: (params.Ps, None),
+                      SchemeId.FOT: (K * params.Ps, np.logical_or),
+                      SchemeId.BSR: (params.Ps, np.logical_and)}[scheme]
 
     @np.errstate(over="ignore")  # an SNR overflowed to inf compares right
     def worker(n: int, seq) -> int:
@@ -108,36 +115,17 @@ def mc_cop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
         if scheme is SchemeId.DBF:
             # the BLAS summation order of the matrix product sets the bits
             amp = np.sqrt(g) @ r_neg_half
-            fail = params.Ps * amp * amp < beta_t
-        elif scheme is SchemeId.FOT:
-            # column passes with the products of the row form: exact, and
-            # much cheaper than reducing over the short last axis
-            fail = np.zeros(n, dtype=bool)
-            for k in range(K):
-                fail |= K * params.Ps * g[:, k] * r_neg[k] < beta_t
-        elif scheme is SchemeId.BSR:
-            best = params.Ps * g[:, 0] * r_neg[0]
-            for k in range(1, K):
-                np.maximum(best, params.Ps * g[:, k] * r_neg[k], out=best)
-            fail = best < beta_t
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
+            return int((power * amp * amp < beta_t).sum())
+        # column passes with the products of the row form: exact, and much
+        # cheaper than reducing over the short last axis
+        fail = power * g[:, 0] * r_neg[0] < beta_t
+        for k in range(1, K):
+            combine(fail, power * g[:, k] * r_neg[k] < beta_t, out=fail)
         return int(fail.sum())
 
     failures = _run_chunks(worker, _chunk_plan(settings.trials, COP_CHUNK),
                            settings.seed)
     return _binomial_estimate(failures, settings.trials)
-
-
-def _mc_disc_radius(scheme: SchemeId, layout: NetworkLayout,
-                    params: ChannelParams, beta_e: float) -> float:
-    """The analytic truncation radius of the scheme's breach integrand."""
-    r = layout.sbs_distances()
-    if scheme is SchemeId.BSR:
-        return trunc_radius(max(layout.mbs.r, float(r.max())),
-                            max(params.Pm, params.Ps), beta_e, params.alpha)
-    return trunc_radius(float(r.max()), layout.K * params.Ps, beta_e,
-                        params.alpha)
 
 
 def _disc_draws(rng, lam, n_real, radius):
@@ -165,90 +153,84 @@ def _xy(rad, u_ang, idx):
     return r * np.cos(ang), r * np.sin(ang)
 
 
-def _may_breach(rad, power_fade, d_max: float, alpha: float,
-                beta_e: float) -> np.ndarray:
-    """False only where power_fade * (rad - d_max)^-alpha, the largest SNR a
-    transmitter within d_max of the origin can give a point at radius rad,
-    stays below beta_e with the PRUNE_SLACK margin. Points with no gap
-    left always survive."""
-    gap = rad * (1.0 - PRUNE_SLACK)
-    gap -= d_max * (1.0 + PRUNE_SLACK)
-    np.maximum(gap, 0.0, out=gap)
-    with np.errstate(over="ignore"):
-        gap **= alpha
-        gap *= beta_e
-    return power_fade >= gap
-
-
 class _FieldTest:
-    """One scheme's breach test on an eavesdropper field, in two stages:
-    the conservative pruning bound on every point, the exact test on the
-    survivors. hops = (hop 1, hop 2) selects the relaying hops a field is
-    tested on (both for a shared field); the other schemes ignore it."""
+    """One scheme's breach test on an eavesdropper field, read from its hop
+    table. A hop's SNR at a point is power * fade * sum over its
+    transmitters of d^-alpha. Beamforming is one hop from all SBSs at Ps,
+    each partition its own hop at K*Ps, relaying the MBS hop at Pm plus the
+    serving-SBS hop at Ps, whose (K, 1) coordinate columns list the
+    candidates each trial picks from. The table is written here, not taken
+    from `outage.breach_links`, so that the simulation stays an independent
+    check of that description. `hops` names the hops a field is tested on,
+    by table index; every field draws the fades of all hops."""
 
     def __init__(self, scheme: SchemeId, layout: NetworkLayout,
                  params: ChannelParams, beta_e: float):
-        self.scheme, self.params, self.beta_e = scheme, params, beta_e
-        self.K = layout.K
-        self.sx, self.sy = layout.sbs_xy()
-        self.r_sbs = float(layout.sbs_distances().max())
-        self.mbs = layout.mbs
-        # one fade per point, one per partition, or one per relaying hop
-        self.fades_per_point = (1 if scheme is SchemeId.DBF
-                                else self.K if scheme is SchemeId.FOT else 2)
+        self.params, self.beta_e = params, beta_e
+        K, Ps, mbs = layout.K, params.Ps, layout.mbs
+        sx, sy = layout.sbs_xy()
+        r_sbs = float(layout.sbs_distances().max())
+        # partition fades are drawn point-major, (m, K); the relaying hops
+        # one after the other
+        self.hops, self.point_major = {
+            SchemeId.DBF: ([(Ps, sx, sy, r_sbs)], False),
+            SchemeId.FOT: ([(K * Ps, sx[k:k + 1], sy[k:k + 1], r_sbs)
+                            for k in range(K)], True),
+            SchemeId.BSR: ([(params.Pm, np.array([mbs.x]), np.array([mbs.y]),
+                             mbs.r), (Ps, sx[:, None], sy[:, None], r_sbs)],
+                           False)}[scheme]
+        far = [power * xs.shape[-1] for power, xs, _, _ in self.hops]
+        # the analytic truncation radius of the breach integrand
+        self.radius = trunc_radius(max(hop[3] for hop in self.hops),
+                                   max(far), beta_e, params.alpha)
+        # d_max -> (largest far-field power, hops) of one pruning bound
+        self.bounds: dict[float, tuple[float, list[int]]] = {}
+        for h, hop in enumerate(self.hops):
+            power, group = self.bounds.get(hop[3], (0.0, []))
+            self.bounds[hop[3]] = (max(power, far[h]), group + [h])
 
-    def draw_fades(self, rng, m: int) -> tuple:
-        """Fades of m points, one array per hop or partition set."""
-        if self.scheme is SchemeId.DBF:
-            return (rng.standard_exponential(m),)
-        if self.scheme is SchemeId.FOT:
-            return (rng.standard_exponential((m, self.K)),)
-        # relaying draws both hops' fades, also for a field testing one hop
-        return rng.standard_exponential(m), rng.standard_exponential(m)
+    def draw_fades(self, rng, m: int) -> np.ndarray:
+        """Fades of m points: row h holds hop h's."""
+        if self.point_major:
+            return rng.standard_exponential((m, len(self.hops))).T
+        return rng.standard_exponential((len(self.hops), m))
 
     def may_breach(self, rad, fades, hops) -> np.ndarray:
-        """Pruning mask: False only for points that cannot breach."""
-        p, a, b = self.params, self.params.alpha, self.beta_e
-        if self.scheme is SchemeId.DBF:
-            return _may_breach(rad, self.K * p.Ps * fades[0], self.r_sbs, a, b)
-        if self.scheme is SchemeId.FOT:
-            f = fades[0]
-            f_max = f[:, 0].copy()
-            for k in range(1, self.K):
-                np.maximum(f_max, f[:, k], out=f_max)
-            return _may_breach(rad, self.K * p.Ps * f_max, self.r_sbs, a, b)
-        keep = np.zeros(rad.size, dtype=bool)
-        if hops[0]:
-            keep |= _may_breach(rad, p.Pm * fades[0], self.mbs.r, a, b)
-        if hops[1]:
-            keep |= _may_breach(rad, p.Ps * fades[1], self.r_sbs, a, b)
+        """Pruning mask: False only for points that cannot breach. The bound
+        of hops that share a d_max is their largest far-field power times
+        their largest fade."""
+        keep = None
+        for d_max, (power, group) in self.bounds.items():
+            group = [h for h in group if h in hops]
+            if not group:
+                continue
+            fade = fades[group[0]] if len(group) == 1 \
+                else fades[group[0]].copy()
+            for h in group[1:]:
+                np.maximum(fade, fades[h], out=fade)
+            gap = rad * (1.0 - PRUNE_SLACK)
+            gap -= d_max * (1.0 + PRUNE_SLACK)
+            np.maximum(gap, 0.0, out=gap)
+            with np.errstate(over="ignore"):
+                gap **= self.params.alpha
+                gap *= self.beta_e
+            mask = power * fade >= gap
+            keep = mask if keep is None else keep | mask
         return keep
 
     def breaches(self, px, py, idx, fades, serving, hops) -> np.ndarray:
         """Exact breach test of the points idx at (px, py); serving holds
-        their serving SBS index (relaying only)."""
-        p, alpha, beta_e = self.params, self.params.alpha, self.beta_e
-        if self.scheme is SchemeId.DBF:
-            d_sq = (px[:, None] - self.sx[None, :]) ** 2 \
-                + (py[:, None] - self.sy[None, :]) ** 2
-            mean = p.Ps * dist_pow_neg(d_sq, alpha).sum(axis=1)
-            return mean * fades[0][idx] > beta_e
+        the candidate their trial picks (relaying only)."""
         hit = np.zeros(idx.size, dtype=bool)
-        if self.scheme is SchemeId.FOT:
-            # partition by partition, with the elementwise products of the
-            # (points, K) form
-            for k in range(self.K):
-                d_sq = (px - self.sx[k]) ** 2 + (py - self.sy[k]) ** 2
-                hit |= self.K * p.Ps * dist_pow_neg(d_sq, alpha) \
-                    * fades[0][idx, k] > beta_e
-            return hit
-        # relaying: hop 1 from the MBS, hop 2 from the serving SBS
-        if hops[0]:
-            db_sq = (px - self.mbs.x) ** 2 + (py - self.mbs.y) ** 2
-            hit |= p.Pm * dist_pow_neg(db_sq, alpha) * fades[0][idx] > beta_e
-        if hops[1]:
-            ds_sq = (px - self.sx[serving]) ** 2 + (py - self.sy[serving]) ** 2
-            hit |= p.Ps * dist_pow_neg(ds_sq, alpha) * fades[1][idx] > beta_e
+        for h in hops:
+            power, xs, ys, _ = self.hops[h]
+            if xs.ndim == 2:  # candidates, one per row: the serving SBS
+                d_sq = ((px - xs[:, 0][serving]) ** 2
+                        + (py - ys[:, 0][serving]) ** 2)[:, None]
+            else:
+                d_sq = (px[:, None] - xs) ** 2 + (py[:, None] - ys) ** 2
+            snr = power * dist_pow_neg(d_sq, self.params.alpha).sum(axis=1)
+            hit |= snr * fades[h][idx] > self.beta_e
         return hit
 
 
@@ -257,58 +239,55 @@ def mc_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
     """Estimate a secrecy outage probability over Poisson eavesdropper fields.
 
     A realization counts as an outage when any sampled eavesdropper breaches
-    the scheme's secrecy condition: its (exponentially faded) SNR on any
-    partition, or on either relaying hop, exceeds beta_e. With
-    independent_hops the two relaying hops see two independent fields.
-    With no eavesdroppers (lambda_e = 0) the estimate is exactly 0; with
-    beta_e = 0 every eavesdropper of the unbounded field breaches and it is
-    exactly 1, flagged "divergent" like the analytic evaluators. Raises
-    ValueError before any draw when one field draw of a chunk would need
-    more than MAX_FIELD_FLOATS floats on average.
+    the scheme's secrecy condition: its (exponentially faded) SNR on any hop
+    exceeds beta_e. With independent_hops the two relaying hops see two
+    independent fields. With no eavesdroppers (lambda_e = 0) the estimate is
+    exactly 0; with beta_e = 0 every eavesdropper of the unbounded field
+    breaches and it is exactly 1, flagged "divergent" like the analytic
+    evaluators. Raises ValueError before any draw for an unknown scheme, or
+    when one field draw of a chunk would need more than MAX_FIELD_FLOATS
+    floats on average.
     """
+    scheme = SchemeId(scheme)
     guard = sop_guards(params, beta_e, METHOD_MC)
     if guard is not None:
         return guard
     lam = params.lambda_e
-    radius = _mc_disc_radius(scheme, layout, params, beta_e)
-    if scheme is SchemeId.BSR and settings.independent_hops:
-        fields = [(True, False), (False, True)]
-    else:
-        fields = [(True, True)]
     test = _FieldTest(scheme, layout, params, beta_e)
+    radius = test.radius
     points = lam * min(settings.trials, SOP_CHUNK) \
         * (math.pi * (radius * radius))
-    if points * (2 + test.fades_per_point) > MAX_FIELD_FLOATS:
+    # a radius and an angle variate per point, and one fade per hop
+    if points * (2 + len(test.hops)) > MAX_FIELD_FLOATS:
         raise ValueError(
             f"eavesdropper field too large for Monte Carlo: {points:.3g} "
             f"expected points per field draw of a chunk (at most "
             f"{MAX_FIELD_FLOATS} floats)")
+    relaying = scheme is SchemeId.BSR
+    if relaying and settings.independent_hops:
+        fields = [(0,), (1,)]
+    else:
+        fields = [tuple(range(len(test.hops)))]
     K = layout.K
     r_neg = layout.sbs_distances() ** -params.alpha
-
-    def field_outage(rng, n, kstar, hops):
-        """Outage indicators contributed by one field."""
-        counts, rad, u_ang = _disc_draws(rng, lam, n, radius)
-        fades = test.draw_fades(rng, rad.size)
-        idx = np.flatnonzero(test.may_breach(rad, fades, hops))
-        owner = _owners(idx, counts)
-        px, py = _xy(rad, u_ang, idx)
-        serving = None if kstar is None else kstar[owner]
-        out = np.zeros(n, dtype=bool)
-        out[owner[test.breaches(px, py, idx, fades, serving, hops)]] = True
-        return out
 
     def worker(n: int, seq) -> int:
         rng = np.random.default_rng(seq)
         kstar = None
-        if scheme is SchemeId.BSR:
+        if relaying:
             if settings.bsr_serving == "fading":
                 kstar = np.argmax(rng.standard_exponential((n, K)) * r_neg, axis=1)
             else:
                 kstar = np.zeros(n, dtype=int)
         out = np.zeros(n, dtype=bool)
         for hops in fields:
-            out |= field_outage(rng, n, kstar, hops)
+            counts, rad, u_ang = _disc_draws(rng, lam, n, radius)
+            fades = test.draw_fades(rng, rad.size)
+            idx = np.flatnonzero(test.may_breach(rad, fades, hops))
+            owner = _owners(idx, counts)
+            px, py = _xy(rad, u_ang, idx)
+            serving = None if kstar is None else kstar[owner]
+            out[owner[test.breaches(px, py, idx, fades, serving, hops)]] = True
         return int(out.sum())
 
     failures = _run_chunks(worker, _chunk_plan(settings.trials, SOP_CHUNK),

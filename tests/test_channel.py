@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cachesec import ChannelParams, McSettings, PolarPoint, SchemeId, mc_cop
+from cachesec import (ChannelParams, McSettings, PolarPoint, SchemeId, mc_cop,
+                      mc_sop)
 from cachesec.montecarlo import _disc_draws, _FieldTest, _xy
 from helpers import standard_layout, standard_params
 
@@ -36,8 +37,10 @@ def test_fading_gains_unit_mean():
     params = standard_params()
     rng = np.random.default_rng(1)
     for scheme in SchemeId:
-        fades = _FieldTest(scheme, lay, params, 1.0).draw_fades(rng, 250_000)
-        gains = np.concatenate([f.ravel() for f in fades])
+        test = _FieldTest(scheme, lay, params, 1.0)
+        fades = test.draw_fades(rng, 250_000)
+        assert fades.shape == (len(test.hops), 250_000)
+        gains = fades.ravel()
         assert (gains >= 0.0).all()
         assert abs(gains.mean() - 1.0) <= 3.0 / math.sqrt(gains.size), scheme
 
@@ -98,15 +101,21 @@ def test_snr_user_matched_draw_dominance():
 
 
 def test_snr_user_unknown_scheme():
+    # rejected by name when converted, before any draw
     lay = standard_layout(2)
     params = standard_params()
-    with pytest.raises(ValueError):
-        mc_cop("broadcast", lay, params, 1.0, McSettings(trials=10, seed=1))
+    for estimator in (mc_cop, mc_sop):
+        with pytest.raises(ValueError, match="'broadcast' is not a valid"):
+            estimator("broadcast", lay, params, 1.0,
+                      McSettings(trials=10, seed=1))
 
 
-def _breaches_at(test, eve: PolarPoint, fades, hops=(True, True)):
-    """Breach test of len(fades[0]) eavesdroppers that all sit at eve."""
-    m = len(fades[0])
+def _breaches_at(test, eve: PolarPoint, fades, hops=None):
+    """Breach test of fades.shape[1] eavesdroppers that all sit at eve, on
+    the hops `hops` (default: all)."""
+    m = fades.shape[1]
+    if hops is None:
+        hops = tuple(range(len(test.hops)))
     rad = np.full(m, eve.r)
     u_ang = np.full(m, eve.theta / (2.0 * math.pi))
     idx = np.arange(m)
@@ -151,5 +160,6 @@ def test_snr_eve_bsr_hop1_zero_power():
     test = _FieldTest(SchemeId.BSR, lay, params, beta_e=1e-6)
     fades = test.draw_fades(np.random.default_rng(8), 100)
     near_mbs = PolarPoint(lay.mbs.r + 0.5, lay.mbs.theta)
-    hit, keep = _breaches_at(test, near_mbs, fades, hops=(True, False))
+    assert test.hops[0][0] == params.Pm  # hop 0 is the MBS backhaul
+    hit, keep = _breaches_at(test, near_mbs, fades, hops=(0,))
     assert not hit.any() and not keep.any()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cachesec import (ChannelParams, McSettings, SchemeId, build_line_layout,
                       mc_cop, mc_sop, outage, sop_bsr_approx)
-from cachesec.montecarlo import _FieldTest, _mc_disc_radius, _xy
+from cachesec.montecarlo import _FieldTest, _xy
 from helpers import (COP, sop, standard_layout, standard_params,
                      within_3_sigma)
 
@@ -89,9 +89,9 @@ def test_mc_sop_window_doubling_negligible(monkeypatch):
     params = standard_params()
     settings = McSettings(trials=20_000, seed=9)
     small = mc_sop(SchemeId.DBF, lay, params, 1.0, settings)
-    base_radius = _mc_disc_radius(SchemeId.DBF, lay, params, 1.0)
+    base_radius = _FieldTest(SchemeId.DBF, lay, params, 1.0).radius
     monkeypatch.setattr(outage, "TAIL_LOG", math.log(1e24))
-    assert _mc_disc_radius(SchemeId.DBF, lay, params, 1.0) > base_radius
+    assert _FieldTest(SchemeId.DBF, lay, params, 1.0).radius > base_radius
     big = mc_sop(SchemeId.DBF, lay, params, 1.0, settings)
     assert abs(small.value - big.value) \
         <= 4.0 * math.hypot(small.std_error, big.std_error)
@@ -347,7 +347,7 @@ def test_pruning_keeps_every_breaching_eavesdropper(scheme, K, geometry, alpha,
     test = _FieldTest(scheme, lay, params, beta_e)
     rng = np.random.default_rng(seed)
     m = 600
-    r_max = _mc_disc_radius(scheme, lay, params, beta_e)
+    r_max = test.radius
     rad = r_max * np.sqrt(rng.random(m))
     # a quarter of the points inside the farthest transmitter, and half on
     # the rays through the transmitters, where the bound is tightest
@@ -360,6 +360,8 @@ def test_pruning_keeps_every_breaching_eavesdropper(scheme, K, geometry, alpha,
     serving = rng.integers(0, K, m)
     idx = np.arange(m)
     px, py = _xy(rad, u_ang, idx)
-    for hops in ((True, True), (True, False), (False, True)):
+    # all hops (a shared field) and each hop alone
+    every = tuple(range(len(test.hops)))
+    for hops in (every, *((h,) for h in every)):
         breach = test.breaches(px, py, idx, fades, serving, hops)
         assert not np.any(breach & ~test.may_breach(rad, fades, hops)), hops

@@ -634,7 +634,7 @@ def test_silent_backhaul_keeps_radius_and_is_never_evaluated():
     params = standard_params()
     silent = ChannelParams(params.alpha, params.Ps, 0.0, params.lambda_e)
     kernel = outage.breach_kernel(SchemeId.BSR, lay, silent)
-    assert montecarlo._mc_disc_radius(SchemeId.BSR, lay, silent, 1.0) \
+    assert montecarlo._FieldTest(SchemeId.BSR, lay, silent, 1.0).radius \
         == outage.trunc_radius(lay.mbs.r, silent.Ps, 1.0, silent.alpha)
     assert kernel.links[1][0] == 0.0
     with warnings.catch_warnings():
