@@ -14,6 +14,7 @@ the scan's optimum.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -100,17 +101,12 @@ def _pick_adjacent(m_cont: float, L: int, objective) -> int:
     """Best integer neighbor of a continuous optimizer.
 
     The objectives are unimodal in M, so the integer optimum is one of the
-    two integers around the continuous one; near-exact ties (< 1e-12) keep
-    the rounded-up value.
+    two integers around the continuous one; the larger wins unless the
+    smaller is better by TIE_TOL or more.
     """
     lo = min(max(math.floor(m_cont), 0), L)
     hi = min(max(math.ceil(m_cont), 0), L)
-    if lo == hi:
-        return hi
-    f_lo, f_hi = objective(lo), objective(hi)
-    if abs(f_hi - f_lo) < TIE_TOL:
-        return hi
-    return hi if f_hi > f_lo else lo
+    return lo if objective(lo) - objective(hi) >= TIE_TOL else hi
 
 
 def _opt_m_limited(psi_d: float, psi_f: float, psi_b: float,
@@ -200,12 +196,8 @@ def exhaustive_opt_m(objective: str, psi_d: float, psi_f: float, psi_b: float,
     the smallest argmax on exact ties.
     """
     f, _ = _objective(objective, psi_d, psi_f, psi_b, lib, K, L, params)
-    best_m, best_v = 0, f(0)
-    for m in range(1, L + 1):
-        v = f(m)
-        if v > best_v:
-            best_m, best_v = m, v
-    return best_m, best_v
+    # max keeps the first of equal values
+    return max(((m, f(m)) for m in range(L + 1)), key=lambda mv: mv[1])
 
 
 def optimize_allocation(objective: str, psi_d: float, psi_f: float,
@@ -235,8 +227,9 @@ def opt_m_see(psi_d: float, psi_f: float, psi_b: float,
         (psi_D - psi_F) >= agg * xi(M),
         xi(M) = (K-1)(M+1)^tau / (dp1 (KL+1-(K-1)M)^tau + dp2 K(L+1)),
 
-    and xi is increasing, so the optimum is L, 0, or the rounded root of
-    xi(M) = (psi_D - psi_F)/agg.
+    and xi is increasing, so the optimum is L, 0, or one of the two
+    integers around the root of xi(M) = (psi_D - psi_F)/agg, found by a
+    bisection over the integers 0..L.
     """
     tau = lib.tau
 
@@ -265,22 +258,12 @@ def opt_m_see(psi_d: float, psi_f: float, psi_b: float,
         return k1 * (m + 1.0) ** tau \
             / (dp1 * (kl1 - k1 * m) ** tau + dp2 * K * (L + 1.0))
 
-    target = gain_df / agg
     if gain_df >= agg * xi(L):
         return L
     if gain_df <= agg * xi(0):
         return 0
-    lo, hi = 0.0, float(L)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if xi(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    m_cont = 0.5 * (lo + hi)
+    # the first M whose xi reaches the target: the root lies in (M - 1, M]
+    m = bisect.bisect_left(range(L + 1), gain_df / agg, key=xi)
     return _pick_adjacent(
-        m_cont, L,
+        m - 0.5, L,
         lambda m: see(psi_d, psi_f, psi_b, params, lib, K, L, m))
-

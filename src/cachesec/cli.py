@@ -55,6 +55,8 @@ class ConfigError(Exception):
 
 # Powers beyond +-3000 dBw leave the range of a positive finite float.
 DBW_LIMIT = 3000.0
+# 2^Rs - 1 overflows a float from Rs = 1024 bits on.
+RS_LIMIT = 1024.0
 # sweep_values lists every point before the first row is computed; a step
 # of 1e-9 dB would ask for 3e10 of them.
 MAX_SWEEP_POINTS = 10_000
@@ -136,6 +138,9 @@ class Scenario:
             raise ConfigError("Rs sweep must start at >= 0")
         if (high - low) / self.sweep_step >= MAX_SWEEP_POINTS:
             raise ConfigError(f"a sweep has at most {MAX_SWEEP_POINTS} points")
+        if self.sweep_var == "Rs" and sweep_values(self)[-1] >= RS_LIMIT:
+            raise ConfigError(f"Rs sweep must stay below {RS_LIMIT:g}, where "
+                              f"2^Rs - 1 leaves the float range")
         try:
             lay = self.layout()
         except ValueError as exc:  # a coordinate overflowed to inf
@@ -186,8 +191,7 @@ def parse_scenario_text(text: str, source: str = "<config>") -> Scenario:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{source}: invalid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{source}: JSON scenario must be an object")
+        # JSON text that starts with "{" is an object
         items = [(source, key, raw) for key, raw in data.items()]
     else:
         items = []

@@ -203,8 +203,8 @@ def _branch_law(scheme, eta, layout, params, beta_e_circ) -> SuccessLaw:
         gains = np.exp(-beta_e_circ * ra / power)
         decays = (1.0 + beta_e_circ) * ra / power
     # a branch with gain 0 or an overflowed decay adds t = 0 at every b > 0
-    # (dropped before 0 * inf is nan); as Python floats, an overflowing
-    # d * b is inf, so t = 0, without a warning
+    # (dropped before 0 * inf is nan); an overflowing d * b is inf, so t = 0
+    # (secrecy_throughput_curve silences numpy's warning for an array b)
     keep = (gains > 0.0) & (decays < math.inf)
     gains, decays = gains[keep].tolist(), decays[keep].tolist()
 
@@ -233,8 +233,10 @@ def secrecy_throughput_curve(scheme: SchemeId, layout: NetworkLayout,
     Accepts a scalar or an array of beta_s."""
     law = _LAWS[scheme](layout, params, beta_e_circ)
     b = np.asarray(beta_s, dtype=float)
-    # log1p: log2(1 + b) keeps its relative accuracy at small b
-    psi = law.eta * law.success(b) * np.log1p(b) / _LN2
+    # log1p: log2(1 + b) keeps its relative accuracy at small b; a branch
+    # decay d b that overflows is inf, so that branch adds 0
+    with np.errstate(over="ignore"):
+        psi = law.eta * law.success(b) * np.log1p(b) / _LN2
     return float(psi) if np.ndim(beta_s) == 0 else psi
 
 

@@ -8,7 +8,7 @@ from cachesec import (ChannelParams, SchemeId, ZipfLibrary, average_power,
                       cum_pop_approx, exhaustive_opt_m, opt_m_see,
                       optimal_mpc_allocation, optimize_allocation,
                       overall_throughput, per_scheme_psi, scheme_probs, see)
-from cachesec.caching import TIE_TOL
+from cachesec.caching import TIE_TOL, _pick_adjacent
 from helpers import standard_layout, standard_params
 
 
@@ -410,6 +410,35 @@ def test_opt_m_see_interior_root_decreases_with_tau():
         if prev is not None:
             assert m <= prev + 1  # integer rounding of a decreasing root
         prev = m
+
+
+@pytest.mark.parametrize("fn, args", [
+    (ZipfLibrary, (0, 1.5)), (ZipfLibrary, (10, 0.0)),
+    (cum_pop_approx, (ZipfLibrary(10, 1.5), -1)),
+    (cum_pop_approx, (ZipfLibrary(10, 1.5), 11)),
+    (scheme_probs, (ZipfLibrary(10, 1.5), 0, 5, 0)),
+    (scheme_probs, (ZipfLibrary(10, 1.5), 3, 0, 0)),
+    (scheme_probs, (ZipfLibrary(10, 1.5), 3, 5, -1)),
+    (scheme_probs, (ZipfLibrary(10, 1.5), 3, 5, 6)),
+], ids=["N<1", "tau<=0", "cum-M<0", "cum-M>N", "probs-K<1", "probs-L<1",
+        "probs-M<0", "probs-M>L"])
+def test_popularity_model_rejects_arguments_out_of_range(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
+def test_pick_adjacent_prefers_the_larger_neighbour_within_tie_tol():
+    def objective(values):
+        return lambda m: values[m]
+
+    # an integral optimum is its own answer, clamped into 0..L
+    assert _pick_adjacent(4.0, 10, objective({4: 0.0})) == 4
+    assert _pick_adjacent(-0.5, 10, objective({0: 0.0})) == 0
+    # the smaller neighbour wins only when better by TIE_TOL or more
+    assert _pick_adjacent(4.5, 10, objective({4: 0.5 * TIE_TOL,
+                                              5: 0.0})) == 5
+    assert _pick_adjacent(4.5, 10, objective({4: TIE_TOL, 5: 0.0})) == 4
+    assert _pick_adjacent(4.5, 10, objective({4: 0.0, 5: 1.0})) == 5
 
 
 def test_exhaustive_tie_break_smallest():

@@ -23,6 +23,8 @@ def test_channel_params_validation():
         ChannelParams(alpha=4.0, Ps=0.0, Pm=1.0, lambda_e=0.1)
     with pytest.raises(ValueError):
         ChannelParams(alpha=4.0, Ps=1.0, Pm=1.0, lambda_e=-0.1)
+    with pytest.raises(ValueError, match="MBS power"):
+        ChannelParams(alpha=4.0, Ps=1.0, Pm=-1.0, lambda_e=0.1)
     good = dict(alpha=4.0, Ps=1.0, Pm=1.0, lambda_e=0.1)
     for name in good:
         for bad in (math.nan, math.inf, -math.inf):

@@ -39,7 +39,8 @@ SMALL_SWEEP = "sweep_start = 0\nsweep_stop = 10\nsweep_step = 5\n"
 
 
 def test_scenario_parsing_flat_and_json():
-    flat = parse_scenario_text("K = 4\nPs_dBw = 12.5  # comment\n")
+    flat = parse_scenario_text("# a comment line\n\nK = 4\n"
+                               "Ps_dBw = 12.5  # comment\n")
     assert flat.K == 4 and flat.Ps_dBw == 12.5
     as_json = parse_scenario_text(json.dumps({"K": 4, "Ps_dBw": 12.5}))
     assert as_json == flat
@@ -61,6 +62,8 @@ def test_scenario_value_errors():
         parse_scenario_text("K = 4.7\n")
     with pytest.raises(ConfigError):
         parse_scenario_text(json.dumps({"K": 4.7}))
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        parse_scenario_text('{"K": 4,}')
     with pytest.raises(ConfigError):
         parse_scenario_text("sweep_var = alpha\n")
 
@@ -383,7 +386,9 @@ def test_exit_code_2_for_out_of_range_epsilon(tmp_path):
     # or a partition COP whose sum over the SBSs overflows
     "r_s1_o = 1e-300", "r_s1_o = 1e-80", "r_b_s1 = 1e200",
     "alpha = 30\nr_s1_o = 1e-24", "alpha = 30\nr_s = 1e24",
-    "K = 6\nr_s1_o = 5e76"])
+    "K = 6\nr_s1_o = 5e76",
+    # 2^Rs - 1 overflows at the last point, Rs = 1024
+    "sweep_var = Rs\nsweep_stop = 1024\nsweep_step = 4"])
 def test_exit_code_2_for_invalid_scenarios(tmp_path, bad):
     code, out = run(tmp_path, "throughput", SMALL_SWEEP + bad + "\n")
     assert code == 2
@@ -463,6 +468,28 @@ def test_exit_code_3_when_the_sop_root_leaves_the_float_range(tmp_path,
     assert code == 3
     assert "infeasible: SOP root outside the float range" \
         in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rs_sweep_stops_below_the_float_range():
+    # the last point sweep_values yields decides: 1020 alone, or 1020, 1024
+    rs = "sweep_var = Rs\nsweep_start = 1020\nsweep_stop = 1024\n"
+    assert sweep_values(parse_scenario_text(rs + "sweep_step = 5\n")) \
+        == [1020.0]
+    with pytest.raises(ConfigError, match="Rs sweep must stay below 1024"):
+        parse_scenario_text(rs + "sweep_step = 4\n")
+
+
+def test_exit_code_3_when_a_scaled_sop_root_leaves_the_float_range(
+        tmp_path, capsys):
+    # the root inverted at -3000 dBw scales to inf at the next point
+    cfg = ("lambda_e = 1e6\n"
+           "sweep_start = -3000\nsweep_stop = 3000\nsweep_step = 1000\n")
+    code, out = run(tmp_path, "throughput", cfg)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: SOP root outside the float range")
+    assert "scaled to inf" in err
     assert not out.exists()
 
 

@@ -54,6 +54,21 @@ def test_polar_point_rejects_negative_radius():
         PolarPoint(-1.0, 0.0)
 
 
+def test_polar_point_rejects_non_finite_angle():
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            PolarPoint(1.0, theta)
+
+
+@pytest.mark.parametrize("mbs, sbs, message", [
+    (PolarPoint(3.0, 0.0), (), "at least one SBS"),
+    (PolarPoint(0.0, 0.0), (PolarPoint(1.0, 0.0),), "MBS must not coincide"),
+], ids=["no-sbs", "mbs-at-user"])
+def test_layout_rejects_degenerate_nodes(mbs, sbs, message):
+    with pytest.raises(ValueError, match=message):
+        NetworkLayout(mbs=mbs, sbs=sbs)
+
+
 def test_layout_rejects_unsorted_sbs():
     with pytest.raises(ValueError):
         NetworkLayout(mbs=PolarPoint(3.0, 0.0),

@@ -23,6 +23,8 @@ def test_invert_sop_rejects_bad_epsilon():
     for eps in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(ValueError):
             invert_sop(SchemeId.DBF, lay, params, eps)
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            bsr_approx_threshold(params, eps)
 
 
 @pytest.mark.parametrize("scheme, bsr_exact, alpha, lambda_e", [

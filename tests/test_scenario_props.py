@@ -52,16 +52,18 @@ _EDGES = {
     "bsr_sop_model": st.sampled_from(["approx", "exact"]),
 }
 _LOG_POWERS = st.sampled_from([-707.0, -300.0, 0.0, 300.0, 708.0])
+# secrecy rates up to the largest whose 2^Rs - 1 is a finite float
+_RS = st.sampled_from([0.0, 1.0, 1020.0, 1023.5])
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.fixed_dictionaries(_EDGES),
-       st.tuples(_LOG_POWERS, _LOG_POWERS, _LOG_POWERS))
+       st.tuples(_LOG_POWERS, _LOG_POWERS, _LOG_POWERS), _RS)
 @example({"Ps_dBw": -30.0, "Pm_dBw": -3000.0, "alpha": 8.0, "lambda_e": 1.0,
-          "K": 3, "bsr_sop_model": "exact"}, (0.0, -0.7, 0.7))
+          "K": 3, "bsr_sop_model": "exact"}, (0.0, -0.7, 0.7), 1020.0)
 @example({"Ps_dBw": 3000.0, "Pm_dBw": 3000.0, "alpha": 4.0, "lambda_e": 0.1,
-          "K": 20, "bsr_sop_model": "approx"}, (0.0, -2.8, 2.8))
-def test_every_loaded_scenario_runs_or_fails_cleanly(values, log_powers):
+          "K": 20, "bsr_sop_model": "approx"}, (0.0, -2.8, 2.8), 1023.5)
+def test_every_loaded_scenario_runs_or_fails_cleanly(values, log_powers, rs):
     # whatever the loader accepts runs without a floating-point warning, or
     # is refused with one line: exit 2 (config) or 3 (infeasible). Monte
     # Carlo fields are capped at 2^20 floats so that a dense field fails
@@ -70,7 +72,7 @@ def test_every_loaded_scenario_runs_or_fails_cleanly(values, log_powers):
     text = "".join(f"{k} = {v}\n" for k, v in values.items())
     text += "".join(f"{k} = {math.exp(x / values['alpha'])!r}\n"
                     for k, x in zip(keys, log_powers))
-    point = {"Ps_dBw": values["Ps_dBw"], "Rs": 1.0, "N": 100}
+    point = {"Ps_dBw": values["Ps_dBw"], "Rs": rs, "N": 100}
     runs = [("cop-sweep", "Ps_dBw", ["--trials", "50"]),
             ("sop-sweep", "Ps_dBw", ["--trials", "50"]),
             ("throughput", "Rs", []), ("throughput", "Ps_dBw", []),
