@@ -24,10 +24,11 @@ A scenario file is a flat "key = value" text file (or a JSON object with
 the same keys); unknown keys are errors, not warnings, because a silently
 ignored setting would invalidate any comparison. Each Scenario field
 declares its key's default and legal range together; loading checks every
-key against its range, then the rules that join keys. Powers are in dBw;
-Scenario.params converts them to linear where a command builds the channel
-of a sweep point. Every output embeds the scenario, tool version and seed,
-and reruns with the same seed are byte-identical.
+key against its range, then the rules that join keys, and builds the
+sweep's points once (Scenario.sweep_points), the list every table maps.
+Powers are in dBw; Scenario.params converts them to linear where a command
+builds the channel of a sweep point. Every output embeds the scenario,
+tool version and seed, and reruns with the same seed are byte-identical.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical infeasibility.
 """
@@ -41,6 +42,7 @@ import sys
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from decimal import Decimal
 from functools import partial
 from pathlib import Path
 
@@ -57,8 +59,7 @@ class ConfigError(Exception):
 DBW_LIMIT = 3000.0
 # 2^Rs - 1 overflows a float from Rs = 1024 bits on.
 RS_LIMIT = 1024.0
-# sweep_values lists every point before the first row is computed; a step
-# of 1e-9 dB would ask for 3e10 of them.
+# Loading builds every sweep point; a step of 1e-9 dB would ask for 3e10.
 MAX_SWEEP_POINTS = 10_000
 # The cell pool submits every task at once and so starts all its threads.
 MAX_THREADS = 256
@@ -75,12 +76,18 @@ def _choice(*names: str):
 
 
 _DBW = (f"within +-{DBW_LIMIT:g}", lambda v: abs(v) <= DBW_LIMIT)
+_N = ("an integer >= 1", lambda v: v >= 1 and v % 1 == 0)
+# the legal points of each sweep axis and their type: those of its key, or
+# for Rs those whose 2^Rs - 1 is a finite float
+_SWEEP_RANGES = {"Ps_dBw": (*_DBW, float), "N": (*_N, int),
+                 "Rs": (f"below {RS_LIMIT:g} and >= 0",
+                        lambda v: 0.0 <= v < RS_LIMIT, float)}
 
 
 @dataclass(frozen=True)
 class Scenario:
     """Every knob of an experiment, as read from a scenario file, with its
-    default and legal range (sweep_start and sweep_stop have none alone)."""
+    default and legal range; sweep_points lists the sweep's points."""
 
     # geometry
     r_s1_o: float = _key(1.0, "> 0", lambda v: v > 0.0)
@@ -98,7 +105,7 @@ class Scenario:
     beta_e: float = _key(1.0, ">= 0", lambda v: v >= 0.0)
     bsr_sop_model: str = _choice("approx", "exact")
     # caching
-    N: int = _key(100, ">= 1", lambda v: v >= 1)
+    N: int = _key(100, *_N)
     tau: float = _key(1.5, "> 0", lambda v: v > 0.0)
     L: int = _key(10, ">= 1", lambda v: v >= 1)
     caching_objective: str = _choice("throughput", "see")
@@ -116,7 +123,7 @@ class Scenario:
     def __post_init__(self):
         """Reject a scenario no experiment can run, on load (exit code 2):
         every float finite and every key in its declared range, then the
-        rules that join keys (sweep bounds and points, geometry)."""
+        rules that join keys (the sweep's points, geometry)."""
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -124,23 +131,25 @@ class Scenario:
             if "ok" in f.metadata and not f.metadata["ok"](value):
                 raise ConfigError(f"{f.name} must be {f.metadata['rule']}, "
                                   f"got {value}")
-        low, high = self.sweep_start, self.sweep_stop
+        low, high, step = self.sweep_start, self.sweep_stop, self.sweep_step
         if high < low:
             raise ConfigError(f"sweep_stop must be >= sweep_start = {low}, "
                               f"got {high}")
-        if self.sweep_var == "Ps_dBw" and max(-low, high) > DBW_LIMIT:
-            raise ConfigError(f"Ps_dBw sweep must stay {_DBW[0]}")
-        if self.sweep_var == "N" and (low < 1 or not all(
-                float(v).is_integer() for v in (low, self.sweep_step))):
-            raise ConfigError("N sweep must start at an integer >= 1 and "
-                              "step by an integer")
-        if self.sweep_var == "Rs" and low < 0:
-            raise ConfigError("Rs sweep must start at >= 0")
-        if (high - low) / self.sweep_step >= MAX_SWEEP_POINTS:
+        # the points low + i step through high (to 1e-9 of a step), each
+        # summed in the decimals written and rounded once, so that 0.1-steps
+        # from -2.3 reach 0; their count is bounded before any is built
+        low, high, step = (Decimal(str(v)) for v in (low, high, step))
+        count = (high - low) / step + Decimal("1e-9")
+        if not count < MAX_SWEEP_POINTS:
             raise ConfigError(f"a sweep has at most {MAX_SWEEP_POINTS} points")
-        if self.sweep_var == "Rs" and sweep_values(self)[-1] >= RS_LIMIT:
-            raise ConfigError(f"Rs sweep must stay below {RS_LIMIT:g}, where "
-                              f"2^Rs - 1 leaves the float range")
+        points = [float(low + i * step) for i in range(int(count) + 1)]
+        rule, ok, cast = _SWEEP_RANGES[self.sweep_var]
+        if not all(map(ok, points)):
+            raise ConfigError(f"{self.sweep_var} sweep must stay {rule}")
+        points = [cast(v) for v in points]
+        if len({_fmt(v) for v in points}) < len(points):
+            raise ConfigError("sweep points must print apart to 12 digits")
+        object.__setattr__(self, "sweep_points", tuple(points))
         try:
             lay = self.layout()
         except ValueError as exc:  # a coordinate overflowed to inf
@@ -228,17 +237,6 @@ def load_scenario(path: str | None) -> Scenario:
     return parse_scenario_text(text, source=str(path))
 
 
-def sweep_values(scn: Scenario) -> list[float]:
-    values = []
-    v = scn.sweep_start
-    while v <= scn.sweep_stop + 1e-9 * max(1.0, abs(scn.sweep_step)):
-        values.append(round(v, 12))
-        v = scn.sweep_start + (len(values)) * scn.sweep_step
-    if scn.sweep_var == "N":
-        return [int(x) for x in values]
-    return values
-
-
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -265,17 +263,18 @@ def write_table(out, command: str, scn: Scenario, columns: list[str],
         raise ConfigError(f"cannot write {out!r}: {exc}") from exc
 
 
-def _map_points(fn, points, cells: int, threads: int) -> list:
+def _map_points(fn, scn: Scenario, cells: int) -> list:
     """Rows fn(i, v, j) for every cell j < cells of every sweep point
-    v = points[i], in point order, then cell order.
+    v = scn.sweep_points[i], in point order, then cell order.
 
     Each (point, cell) pair is one pool task, so the cells of a costly
     point are shared between the worker threads.
     """
-    tasks = [(i, v, j) for i, v in enumerate(points) for j in range(cells)]
-    if threads <= 1:
+    tasks = [(i, v, j) for i, v in enumerate(scn.sweep_points)
+             for j in range(cells)]
+    if scn.threads <= 1:
         return [fn(*task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=scn.threads) as pool:
         return list(pool.map(fn, *zip(*tasks)))
 
 
@@ -337,8 +336,7 @@ def _outage_sweep(kind: str, default_trials: int, scn: Scenario):
             evaluator, scn.params(ps_dbw), trials, scn.seed + 1000 * i + j)
 
     return (["Ps_dBw", "scheme", "analytic", "mc", "mc_stderr"],
-            _map_points(cell, sweep_values(scn), len(evaluators),
-                        scn.threads))
+            _map_points(cell, scn, len(evaluators)))
 
 
 def cmd_throughput(scn: Scenario):
@@ -358,7 +356,7 @@ def cmd_throughput(scn: Scenario):
         columns = ["Rs", "scheme", "psi"]
     else:
         roots = rates.power_sweep_roots(  # before the pool: once per table
-            layout, [scn.params(v) for v in sweep_values(scn)], scn.epsilon)
+            layout, [scn.params(v) for v in scn.sweep_points], scn.epsilon)
 
         def cell(i, ps_dbw, j):
             design = rates.scheme_throughput(
@@ -369,8 +367,7 @@ def cmd_throughput(scn: Scenario):
 
         columns = ["Ps_dBw", "scheme", "beta_e_circ", "beta_s_star",
                    "Rs_star", "psi_star"]
-    return columns, _map_points(cell, sweep_values(scn), len(schemes),
-                                scn.threads)
+    return columns, _map_points(cell, scn, len(schemes))
 
 
 def cmd_caching(scn: Scenario):
@@ -383,11 +380,11 @@ def cmd_caching(scn: Scenario):
                                          bsr_exact)
     else:  # see cmd_throughput
         roots = rates.power_sweep_roots(
-            layout, [scn.params(v) for v in sweep_values(scn)], scn.epsilon)
+            layout, [scn.params(v) for v in scn.sweep_points], scn.epsilon)
 
     def cell(i, v, j):
         params = scn.params(None if n_sweep else v)
-        lib = caching.ZipfLibrary(N=int(v) if n_sweep else scn.N, tau=scn.tau)
+        lib = caching.ZipfLibrary(N=v if n_sweep else scn.N, tau=scn.tau)
         psi = psi_fixed if n_sweep else rates.per_scheme_psi(
             layout, params, scn.epsilon, bsr_exact, roots[i])
         m_closed, m_ex, value = caching.optimize_allocation(
@@ -398,7 +395,7 @@ def cmd_caching(scn: Scenario):
 
     return ([scn.sweep_var, "psi_D", "psi_F", "psi_B", "M_closed",
              "M_exhaustive", "obj_hybrid", "obj_mpc", "obj_lcd"],
-            _map_points(cell, sweep_values(scn), 1, scn.threads))
+            _map_points(cell, scn, 1))
 
 
 # the cop-sweep and sop-sweep rows that validate checks, by metric
@@ -430,7 +427,7 @@ def cmd_validate(scn: Scenario):
         return [ps_dbw, metric, evaluator[0].value, an, mc, stderr,
                 int(abs(an - mc) <= 3.0 * sigma + 1e-12)]
 
-    rows = _map_points(cell, sweep_values(scn), len(cells), scn.threads)
+    rows = _map_points(cell, scn, len(cells))
     print(f"validate: {sum(row[-1] for row in rows)}/{len(rows)} cells "
           f"within 3 sigma", file=sys.stderr)
     return (["Ps_dBw", "metric", "scheme", "analytic", "mc", "mc_stderr",

@@ -211,8 +211,10 @@ class _FieldTest:
             gap = rad * (1.0 - PRUNE_SLACK)
             gap -= d_max * (1.0 + PRUNE_SLACK)
             np.maximum(gap, 0.0, out=gap)
+            # gap^alpha as (gap^2)^(alpha/2): numpy squares, with no pow, at 4
             with np.errstate(over="ignore"):
-                gap **= self.params.alpha
+                gap *= gap
+                gap **= 0.5 * self.params.alpha
                 gap *= self.beta_e
             mask = power * fade >= gap
             keep = mask if keep is None else keep | mask

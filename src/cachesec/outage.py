@@ -142,8 +142,7 @@ def _log_rayleigh_laplace(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _amplitude_sum_cdf(a: np.ndarray, x: float,
-                       nodes: int) -> tuple[float, float]:
+def _amplitude_sum_cdf(a: np.ndarray, x: float) -> tuple[float, float]:
     """P(S <= x), S = sum_k a_k R_k for unit-power Rayleigh R_k, and the
     relative nested-halving difference of the side that was integrated.
 
@@ -175,7 +174,7 @@ def _amplitude_sum_cdf(a: np.ndarray, x: float,
     gamma = float(g[i])
     sigma = abs(gamma) / math.sqrt(max(curv, 1e-3))
     t = np.linspace(0.0, math.acosh(1.0 + TAIL_LOG_COP / (sigma * BEND * x)),
-                    nodes + 1)
+                    COP_NODES + 1)
     s = gamma + sigma * (1j * np.sinh(t) - BEND * (np.cosh(t) - 1.0))
     ell = s * x + _log_rayleigh_laplace(np.outer(s, a)).sum(axis=1) \
         - np.log(sign * s) - h[i]
@@ -212,7 +211,7 @@ def cop_dbf_exact(layout: NetworkLayout, params: ChannelParams,
     if layout.K == 1:
         return OutageEstimate(min(-math.expm1(-c * float(ra[0])), 1.0),
                               METHOD_EXACT)
-    value, delta = _amplitude_sum_cdf(ra ** -0.5, math.sqrt(c), COP_NODES)
+    value, delta = _amplitude_sum_cdf(ra ** -0.5, math.sqrt(c))
     flag = None if delta <= COP_CERT_TOL else "quadrature-unconverged"
     return OutageEstimate(value, METHOD_EXACT, flag=flag)
 

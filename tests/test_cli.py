@@ -12,7 +12,7 @@ import pytest
 import cachesec
 from cachesec import ChannelParams, SchemeId, outage, rates
 from cachesec.cli import (ConfigError, Scenario, load_scenario, main,
-                          parse_scenario_text, sweep_values)
+                          parse_scenario_text)
 
 
 def run(tmp_path, command, config_text=None, extra=None, name="out.csv"):
@@ -104,10 +104,35 @@ def test_load_scenario_missing_file():
 
 def test_sweep_values_inclusive_endpoint():
     scn = Scenario(sweep_start=0.0, sweep_stop=30.0, sweep_step=5.0)
-    assert sweep_values(scn) == [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
+    assert scn.sweep_points == (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
     scn_n = Scenario(sweep_var="N", sweep_start=10, sweep_stop=30,
                      sweep_step=10)
-    assert sweep_values(scn_n) == [10, 20, 30]
+    assert scn_n.sweep_points == (10, 20, 30)
+    assert all(type(n) is int for n in scn_n.sweep_points)
+
+
+def test_a_sweep_is_counted_not_walked(tmp_path):
+    # start = stop with a step of 1e-300 is one point: the count is one
+    # integer, bounded before any point is built
+    cfg = "sweep_start = 0\nsweep_stop = 0\nsweep_step = 1e-300\n"
+    assert parse_scenario_text(cfg).sweep_points == (0.0,)
+    code, out = run(tmp_path, "cop-sweep", cfg, ["--trials", "0"])
+    assert code == 0
+    assert [row[0] for row in read_rows(out)[1]] == ["0"] * 4
+    # each point is summed in the decimals written: 0.1-steps reach 0
+    scn = parse_scenario_text("sweep_start = -2.3\nsweep_stop = 1.2\n"
+                              "sweep_step = 0.1\n")
+    assert scn.sweep_points[23] == 0.0 and scn.sweep_points[-1] == 1.2
+    # steps below the 12 printed digits of 0 stay apart: 0 to 3e-13
+    scn = parse_scenario_text("sweep_start = 0\nsweep_stop = 3e-13\n"
+                              "sweep_step = 1e-13\n")
+    assert [f"{v:.12g}" for v in scn.sweep_points] \
+        == ["0", "1e-13", "2e-13", "3e-13"]
+    # too many points, also where the span or the ratio leaves the floats
+    for low, high, step in ((-3000.0, 3000.0, 1e-300), (-1e308, 1e308, 1.0),
+                            (0.0, 1e10, 1e-300)):
+        with pytest.raises(ConfigError, match="at most 10000 points"):
+            Scenario(sweep_start=low, sweep_stop=high, sweep_step=step)
 
 
 def test_n_sweep_rejects_fractional_points():
@@ -388,7 +413,10 @@ def test_exit_code_2_for_out_of_range_epsilon(tmp_path):
     "alpha = 30\nr_s1_o = 1e-24", "alpha = 30\nr_s = 1e24",
     "K = 6\nr_s1_o = 5e76",
     # 2^Rs - 1 overflows at the last point, Rs = 1024
-    "sweep_var = Rs\nsweep_stop = 1024\nsweep_step = 4"])
+    "sweep_var = Rs\nsweep_stop = 1024\nsweep_step = 4",
+    # points that print alike: 100 to 100.0000000003 all print as 100
+    "sweep_var = Rs\nsweep_start = 100\nsweep_stop = 100.0000000003\n"
+    "sweep_step = 1e-10"])
 def test_exit_code_2_for_invalid_scenarios(tmp_path, bad):
     code, out = run(tmp_path, "throughput", SMALL_SWEEP + bad + "\n")
     assert code == 2
@@ -472,10 +500,10 @@ def test_exit_code_3_when_the_sop_root_leaves_the_float_range(tmp_path,
 
 
 def test_rs_sweep_stops_below_the_float_range():
-    # the last point sweep_values yields decides: 1020 alone, or 1020, 1024
+    # the last point decides: 1020 alone, or 1020, 1024
     rs = "sweep_var = Rs\nsweep_start = 1020\nsweep_stop = 1024\n"
-    assert sweep_values(parse_scenario_text(rs + "sweep_step = 5\n")) \
-        == [1020.0]
+    assert parse_scenario_text(rs + "sweep_step = 5\n").sweep_points \
+        == (1020.0,)
     with pytest.raises(ConfigError, match="Rs sweep must stay below 1024"):
         parse_scenario_text(rs + "sweep_step = 4\n")
 

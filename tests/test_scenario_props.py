@@ -13,7 +13,8 @@ from unittest import mock
 from hypothesis import example, given, settings, strategies as st
 
 from cachesec import montecarlo
-from cachesec.cli import DBW_LIMIT, ConfigError, main, parse_scenario_text
+from cachesec.cli import (DBW_LIMIT, MAX_SWEEP_POINTS, RS_LIMIT, ConfigError,
+                          _fmt, main, parse_scenario_text)
 
 FLOAT_KEYS = ("r_s1_o", "r_s", "r_b_s1", "alpha", "Ps_dBw", "Pm_dBw",
               "lambda_e", "epsilon", "beta_t", "beta_e", "tau")
@@ -38,6 +39,47 @@ def test_loaded_scenarios_are_finite_and_in_range(values):
     # what every command builds from the scenario must then construct
     scn.layout()
     scn.params()
+
+
+# sweep bounds and steps at the float limits, at the 12 printed digits of
+# a table and at the ends of each axis' range
+_SWEEP_EDGES = st.sampled_from([
+    -1e308, -3000.0, -5.0, 0.0, 1e-300, 1e-13, 3e-13, 1e-10, 0.1, 1.0, 5.0,
+    100.0, 100.0000000003, 1020.0, 1024.0, 3000.0, 1e308,
+    1.7976931348623157e308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["Ps_dBw", "N", "Rs"]),
+       st.tuples(_SWEEP_EDGES, _SWEEP_EDGES), _SWEEP_EDGES)
+@example("Ps_dBw", (0.0, 0.0), 1e-300)
+@example("Ps_dBw", (0.0, 3e-13), 1e-13)
+@example("Rs", (100.0, 100.0000000003), 1e-10)
+@example("N", (1.0, 1e308), 1e-300)
+def test_loaded_sweeps_are_bounded_ordered_in_range_and_apart(axis, bounds,
+                                                              step):
+    # whatever sweep loads lists at most MAX_SWEEP_POINTS points from
+    # sweep_start up, none past sweep_stop by more than 1e-9 of a step and
+    # rounding, each in its axis' range and printed apart from the rest
+    start, stop = sorted(bounds)
+    try:
+        scn = parse_scenario_text(
+            f"sweep_var = {axis}\nsweep_start = {start!r}\n"
+            f"sweep_stop = {stop!r}\nsweep_step = {step!r}\n")
+    except ConfigError:
+        return
+    points = scn.sweep_points
+    assert 1 <= len(points) <= MAX_SWEEP_POINTS
+    assert points[0] == start
+    assert all(a < b for a, b in zip(points, points[1:]))
+    assert points[-1] - stop <= 1e-9 * step + 4 * math.ulp(abs(start)
+                                                           + abs(stop))
+    in_range = {"Ps_dBw": lambda v: abs(v) <= DBW_LIMIT,
+                "N": lambda v: type(v) is int and v >= 1,
+                "Rs": lambda v: 0.0 <= v < RS_LIMIT}[axis]
+    assert all(in_range(v) for v in points)
+    labels = [_fmt(v) for v in points]
+    assert len(set(labels)) == len(labels)
 
 
 # edge values of the declared ranges; a distance d is drawn by alpha log d,
