@@ -9,7 +9,8 @@ trades the beamforming gain on popular files against content diversity and
 backhaul cost; this module optimizes M for overall secrecy throughput and
 for secrecy energy efficiency, with an exhaustive scan as the reference.
 Both closed forms assume psi_D >= psi_F; outside that premise they return
-the scan's optimum.
+the scan's optimum. Within it, each finds its interior optimum where an
+increasing xi(M) crosses a gain ratio, by one exact search over 0..L.
 """
 
 from __future__ import annotations
@@ -97,43 +98,35 @@ def see(psi_d: float, psi_f: float, psi_b: float, params: ChannelParams,
     return overall_throughput(psi_d, psi_f, psi_b, lib, K, L, M) / p_avg
 
 
-def _pick_adjacent(m_cont: float, L: int, objective) -> int:
-    """Best integer neighbor of a continuous optimizer.
-
-    The objectives are unimodal in M, so the integer optimum is one of the
-    two integers around the continuous one; the larger wins unless the
-    smaller is better by TIE_TOL or more.
-    """
-    lo = min(max(math.floor(m_cont), 0), L)
-    hi = min(max(math.ceil(m_cont), 0), L)
-    return lo if objective(lo) - objective(hi) >= TIE_TOL else hi
+def _crossing(gain: float, agg: float, xi, L: int, objective) -> int:
+    """Best M in 0..L of an objective that rises wherever gain >= agg xi(M),
+    xi increasing: L if it rises everywhere, 0 if nowhere, else M - 1 or
+    M for the first M whose xi reaches gain/agg; the larger wins unless the
+    smaller is better by TIE_TOL or more."""
+    if agg <= 0.0 or gain >= agg * xi(L):
+        return L
+    if gain <= agg * xi(0):
+        return 0
+    # the root lies in (M - 1, M]; M = 0 where gain/agg rounds onto xi(0)
+    m = bisect.bisect_left(range(L + 1), gain / agg, key=xi)
+    lo = max(m - 1, 0)
+    return lo if objective(lo) - objective(m) >= TIE_TOL else m
 
 
 def _opt_m_limited(psi_d: float, psi_f: float, psi_b: float,
                    lib: ZipfLibrary, K: int, L: int) -> int:
     """Throughput-optimal replicated-cache size when K*L < N.
 
-    Writing gain_df = psi_D - psi_F and gain_fb = psi_F - psi_B, the
-    derivative of the cache-averaged throughput in continuous M has the sign
-    of gain_df - gain_fb (K-1) ((M+1)/(KL+1-(K-1)M))^tau, giving three
-    cases: all-replicated when gain_df dominates, all-partitioned when
-    gain_fb dominates, and an interior stationary point otherwise.
+    The derivative of the cache-averaged throughput in continuous M has the
+    sign of (psi_D - psi_F) - agg xi(M), agg = (K-1)(psi_F - psi_B) and
+    xi(M) = ((M+1)/(KL+1-(K-1)M))^tau, which rises from (KL+1)^-tau to 1, so
+    _crossing finds the optimum: all-replicated, all-partitioned or interior.
     """
-    gain_df = psi_d - psi_f
-    gain_fb = psi_f - psi_b
-    if K == 1 or gain_fb <= 0.0:
-        return L
-    k1 = K - 1
-    kl1 = K * L + 1
-    if gain_df >= k1 * gain_fb:
-        return L
-    if gain_df < k1 * gain_fb * kl1 ** -lib.tau:
-        return 0
-    ratio = (k1 * gain_fb / gain_df) ** (1.0 / lib.tau)  # > 1 in this branch
-    lam = 1.0 / (ratio - 1.0)
-    m_cont = L - (L + 1.0) / (K * lam + 1.0)
-    return _pick_adjacent(
-        m_cont, L,
+    def xi(m):
+        return ((m + 1.0) / (K * L + 1 - (K - 1) * m)) ** lib.tau
+
+    return _crossing(
+        psi_d - psi_f, (K - 1) * (psi_f - psi_b), xi, L,
         lambda m: overall_throughput(psi_d, psi_f, psi_b, lib, K, L, m))
 
 
@@ -227,9 +220,8 @@ def opt_m_see(psi_d: float, psi_f: float, psi_b: float,
         (psi_D - psi_F) >= agg * xi(M),
         xi(M) = (K-1)(M+1)^tau / (dp1 (KL+1-(K-1)M)^tau + dp2 K(L+1)),
 
-    and xi is increasing, so the optimum is L, 0, or one of the two
-    integers around the root of xi(M) = (psi_D - psi_F)/agg, found by a
-    bisection over the integers 0..L.
+    and xi is increasing, so _crossing finds the optimum: L, 0, or one of
+    the two integers around the root of xi(M) = (psi_D - psi_F)/agg.
     """
     tau = lib.tau
 
@@ -245,12 +237,7 @@ def opt_m_see(psi_d: float, psi_f: float, psi_b: float,
     dp2 = params.Pm - (K - 1) * params.Ps
     if dp1 <= 0.0:
         return fallback()
-    gain_df = psi_d - psi_f
-    gain_fb = psi_f - psi_b
-    gain_db = psi_d - psi_b * n1
-    agg = dp1 * gain_fb + dp2 * gain_db
-    if agg <= 0.0:
-        return L
+    agg = dp1 * (psi_f - psi_b) + dp2 * (psi_d - psi_b * n1)
     k1 = K - 1
     kl1 = K * L + 1
 
@@ -258,12 +245,6 @@ def opt_m_see(psi_d: float, psi_f: float, psi_b: float,
         return k1 * (m + 1.0) ** tau \
             / (dp1 * (kl1 - k1 * m) ** tau + dp2 * K * (L + 1.0))
 
-    if gain_df >= agg * xi(L):
-        return L
-    if gain_df <= agg * xi(0):
-        return 0
-    # the first M whose xi reaches the target: the root lies in (M - 1, M]
-    m = bisect.bisect_left(range(L + 1), gain_df / agg, key=xi)
-    return _pick_adjacent(
-        m - 0.5, L,
+    return _crossing(
+        psi_d - psi_f, agg, xi, L,
         lambda m: see(psi_d, psi_f, psi_b, params, lib, K, L, m))

@@ -12,7 +12,7 @@ then maximize
 over the secrecy threshold beta_s, where beta_t = beta_e + (1+beta_e) beta_s
 and eta is 1 except for the relaying scheme, whose two hops halve the
 effective rate. Each scheme's 1 - COP and its beta_s-derivative are written
-once, as a SuccessLaw that the throughput curve and the one maximizer share.
+once, as one SuccessLaw evaluation that the curve and the maximizer share.
 
 The SOP roots live in `outage`, beside the SOPs they invert; invert_sop
 picks the root and records it with the SOP that accepted it. Both breach
@@ -155,16 +155,18 @@ def power_sweep_roots(layout: NetworkLayout, sweep: list[ChannelParams],
 # ---------------------------------------------------------------------------
 
 class SuccessLaw(NamedTuple):
-    """success(b) = 1 - COP(beta_e + (1 + beta_e) b) of one scheme's code
-    at a fixed redundancy beta_e, for secrecy thresholds b = beta_s (scalar
-    or array); slope(b) is its derivative in b, eta the rate factor. The
-    beamforming COP is the high-power form clamped into [0, 1]; the
-    partition and relaying successes are one union over the decoding
-    branches of outage.decoding_branches."""
+    """at(b) = (success, slope) of one scheme's code at a fixed redundancy
+    beta_e and secrecy thresholds b = beta_s (scalar or array): success =
+    1 - COP(beta_e + (1 + beta_e) b) and its derivative in b; eta is the
+    rate factor. The beamforming COP is the high-power form clamped into
+    [0, 1]; the partition and relaying successes are one union over the
+    decoding branches of outage.decoding_branches."""
 
     eta: float
-    success: Callable
-    slope: Callable
+    at: Callable
+
+    def psi(self, success, b):  # log1p: log2(1 + b) stays accurate at small b
+        return self.eta * success * np.log1p(b) / _LN2
 
 
 def _dbf_law(layout, params, beta_e_circ) -> SuccessLaw:
@@ -176,9 +178,11 @@ def _dbf_law(layout, params, beta_e_circ) -> SuccessLaw:
     shift = beta_e_circ / (1.0 + beta_e_circ)
     log_c = outage.dbf_log_asymptote(layout, params, beta_e_circ or 1.0)
 
-    def law(b, slope):
+    def at(b):
         # log 0 = -inf gives COP 0 at b = 0; an overflowed b/shift is
-        # replaced by its log, and an overflowed slope is -inf
+        # replaced by its log, and an overflowed slope is -inf; b + shift is
+        # floored at the smallest float, which every b > 0 reaches, so the
+        # slope at b = shift = 0 (no caller reads it) is -0, not 0/0
         with np.errstate(divide="ignore", over="ignore"):
             if shift > 0.0:
                 ratio = b / shift
@@ -187,11 +191,10 @@ def _dbf_law(layout, params, beta_e_circ) -> SuccessLaw:
             else:
                 t = np.log(b)
             log_cop = np.minimum(log_c + K * t, 0.0)
-            if slope:
-                return -K * np.exp(log_cop) / (b + shift)
-            return 0.0 - np.expm1(log_cop)  # 0.0 - : never -0
+            return (0.0 - np.expm1(log_cop),  # 0.0 - : never -0
+                    -K * np.exp(log_cop) / np.maximum(b + shift, 5e-324))
 
-    return SuccessLaw(1.0, partial(law, slope=False), partial(law, slope=True))
+    return SuccessLaw(1.0, at)
 
 
 def _branch_law(scheme, eta, layout, params, beta_e_circ) -> SuccessLaw:
@@ -208,16 +211,15 @@ def _branch_law(scheme, eta, layout, params, beta_e_circ) -> SuccessLaw:
     keep = (gains > 0.0) & (decays < math.inf)
     gains, decays = gains[keep].tolist(), decays[keep].tolist()
 
-    def union(b, slope):
+    def union(b):
         u = du = 0.0
         for g, d in zip(gains, decays):
             t = g * np.exp(-d * b)
             du = du * (1.0 - t) - d * t * (1.0 - u)
             u = u + t * (1.0 - u)
-        return du if slope else u
+        return u, du
 
-    return SuccessLaw(eta, lambda b: union(b, False),
-                      lambda b: union(b, True))
+    return SuccessLaw(eta, union)
 
 
 _LAWS = {SchemeId.DBF: _dbf_law,
@@ -233,51 +235,50 @@ def secrecy_throughput_curve(scheme: SchemeId, layout: NetworkLayout,
     Accepts a scalar or an array of beta_s."""
     law = _LAWS[scheme](layout, params, beta_e_circ)
     b = np.asarray(beta_s, dtype=float)
-    # log1p: log2(1 + b) keeps its relative accuracy at small b; a branch
-    # decay d b that overflows is inf, so that branch adds 0
+    # a branch decay d b that overflows is inf, so that branch adds 0
     with np.errstate(over="ignore"):
-        psi = law.eta * law.success(b) * np.log1p(b) / _LN2
+        psi = law.psi(law.at(b)[0], b)
     return float(psi) if np.ndim(beta_s) == 0 else psi
 
 
-def _expand_bracket(deriv) -> float:
+def _expand_bracket(deriv) -> tuple[float, float]:
     """Double hi from 1 until the objective stops rising there, at most up
     to the largest float, 2^1023; a zero derivative also ends the search
     (past the peak an objective can underflow to a flat zero, which still
-    brackets the maximum)."""
-    hi = 1.0
+    brackets the maximum). Returns (lo, hi), lo = hi/2 where it still rose,
+    or 0."""
+    lo, hi = 0.0, 1.0
     while hi < math.inf:
         if deriv(hi) <= 0.0:
-            return hi
-        hi *= 2.0
+            return lo, hi
+        lo, hi = hi, 2.0 * hi
     raise RuntimeError("the throughput optimum lies beyond the float range")
 
 
-def _maximize(law: SuccessLaw) -> float:
+def _maximize(law: SuccessLaw) -> tuple[float, float]:
     """beta_s* maximizing the law's throughput, 0 if decoding fails at
-    b = 0. psi rises then falls: the one sign change of its derivative is
-    bracketed by doubling and bisected down to adjacent floats."""
-    if law.success(0.0) <= 0.0:
-        return 0.0
+    b = 0, and the success there. psi rises then falls: the one sign change
+    of its derivative is bracketed by doubling and bisected down to
+    adjacent floats, with one law evaluation per point."""
+    success = {0.0: law.at(0.0)[0]}
+    if success[0.0] <= 0.0:
+        return 0.0, success[0.0]
 
     def deriv(b):  # d psi / d b times ln(2) / eta
-        return law.slope(b) * math.log1p(b) + law.success(b) / (1.0 + b)
+        success[b], slope = law.at(b)
+        return slope * math.log1p(b) + success[b] / (1.0 + b)
 
-    lo, hi = 0.0, _expand_bracket(deriv)
-    b = 0.5 * hi
-    while lo < b < hi:  # at most about 2,100 halvings of [0, 2^1023]
-        if deriv(b) > 0.0:
-            lo = b
-        else:
-            hi = b
-        b = 0.5 * lo + 0.5 * hi  # lo + hi can overflow near 2^1023
-    return b
+    lo, hi = _expand_bracket(deriv)
+    # at most about 2,100 halvings of [0, 2^1023], where lo + hi overflows
+    while lo < (b := 0.5 * lo + 0.5 * hi) < hi:
+        lo, hi = (b, hi) if deriv(b) > 0.0 else (lo, b)
+    return b, success[b]  # b is lo or hi: 0 or a point deriv evaluated
 
 
 def _design(scheme, layout, params, beta_e_circ) -> RateDesign:
-    b = _maximize(_LAWS[scheme](layout, params, beta_e_circ))
-    return RateDesign(scheme, beta_e_circ, b, secrecy_throughput_curve(
-        scheme, layout, params, beta_e_circ, b))
+    law = _LAWS[scheme](layout, params, beta_e_circ)
+    b, success = _maximize(law)
+    return RateDesign(scheme, beta_e_circ, b, float(law.psi(success, b)))
 
 
 def opt_bs_dbf(layout: NetworkLayout, params: ChannelParams,

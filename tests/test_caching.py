@@ -8,7 +8,7 @@ from cachesec import (ChannelParams, SchemeId, ZipfLibrary, average_power,
                       cum_pop_approx, exhaustive_opt_m, opt_m_see,
                       optimal_mpc_allocation, optimize_allocation,
                       overall_throughput, per_scheme_psi, scheme_probs, see)
-from cachesec.caching import TIE_TOL, _pick_adjacent
+from cachesec.caching import TIE_TOL, _crossing
 from helpers import standard_layout, standard_params
 
 
@@ -427,18 +427,31 @@ def test_popularity_model_rejects_arguments_out_of_range(fn, args):
         fn(*args)
 
 
-def test_pick_adjacent_prefers_the_larger_neighbour_within_tie_tol():
+def test_crossing_prefers_the_larger_neighbour_within_tie_tol():
     def objective(values):
         return lambda m: values[m]
 
-    # an integral optimum is its own answer, clamped into 0..L
-    assert _pick_adjacent(4.0, 10, objective({4: 0.0})) == 4
-    assert _pick_adjacent(-0.5, 10, objective({0: 0.0})) == 0
+    def xi(m):  # increasing from 0 at M = 0 to 1 at M = L = 10
+        return m / 10
+
+    # the two boundary returns, without evaluating the objective: rising
+    # everywhere (agg <= 0 included) gives L, rising nowhere gives 0
+    assert _crossing(1.0, 1.0, xi, 10, objective({})) == 10
+    assert _crossing(0.5, 0.0, xi, 10, objective({})) == 10
+    assert _crossing(0.5, -1.0, xi, 10, objective({})) == 10
+    assert _crossing(0.0, 1.0, xi, 10, objective({})) == 0
+    # gain > agg xi(0), but gain/agg rounds onto xi(0): the root is at 0
+    gain, agg, x0 = 6.138963065818896e-06, 1.2789388134296336, \
+        4.800044381604545e-06
+    assert gain > agg * x0 and gain / agg == x0
+    assert _crossing(gain, agg, lambda m: x0 + m, 10, objective({0: 0.0})) == 0
+    # a crossing on an integer M compares M - 1 and M
+    assert _crossing(0.4, 1.0, xi, 10, objective({3: 0.0, 4: 0.0})) == 4
     # the smaller neighbour wins only when better by TIE_TOL or more
-    assert _pick_adjacent(4.5, 10, objective({4: 0.5 * TIE_TOL,
-                                              5: 0.0})) == 5
-    assert _pick_adjacent(4.5, 10, objective({4: TIE_TOL, 5: 0.0})) == 4
-    assert _pick_adjacent(4.5, 10, objective({4: 0.0, 5: 1.0})) == 5
+    assert _crossing(0.45, 1.0, xi, 10, objective({4: 0.5 * TIE_TOL,
+                                                    5: 0.0})) == 5
+    assert _crossing(0.45, 1.0, xi, 10, objective({4: TIE_TOL, 5: 0.0})) == 4
+    assert _crossing(0.45, 1.0, xi, 10, objective({4: 0.0, 5: 1.0})) == 5
 
 
 def test_exhaustive_tie_break_smallest():

@@ -26,6 +26,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_REL_TOL = 1e-11
 MC_COLUMNS = {"mc", "mc_stderr", "within_3sigma"}
 SPACED = "K = 6\nr_s = 2.0\nlambda_e = 1.0\n"
+# psi_D >= psi_F at every power: the cache closed forms reach their
+# interior crossing search instead of falling back to the scan
+CLOSED_FORMS = ("lambda_e = 0.001\nepsilon = 0.5\nr_s = 0.05\n"
+                "r_s1_o = 0.5\n")
 # file name -> (command line after the verb's config, scenario text or None
 # for the program's defaults)
 TABLES = {
@@ -35,6 +39,9 @@ TABLES = {
 } | {
     "sop-sweep-K1.csv": (["sop-sweep", "--trials", "0"], "K = 1\n"),
     "sop-sweep-spaced.csv": (["sop-sweep", "--trials", "0"], SPACED),
+    "caching-interior.csv": (["caching"], CLOSED_FORMS + "tau = 0.8\n"),
+    "caching-see.csv": (["caching"], CLOSED_FORMS + "tau = 3.0\nPm_dBw = 40\n"
+                        "caching_objective = see\n"),
 }
 
 

@@ -419,10 +419,43 @@ def test_invert_sop_raises_when_max_iter_exhausted(monkeypatch):
 def test_opt_bs_fot_unbounded_bracket_raises(monkeypatch):
     # with zero decay the success probability never falls, so the
     # derivative of the throughput never turns negative
-    flat = rates.SuccessLaw(1.0, lambda b: 1.0, lambda b: 0.0)
+    flat = rates.SuccessLaw(1.0, lambda b: (1.0, 0.0))
     monkeypatch.setitem(rates._LAWS, SchemeId.FOT, lambda *args: flat)
     with pytest.raises(RuntimeError):
         opt_bs_fot(standard_layout(2), standard_params(), 0.5)
+
+
+def test_rate_design_evaluates_each_point_once(monkeypatch):
+    # the maximizer reads the success and its slope from one law call, and
+    # psi* from the law it maximized: every callable of each law records
+    # its b, and no design passes the same b twice
+    seen = []
+
+    def recorded(f):
+        def call(b):
+            seen.append(float(b))
+            return f(b)
+        return call
+
+    def recording(make):
+        def build(*args):
+            law = make(*args)
+            return type(law)(*(recorded(f) if callable(f) else f
+                               for f in law))
+        return build
+
+    for scheme, make in list(rates._LAWS.items()):
+        monkeypatch.setitem(rates._LAWS, scheme, recording(make))
+    lay = standard_layout(3)
+    for ps_dbw in (0.0, 30.0):
+        params = standard_params(Ps_dBw=ps_dbw)
+        for scheme in SchemeId:
+            for beta_e_circ in (0.0, 0.5):
+                seen.clear()
+                design = getattr(rates, f"opt_bs_{scheme.value}")(
+                    lay, params, beta_e_circ)
+                assert design.beta_s_star in seen
+                assert len(seen) == len(set(seen)) > 2
 
 
 def test_scheme_throughput_records_inversion():
