@@ -8,8 +8,10 @@ ones are fetched over the wireless backhaul and relayed. The allocation M
 trades the beamforming gain on popular files against content diversity and
 backhaul cost; this module optimizes M for overall secrecy throughput and
 for secrecy energy efficiency, with an exhaustive scan as the reference.
-Both closed forms assume psi_D >= psi_F; outside that premise they return
-the scan's optimum. Within it, each finds its interior optimum where an
+Each objective is built once as a function of M (_value); the scan, both
+closed forms and the CLI's objective columns read it from there. Both
+closed forms assume psi_D >= psi_F; outside that premise they return the
+scan's optimum. Within it, each finds its interior optimum where an
 increasing xi(M) crosses a gain ratio, by one exact search over 0..L.
 """
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -113,71 +116,49 @@ def _crossing(gain: float, agg: float, xi, L: int, objective) -> int:
     return lo if objective(lo) - objective(m) >= TIE_TOL else m
 
 
-def _opt_m_limited(psi_d: float, psi_f: float, psi_b: float,
-                   lib: ZipfLibrary, K: int, L: int) -> int:
-    """Throughput-optimal replicated-cache size when K*L < N.
-
-    The derivative of the cache-averaged throughput in continuous M has the
-    sign of (psi_D - psi_F) - agg xi(M), agg = (K-1)(psi_F - psi_B) and
-    xi(M) = ((M+1)/(KL+1-(K-1)M))^tau, which rises from (KL+1)^-tau to 1, so
-    _crossing finds the optimum: all-replicated, all-partitioned or interior.
-    """
-    def xi(m):
-        return ((m + 1.0) / (K * L + 1 - (K - 1) * m)) ** lib.tau
-
-    return _crossing(
-        psi_d - psi_f, (K - 1) * (psi_f - psi_b), xi, L,
-        lambda m: overall_throughput(psi_d, psi_f, psi_b, lib, K, L, m))
+def _value(objective: str, psi_d: float, psi_f: float, psi_b: float,
+           lib: ZipfLibrary, K: int, L: int, params: ChannelParams | None):
+    """An objective ("throughput" or "see") as a function of M."""
+    if objective == "throughput":
+        return partial(overall_throughput, psi_d, psi_f, psi_b, lib, K, L)
+    if objective != "see":
+        raise ValueError(f"unknown objective {objective!r}")
+    if params is None:
+        raise ValueError("the energy-efficiency objective needs params")
+    return partial(see, psi_d, psi_f, psi_b, params, lib, K, L)
 
 
 def optimal_mpc_allocation(psi_d: float, psi_f: float, psi_b: float,
                            lib: ZipfLibrary, K: int, L: int) -> int:
     """Throughput-optimal replicated-cache size M in 0..L.
 
-    When K*L < N this is the limited-capacity closed form. When K*L >= N
-    and L >= N a single SBS holds the whole library and full replication
-    wins. Otherwise every M up to (KL-N)/(K-1) keeps all N files reachable
-    (no backhaul) and the throughput rises with M there, so the optimum is
-    the better of that boundary and the limited-capacity optimum.
+    When L >= N a single SBS holds the whole library and full replication
+    wins. Otherwise, while fewer than N files are reachable, the derivative
+    of the cache-averaged throughput in continuous M has the sign of
+    (psi_D - psi_F) - agg xi(M), agg = (K-1)(psi_F - psi_B) and
+    xi(M) = ((M+1)/(KL+1-(K-1)M))^tau, which rises from (KL+1)^-tau to 1, so
+    _crossing finds the limited-capacity optimum: all-replicated,
+    all-partitioned or interior. It is the answer when K*L < N. When
+    K*L >= N every M up to (KL-N)/(K-1) keeps all N files reachable (no
+    backhaul) and the throughput rises with M there, so the optimum is the
+    best of the two integers around that boundary and the crossing, the
+    largest on a tie.
     """
     if psi_d < psi_f:  # outside the premise
         return exhaustive_opt_m("throughput", psi_d, psi_f, psi_b, lib, K, L)[0]
-    if K * L < lib.N:
-        return _opt_m_limited(psi_d, psi_f, psi_b, lib, K, L)
     if L >= lib.N:
-        return min(lib.N, L)
+        return lib.N
+    value = _value("throughput", psi_d, psi_f, psi_b, lib, K, L, None)
+
+    def xi(m):
+        return ((m + 1.0) / (K * L + 1 - (K - 1) * m)) ** lib.tau
+
+    m = _crossing(psi_d - psi_f, (K - 1) * (psi_f - psi_b), xi, L, value)
+    if K * L < lib.N:
+        return m
     bound = (K * L - lib.N) / (K - 1)  # full-coverage boundary, K >= 2 here
-    candidates = {min(max(math.floor(bound), 0), L),
-                  min(max(math.ceil(bound), 0), L),
-                  _opt_m_limited(psi_d, psi_f, psi_b, lib, K, L)}
-    return max(sorted(candidates),
-               key=lambda m: (overall_throughput(psi_d, psi_f, psi_b,
-                                                 lib, K, L, m), m))
-
-
-def _objective(objective: str, psi_d: float, psi_f: float, psi_b: float,
-               lib: ZipfLibrary, K: int, L: int,
-               params: ChannelParams | None):
-    """The value of an objective ("throughput" or "see") at an allocation
-    M, and its closed-form optimizer."""
-    if objective == "throughput":
-        def value(m):
-            return overall_throughput(psi_d, psi_f, psi_b, lib, K, L, m)
-
-        def closed():
-            return optimal_mpc_allocation(psi_d, psi_f, psi_b, lib, K, L)
-    elif objective == "see":
-        if params is None:
-            raise ValueError("the energy-efficiency objective needs params")
-
-        def value(m):
-            return see(psi_d, psi_f, psi_b, params, lib, K, L, m)
-
-        def closed():
-            return opt_m_see(psi_d, psi_f, psi_b, params, lib, K, L)
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
-    return value, closed
+    candidates = {min(max(f(bound), 0), L) for f in (math.floor, math.ceil)}
+    return max((value(c), c) for c in sorted(candidates | {m}))[1]
 
 
 def exhaustive_opt_m(objective: str, psi_d: float, psi_f: float, psi_b: float,
@@ -188,7 +169,7 @@ def exhaustive_opt_m(objective: str, psi_d: float, psi_f: float, psi_b: float,
     Uses the same cumulative-popularity model as the closed forms. Returns
     the smallest argmax on exact ties.
     """
-    f, _ = _objective(objective, psi_d, psi_f, psi_b, lib, K, L, params)
+    f = _value(objective, psi_d, psi_f, psi_b, lib, K, L, params)
     # max keeps the first of equal values
     return max(((m, f(m)) for m in range(L + 1)), key=lambda mv: mv[1])
 
@@ -198,9 +179,11 @@ def optimize_allocation(objective: str, psi_d: float, psi_f: float,
                         lib: ZipfLibrary, K: int, L: int):
     """Closed-form and exhaustive optima of an objective ("throughput" or
     "see"), and the objective's value as a function of M."""
-    value, closed = _objective(objective, psi_d, psi_f, psi_b, lib, K, L,
-                               params)
-    m_closed = closed()
+    value = _value(objective, psi_d, psi_f, psi_b, lib, K, L, params)
+    if objective == "see":
+        m_closed = opt_m_see(psi_d, psi_f, psi_b, params, lib, K, L)
+    else:
+        m_closed = optimal_mpc_allocation(psi_d, psi_f, psi_b, lib, K, L)
     m_ex, _ = exhaustive_opt_m(objective, psi_d, psi_f, psi_b, lib, K, L,
                                params=params)
     return m_closed, m_ex, value
@@ -220,31 +203,25 @@ def opt_m_see(psi_d: float, psi_f: float, psi_b: float,
         (psi_D - psi_F) >= agg * xi(M),
         xi(M) = (K-1)(M+1)^tau / (dp1 (KL+1-(K-1)M)^tau + dp2 K(L+1)),
 
-    and xi is increasing, so _crossing finds the optimum: L, 0, or one of
-    the two integers around the root of xi(M) = (psi_D - psi_F)/agg.
+    and xi is increasing when dp1 > 0 (else the scan is used), so _crossing
+    finds the optimum: L, 0, or one of the two integers around the root of
+    xi(M) = (psi_D - psi_F)/agg.
     """
     tau = lib.tau
-
-    def fallback():
+    dp1 = 0.0  # outside the closed form's regime: the scan
+    if not (psi_d < psi_f or params.Pm < K * params.Ps or tau <= 1.0
+            or K * L >= lib.N):
+        n1 = (lib.N + 1.0) ** (1.0 - tau)
+        dp1 = K * params.Ps - (params.Pm + params.Ps) * n1
+    if dp1 <= 0.0:
         return exhaustive_opt_m("see", psi_d, psi_f, psi_b, lib, K, L,
                                 params=params)[0]
-
-    if psi_d < psi_f or params.Pm < K * params.Ps or tau <= 1.0 \
-            or K * L >= lib.N:
-        return fallback()
-    n1 = (lib.N + 1.0) ** (1.0 - tau)
-    dp1 = K * params.Ps - (params.Pm + params.Ps) * n1
     dp2 = params.Pm - (K - 1) * params.Ps
-    if dp1 <= 0.0:
-        return fallback()
     agg = dp1 * (psi_f - psi_b) + dp2 * (psi_d - psi_b * n1)
-    k1 = K - 1
-    kl1 = K * L + 1
 
     def xi(m):
-        return k1 * (m + 1.0) ** tau \
-            / (dp1 * (kl1 - k1 * m) ** tau + dp2 * K * (L + 1.0))
+        return (K - 1) * (m + 1.0) ** tau \
+            / (dp1 * (K * L + 1 - (K - 1) * m) ** tau + dp2 * K * (L + 1.0))
 
-    return _crossing(
-        psi_d - psi_f, agg, xi, L,
-        lambda m: see(psi_d, psi_f, psi_b, params, lib, K, L, m))
+    return _crossing(psi_d - psi_f, agg, xi, L,
+                     _value("see", psi_d, psi_f, psi_b, lib, K, L, params))

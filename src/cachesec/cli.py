@@ -21,8 +21,8 @@ throughput or caching power sweep inverts the beamforming and partition SOPs
 once per table, before the pool starts (rates.power_sweep_roots).
 
 A scenario file is a flat "key = value" text file (or a JSON object with
-the same keys); unknown keys are errors, not warnings, because a silently
-ignored setting would invalidate any comparison. Each Scenario field
+the same keys); unknown and repeated keys are errors, not warnings, because
+a silently ignored setting would invalidate any comparison. Each Scenario field
 declares its key's default and legal range together; loading checks every
 key against its range, then the rules that join keys, and builds the
 sweep's points once (Scenario.sweep_points), the list every table maps.
@@ -191,17 +191,18 @@ _TYPES = {key: (typing.get_args(hint) or (hint,))[0]
 def parse_scenario_text(text: str, source: str = "<config>") -> Scenario:
     """Parse a scenario from flat key=value lines or a JSON object.
 
-    Both formats share one check: every key is a Scenario field, and its
-    value is read by the field's type from the value's text, so a JSON 4.7
-    is no more an integer than a 4.7 in a key = value line.
+    Both formats share one check: every key is a Scenario field, set once,
+    and its value is read by the field's type from the value's text, so a
+    JSON 4.7 is no more an integer than a 4.7 in a key = value line.
     """
     if text.lstrip().startswith("{"):
         try:
-            data = json.loads(text)
+            # text starting with "{" is an object: its members, repeats kept
+            data = json.loads(text, object_pairs_hook=list)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{source}: invalid JSON: {exc}") from exc
-        # JSON text that starts with "{" is an object
-        items = [(source, key, raw) for key, raw in data.items()]
+        items = [(f"{source}: member {n}", key, raw)
+                 for n, (key, raw) in enumerate(data, start=1)]
     else:
         items = []
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -212,10 +213,14 @@ def parse_scenario_text(text: str, source: str = "<config>") -> Scenario:
                 raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
             key, raw = (part.strip() for part in body.split("=", 1))
             items.append((f"{source}:{lineno}", key, raw))
-    values = {}
+    values, seen = {}, {}
     for where, key, raw in items:
         if key not in _TYPES:
             raise ConfigError(f"{where}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(
+                f"{where}: duplicate key {key!r}, first set at {seen[key]}")
+        seen[key] = where
         try:
             values[key] = _TYPES[key](str(raw))
         except ValueError as exc:
@@ -387,11 +392,11 @@ def cmd_caching(scn: Scenario):
         lib = caching.ZipfLibrary(N=v if n_sweep else scn.N, tau=scn.tau)
         psi = psi_fixed if n_sweep else rates.per_scheme_psi(
             layout, params, scn.epsilon, bsr_exact, roots[i])
+        psis = [psi[scheme] for scheme in SchemeId]
         m_closed, m_ex, value = caching.optimize_allocation(
-            scn.caching_objective, psi[SchemeId.DBF], psi[SchemeId.FOT],
-            psi[SchemeId.BSR], params, lib, scn.K, scn.L)
-        return [v, psi[SchemeId.DBF], psi[SchemeId.FOT], psi[SchemeId.BSR],
-                m_closed, m_ex, value(m_closed), value(scn.L), value(0)]
+            scn.caching_objective, *psis, params, lib, scn.K, scn.L)
+        return [v, *psis, m_closed, m_ex, value(m_closed), value(scn.L),
+                value(0)]
 
     return ([scn.sweep_var, "psi_D", "psi_F", "psi_B", "M_closed",
              "M_exhaustive", "obj_hybrid", "obj_mpc", "obj_lcd"],

@@ -470,7 +470,9 @@ def test_optimize_allocation_dispatches_each_objective():
     psi = (3.0, 2.0, 1.0)
     params = ChannelParams(alpha=4.0, Ps=1.0, Pm=10.0, lambda_e=0.01)
     K, L = 3, 10
-    for lib in (ZipfLibrary(N=1000, tau=1.2), ZipfLibrary(N=15, tau=1.2)):
+    # every throughput regime: K*L < N, K*L >= N > L and L >= N
+    for lib in (ZipfLibrary(N=1000, tau=1.2), ZipfLibrary(N=15, tau=1.2),
+                ZipfLibrary(N=8, tau=1.2)):
         m_closed, m_ex, value = optimize_allocation("throughput", *psi,
                                                     params, lib, K, L)
         assert m_closed == optimal_mpc_allocation(*psi, lib, K, L)
@@ -482,8 +484,10 @@ def test_optimize_allocation_dispatches_each_objective():
         assert m_ex == exhaustive_opt_m("see", *psi, lib, K, L,
                                         params=params)[0]
         assert value(4) == see(*psi, params, lib, K, L, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown objective 'latency'"):
         optimize_allocation("latency", *psi, params, lib, K, L)
+    with pytest.raises(ValueError, match="objective needs params"):
+        optimize_allocation("see", *psi, None, lib, K, L)
 
 
 # ---------------------------------------------------------------------------

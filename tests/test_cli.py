@@ -38,6 +38,16 @@ def read_rows(path):
 SMALL_SWEEP = "sweep_start = 0\nsweep_stop = 10\nsweep_step = 5\n"
 
 
+def scenario(*texts: str) -> str:
+    """key = value lines of the texts in order, a later line of a key
+    replacing the earlier one: a scenario file sets each key once."""
+    lines = {}
+    for text in texts:
+        for line in text.splitlines():
+            lines[line.split("=", 1)[0].strip()] = line
+    return "\n".join(lines.values()) + "\n"
+
+
 def test_scenario_parsing_flat_and_json():
     flat = parse_scenario_text("# a comment line\n\nK = 4\n"
                                "Ps_dBw = 12.5  # comment\n")
@@ -51,6 +61,19 @@ def test_scenario_unknown_key_is_error():
         parse_scenario_text("K = 4\nbogus = 1\n")
     with pytest.raises(ConfigError):
         parse_scenario_text(json.dumps({"bogus": 1}))
+
+
+@pytest.mark.parametrize("text, first", [
+    ("K = 3\nL = 4\nK = 8\n", "scenario.cfg:1"),
+    ('{"K": 3, "L": 4, "K": 8}', "scenario.cfg: member 1")],
+    ids=["flat", "json"])
+def test_scenario_duplicate_key_is_error(tmp_path, capsys, text, first):
+    # a key set twice would load as its last value, silently dropping one
+    code, out = run(tmp_path, "cop-sweep", text, ["--trials", "0"])
+    assert code == 2
+    assert f"duplicate key 'K', first set at {tmp_path / first}" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scenario_value_errors():
@@ -418,7 +441,7 @@ def test_exit_code_2_for_out_of_range_epsilon(tmp_path):
     "sweep_var = Rs\nsweep_start = 100\nsweep_stop = 100.0000000003\n"
     "sweep_step = 1e-10"])
 def test_exit_code_2_for_invalid_scenarios(tmp_path, bad):
-    code, out = run(tmp_path, "throughput", SMALL_SWEEP + bad + "\n")
+    code, out = run(tmp_path, "throughput", scenario(SMALL_SWEEP, bad))
     assert code == 2
     assert not out.exists()
 
@@ -441,8 +464,8 @@ def test_every_key_declares_its_legal_range(tmp_path, capsys, key):
     # a key's range is declared with its default, so a new key cannot be
     # added without one; only the sweep bounds are checked together
     assert "ok" in key.metadata, f"{key.name} declares no legal range"
-    code, out = run(tmp_path, "throughput",
-                    SMALL_SWEEP + f"{key.name} = {OUT_OF_RANGE[key.name]}\n")
+    code, out = run(tmp_path, "throughput", scenario(
+        SMALL_SWEEP, f"{key.name} = {OUT_OF_RANGE[key.name]}"))
     assert code == 2
     err = capsys.readouterr().err
     assert f"{key.name} must be {key.metadata['rule']}, got " in err

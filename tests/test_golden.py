@@ -7,6 +7,10 @@ every moved cell:
 
     PYTHONPATH=src python tests/test_golden.py
 
+A table off the program's default scenario keeps its scenario file beside
+it (tests/golden/<table>.cfg), which CI also runs through the installed
+entry point.
+
 Monte Carlo cells and integer cells must match exactly. Other cells are
 analytic and match to GOLDEN_REL_TOL relative, near the 12th printed digit:
 the SOP row sums go through OpenBLAS gemv, which picks its kernel by CPU,
@@ -25,33 +29,29 @@ from cachesec.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_REL_TOL = 1e-11
 MC_COLUMNS = {"mc", "mc_stderr", "within_3sigma"}
-SPACED = "K = 6\nr_s = 2.0\nlambda_e = 1.0\n"
-# psi_D >= psi_F at every power: the cache closed forms reach their
-# interior crossing search instead of falling back to the scan
-CLOSED_FORMS = ("lambda_e = 0.001\nepsilon = 0.5\nr_s = 0.05\n"
-                "r_s1_o = 0.5\n")
-# file name -> (command line after the verb's config, scenario text or None
-# for the program's defaults)
+# file name -> command line; a table off the program's default scenario
+# reads its scenario from golden/<table>.cfg (the file name without .csv)
 TABLES = {
-    f"{verb}.csv": ([verb, "--trials", "2000"], None)
+    f"{verb}.csv": [verb, "--trials", "2000"]
     for verb in ("cop-sweep", "sop-sweep", "throughput", "caching",
                  "validate")
 } | {
-    "sop-sweep-K1.csv": (["sop-sweep", "--trials", "0"], "K = 1\n"),
-    "sop-sweep-spaced.csv": (["sop-sweep", "--trials", "0"], SPACED),
-    "caching-interior.csv": (["caching"], CLOSED_FORMS + "tau = 0.8\n"),
-    "caching-see.csv": (["caching"], CLOSED_FORMS + "tau = 3.0\nPm_dBw = 40\n"
-                        "caching_objective = see\n"),
+    "sop-sweep-K1.csv": ["sop-sweep", "--trials", "0"],
+    "sop-sweep-spaced.csv": ["sop-sweep", "--trials", "0"],
+    "caching-interior.csv": ["caching"],
+    "caching-see.csv": ["caching"],
+    "caching-coverage.csv": ["caching"],
 }
 
 
+def _config(name: str) -> Path:
+    return GOLDEN / f"{Path(name).stem}.cfg"
+
+
 def _write(name: str, directory: Path) -> Path:
-    argv, scenario = TABLES[name]
-    out = directory / name
-    if scenario is not None:
-        config = directory / f"{name}.cfg"
-        config.write_text(scenario)
-        argv = argv + ["--config", str(config)]
+    argv, out = TABLES[name], directory / name
+    if _config(name).exists():
+        argv = argv + ["--config", str(_config(name))]
     assert main(argv + ["--out", str(out)]) == 0
     return out
 
@@ -92,9 +92,12 @@ def test_table_matches_golden(name, tmp_path):
                 f"{name} line {i + 1} {column}: {a} != {b}"
 
 
+def test_every_scenario_belongs_to_a_table():
+    configs = {path.name for path in GOLDEN.glob("*.cfg")}
+    assert configs and configs <= {_config(name).name for name in TABLES}
+
+
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
     for table in TABLES:
-        path = _write(table, GOLDEN)
-        Path(f"{path}.cfg").unlink(missing_ok=True)
+        _write(table, GOLDEN)
     sys.exit(0)
