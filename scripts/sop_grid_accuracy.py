@@ -19,18 +19,23 @@ and angles of each transmitter-centred grid, multiples of 4) it
 * counts the flagged SOPs on a 0.1-dB Ps scan of the same three layouts
   from -30 to 30 dBw (a certification that flags converged values there
   would flag benchmark cells at other offsets);
-* times the outage-grid sweep of one offset (SOP quadrature only).
+* times the outage-grid sweep of one offset (SOP quadrature only);
+* evaluates every outage-grid cell's breach kernel, which reads one angle
+  of each mirror pair, again on the full grid (mirror=None): the largest
+  relative difference of either level.
 
 It exits 1 when a grid fails a gate of the SOP quadrature: a reference
-miss, an unflagged cell more than QUAD_CERT_TOL off its reference, or an
+miss, an unflagged cell more than QUAD_CERT_TOL off its reference, an
 unflagged K = 1 value more than SINGLE_LINK_TOL relative from its closed
-form. It is not part of the test suite; it takes about 15 s per grid size
-on one core.
+form, or a folded integral more than FOLD_TOL relative from the full grid.
+It is not part of the test suite; it takes about 15 s per grid size on one
+core.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -43,12 +48,13 @@ sys.path.insert(0, str(ROOT / "bench"))
 import workloads as W  # noqa: E402
 
 from cachesec import outage  # noqa: E402
-from cachesec.channel import ChannelParams  # noqa: E402
+from cachesec.channel import ChannelParams, SchemeId  # noqa: E402
 from cachesec.layout import build_line_layout  # noqa: E402
 
 SOPS = {"sop-dbf": outage.sop_dbf, "sop-fot": outage.sop_fot,
         "sop-bsr": outage.sop_bsr_exact}
 SINGLE_LINK_TOL = 1e-9  # relative, unflagged K = 1 values
+FOLD_TOL = 1e-13  # relative, folded against full-grid integrals
 
 
 def dbw(x: float) -> float:
@@ -127,13 +133,28 @@ def flag_scan() -> dict:
     return {"cells": cells, "flagged": flagged}
 
 
+def fold_check() -> dict:
+    worst, cells, folded = 0.0, 0, 0
+    for variant in range(W.VARIANTS):
+        for _, _, layout, params, beta_e in grid_cells(0.25 * variant):
+            for scheme in SchemeId:
+                kernel = outage.breach_kernel(scheme, layout, params)
+                full = dataclasses.replace(kernel, mirror=None)
+                diff = kernel.integral(beta_e) / full.integral(beta_e) - 1.0
+                worst = max(worst, float(max(abs(diff))))
+                cells += 1
+                folded += kernel.mirror is not None
+    return {"cells": cells, "folded": folded, "max_rel_diff": worst}
+
+
 def failed_gates(report: dict) -> list[str]:
     """The gates a grid's report fails, by name (none when it passes)."""
     grid, link = report["outage_grid"], report["single_link"]
     return [name for name, failed in (
         ("outage_grid.misses", grid["misses"] > 0),
         ("outage_grid.unflagged_over_tol", grid["unflagged_over_tol"] > 0),
-        ("single_link.max_rel_err", link["max_rel_err"] > SINGLE_LINK_TOL))
+        ("single_link.max_rel_err", link["max_rel_err"] > SINGLE_LINK_TOL),
+        ("fold.max_rel_diff", report["fold"]["max_rel_diff"] > FOLD_TOL))
         if failed]
 
 
@@ -149,7 +170,8 @@ def main() -> int:
         nodes = tuple(int(n) for n in arg.split(","))
         outage.SOP_NODES = nodes
         report = {"nodes": nodes, "outage_grid": outage_grid(refs),
-                  "single_link": single_link(), "flag_scan": flag_scan()}
+                  "single_link": single_link(), "flag_scan": flag_scan(),
+                  "fold": fold_check()}
         print(json.dumps(report), flush=True)
         failed = failed_gates(report)
         if failed:

@@ -119,6 +119,8 @@ def _crossing(gain: float, agg: float, xi, L: int, objective) -> int:
 def _value(objective: str, psi_d: float, psi_f: float, psi_b: float,
            lib: ZipfLibrary, K: int, L: int, params: ChannelParams | None):
     """An objective ("throughput" or "see") as a function of M."""
+    if K < 1 or L < 1:
+        raise ValueError("K and L must be positive")
     if objective == "throughput":
         return partial(overall_throughput, psi_d, psi_f, psi_b, lib, K, L)
     if objective != "see":
@@ -146,9 +148,9 @@ def optimal_mpc_allocation(psi_d: float, psi_f: float, psi_b: float,
     """
     if psi_d < psi_f:  # outside the premise
         return exhaustive_opt_m("throughput", psi_d, psi_f, psi_b, lib, K, L)[0]
+    value = _value("throughput", psi_d, psi_f, psi_b, lib, K, L, None)
     if L >= lib.N:
         return lib.N
-    value = _value("throughput", psi_d, psi_f, psi_b, lib, K, L, None)
 
     def xi(m):
         return ((m + 1.0) / (K * L + 1 - (K - 1) * m)) ** lib.tau

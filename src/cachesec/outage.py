@@ -23,6 +23,9 @@ Comput. Phys. 169, 2001), integrated on a polar grid centred there:
 Clenshaw-Curtis in radius, the periodic trapezoid rule in angle (Trefethen
 & Weideman, SIAM Rev. 56(3), 2014). Both rules are nested, so every other
 node of the same points gives the coarser grid that certifies the value.
+Where every live transmitter lies on one line along a grid angle (every
+line layout), the reflection across it maps each grid onto itself, and
+only one angle of each mirror pair is read.
 
 Each SOP's inverse lives beside it: BreachKernel.root (Newton steps in
 log(beta_e) on the kernel's derivative in log(beta_e)), which returns the
@@ -32,9 +35,11 @@ bsr_approx_threshold, for the rate design in `rates`.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -59,17 +64,22 @@ _SQRT_PI = math.sqrt(math.pi)
 # Weideman's rational approximation of the Faddeeva function w(z), Im z >= 0
 # (SIAM J. Numer. Anal. 31(5), 1994): a polynomial in (L + iz)/(L - iz)
 # whose WEIDEMAN_N coefficients, highest power first, come from one FFT.
-WEIDEMAN_N = 40
+# _WEIDEMAN_BLOCKS[l, b] is that of x^l in block b of _ESTRIN, highest
+# first: one matmul evaluates every block (Estrin's scheme).
+WEIDEMAN_N, _ESTRIN = 40, 8
 _WL = math.sqrt(WEIDEMAN_N / math.sqrt(2.0))
 _WT = _WL * np.tan(np.arange(1 - 2 * WEIDEMAN_N, 2 * WEIDEMAN_N)
                    * (math.pi / (4 * WEIDEMAN_N)))
 _WEIDEMAN = np.fft.fft(np.fft.fftshift(np.append(
     0.0, np.exp(-_WT * _WT) * (_WL ** 2 + _WT * _WT)))).real[WEIDEMAN_N:0:-1] \
     / (4 * WEIDEMAN_N)
+_WEIDEMAN_BLOCKS = _WEIDEMAN.reshape(-1, _ESTRIN)[:, ::-1].T.astype(complex)
 # Each transmitter's grid: SOP_NODES = (Clenshaw-Curtis intervals in
-# radius, angles), read when called; its float64 temporaries (40 KiB) stay
-# below glibc's 128 KiB mmap threshold, so they are reused from the heap.
+# radius, angles), read when called. One law call takes the grids that fit
+# in PASS_POINTS points: each float64 temporary, at most 64 KiB, stays below
+# glibc's 128 KiB mmap threshold, above which every call faults it in anew.
 SOP_NODES = (80, 64)
+PASS_POINTS = 8192
 # The integrand is below exp(-TAIL_LOG) = 1e-12 beyond the cut radius.
 TAIL_LOG = math.log(1e12)
 QUAD_CERT_TOL = 1e-6
@@ -109,10 +119,14 @@ class OutageEstimate:
 # ---------------------------------------------------------------------------
 
 def _faddeeva(z: np.ndarray) -> np.ndarray:
-    """w(z) = exp(-z^2) erfc(-iz), Im z >= 0, to about 2e-14 relative."""
+    """w(z) = exp(-z^2) erfc(-iz), Im z >= 0, z 1-D, to about 2e-14
+    relative: Horner's rule in x^_ESTRIN over Weideman's blocks."""
     d = 1.0 / (_WL - 1j * z)
-    return (2.0 * np.polyval(_WEIDEMAN, (_WL + 1j * z) * d) * d
-            + 1.0 / _SQRT_PI) * d
+    x = (_WL + 1j * z) * d
+    poly, step = 0.0, x ** _ESTRIN
+    for block in (np.power.outer(x, np.arange(_ESTRIN)) @ _WEIDEMAN_BLOCKS).T:
+        poly = poly * step + block
+    return (2.0 * poly * d + 1.0 / _SQRT_PI) * d
 
 
 def _log_rayleigh_laplace(z: np.ndarray) -> np.ndarray:
@@ -324,12 +338,14 @@ def breach_links(scheme: SchemeId, layout: NetworkLayout,
     return sorted(links, key=lambda link: -link[0] * len(link[1]))
 
 
-@lru_cache(maxsize=4)
-def _nested_rules(n: int, n_angles: int):
-    """Interior Clenshaw-Curtis nodes s of [0, 1] for n intervals, their
-    weights times the Jacobian s of r dr, and the trapezoid weights of
-    n_angles angles, for all and for every other interval and angle (zero
-    off that level's nodes)."""
+@lru_cache(maxsize=8)
+def _nested_rules(n: int, n_angles: int, mirror: float | None):
+    """Clenshaw-Curtis weights, times the Jacobian s of r dr, of the interior
+    nodes s of [0, 1] for n intervals, the grid (s cos, s sin) and the
+    trapezoid weights of the angles read, for all and for every other
+    interval and angle (zero off that level's nodes). A mirror line (in
+    turns) along angle i maps angle i + t onto i - t, so only angles i to
+    i + n_angles/2 are read, each with its pair's weight."""
     s = 0.5 * (1.0 - np.cos(math.pi * np.arange(1, n) / n))
     radial, angular = np.zeros((2, n - 1)), np.zeros((n_angles, 2))
     for level in range(2):
@@ -340,7 +356,14 @@ def _nested_rules(n: int, n_angles: int):
         radial[level, j * step - 1] = \
             (1.0 - b @ np.cos(2.0 * math.pi * np.outer(k, j) / m)) / m
         angular[::step, level] = 2.0 * math.pi * step / n_angles
-    return s, radial * s, angular
+    kept = np.arange(n_angles)
+    if mirror is not None and float(mirror * n_angles).is_integer():
+        kept = (int(mirror * n_angles) + kept[:n_angles // 2 + 1]) % n_angles
+        angular = 2.0 * angular[kept]
+        angular[[0, -1]] *= 0.5  # angles i and i + n_angles/2: no pair
+    theta = 2.0 * math.pi * kept / n_angles
+    return radial * s, np.outer(s, np.cos(theta)), \
+        np.outer(s, np.sin(theta)), angular
 
 
 @dataclass(frozen=True)
@@ -357,23 +380,27 @@ class BreachKernel:
     derivative follows du <- du (1 - p_k) + dp_k (1 - u). A silent link
     (relaying at Pm = 0) is never evaluated.
 
-    law(..., centre=(k, i)) is the term of transmitter i of live link k:
-    the union's increment over the links of its link's far-field power n P
-    (power times transmitters), times its share q / sum q over their
+    law(..., centres) is, on slice j of px and py, the term of centres[j] =
+    (k, i), transmitter i of live link k, for centres of one far-field
+    power n P (power times transmitters): the union's increment over the
+    links of that far-field power, times the share q / sum q over their
     transmitters, q = exp(max(-(beta_e / (n P)) d^alpha, EXP_FLOOR)) (p_k
     itself where n = 1). The terms sum to the law, each on its own breach
-    disc; their slopes leave out the shares'.
+    disc; their slopes leave out the shares'. mirror is the angle, in
+    turns, of a line through every live transmitter, or None.
     """
 
     links: tuple[tuple[float, tuple[PolarPoint, ...]], ...]
     alpha: float
+    mirror: float | None = None
 
     def law(self, px: np.ndarray, py: np.ndarray, beta_e: float, deriv: bool,
-            centre: tuple[int, int] | None = None):
+            centres: tuple[tuple[int, int], ...] = ()):
         far = [power * len(tx) for power, tx in self.links]
-        group = math.nan if centre is None else far[centre[0]]
-        u = du = start = None
-        shares = {}  # the centre's group: q of each transmitter
+        group = far[centres[0][0]] if centres else math.nan
+        slots = {centre: j for j, centre in enumerate(centres)}
+        u, du, start, total = None, None, None, 0.0  # total: sum of q
+        pick = np.empty_like(px) if centres else None  # each centre's q
         for k, (power, tx) in enumerate(self.links):
             if power == 0.0 or far[k] < group:
                 break  # a silent link, or past the centre's group
@@ -384,8 +411,10 @@ class BreachKernel:
             for i, t in enumerate(tx):  # summed in layout order
                 d = dist_pow_neg((px - t.x) ** 2 + (py - t.y) ** 2, self.alpha)
                 if start is not None and len(tx) > 1:
-                    shares[k, i] = np.exp(np.fmax(-(beta_e / far[k]) / d,
-                                                  EXP_FLOOR))
+                    q = np.exp(np.fmax(-(beta_e / far[k]) / d, EXP_FLOOR))
+                    total = total + q
+                    if (k, i) in slots:
+                        pick[slots[k, i]] = q[slots[k, i]]
                 w = d if w is None else np.add(w, d, out=w)
             p = -(beta_e / power) / w  # may reach -inf or nan: see integral
             if deriv:  # the exponent's slope, 0 where the floor binds
@@ -393,7 +422,9 @@ class BreachKernel:
                     else np.where(p > EXP_FLOOR, p, 0.0)
             np.exp(np.fmax(p, EXP_FLOOR, out=p), out=p)
             if start is not None and len(tx) == 1:
-                shares[k, 0] = p.copy()
+                total = total + p
+                if (k, 0) in slots:
+                    pick[slots[k, 0]] = p[slots[k, 0]]
             dp = np.multiply(a, p, out=a) if deriv else None
             if u is None:  # the first link's values, updated in place below
                 u, du = p, dp
@@ -403,33 +434,40 @@ class BreachKernel:
                 du += dp * (1.0 - u)
             p *= 1.0 - u
             u += p
-        if centre is None:
+        if not centres:
             return u, du
-        share = shares[centre] / sum(shares.values())
+        share = pick / total
         return (u - start[0]) * share, \
             (du - start[1]) * share if deriv else None
 
     def integral(self, beta_e: float, deriv: bool = False):
-        """Breach integral on the two levels of _nested_rules(*SOP_NODES),
-        finest first, and its log(beta_e)-derivative when deriv is set (ignoring
-        the radii's dependence on beta_e): the sum of the live transmitters'
-        terms, each on a polar grid out to the cut radius of its link's
-        far-field power. Exponents of -inf, or inf/inf = nan where beta_e/P
-        overflows (a disc below 1e-120 across), pass silently to the floor."""
-        s, radial, angular = _nested_rules(*SOP_NODES)
-        theta = 2.0 * math.pi * np.arange(SOP_NODES[1]) / SOP_NODES[1]
-        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        """Breach integral on the two levels of _nested_rules, finest first,
+        and its log(beta_e)-derivative when deriv is set (ignoring the radii's
+        dependence on beta_e): the sum of the live transmitters' terms, each
+        on a polar grid out to the cut radius of its link's far-field power,
+        in passes of PASS_POINTS points. Exponents of -inf, or inf/inf = nan
+        where beta_e/P overflows (a disc below 1e-120 across), pass silently
+        to the floor."""
+        radial, unit_x, unit_y, angular = _nested_rules(*SOP_NODES,
+                                                        self.mirror)
+        per_pass = max(1, PASS_POINTS // unit_x.size)
+        centres = [(power * len(tx), (k, i), t.x, t.y)
+                   for k, (power, tx) in enumerate(self.links) if power > 0.0
+                   for i, t in enumerate(tx)]
         out = np.zeros((2 if deriv else 1, 2))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for k, (power, tx) in enumerate(self.links):
-                rmax = trunc_radius(0.0, power * len(tx), beta_e, self.alpha)
-                r = rmax * s[:, None]
-                for i, t in enumerate(tx if power > 0.0 else ()):
-                    terms = self.law(t.x + r * cos_t, t.y + r * sin_t, beta_e,
-                                     deriv, (k, i))
+            for far, group in groupby(centres, lambda centre: centre[0]):
+                rmax = trunc_radius(0.0, far, beta_e, self.alpha)
+                grid_x, grid_y = rmax * unit_x, rmax * unit_y
+                group = tuple(group)
+                for j in range(0, len(group), per_pass):
+                    _, part, x, y = zip(*group[j:j + per_pass])
+                    terms = self.law(np.add.outer(x, grid_x),
+                                     np.add.outer(y, grid_y), beta_e, deriv,
+                                     part)
                     for sums, v in zip(out, terms):
-                        sums += rmax * rmax * np.einsum("lj,jl->l", radial,
-                                                        v @ angular)
+                        sums += rmax * rmax * np.einsum(
+                            "lj,jl->l", radial, v.sum(axis=0) @ angular)
         return (out[0], out[1]) if deriv else out[0]
 
     def root(self, lambda_e: float, epsilon: float
@@ -481,9 +519,17 @@ class BreachKernel:
 def breach_kernel(scheme: SchemeId, layout: NetworkLayout,
                   params: ChannelParams) -> BreachKernel:
     """Breach kernel behind the scheme's quadrature SOP (for the relaying
-    scheme, the shared-eavesdropper form of sop_bsr_exact)."""
-    return BreachKernel(tuple(breach_links(scheme, layout, params)),
-                        params.alpha)
+    scheme, the shared-eavesdropper form of sop_bsr_exact). Its mirror: a
+    line along a grid angle that passes every live transmitter within 1e-12
+    of their largest distance from the user (angle 0 for one), else None."""
+    links = tuple(breach_links(scheme, layout, params))
+    z = [complex(t.x, t.y) for power, tx in links if power > 0.0 for t in tx]
+    turns = round(cmath.phase(max(z, key=lambda p: abs(p - z[0])) - z[0])
+                  / (2.0 * math.pi) * SOP_NODES[1]) / SOP_NODES[1]
+    axis = cmath.exp(-2j * math.pi * turns)  # turns the line onto the x axis
+    tol = 1e-12 * max(map(abs, z))
+    on_line = all(abs(((p - z[0]) * axis).imag) <= tol for p in z)
+    return BreachKernel(links, params.alpha, turns % 0.5 if on_line else None)
 
 
 def sop_guards(params: ChannelParams, beta_e: float,

@@ -466,6 +466,21 @@ def test_exhaustive_see_needs_params():
         exhaustive_opt_m("see", 1.0, 1.0, 1.0, lib, 3, 10)
 
 
+@pytest.mark.parametrize("K, L, N", [(0, 10, 8), (-1, 10, 100), (3, 0, 100),
+                                     (-1, 0, 100)])
+def test_cache_optimizers_reject_k_or_l_below_one(K, L, N):
+    # every optimizer builds its objective in caching._value, which checks
+    # K and L before any arithmetic on them, the L >= N return included
+    lib, params = ZipfLibrary(N=N, tau=1.5), standard_params()
+    for objective in ("throughput", "see"):
+        with pytest.raises(ValueError, match="K and L must be positive"):
+            optimize_allocation(objective, 1.0, 0.5, 0.2, params, lib, K, L)
+    with pytest.raises(ValueError, match="K and L must be positive"):
+        optimal_mpc_allocation(1.0, 0.5, 0.2, lib, K, L)
+    with pytest.raises(ValueError, match="K and L must be positive"):
+        opt_m_see(1.0, 0.5, 0.2, params, lib, K, L)
+
+
 def test_optimize_allocation_dispatches_each_objective():
     psi = (3.0, 2.0, 1.0)
     params = ChannelParams(alpha=4.0, Ps=1.0, Pm=10.0, lambda_e=0.01)

@@ -37,6 +37,7 @@ TABLES = {
                  "validate")
 } | {
     "sop-sweep-K1.csv": ["sop-sweep", "--trials", "0"],
+    "sop-sweep-K8.csv": ["sop-sweep", "--trials", "0"],
     "sop-sweep-spaced.csv": ["sop-sweep", "--trials", "0"],
     "caching-interior.csv": ["caching"],
     "caching-see.csv": ["caching"],

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import wofz
 
-from cachesec import (ChannelParams, OutageEstimate, RateDesign, SchemeId,
-                      build_line_layout, cop_bsr, cop_dbf_asymptotic,
-                      cop_dbf_exact, cop_fot, invert_sop, outage,
-                      sop_bsr_approx, sop_bsr_exact, sop_dbf, sop_fot)
+from cachesec import (ChannelParams, NetworkLayout, OutageEstimate,
+                      PolarPoint, RateDesign, SchemeId, build_line_layout,
+                      cop_bsr, cop_dbf_asymptotic, cop_dbf_exact, cop_fot,
+                      invert_sop, outage, sop_bsr_approx, sop_bsr_exact,
+                      sop_dbf, sop_fot)
 from cachesec import montecarlo
 from cachesec.channel import dist_pow_neg
 from helpers import (beta_t_star, dbw, rate_codeword, rate_redundancy,
@@ -204,6 +206,19 @@ def test_faddeeva_matches_scipy_wofz():
                         1j * rng.uniform(0.0, 20.0, 400)))
     rel = np.abs(outage._faddeeva(z) - wofz(z)) / np.abs(wofz(z))
     assert rel.max() <= 1e-13
+
+
+def test_faddeeva_blocks_match_horner():
+    # Weideman's polynomial in blocks of 8 powers (Estrin's scheme) against
+    # the reference, Horner's rule on all 40 coefficients, on the region
+    # the beamforming COP reaches: within 1e-15 relative
+    rng = np.random.default_rng(20261019)
+    z = 20.0 * np.sqrt(rng.random(10_000)) * np.exp(1j * math.pi
+                                                    * rng.random(10_000))
+    d = 1.0 / (outage._WL - 1j * z)
+    horner = (2.0 * np.polyval(outage._WEIDEMAN, (outage._WL + 1j * z) * d)
+              * d + 1.0 / math.sqrt(math.pi)) * d
+    assert np.max(np.abs(outage._faddeeva(z) / horner - 1.0)) <= 1e-15
 
 
 @settings(max_examples=150, deadline=None)
@@ -468,7 +483,9 @@ def test_unflagged_sops_are_within_tolerance_of_the_doubled_grid(
 @pytest.mark.parametrize("Pm", [0.0, 0.1, 10.0, 1e4])
 def test_centre_terms_sum_to_the_law(layout, Pm):
     # the terms each transmitter's grid integrates partition the law and
-    # its slope, the union's links largest first
+    # its slope, the union's links largest first. One law call evaluates
+    # the terms of a far-field-power group's centres, one slice each, and
+    # each slice is the term that centre gets alone
     rng = np.random.default_rng(3)
     px, py = rng.normal(0.0, 3.0, (2, 16, 32))
     for scheme in SchemeId:
@@ -477,9 +494,19 @@ def test_centre_terms_sum_to_the_law(layout, Pm):
         powers = [power * len(tx) for power, tx in kernel.links]
         assert powers == sorted(powers, reverse=True)
         law = kernel.law(px, py, 0.7, True)
-        terms = [kernel.law(px, py, 0.7, True, (k, i))
-                 for k, (power, tx) in enumerate(kernel.links) if power > 0.0
-                 for i in range(len(tx))]
+        centres = [(k, i) for k, (power, tx) in enumerate(kernel.links)
+                   if power > 0.0 for i in range(len(tx))]
+        terms = []
+        for _, group in itertools.groupby(centres, lambda c: powers[c[0]]):
+            group = tuple(group)
+            stacked = kernel.law(np.stack([px] * len(group)),
+                                 np.stack([py] * len(group)), 0.7, True, group)
+            for j, centre in enumerate(group):
+                alone = kernel.law(px[None], py[None], 0.7, True, (centre,))
+                for a, b in zip(alone, stacked):
+                    assert np.array_equal(a[0], b[j])
+            terms += zip(*stacked)
+        assert len(terms) == len(centres)
         for whole, parts in zip(law, zip(*terms)):
             assert np.max(np.abs(sum(parts) - whole)) <= 1e-15 * len(parts)
 
@@ -597,6 +624,73 @@ def test_breach_links_match_reference_laws(layout, Pm):
                 else:
                     assert np.max(np.abs(value - ref_value)) <= tol
                 assert np.max(np.abs(slope - beta_e * ref_slope)) <= tol
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize("Pm", [0.0, 1.0])
+def test_mirror_fold_matches_the_full_grid(layout, Pm):
+    # every live transmitter of a line layout's kernel lies on one line,
+    # horizontal, or vertical for relaying with a live backhaul; the
+    # reflection across it maps each grid onto itself, so reading one
+    # angle of each pair moves neither level nor the slope beyond rounding
+    for ps_dbw in (-10.0, 10.0, 30.0):
+        params = ChannelParams(alpha=4.0, Ps=dbw(ps_dbw), Pm=Pm, lambda_e=1.0)
+        for scheme in SchemeId:
+            kernel = outage.breach_kernel(scheme, layout, params)
+            vertical = scheme is SchemeId.BSR and Pm > 0.0
+            assert kernel.mirror == (0.25 if vertical else 0.0)
+            full = dataclasses.replace(kernel, mirror=None)
+            for beta_e, deriv in itertools.product((0.3, 3.0), (False, True)):
+                np.testing.assert_allclose(
+                    np.array(kernel.integral(beta_e, deriv)),
+                    np.array(full.integral(beta_e, deriv)), rtol=1e-13, atol=0)
+
+
+def test_layouts_off_a_grid_line_read_every_angle():
+    # a layout turned by 2 pi/1024, a quarter of a grid step, has no
+    # mirror line along a grid angle; nor has relaying once the MBS leaves
+    # the nearest SBS's vertical, unless the backhaul is silent
+    layout = standard_layout(3)
+    params = standard_params(Pm_dBw=0.0)
+
+    def turned(p):
+        return PolarPoint(p.r, p.theta + 2.0 * math.pi / 1024)
+
+    rotated = NetworkLayout(turned(layout.mbs), tuple(map(turned, layout.sbs)))
+    for scheme in SchemeId:
+        assert outage.breach_kernel(scheme, rotated, params).mirror is None
+    aside = NetworkLayout(PolarPoint.from_xy(0.3, 3.0), layout.sbs)
+    silent = ChannelParams(params.alpha, params.Ps, 0.0, params.lambda_e)
+    assert outage.breach_kernel(SchemeId.BSR, aside, params).mirror is None
+    assert outage.breach_kernel(SchemeId.BSR, aside, silent).mirror == 0.0
+    for scheme in (SchemeId.DBF, SchemeId.FOT):
+        assert outage.breach_kernel(scheme, aside, params).mirror == 0.0
+
+
+def test_line_layouts_read_half_the_angles_in_passes(monkeypatch):
+    # each law call takes the grids of one far-field power in passes of at
+    # most PASS_POINTS points: 3 folded grids of 33 angles, or 1 of 64
+    calls = []
+    real = outage.BreachKernel.law
+    monkeypatch.setattr(outage.BreachKernel, "law", lambda self, px, *rest:
+                        calls.append(px.shape) or real(self, px, *rest))
+    n, n_angles = outage.SOP_NODES
+    params = standard_params(Pm_dBw=0.0)
+    for layout, scheme in itertools.product(_LAYOUTS, SchemeId):
+        kernel = outage.breach_kernel(scheme, layout, params)
+        for mirror, angles, per_pass in ((kernel.mirror, n_angles // 2 + 1, 3),
+                                         (None, n_angles, 1)):
+            calls.clear()
+            dataclasses.replace(kernel, mirror=mirror).integral(1.0)
+            assert {shape[1:] for shape in calls} == {(n - 1, angles)}
+            assert max(shape[0] for shape in calls) <= per_pass
+            assert sum(shape[0] for shape in calls) \
+                == sum(len(tx) for _, tx in kernel.links)
+            assert max(map(math.prod, calls)) <= outage.PASS_POINTS
+    kernel = outage.breach_kernel(SchemeId.DBF, standard_layout(8), params)
+    calls.clear()
+    kernel.integral(1.0)
+    assert [shape[0] for shape in calls] == [3, 3, 2]
 
 
 @pytest.mark.parametrize("layout", [standard_layout(3),
