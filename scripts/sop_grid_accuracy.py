@@ -22,12 +22,14 @@ and angles of each transmitter-centred grid, multiples of 4) it
 * times the outage-grid sweep of one offset (SOP quadrature only);
 * evaluates every outage-grid cell's breach kernel, which reads one angle
   of each mirror pair, again on the full grid (mirror=None): the largest
-  relative difference of either level.
+  relative difference of either level, and the kernels that fold.
 
 It exits 1 when a grid fails a gate of the SOP quadrature: a reference
 miss, an unflagged cell more than QUAD_CERT_TOL off its reference, an
 unflagged K = 1 value more than SINGLE_LINK_TOL relative from its closed
-form, or a folded integral more than FOLD_TOL relative from the full grid.
+form, a folded integral more than FOLD_TOL relative from the full grid, or
+an outage-grid kernel that does not fold: every outage-grid layout is a
+line layout, so a lost fold doubles the SOP cost without moving a value.
 It is not part of the test suite; it takes about 15 s per grid size on one
 core.
 """
@@ -154,7 +156,8 @@ def failed_gates(report: dict) -> list[str]:
         ("outage_grid.misses", grid["misses"] > 0),
         ("outage_grid.unflagged_over_tol", grid["unflagged_over_tol"] > 0),
         ("single_link.max_rel_err", link["max_rel_err"] > SINGLE_LINK_TOL),
-        ("fold.max_rel_diff", report["fold"]["max_rel_diff"] > FOLD_TOL))
+        ("fold.max_rel_diff", report["fold"]["max_rel_diff"] > FOLD_TOL),
+        ("fold.unfolded", report["fold"]["folded"] < report["fold"]["cells"]))
         if failed]
 
 

@@ -48,7 +48,7 @@ from pathlib import Path
 
 from . import __version__, caching, montecarlo, outage, rates
 from .channel import ChannelParams, SchemeId
-from .layout import NetworkLayout, build_line_layout
+from .layout import NetworkLayout, build_line_layout, distance
 
 
 class ConfigError(Exception):
@@ -156,7 +156,7 @@ class Scenario:
             raise ConfigError(f"geometry is not finite: {exc}") from exc
         # K d^alpha and K d^-alpha (sums over SBSs) stay normal floats
         bound = 708.0 - math.log(self.K)
-        if not all(abs(self.alpha * math.log(p.r)) < bound
+        if not all(abs(self.alpha * math.log(distance(p))) < bound
                    for p in (lay.mbs, *lay.sbs)):
             raise ConfigError(f"geometry leaves the float range: |alpha log(d)|"
                               f" must be < {bound:g} at every BS distance d")

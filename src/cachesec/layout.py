@@ -1,8 +1,8 @@
 """Deterministic network geometry.
 
 The typical user sits at the origin. A macro base station (MBS) and K small
-base stations (SBSs) are placed around it; every outage formula downstream
-consumes only pairwise distances derived from this layout.
+base stations (SBSs) sit around it at exact points x + iy (Python complex);
+everything downstream reads these coordinates or the distances from them.
 """
 
 from __future__ import annotations
@@ -12,62 +12,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
 
-
-@dataclass(frozen=True)
-class PolarPoint:
-    """A point in polar coordinates relative to the user at the origin.
-
-    The angle is normalized into [0, 2*pi). Distances are unitless; every
-    length in the model shares the same unit.
-    """
-
-    r: float
-    theta: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r >= 0.0):
-            raise ValueError(f"radius must be finite and >= 0, got {self.r}")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"angle must be finite, got {self.theta}")
-        object.__setattr__(self, "theta", self.theta % TWO_PI)
-
-    @property
-    def x(self) -> float:
-        return self.r * math.cos(self.theta)
-
-    @property
-    def y(self) -> float:
-        return self.r * math.sin(self.theta)
-
-    @classmethod
-    def from_xy(cls, x: float, y: float) -> "PolarPoint":
-        return cls(math.hypot(x, y), math.atan2(y, x))
+def distance(p: complex) -> float:
+    """Distance of p from the user, correctly rounded (numpy's abs() may not
+    be), and inf where it overflows (where Python's abs() raises)."""
+    return math.hypot(p.real, p.imag)
 
 
 @dataclass(frozen=True)
 class NetworkLayout:
-    """MBS position plus the K SBS positions, nearest SBS first.
+    """MBS position plus the K SBS positions, nearest SBS first, in one
+    unitless length shared by the whole model.
 
     Immutable after construction and safe to share across threads.
     """
 
-    mbs: PolarPoint
-    sbs: tuple[PolarPoint, ...]
+    mbs: complex
+    sbs: tuple[complex, ...]
 
     def __post_init__(self):
         sbs = tuple(self.sbs)
         object.__setattr__(self, "sbs", sbs)
         if len(sbs) < 1:
             raise ValueError("layout needs at least one SBS")
-        if self.mbs.r <= 0.0:
-            raise ValueError("MBS must not coincide with the user")
-        for p in sbs:
-            if p.r <= 0.0:
-                raise ValueError("SBSs must not coincide with the user")
+        for name, points in (("MBS", (self.mbs,)), ("SBSs", sbs)):
+            if not all(0.0 < distance(p) < math.inf for p in points):
+                raise ValueError(f"{name} must not coincide with the user "
+                                 "and must lie at a finite distance")
         for near, far in zip(sbs, sbs[1:]):
-            if near.r > far.r * (1.0 + 1e-12) + 1e-12:
+            if distance(near) > distance(far) * (1.0 + 1e-12) + 1e-12:
                 raise ValueError("SBS list must be sorted by distance to the user")
 
     @property
@@ -76,12 +49,12 @@ class NetworkLayout:
 
     def sbs_distances(self) -> np.ndarray:
         """User-to-SBS distances, shape (K,), nondecreasing."""
-        return np.array([p.r for p in self.sbs])
+        return np.array([distance(p) for p in self.sbs])
 
     def sbs_xy(self) -> tuple[np.ndarray, np.ndarray]:
         """SBS Cartesian coordinates as two (K,) arrays."""
-        return (np.array([p.x for p in self.sbs]),
-                np.array([p.y for p in self.sbs]))
+        z = np.array(self.sbs, dtype=complex)
+        return z.real, z.imag
 
 
 def build_line_layout(r_s1_o: float, r_s: float, K: int, r_b_s1: float) -> NetworkLayout:
@@ -101,6 +74,5 @@ def build_line_layout(r_s1_o: float, r_s: float, K: int, r_b_s1: float) -> Netwo
         raise ValueError("all distances must be positive")
     if not isinstance(K, (int, np.integer)) or K < 1:
         raise ValueError(f"K must be a positive integer, got {K!r}")
-    sbs = tuple(PolarPoint.from_xy(k * r_s, r_s1_o) for k in range(K))
-    mbs = PolarPoint.from_xy(0.0, r_s1_o + r_b_s1)
-    return NetworkLayout(mbs=mbs, sbs=sbs)
+    sbs = tuple(complex(k * r_s, r_s1_o) for k in range(K))
+    return NetworkLayout(mbs=complex(0.0, r_s1_o + r_b_s1), sbs=sbs)

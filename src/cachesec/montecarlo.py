@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, SchemeId, dist_pow_neg
-from .layout import NetworkLayout
+from .layout import NetworkLayout, distance
 from .outage import METHOD_MC, OutageEstimate, sop_guards, trunc_radius
 
 COP_CHUNK = 1 << 16
@@ -176,8 +176,9 @@ class _FieldTest:
             SchemeId.DBF: ([(Ps, sx, sy, r_sbs)], False),
             SchemeId.FOT: ([(K * Ps, sx[k:k + 1], sy[k:k + 1], r_sbs)
                             for k in range(K)], True),
-            SchemeId.BSR: ([(params.Pm, np.array([mbs.x]), np.array([mbs.y]),
-                             mbs.r), (Ps, sx[:, None], sy[:, None], r_sbs)],
+            SchemeId.BSR: ([(params.Pm, np.array([mbs.real]),
+                             np.array([mbs.imag]), distance(mbs)),
+                            (Ps, sx[:, None], sy[:, None], r_sbs)],
                            False)}[scheme]
         far = [power * xs.shape[-1] for power, xs, _, _ in self.hops]
         # the analytic truncation radius of the breach integrand

@@ -23,9 +23,9 @@ Comput. Phys. 169, 2001), integrated on a polar grid centred there:
 Clenshaw-Curtis in radius, the periodic trapezoid rule in angle (Trefethen
 & Weideman, SIAM Rev. 56(3), 2014). Both rules are nested, so every other
 node of the same points gives the coarser grid that certifies the value.
-Where every live transmitter lies on one line along a grid angle (every
-line layout), the reflection across it maps each grid onto itself, and
-only one angle of each mirror pair is read.
+Where every live transmitter shares one exact x or one exact y coordinate
+(every line layout), the reflection across that line maps each grid onto
+itself, and only one angle of each mirror pair is read.
 
 Each SOP's inverse lives beside it: BreachKernel.root (Newton steps in
 log(beta_e) on the kernel's derivative in log(beta_e)), which returns the
@@ -35,7 +35,6 @@ bsr_approx_threshold, for the rate design in `rates`.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,7 +43,7 @@ from itertools import groupby
 import numpy as np
 
 from .channel import ChannelParams, SchemeId, dist_pow_neg
-from .layout import NetworkLayout, PolarPoint
+from .layout import NetworkLayout
 
 METHOD_EXACT = "analytic-exact"
 METHOD_ASYMPTOTIC = "analytic-asymptotic"
@@ -386,11 +385,11 @@ class BreachKernel:
     links of that far-field power, times the share q / sum q over their
     transmitters, q = exp(max(-(beta_e / (n P)) d^alpha, EXP_FLOOR)) (p_k
     itself where n = 1). The terms sum to the law, each on its own breach
-    disc; their slopes leave out the shares'. mirror is the angle, in
-    turns, of a line through every live transmitter, or None.
+    disc; their slopes leave out the shares'. mirror is the angle in turns,
+    0 or 1/4, of a line through every live transmitter, or None.
     """
 
-    links: tuple[tuple[float, tuple[PolarPoint, ...]], ...]
+    links: tuple[tuple[float, tuple[complex, ...]], ...]
     alpha: float
     mirror: float | None = None
 
@@ -409,7 +408,7 @@ class BreachKernel:
                     else (u.copy(), du.copy() if deriv else None)
             w = None
             for i, t in enumerate(tx):  # summed in layout order
-                d = dist_pow_neg((px - t.x) ** 2 + (py - t.y) ** 2, self.alpha)
+                d = dist_pow_neg((px - t.real) ** 2 + (py - t.imag) ** 2, self.alpha)
                 if start is not None and len(tx) > 1:
                     q = np.exp(np.fmax(-(beta_e / far[k]) / d, EXP_FLOOR))
                     total = total + q
@@ -451,7 +450,7 @@ class BreachKernel:
         radial, unit_x, unit_y, angular = _nested_rules(*SOP_NODES,
                                                         self.mirror)
         per_pass = max(1, PASS_POINTS // unit_x.size)
-        centres = [(power * len(tx), (k, i), t.x, t.y)
+        centres = [(power * len(tx), (k, i), t.real, t.imag)
                    for k, (power, tx) in enumerate(self.links) if power > 0.0
                    for i, t in enumerate(tx)]
         out = np.zeros((2 if deriv else 1, 2))
@@ -519,17 +518,14 @@ class BreachKernel:
 def breach_kernel(scheme: SchemeId, layout: NetworkLayout,
                   params: ChannelParams) -> BreachKernel:
     """Breach kernel behind the scheme's quadrature SOP (for the relaying
-    scheme, the shared-eavesdropper form of sop_bsr_exact). Its mirror: a
-    line along a grid angle that passes every live transmitter within 1e-12
-    of their largest distance from the user (angle 0 for one), else None."""
+    scheme, the shared-eavesdropper form of sop_bsr_exact). Its mirror: 0
+    where every live transmitter has the same y exactly (one included),
+    else 1/4 where every one has the same x, else None."""
     links = tuple(breach_links(scheme, layout, params))
-    z = [complex(t.x, t.y) for power, tx in links if power > 0.0 for t in tx]
-    turns = round(cmath.phase(max(z, key=lambda p: abs(p - z[0])) - z[0])
-                  / (2.0 * math.pi) * SOP_NODES[1]) / SOP_NODES[1]
-    axis = cmath.exp(-2j * math.pi * turns)  # turns the line onto the x axis
-    tol = 1e-12 * max(map(abs, z))
-    on_line = all(abs(((p - z[0]) * axis).imag) <= tol for p in z)
-    return BreachKernel(links, params.alpha, turns % 0.5 if on_line else None)
+    z = [t for power, tx in links if power > 0.0 for t in tx]
+    mirror = 0.0 if len({t.imag for t in z}) == 1 \
+        else 0.25 if len({t.real for t in z}) == 1 else None
+    return BreachKernel(links, params.alpha, mirror)
 
 
 def sop_guards(params: ChannelParams, beta_e: float,

@@ -3,14 +3,14 @@ channel parameters, the Poisson eavesdropper field, the user's decoding
 SNR of each scheme (through same-seed Monte Carlo) and the eavesdroppers'
 breach test."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from cachesec import (ChannelParams, McSettings, PolarPoint, SchemeId, mc_cop,
-                      mc_sop)
+from cachesec import ChannelParams, McSettings, SchemeId, mc_cop, mc_sop
 from cachesec.montecarlo import _disc_draws, _FieldTest, _xy
 from helpers import standard_layout, standard_params
 
@@ -112,14 +112,14 @@ def test_snr_user_unknown_scheme():
                       McSettings(trials=10, seed=1))
 
 
-def _breaches_at(test, eve: PolarPoint, fades, hops=None):
+def _breaches_at(test, eve: complex, fades, hops=None):
     """Breach test of fades.shape[1] eavesdroppers that all sit at eve, on
     the hops `hops` (default: all)."""
     m = fades.shape[1]
     if hops is None:
         hops = tuple(range(len(test.hops)))
-    rad = np.full(m, eve.r)
-    u_ang = np.full(m, eve.theta / (2.0 * math.pi))
+    rad = np.full(m, abs(eve))
+    u_ang = np.full(m, cmath.phase(eve) / (2.0 * math.pi))
     idx = np.arange(m)
     px, py = _xy(rad, u_ang, idx)
     serving = np.zeros(m, dtype=int)
@@ -133,9 +133,9 @@ def test_snr_eve_dbf_mean_matches_closed_form():
     # probability exp(-beta_e / mean)
     lay = standard_layout(3)
     params = ChannelParams(alpha=4.0, Ps=2.0, Pm=1.0, lambda_e=0.1)
-    eve = PolarPoint(2.0, 1.0)
+    eve = cmath.rect(2.0, 1.0)
     sx, sy = lay.sbs_xy()
-    d2 = (eve.x - sx) ** 2 + (eve.y - sy) ** 2
+    d2 = (eve.real - sx) ** 2 + (eve.imag - sy) ** 2
     mean = params.Ps * float((d2 ** -2.0).sum())
     test = _FieldTest(SchemeId.DBF, lay, params, beta_e=mean)
     n = 10 ** 5
@@ -151,7 +151,7 @@ def test_snr_eve_far_eavesdropper_vanishes():
     rng = np.random.default_rng(7)
     for scheme in SchemeId:
         test = _FieldTest(scheme, lay, params, beta_e=1e-12)
-        hit, keep = _breaches_at(test, PolarPoint(1e6, 0.5),
+        hit, keep = _breaches_at(test, cmath.rect(1e6, 0.5),
                                  test.draw_fades(rng, 100))
         assert not hit.any() and not keep.any(), scheme
 
@@ -161,7 +161,7 @@ def test_snr_eve_bsr_hop1_zero_power():
     params = ChannelParams(alpha=4.0, Ps=1.0, Pm=0.0, lambda_e=0.1)
     test = _FieldTest(SchemeId.BSR, lay, params, beta_e=1e-6)
     fades = test.draw_fades(np.random.default_rng(8), 100)
-    near_mbs = PolarPoint(lay.mbs.r + 0.5, lay.mbs.theta)
+    near_mbs = cmath.rect(abs(lay.mbs) + 0.5, cmath.phase(lay.mbs))
     assert test.hops[0][0] == params.Pm  # hop 0 is the MBS backhaul
     hit, keep = _breaches_at(test, near_mbs, fades, hops=(0,))
     assert not hit.any() and not keep.any()

@@ -446,6 +446,16 @@ def test_exit_code_2_for_invalid_scenarios(tmp_path, bad):
     assert not out.exists()
 
 
+def test_exit_code_2_when_a_bs_distance_overflows(tmp_path, capsys):
+    # both coordinates of the second SBS are finite but its distance from
+    # the user is not, where Python's abs() would raise OverflowError
+    code, out = run(tmp_path, "throughput", scenario(
+        SMALL_SWEEP, "r_s1_o = 1.5e308\nr_s = 1.5e308\nK = 2"))
+    assert code == 2
+    assert "geometry is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # a value just outside each key's declared range
 OUT_OF_RANGE = {
     "r_s1_o": "0", "r_s": "-1", "K": "0", "r_b_s1": "0", "alpha": "2",

@@ -18,14 +18,15 @@ backhaul) has the closed-form SOP 1 - exp(-lambda_e pi Gamma(1 + 2/alpha)
 (P / beta_e)^(2/alpha)) wherever it stands.
 """
 
+import cmath
 import math
 
 import pytest
 
-from cachesec import (ChannelParams, McSettings, NetworkLayout, PolarPoint,
-                      SchemeId, build_line_layout, cop_bsr,
-                      cop_dbf_asymptotic, cop_dbf_exact, cop_fot, invert_sop,
-                      mc_sop, sop_bsr_approx, sop_bsr_exact, sop_dbf, sop_fot)
+from cachesec import (ChannelParams, McSettings, NetworkLayout, SchemeId,
+                      build_line_layout, cop_bsr, cop_dbf_asymptotic,
+                      cop_dbf_exact, cop_fot, invert_sop, mc_sop,
+                      sop_bsr_approx, sop_bsr_exact, sop_dbf, sop_fot)
 
 REL_TOL = 1e-13
 # (K, r_s): the standard geometry at K = 1, 3, 8 and the benchmark's wide
@@ -79,8 +80,8 @@ def test_uniform_scaling(geometry, alpha, ps):
 
 def _circle(angles) -> NetworkLayout:
     """SBSs at distance 1 from the user, at the given angles, in order."""
-    return NetworkLayout(mbs=PolarPoint(3.0, 0.5 * math.pi),
-                         sbs=tuple(PolarPoint(1.0, a) for a in angles))
+    return NetworkLayout(mbs=cmath.rect(3.0, 0.5 * math.pi),
+                         sbs=tuple(cmath.rect(1.0, a) for a in angles))
 
 
 @pytest.mark.parametrize("K", [2, 3, 5])
@@ -193,11 +194,9 @@ def test_sop_rotation(ps_dbw):
     for step in range(1, 9):
         turn = step * 2.0 * math.pi / 128 / 8
 
-        def turned(p):
-            return PolarPoint(p.r, p.theta + turn)
-
-        rotated = NetworkLayout(mbs=turned(layout.mbs),
-                                sbs=tuple(map(turned, layout.sbs)))
+        spin = cmath.rect(1.0, turn)
+        rotated = NetworkLayout(mbs=layout.mbs * spin,
+                                sbs=tuple(p * spin for p in layout.sbs))
         for fn, value in zip(QUADRATURE_SOPS, want):
             assert fn(rotated, params, 1.0).value == pytest.approx(
                 value, rel=1e-10, abs=0.0), (fn, step)

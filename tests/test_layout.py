@@ -3,13 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from cachesec import NetworkLayout, PolarPoint, build_line_layout
+from cachesec import NetworkLayout, build_line_layout
 
 
 def test_line_layout_matches_figure_geometry():
     lay = build_line_layout(1.0, 0.5, 1, 2.0)
-    assert lay.sbs[0].r == pytest.approx(1.0)
-    assert lay.mbs.r == pytest.approx(3.0)
+    assert abs(lay.sbs[0]) == pytest.approx(1.0)
+    assert abs(lay.mbs) == pytest.approx(3.0)
+
+
+def test_line_layout_coordinates_are_exact():
+    # the mirror fold of the SOP grids reads exact shared coordinates
+    lay = build_line_layout(1.0, 0.5, 3, 2.0)
+    assert lay.mbs == 3j
+    assert lay.sbs == (1j, 0.5 + 1j, 1.0 + 1j)
 
 
 def test_line_layout_pythagoras():
@@ -28,8 +35,8 @@ def test_line_layout_sorted_invariant():
 
 def test_line_layout_k1_two_distances():
     lay = build_line_layout(0.7, 0.3, 1, 1.9)
-    assert lay.sbs[0].r == pytest.approx(0.7)
-    assert lay.mbs.r == pytest.approx(0.7 + 1.9)
+    assert abs(lay.sbs[0]) == pytest.approx(0.7)
+    assert abs(lay.mbs) == pytest.approx(0.7 + 1.9)
 
 
 @pytest.mark.parametrize("bad", [
@@ -43,27 +50,14 @@ def test_line_layout_rejects_bad_args(bad):
         build_line_layout(**bad)
 
 
-def test_polar_point_normalizes_angle():
-    p = PolarPoint(1.0, -math.pi / 2)
-    assert 0.0 <= p.theta < 2 * math.pi
-    assert p.y == pytest.approx(-1.0)
-
-
-def test_polar_point_rejects_negative_radius():
-    with pytest.raises(ValueError):
-        PolarPoint(-1.0, 0.0)
-
-
-def test_polar_point_rejects_non_finite_angle():
-    for theta in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="angle must be finite"):
-            PolarPoint(1.0, theta)
-
-
 @pytest.mark.parametrize("mbs, sbs, message", [
-    (PolarPoint(3.0, 0.0), (), "at least one SBS"),
-    (PolarPoint(0.0, 0.0), (PolarPoint(1.0, 0.0),), "MBS must not coincide"),
-], ids=["no-sbs", "mbs-at-user"])
+    (3.0 + 0j, (), "at least one SBS"),
+    (0j, (1.0 + 0j,), "MBS must not coincide"),
+    (complex(math.inf, 0.0), (1.0 + 0j,), "MBS must .* finite distance"),
+    (3.0 + 0j, (complex(0.0, math.nan),), "SBSs must .* finite distance"),
+    (3.0 + 0j, (complex(1.5e308, 1.5e308),), "SBSs must .* finite distance"),
+], ids=["no-sbs", "mbs-at-user", "mbs-at-inf", "sbs-at-nan",
+        "sbs-distance-overflows"])
 def test_layout_rejects_degenerate_nodes(mbs, sbs, message):
     with pytest.raises(ValueError, match=message):
         NetworkLayout(mbs=mbs, sbs=sbs)
@@ -71,10 +65,9 @@ def test_layout_rejects_degenerate_nodes(mbs, sbs, message):
 
 def test_layout_rejects_unsorted_sbs():
     with pytest.raises(ValueError):
-        NetworkLayout(mbs=PolarPoint(3.0, 0.0),
-                      sbs=(PolarPoint(2.0, 0.0), PolarPoint(1.0, 0.0)))
+        NetworkLayout(mbs=3.0 + 0j, sbs=(2.0 + 0j, 1.0 + 0j))
 
 
 def test_layout_rejects_sbs_at_origin():
     with pytest.raises(ValueError):
-        NetworkLayout(mbs=PolarPoint(3.0, 0.0), sbs=(PolarPoint(0.0, 0.0),))
+        NetworkLayout(mbs=3.0 + 0j, sbs=(0j,))

@@ -351,10 +351,10 @@ def test_pruning_keeps_every_breaching_eavesdropper(scheme, K, geometry, alpha,
     rad = r_max * np.sqrt(rng.random(m))
     # a quarter of the points inside the farthest transmitter, and half on
     # the rays through the transmitters, where the bound is tightest
-    d_max = max(lay.mbs.r, lay.sbs[-1].r)
+    d_max = max(abs(lay.mbs), abs(lay.sbs[-1]))
     rad[: m // 4] = d_max * rng.random(m // 4)
     u_ang = rng.random(m)
-    rays = np.array([p.theta for p in (lay.mbs, *lay.sbs)]) / (2.0 * math.pi)
+    rays = np.angle([lay.mbs, *lay.sbs]) / (2.0 * math.pi)
     u_ang[m // 2:] = rays[rng.integers(0, rays.size, m - m // 2)]
     fades = test.draw_fades(rng, m)
     serving = rng.integers(0, K, m)

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import itertools
 import math
@@ -11,12 +12,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import wofz
 
 from cachesec import (ChannelParams, NetworkLayout, OutageEstimate,
-                      PolarPoint, RateDesign, SchemeId, build_line_layout,
+                      RateDesign, SchemeId, build_line_layout,
                       cop_bsr, cop_dbf_asymptotic, cop_dbf_exact, cop_fot,
                       invert_sop, outage, sop_bsr_approx, sop_bsr_exact,
                       sop_dbf, sop_fot)
 from cachesec import montecarlo
 from cachesec.channel import dist_pow_neg
+from cachesec.layout import distance
 from helpers import (beta_t_star, dbw, rate_codeword, rate_redundancy,
                      standard_layout, standard_params)
 
@@ -118,9 +120,7 @@ def test_cop_dbf_asymptotic_formula_values():
     p = ChannelParams(alpha=4.0, Ps=100.0, Pm=1.0, lambda_e=0.1)
     assert cop_dbf_asymptotic(lay1, p, 1.0).value == pytest.approx(0.01)
     # two SBSs both at distance 1: (4/24) * (beta/Ps)^2
-    from cachesec import NetworkLayout, PolarPoint
-    lay2 = NetworkLayout(mbs=PolarPoint(3.0, 0.0),
-                         sbs=(PolarPoint(1.0, 0.0), PolarPoint(1.0, 1.0)))
+    lay2 = NetworkLayout(mbs=3.0 + 0j, sbs=(1.0 + 0j, cmath.rect(1.0, 1.0)))
     p2 = ChannelParams(alpha=4.0, Ps=10.0, Pm=1.0, lambda_e=0.1)
     assert cop_dbf_asymptotic(lay2, p2, 1.0).value == pytest.approx((4 / 24) * 0.01)
 
@@ -264,9 +264,7 @@ def test_cop_fot_formula_value():
 
 
 def test_cop_bsr_formula_value():
-    from cachesec import NetworkLayout, PolarPoint
-    lay = NetworkLayout(mbs=PolarPoint(3.0, 0.0),
-                        sbs=(PolarPoint(1.0, 0.0), PolarPoint(1.0, 2.0)))
+    lay = NetworkLayout(mbs=3.0 + 0j, sbs=(1.0 + 0j, cmath.rect(1.0, 2.0)))
     params = ChannelParams(alpha=4.0, Ps=1.0, Pm=1.0, lambda_e=0.1)
     assert cop_bsr(lay, params, 1.0).value == pytest.approx((1 - math.exp(-1)) ** 2, rel=1e-12)
 
@@ -373,7 +371,7 @@ def test_sop_bsr_small_pm_reduces_to_single_hop():
     zero = ChannelParams(alpha=4.0, Ps=10.0, Pm=0.0, lambda_e=0.1)
     single = sop_bsr_exact(lay, zero, 1.0).value
     serving = lay.sbs[0]
-    d_sq = (lay.mbs.x - serving.x) ** 2 + (lay.mbs.y - serving.y) ** 2
+    d_sq = abs(lay.mbs - serving) ** 2
     disc = math.pi * math.gamma(1.5) * 1e-6 * -math.expm1(-d_sq ** 2 / 10.0)
     assert sop_bsr_exact(lay, base, 1.0).value - single == pytest.approx(
         (1.0 - single) * 0.1 * disc, rel=1e-3)
@@ -512,8 +510,8 @@ def test_centre_terms_sum_to_the_law(layout, Pm):
 
 
 def test_sop_peak_memory_stays_in_blocks():
-    # one transmitter's grid at a time: each float64 temporary of a term is
-    # 5,056 points, 40 KiB; the traced peak at K = 8 is about 0.66 MiB
+    # passes of at most PASS_POINTS = 8,192 points: each float64 temporary
+    # of a pass is at most 64 KiB; the traced peak at K = 8 is about 0.70 MiB
     lay, params = standard_layout(8), standard_params()
     sop_fot(lay, params, 1.0)  # fill the cache of the nested rules
     tracemalloc.start()
@@ -570,10 +568,10 @@ def _ref_bsr_law(layout, params):
         return np.exp(-(beta_e / power) / w), w
 
     def law(px, py, beta_e):
-        hop2, w2 = hop((px - serving.x) ** 2 + (py - serving.y) ** 2,
+        hop2, w2 = hop((px - serving.real) ** 2 + (py - serving.imag) ** 2,
                        params.Ps, beta_e)
         if params.Pm > 0.0:
-            hop1, w1 = hop((px - mbs.x) ** 2 + (py - mbs.y) ** 2,
+            hop1, w1 = hop((px - mbs.real) ** 2 + (py - mbs.imag) ** 2,
                            params.Pm, beta_e)
         else:
             hop1 = np.zeros_like(px)
@@ -609,7 +607,7 @@ def test_breach_links_match_reference_laws(layout, Pm):
             kernel = outage.breach_kernel(scheme, layout, params)
             ref = _REF_LAWS[scheme](layout, params)
             for beta_e in np.exp(rng.uniform(-5.0, 5.0, 4)):
-                d_max = max(t.r for _, tx in kernel.links for t in tx)
+                d_max = max(abs(t) for _, tx in kernel.links for t in tx)
                 power = max(p * len(tx) for p, tx in kernel.links)
                 rmax = outage.trunc_radius(d_max, power, beta_e, 4.0)
                 rad = rmax * np.sqrt(rng.random((16, 64)))
@@ -646,20 +644,23 @@ def test_mirror_fold_matches_the_full_grid(layout, Pm):
                     np.array(full.integral(beta_e, deriv)), rtol=1e-13, atol=0)
 
 
-def test_layouts_off_a_grid_line_read_every_angle():
-    # a layout turned by 2 pi/1024, a quarter of a grid step, has no
-    # mirror line along a grid angle; nor has relaying once the MBS leaves
-    # the nearest SBS's vertical, unless the backhaul is silent
+def test_layouts_off_a_shared_x_or_y_read_every_angle():
+    # a layout turned by 2 pi/1024, a quarter of a grid step, or by 2 pi/8,
+    # eight grid steps, shares no x or y coordinate, and a quarter turn
+    # swaps the two; nor has relaying a mirror once the MBS leaves the
+    # nearest SBS's vertical, unless the backhaul is silent
     layout = standard_layout(3)
     params = standard_params(Pm_dBw=0.0)
-
-    def turned(p):
-        return PolarPoint(p.r, p.theta + 2.0 * math.pi / 1024)
-
-    rotated = NetworkLayout(turned(layout.mbs), tuple(map(turned, layout.sbs)))
-    for scheme in SchemeId:
-        assert outage.breach_kernel(scheme, rotated, params).mirror is None
-    aside = NetworkLayout(PolarPoint.from_xy(0.3, 3.0), layout.sbs)
+    for spin in (cmath.rect(1.0, 2.0 * math.pi / 1024),
+                 cmath.rect(1.0, 2.0 * math.pi / 8)):
+        rotated = NetworkLayout(layout.mbs * spin,
+                                tuple(p * spin for p in layout.sbs))
+        for scheme in SchemeId:
+            assert outage.breach_kernel(scheme, rotated, params).mirror is None
+    upright = NetworkLayout(layout.mbs * 1j, tuple(p * 1j for p in layout.sbs))
+    assert [outage.breach_kernel(scheme, upright, params).mirror
+            for scheme in SchemeId] == [0.25, 0.25, 0.0]
+    aside = NetworkLayout(complex(0.3, 3.0), layout.sbs)
     silent = ChannelParams(params.alpha, params.Ps, 0.0, params.lambda_e)
     assert outage.breach_kernel(SchemeId.BSR, aside, params).mirror is None
     assert outage.breach_kernel(SchemeId.BSR, aside, silent).mirror == 0.0
@@ -738,14 +739,14 @@ def test_silent_backhaul_keeps_radius_and_is_never_evaluated():
     silent = ChannelParams(params.alpha, params.Ps, 0.0, params.lambda_e)
     kernel = outage.breach_kernel(SchemeId.BSR, lay, silent)
     assert montecarlo._FieldTest(SchemeId.BSR, lay, silent, 1.0).radius \
-        == outage.trunc_radius(lay.mbs.r, silent.Ps, 1.0, silent.alpha)
+        == outage.trunc_radius(distance(lay.mbs), silent.Ps, 1.0, silent.alpha)
     assert kernel.links[1][0] == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value, slope = kernel.integral(1.0, deriv=True)
     serving_hop = dataclasses.replace(kernel, links=kernel.links[:1])
-    px = np.array([[0.3, lay.mbs.x], [-4.0, 7.5]])
-    py = np.array([[0.2, lay.mbs.y], [1.0, -2.0]])
+    px = np.array([[0.3, lay.mbs.real], [-4.0, 7.5]])
+    py = np.array([[0.2, lay.mbs.imag], [1.0, -2.0]])
     for a, b in zip(kernel.law(px, py, 1.0, True),
                     serving_hop.law(px, py, 1.0, True)):
         assert np.array_equal(a, b)

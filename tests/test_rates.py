@@ -1,3 +1,4 @@
+import cmath
 import math
 import time
 import warnings
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cachesec import (ChannelParams, NetworkLayout, PolarPoint, SchemeId,
+from cachesec import (ChannelParams, NetworkLayout, SchemeId,
                       build_line_layout, outage, rates, cop_dbf_asymptotic,
                       bsr_approx_threshold, invert_sop, opt_bs_bsr,
                       opt_bs_dbf, opt_bs_fot, scheme_throughput,
@@ -273,7 +274,7 @@ def test_opt_bs_bsr_k1_reduces_to_fot_halved():
 
 def test_opt_bs_bsr_far_sbs_irrelevant():
     lay = standard_layout(2)
-    sbs_far = lay.sbs + (PolarPoint(60.0, 0.3),)
+    sbs_far = lay.sbs + (cmath.rect(60.0, 0.3),)
     lay_far = NetworkLayout(mbs=lay.mbs, sbs=sbs_far)
     params = standard_params(Ps_dBw=10.0)
     d1 = opt_bs_bsr(lay, params, 0.5)
