@@ -9,19 +9,21 @@ runs one estimate per table cell.)
 Each scheme's secrecy test reads one hop table, `_FieldTest.hops`: one entry
 (power, transmitter xs, ys, d_max) per link an eavesdropper may decode. Most
 sampled eavesdroppers are too far away to breach, so each field is tested in
-two stages. First every random number of the field is drawn: Poisson
-counts, radii, angle variates and one fade per hop, always with the same
-calls, shapes and order. Then a conservative bound prunes the points: every
-transmitter of a hop lies within d_max of the origin, so an eavesdropper at
-origin distance |e| is at least |e| - d_max away from it and the hop's SNR
-is at most its far-field power (power times transmitters) * fade *
-(|e| - d_max)^-alpha; hops that share a d_max share one bound. The gap
-|e| - d_max is shrunk by PRUNE_SLACK times |e| + d_max, which dwarfs the
-rounding of the coordinates and distances, and points with no gap left
-always survive. Only the survivors get coordinates, distances and the exact
-breach test, which is elementwise per point (the beamforming row sum
-included). The draws do not move and no breaching point is pruned, so every
-estimate is bit-identical to testing all points.
+stages. First every random number of the field is drawn: Poisson counts,
+radial and angle variates and one fade per hop, always with the same calls,
+shapes and order. A point's radial variate u puts it in one of BANDS
+equal-area rings, the floor of u * BANDS (exact). Every transmitter of a hop
+lies within d_max of the origin, so from a point of the ring it is at least
+inner edge - d_max and at most outer edge + d_max away. From these, hops
+that share a d_max get two fade thresholds per ring: below `keep` not even
+their largest far-field power (power times transmitters) breaches, above
+`sure` even their smallest does. Both distances are widened by PRUNE_SLACK
+times edge + d_max, which dwarfs the rounding of coordinates and distances.
+A trial that owns a sure point is an outage; only the kept points of
+undecided trials get a radius, coordinates and the exact breach test, which
+is elementwise per point (the beamforming row sum included). The draws do
+not move, no breaching point is pruned and every sure point breaches, so
+every estimate is bit-identical to testing all points.
 """
 
 from __future__ import annotations
@@ -37,9 +39,11 @@ from .outage import METHOD_MC, OutageEstimate, sop_guards, trunc_radius
 
 COP_CHUNK = 1 << 16
 SOP_CHUNK = 1 << 11
-# Relative shrink of the pruning gap |e| - d_max, in units of |e| + d_max.
+# Relative widening of a ring's distance bounds, in units of edge + d_max.
 PRUNE_SLACK = 1e-6
-# Largest expected number of floats (radius, angle variate and fades of
+# Equal-area rings of the pruning tables, a power of two: u * BANDS is exact.
+BANDS = 1 << 12
+# Largest expected number of floats (radial and angle variates and fades of
 # every point) that one field draw of a chunk may need: 512 MiB.
 MAX_FIELD_FLOATS = 1 << 26
 
@@ -62,6 +66,9 @@ class McSettings:
     bsr_serving: str = "fading"
 
     def __post_init__(self):
+        # bool is an int, and trials=True would run one trial
+        if isinstance(self.trials, bool) or isinstance(self.seed, bool):
+            raise ValueError("trials and seed must be integers, not bools")
         if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
             raise ValueError("trials must be a positive integer")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
@@ -128,16 +135,12 @@ def mc_cop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
     return _binomial_estimate(failures, settings.trials)
 
 
-def _disc_draws(rng, lam, n_real, radius):
-    """Poisson points on the disc of the given radius: per-realization
-    counts, radii, and the uniform variates behind the angles."""
-    r_sq = radius * radius
+def _disc_draws(rng, lam, n_real, r_sq):
+    """Poisson points on the disc of squared radius r_sq: per-realization
+    counts and the uniform variates behind the radii and the angles."""
     counts = rng.poisson(lam * (math.pi * r_sq), n_real)
     total = int(counts.sum())
-    rad = rng.random(total)
-    rad *= r_sq
-    np.sqrt(rad, out=rad)
-    return counts, rad, rng.random(total)
+    return counts, rng.random(total), rng.random(total)
 
 
 def _owners(idx, counts):
@@ -146,10 +149,11 @@ def _owners(idx, counts):
     return np.repeat(np.arange(counts.size), per_real)
 
 
-def _xy(rad, u_ang, idx):
-    """Cartesian coordinates of the points idx."""
+def _xy(u, u_ang, idx, r_sq):
+    """Cartesian coordinates of the points idx of the disc of squared
+    radius r_sq."""
     ang = 2.0 * math.pi * u_ang[idx]
-    r = rad[idx]
+    r = np.sqrt(u[idx] * r_sq)
     return r * np.cos(ang), r * np.sin(ang)
 
 
@@ -184,11 +188,22 @@ class _FieldTest:
         # the analytic truncation radius of the breach integrand
         self.radius = trunc_radius(max(hop[3] for hop in self.hops),
                                    max(far), beta_e, params.alpha)
-        # d_max -> (largest far-field power, hops) of one pruning bound
-        self.bounds: dict[float, tuple[float, list[int]]] = {}
-        for h, hop in enumerate(self.hops):
-            power, group = self.bounds.get(hop[3], (0.0, []))
-            self.bounds[hop[3]] = (max(power, far[h]), group + [h])
+        # (hops, keep, sure) per d_max over the ring edges; a hop of zero
+        # power (Pm = 0) joins none. Overflow reads inf (pruned, never sure);
+        # an infinite radius, nan tables that mc_sop refuses before any draw
+        self.bounds = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            edges = self.radius * np.sqrt(np.arange(BANDS + 1) / BANDS)
+            for d_max in dict.fromkeys(hop[3] for hop in self.hops):
+                group = [h for h, hop in enumerate(self.hops)
+                         if hop[3] == d_max and far[h] > 0.0]
+                powers = [far[h] for h in group] or [1.0]
+                gap = edges[:-1] * (1.0 - PRUNE_SLACK) \
+                    - d_max * (1.0 + PRUNE_SLACK)
+                reach = (edges[1:] + d_max) * (1.0 + PRUNE_SLACK)
+                self.bounds.append((
+                    group, beta_e * np.maximum(gap, 0.0) ** params.alpha
+                    / max(powers), beta_e * reach ** params.alpha / min(powers)))
 
     def draw_fades(self, rng, m: int) -> np.ndarray:
         """Fades of m points: row h holds hop h's."""
@@ -196,12 +211,16 @@ class _FieldTest:
             return rng.standard_exponential((m, len(self.hops))).T
         return rng.standard_exponential((len(self.hops), m))
 
-    def may_breach(self, rad, fades, hops) -> np.ndarray:
-        """Pruning mask: False only for points that cannot breach. The bound
-        of hops that share a d_max is their largest far-field power times
-        their largest fade."""
-        keep = None
-        for d_max, (power, group) in self.bounds.items():
+    def may_breach(self, u, fades, hops, sure=False) -> np.ndarray:
+        """Points of radial variates u (fade row h: hop h's) that may breach
+        on the hops `hops`: False only for points that cannot. With sure,
+        the points that must: True only for points that breach."""
+        # the ring: u * BANDS is exact and the cast truncates it, with no
+        # float temporary of every point as astype would take
+        band = np.multiply(u, BANDS, out=np.empty(u.size, np.intp),
+                           casting="unsafe")
+        hit = np.zeros(u.size, dtype=bool)
+        for group, keep, must in self.bounds:
             group = [h for h in group if h in hops]
             if not group:
                 continue
@@ -209,17 +228,8 @@ class _FieldTest:
                 else fades[group[0]].copy()
             for h in group[1:]:
                 np.maximum(fade, fades[h], out=fade)
-            gap = rad * (1.0 - PRUNE_SLACK)
-            gap -= d_max * (1.0 + PRUNE_SLACK)
-            np.maximum(gap, 0.0, out=gap)
-            # gap^alpha as (gap^2)^(alpha/2): numpy squares, with no pow, at 4
-            with np.errstate(over="ignore"):
-                gap *= gap
-                gap **= 0.5 * self.params.alpha
-                gap *= self.beta_e
-            mask = power * fade >= gap
-            keep = mask if keep is None else keep | mask
-        return keep
+            hit |= fade > must.take(band) if sure else fade >= keep.take(band)
+        return hit
 
     def breaches(self, px, py, idx, fades, serving, hops) -> np.ndarray:
         """Exact breach test of the points idx at (px, py); serving holds
@@ -257,10 +267,9 @@ def mc_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
         return guard
     lam = params.lambda_e
     test = _FieldTest(scheme, layout, params, beta_e)
-    radius = test.radius
-    points = lam * min(settings.trials, SOP_CHUNK) \
-        * (math.pi * (radius * radius))
-    # a radius and an angle variate per point, and one fade per hop
+    r_sq = test.radius * test.radius
+    points = lam * min(settings.trials, SOP_CHUNK) * (math.pi * r_sq)
+    # a radial and an angle variate per point, and one fade per hop
     if points * (2 + len(test.hops)) > MAX_FIELD_FLOATS:
         raise ValueError(
             f"eavesdropper field too large for Monte Carlo: {points:.3g} "
@@ -284,11 +293,16 @@ def mc_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
                 kstar = np.zeros(n, dtype=int)
         out = np.zeros(n, dtype=bool)
         for hops in fields:
-            counts, rad, u_ang = _disc_draws(rng, lam, n, radius)
-            fades = test.draw_fades(rng, rad.size)
-            idx = np.flatnonzero(test.may_breach(rad, fades, hops))
+            counts, u, u_ang = _disc_draws(rng, lam, n, r_sq)
+            fades = test.draw_fades(rng, u.size)
+            idx = np.flatnonzero(test.may_breach(u, fades, hops))
             owner = _owners(idx, counts)
-            px, py = _xy(rad, u_ang, idx)
+            out[owner[test.may_breach(u[idx], fades[:, idx], hops,
+                                      sure=True)]] = True
+            # only the kept points of undecided trials need the exact test
+            live = ~out[owner]
+            idx, owner = idx[live], owner[live]
+            px, py = _xy(u, u_ang, idx, r_sq)
             serving = None if kstar is None else kstar[owner]
             out[owner[test.breaches(px, py, idx, fades, serving, hops)]] = True
         return int(out.sum())

@@ -49,26 +49,28 @@ def test_fading_gains_unit_mean():
 
 def test_sample_ppp_zero_density_is_empty():
     rng = np.random.default_rng(2)
-    counts, rad, u_ang = _disc_draws(rng, 0.0, 50, 10.0)
+    counts, u, u_ang = _disc_draws(rng, 0.0, 50, 100.0)
     assert counts.shape == (50,) and not counts.any()
-    assert rad.size == 0 and u_ang.size == 0
+    assert u.size == 0 and u_ang.size == 0
 
 
 def test_sample_ppp_poisson_mean():
     rng = np.random.default_rng(3)
     n_real = 20000
-    counts, rad, _ = _disc_draws(rng, 0.1, n_real, 10.0)
+    counts, u, _ = _disc_draws(rng, 0.1, n_real, 10.0 ** 2)
     expected = 0.1 * math.pi * 10.0 ** 2
     stderr = math.sqrt(expected / n_real)
     assert abs(counts.mean() - expected) <= 3 * stderr
-    assert rad.size == counts.sum()
+    assert u.size == counts.sum()
 
 
 def test_sample_ppp_radial_uniformity():
     # uniform points on a disc of radius R have radial CDF r^2 / R^2, and
     # uniform angles
     rng = np.random.default_rng(4)
-    _, rad, u_ang = _disc_draws(rng, 1.0, 400, 5.0)
+    _, u, u_ang = _disc_draws(rng, 1.0, 400, 25.0)
+    px, py = _xy(u, u_ang, np.arange(u.size), 25.0)
+    rad = np.hypot(px, py)
     assert rad.size > 20000
     assert (rad >= 0.0).all() and (rad < 5.0).all()
     assert stats.kstest(rad, lambda r: r * r / 25.0).pvalue > 0.01
@@ -113,18 +115,20 @@ def test_snr_user_unknown_scheme():
 
 
 def _breaches_at(test, eve: complex, fades, hops=None):
-    """Breach test of fades.shape[1] eavesdroppers that all sit at eve, on
-    the hops `hops` (default: all)."""
+    """Breach test of fades.shape[1] eavesdroppers that all sit at eve, a
+    point of the drawn disc, on the hops `hops` (default: all)."""
     m = fades.shape[1]
     if hops is None:
         hops = tuple(range(len(test.hops)))
-    rad = np.full(m, abs(eve))
+    r_sq = test.radius * test.radius
+    u = np.full(m, abs(eve) ** 2 / r_sq)
+    assert u[0] < 1.0
     u_ang = np.full(m, cmath.phase(eve) / (2.0 * math.pi))
     idx = np.arange(m)
-    px, py = _xy(rad, u_ang, idx)
+    px, py = _xy(u, u_ang, idx, r_sq)
     serving = np.zeros(m, dtype=int)
     return (test.breaches(px, py, idx, fades, serving, hops),
-            test.may_breach(rad, fades, hops))
+            test.may_breach(u, fades, hops))
 
 
 def test_snr_eve_dbf_mean_matches_closed_form():
@@ -146,12 +150,14 @@ def test_snr_eve_dbf_mean_matches_closed_form():
 
 
 def test_snr_eve_far_eavesdropper_vanishes():
+    # at the rim of the drawn disc (the truncation radius, about 2.5e3 here)
+    # a breach has probability about 1e-12
     lay = standard_layout(2)
     params = ChannelParams(alpha=4.0, Ps=1.0, Pm=1.0, lambda_e=0.1)
     rng = np.random.default_rng(7)
     for scheme in SchemeId:
         test = _FieldTest(scheme, lay, params, beta_e=1e-12)
-        hit, keep = _breaches_at(test, cmath.rect(1e6, 0.5),
+        hit, keep = _breaches_at(test, cmath.rect(test.radius * 0.999, 0.5),
                                  test.draw_fades(rng, 100))
         assert not hit.any() and not keep.any(), scheme
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cachesec import (ChannelParams, McSettings, SchemeId, build_line_layout,
                       mc_cop, mc_sop, outage, sop_bsr_approx)
-from cachesec.montecarlo import _FieldTest, _xy
+from cachesec.montecarlo import BANDS, _FieldTest, _xy
 from helpers import (COP, sop, standard_layout, standard_params,
                      within_3_sigma)
 
@@ -19,6 +19,13 @@ def test_settings_validation():
         McSettings(trials=10, seed=-1)
     with pytest.raises(ValueError):
         McSettings(trials=10, seed=1, bsr_serving="random")
+    # bool is an int (True would run one trial); numpy's bool is not
+    for flag in (True, False, np.True_, np.False_):
+        with pytest.raises(ValueError):
+            McSettings(trials=flag, seed=1)
+        with pytest.raises(ValueError):
+            McSettings(trials=10, seed=flag)
+    assert McSettings(trials=np.int64(10), seed=np.uint8(0)).trials == 10
 
 
 def test_mc_cop_zero_threshold_exact_zero():
@@ -195,10 +202,14 @@ def test_mc_sop_rejects_an_oversized_field():
     # before any draw instead of exhausting memory
     lay = standard_layout(10)
     params = standard_params(Ps_dBw=30.0, lambda_e=1.0, alpha=2.5)
+    # a far-field power that overflows gives an infinite disc, refused the
+    # same way (with no floating-point warning)
+    huge = ChannelParams(alpha=4.0, Ps=1e308, Pm=1.0, lambda_e=1e-300)
     start = time.perf_counter()
     for scheme in SchemeId:
-        with pytest.raises(ValueError, match="too large"):
-            mc_sop(scheme, lay, params, 0.3, McSettings(trials=10 ** 5, seed=1))
+        for p in (params, huge):
+            with pytest.raises(ValueError, match="too large"):
+                mc_sop(scheme, lay, p, 0.3, McSettings(trials=10 ** 5, seed=1))
     assert time.perf_counter() - start < 0.5
 
 
@@ -224,8 +235,10 @@ VARIANTS = {"dbf": (SchemeId.DBF, {}), "fot": (SchemeId.FOT, {}),
 SOP_TRIALS = 2100    # one full chunk and a partial one
 COP_TRIALS = 70_001  # idem
 
-# (variant, K, alpha, Pm_dBw) -> failures at Ps = 10 dBw, lambda_e = 0.1,
-# beta_e = K; the seed is the case's position in this table
+# (variant, K, alpha, Pm_dBw[, Ps_dBw]) -> failures at Ps = 10 dBw unless
+# given, lambda_e = 0.1, beta_e = K; the seed is the case's position in this
+# table. The cases that give Ps_dBw (low SOPs, non-integer alpha) leave most
+# kept points to the exact test rather than to the sure-breach marking.
 SOP_PINNED = {
     ("dbf", 1, 3.0, 0.0): 1526,
     ("dbf", 1, 3.0, 20.0): 1532,
@@ -287,6 +300,26 @@ SOP_PINNED = {
     ("bsr-nearest", 8, 3.0, 20.0): 1690,
     ("bsr-nearest", 8, 4.0, 0.0): 737,
     ("bsr-nearest", 8, 4.0, 20.0): 1449,
+    ("dbf", 3, 2.5, 0.0, -10.0): 126,
+    ("dbf", 3, 3.7, 20.0, -10.0): 230,
+    ("dbf", 8, 2.5, 20.0, 10.0): 1853,
+    ("dbf", 1, 3.7, 0.0, 10.0): 1279,
+    ("fot", 3, 2.5, 0.0, -10.0): 218,
+    ("fot", 3, 3.7, 20.0, -10.0): 318,
+    ("fot", 8, 2.5, 20.0, 10.0): 2080,
+    ("fot", 1, 3.7, 0.0, 10.0): 1324,
+    ("bsr-shared", 3, 2.5, 0.0, -10.0): 270,
+    ("bsr-shared", 3, 3.7, 20.0, -10.0): 1771,
+    ("bsr-shared", 8, 2.5, 20.0, 10.0): 1913,
+    ("bsr-shared", 1, 3.7, 0.0, 10.0): 1465,
+    ("bsr-independent", 3, 2.5, 0.0, -10.0): 254,
+    ("bsr-independent", 3, 3.7, 20.0, -10.0): 1779,
+    ("bsr-independent", 8, 2.5, 20.0, 10.0): 1929,
+    ("bsr-independent", 1, 3.7, 0.0, 10.0): 1505,
+    ("bsr-nearest", 3, 2.5, 0.0, -10.0): 259,
+    ("bsr-nearest", 3, 3.7, 20.0, -10.0): 1778,
+    ("bsr-nearest", 8, 2.5, 20.0, 10.0): 1908,
+    ("bsr-nearest", 1, 3.7, 0.0, 10.0): 1482,
 }
 # (scheme, K, alpha) -> failures at Ps = 0 dBw, beta_t = 1
 COP_PINNED = {
@@ -315,10 +348,10 @@ COP_PINNED = {
 def test_mc_sop_pinned_counts(variant):
     scheme, extra = VARIANTS[variant]
     for seed, (case, failures) in enumerate(SOP_PINNED.items()):
-        name, K, alpha, pm = case
+        name, K, alpha, pm, ps = case if len(case) == 5 else (*case, 10.0)
         if name != variant:
             continue
-        params = standard_params(Ps_dBw=10.0, Pm_dBw=pm, alpha=alpha)
+        params = standard_params(Ps_dBw=ps, Pm_dBw=pm, alpha=alpha)
         est = mc_sop(scheme, standard_layout(K), params, float(K),
                      McSettings(trials=SOP_TRIALS, seed=seed, **extra))
         assert est.value == failures / SOP_TRIALS, case
@@ -333,35 +366,91 @@ def test_mc_cop_pinned_counts():
         assert est.value == failures / COP_TRIALS, case
 
 
-@settings(max_examples=150, deadline=None)
-@given(scheme=st.sampled_from(list(SchemeId)), K=st.integers(1, 8),
-       geometry=st.tuples(st.floats(0.05, 4.0), st.floats(0.05, 3.0),
-                          st.floats(0.05, 6.0)),
-       alpha=st.one_of(st.sampled_from([3.0, 5.0, 4.0]), st.floats(2.05, 7.0)),
-       Ps=st.floats(1e-2, 1e4), Pm=st.sampled_from([0.0, 1.0, 1e3]),
-       beta_e=st.floats(1e-2, 1e2), seed=st.integers(0, 2 ** 32 - 1))
-def test_pruning_keeps_every_breaching_eavesdropper(scheme, K, geometry, alpha,
-                                                    Ps, Pm, beta_e, seed):
+# one scheme's field test on a random line layout: the cases of the pruning
+# properties
+FIELD_CASES = dict(
+    scheme=st.sampled_from(list(SchemeId)), K=st.integers(1, 8),
+    geometry=st.tuples(st.floats(0.05, 4.0), st.floats(0.05, 3.0),
+                       st.floats(0.05, 6.0)),
+    alpha=st.one_of(st.sampled_from([3.0, 5.0, 4.0]), st.floats(2.05, 7.0)),
+    Ps=st.floats(1e-2, 1e4), Pm=st.sampled_from([0.0, 1.0, 1e3]),
+    beta_e=st.floats(1e-2, 1e2), seed=st.integers(0, 2 ** 32 - 1))
+
+
+def _field_case(scheme, K, geometry, alpha, Ps, Pm, beta_e, seed):
     lay = build_line_layout(geometry[0], geometry[1], K, geometry[2])
     params = ChannelParams(alpha=alpha, Ps=Ps, Pm=Pm, lambda_e=1.0)
-    test = _FieldTest(scheme, lay, params, beta_e)
-    rng = np.random.default_rng(seed)
+    return (lay, _FieldTest(scheme, lay, params, beta_e),
+            np.random.default_rng(seed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(**FIELD_CASES)
+def test_pruning_keeps_every_breaching_eavesdropper(scheme, K, geometry, alpha,
+                                                    Ps, Pm, beta_e, seed):
+    lay, test, rng = _field_case(scheme, K, geometry, alpha, Ps, Pm, beta_e,
+                                 seed)
     m = 600
-    r_max = test.radius
-    rad = r_max * np.sqrt(rng.random(m))
+    r_sq = test.radius * test.radius
+    u = rng.random(m)
     # a quarter of the points inside the farthest transmitter, and half on
     # the rays through the transmitters, where the bound is tightest
-    d_max = max(abs(lay.mbs), abs(lay.sbs[-1]))
-    rad[: m // 4] = d_max * rng.random(m // 4)
+    d_max = max(hop[3] for hop in test.hops)
+    u[: m // 4] = d_max * d_max / r_sq * rng.random(m // 4)
     u_ang = rng.random(m)
     rays = np.angle([lay.mbs, *lay.sbs]) / (2.0 * math.pi)
     u_ang[m // 2:] = rays[rng.integers(0, rays.size, m - m // 2)]
-    fades = test.draw_fades(rng, m)
+    fades = np.array(test.draw_fades(rng, m))
+    # a quarter of those on the inner edge of their ring, with the fades of
+    # one bound's hops one ulp below its keep threshold
+    edge = np.arange(m // 2, 5 * m // 8)
+    band = rng.integers(0, BANDS, edge.size)
+    u[edge] = band / BANDS
+    bounds = [bound for bound in test.bounds if bound[0]]
+    pick = rng.integers(0, len(bounds), edge.size)
+    for i, (group, keep, _) in enumerate(bounds):
+        on = pick == i
+        fades[np.ix_(group, edge[on])] = np.nextafter(keep[band[on]], 0.0)
     serving = rng.integers(0, K, m)
     idx = np.arange(m)
-    px, py = _xy(rad, u_ang, idx)
+    px, py = _xy(u, u_ang, idx, r_sq)
     # all hops (a shared field) and each hop alone
     every = tuple(range(len(test.hops)))
     for hops in (every, *((h,) for h in every)):
         breach = test.breaches(px, py, idx, fades, serving, hops)
-        assert not np.any(breach & ~test.may_breach(rad, fades, hops)), hops
+        assert not np.any(breach & ~test.may_breach(u, fades, hops)), hops
+
+
+@settings(max_examples=150, deadline=None)
+@given(**FIELD_CASES)
+def test_sure_eavesdroppers_always_breach(scheme, K, geometry, alpha, Ps, Pm,
+                                          beta_e, seed):
+    # a point is sure when its fade exceeds its ring's `sure` threshold; put
+    # the points where that bound is tightest: at the top of their ring (the
+    # last ring for a third of them) or on its inner edge, opposite a
+    # transmitter, served by the farthest SBS, with the fades of one bound's
+    # hops one ulp above its threshold
+    lay, test, rng = _field_case(scheme, K, geometry, alpha, Ps, Pm, beta_e,
+                                 seed)
+    m = 600
+    band = rng.integers(0, BANDS, m)
+    band[: m // 3] = BANDS - 1
+    u = np.nextafter((band + 1) / BANDS, 0.0)
+    u[-m // 6:] = band[-m // 6:] / BANDS
+    rays = np.angle([lay.mbs, *lay.sbs]) / (2.0 * math.pi) + 0.5
+    u_ang = rays[rng.integers(0, rays.size, m)]
+    fades = np.array(test.draw_fades(rng, m))
+    bounds = [bound for bound in test.bounds if bound[0]]
+    pick = rng.integers(0, len(bounds), m)
+    for i, (group, _, sure) in enumerate(bounds):
+        on = pick == i
+        fades[np.ix_(group, on)] = np.nextafter(sure[band[on]], np.inf)
+    serving = np.full(m, K - 1)
+    idx = np.arange(m)
+    px, py = _xy(u, u_ang, idx, test.radius * test.radius)
+    every = tuple(range(len(test.hops)))
+    for hops in (every, *((h,) for h in every)):
+        must = test.may_breach(u, fades, hops, sure=True)
+        breach = test.breaches(px, py, idx, fades, serving, hops)
+        assert not np.any(must & ~breach), hops
+        assert not np.any(must & ~test.may_breach(u, fades, hops)), hops
