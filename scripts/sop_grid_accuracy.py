@@ -22,14 +22,18 @@ and angles of each transmitter-centred grid, multiples of 4) it
 * times the outage-grid sweep of one offset (SOP quadrature only);
 * evaluates every outage-grid cell's breach kernel, which reads one angle
   of each mirror pair, again on the full grid (mirror=None): the largest
-  relative difference of either level, and the kernels that fold.
+  relative difference of either level, and the kernels that fold;
+* integrates the beamforming and partition kernels of every outage-grid
+  point at all four offsets in one shared pass (the pass of
+  outage.shared_pass) and alone: the points whose levels differ in any bit.
 
 It exits 1 when a grid fails a gate of the SOP quadrature: a reference
 miss, an unflagged cell more than QUAD_CERT_TOL off its reference, an
 unflagged K = 1 value more than SINGLE_LINK_TOL relative from its closed
-form, a folded integral more than FOLD_TOL relative from the full grid, or
-an outage-grid kernel that does not fold: every outage-grid layout is a
-line layout, so a lost fold doubles the SOP cost without moving a value.
+form, a folded integral more than FOLD_TOL relative from the full grid,
+an outage-grid kernel that does not fold (every outage-grid layout is a
+line layout, so a lost fold doubles the SOP cost without moving a value),
+or a shared pass whose levels are not bit for bit those of each kernel.
 It is not part of the test suite; it takes about 15 s per grid size on one
 core.
 """
@@ -43,6 +47,8 @@ import math
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -149,6 +155,20 @@ def fold_check() -> dict:
     return {"cells": cells, "folded": folded, "max_rel_diff": worst}
 
 
+def shared_check() -> dict:
+    points, mismatch = 0, 0
+    for variant in range(W.VARIANTS):
+        for _, _, layout, params, beta_e in grid_cells(0.25 * variant):
+            dbf, fot = (outage.breach_kernel(scheme, layout, params)
+                        for scheme in (SchemeId.DBF, SchemeId.FOT))
+            shared = dbf.integral(beta_e, False, fot)
+            points += 1
+            mismatch += not all(
+                np.array_equal(levels, kernel.integral(beta_e))
+                for kernel, levels in zip((dbf, fot), shared))
+    return {"points": points, "mismatch": mismatch}
+
+
 def failed_gates(report: dict) -> list[str]:
     """The gates a grid's report fails, by name (none when it passes)."""
     grid, link = report["outage_grid"], report["single_link"]
@@ -157,7 +177,8 @@ def failed_gates(report: dict) -> list[str]:
         ("outage_grid.unflagged_over_tol", grid["unflagged_over_tol"] > 0),
         ("single_link.max_rel_err", link["max_rel_err"] > SINGLE_LINK_TOL),
         ("fold.max_rel_diff", report["fold"]["max_rel_diff"] > FOLD_TOL),
-        ("fold.unfolded", report["fold"]["folded"] < report["fold"]["cells"]))
+        ("fold.unfolded", report["fold"]["folded"] < report["fold"]["cells"]),
+        ("shared.mismatch", report["shared"]["mismatch"] > 0))
         if failed]
 
 
@@ -174,7 +195,7 @@ def main() -> int:
         outage.SOP_NODES = nodes
         report = {"nodes": nodes, "outage_grid": outage_grid(refs),
                   "single_link": single_link(), "flag_scan": flag_scan(),
-                  "fold": fold_check()}
+                  "fold": fold_check(), "shared": shared_check()}
         print(json.dumps(report), flush=True)
         failed = failed_gates(report)
         if failed:

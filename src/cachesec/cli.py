@@ -16,7 +16,8 @@ Verbs:
 Each verb builds the columns and rows of one table, one pool task per
 (sweep point, cell); main checks the sweep axis against the axes the verb
 accepts (_COMMANDS) and writes the table. cop-sweep, sop-sweep and
-validate draw their cells from one evaluator table per outage kind. A
+validate draw their cells from one evaluator table per outage kind; a
+point's analytic column is one task, in an outage.shared_pass. A
 throughput or caching power sweep inverts the beamforming and partition SOPs
 once per table, before the pool starts (rates.power_sweep_roots).
 
@@ -270,11 +271,8 @@ def write_table(out, command: str, scn: Scenario, columns: list[str],
 
 def _map_points(fn, scn: Scenario, cells: int) -> list:
     """Rows fn(i, v, j) for every cell j < cells of every sweep point
-    v = scn.sweep_points[i], in point order, then cell order.
-
-    Each (point, cell) pair is one pool task, so the cells of a costly
-    point are shared between the worker threads.
-    """
+    v = scn.sweep_points[i], in point order, then cell order, one pool task
+    each: the cells of a costly point share the worker threads."""
     tasks = [(i, v, j) for i, v in enumerate(scn.sweep_points)
              for j in range(cells)]
     if scn.threads <= 1:
@@ -317,31 +315,39 @@ def _evaluators(kind: str, scn: Scenario) -> dict:
                            mc(bsr, independent_hops=True))}
 
 
-def _outage_cell(evaluator, params: ChannelParams, trials: int,
-                 seed: int) -> list:
-    """[analytic, mc, mc_stderr] of one evaluator at one sweep point; the
-    Monte Carlo pair is None without trials or without an estimator."""
-    _, analytic, mc = evaluator
-    row = [analytic(params).value, None, None]
-    if trials > 0 and mc is not None:
-        est = mc(params, montecarlo.McSettings(trials=trials, seed=seed))
-        row[1:] = [est.value, est.std_error]
-    return row
+def _outage_cells(scn: Scenario, cells: list) -> list:
+    """[analytic, mc, mc_stderr] of each cell (evaluator, trials, seed
+    offset) at each sweep point i, a list per point: a task per analytic
+    column, and per Monte Carlo cell, seeded scn.seed + 1000*i + offset."""
+
+    def analytic(i, ps_dbw, _):
+        params = scn.params(ps_dbw)
+        with outage.shared_pass(scn.layout(), params, scn.beta_e):
+            return [cell[0][1](params).value for cell in cells]
+
+    def sample(i, ps_dbw, j):
+        (_, _, mc), trials, offset = cells[j]
+        if trials == 0 or mc is None:
+            return None, None
+        est = mc(scn.params(ps_dbw), montecarlo.McSettings(
+            trials=trials, seed=scn.seed + 1000 * i + offset))
+        return est.value, est.std_error
+
+    mc = iter(_map_points(sample, scn, len(cells)))
+    return [[[value, *next(mc)] for value in column]
+            for column in _map_points(analytic, scn, 1)]
 
 
 def _outage_sweep(kind: str, default_trials: int, scn: Scenario):
     """The cop-sweep or sop-sweep table: one row per (power, evaluator);
     cell j of point i has seed scn.seed + 1000*i + j."""
-    evaluators = list(_evaluators(kind, scn).items())
+    evaluators = _evaluators(kind, scn)
     trials = scn.trials if scn.trials is not None else default_trials
-
-    def cell(i, ps_dbw, j):
-        name, evaluator = evaluators[j]
-        return [ps_dbw, name] + _outage_cell(
-            evaluator, scn.params(ps_dbw), trials, scn.seed + 1000 * i + j)
-
+    points = _outage_cells(scn, [(evaluator, trials, j) for j, evaluator
+                                 in enumerate(evaluators.values())])
     return (["Ps_dBw", "scheme", "analytic", "mc", "mc_stderr"],
-            _map_points(cell, scn, len(evaluators)))
+            [[v, name, *cell] for v, point in zip(scn.sweep_points, points)
+             for name, cell in zip(evaluators, point)])
 
 
 def cmd_throughput(scn: Scenario):
@@ -422,17 +428,15 @@ def cmd_validate(scn: Scenario):
         cells += [(metric, evaluators[name], trials, offset + k)
                   for k, name in enumerate(_VALIDATED[metric])]
 
-    def cell(i, ps_dbw, j):
-        metric, evaluator, trials, offset = cells[j]
-        an, mc, stderr = _outage_cell(evaluator, scn.params(ps_dbw), trials,
-                                      scn.seed + 1000 * i + offset)
-        # the binomial error of the analytic value: the empirical one is 0
-        # when no outage was drawn
-        sigma = max(math.sqrt(max(an * (1.0 - an), 0.0) / trials), stderr)
-        return [ps_dbw, metric, evaluator[0].value, an, mc, stderr,
-                int(abs(an - mc) <= 3.0 * sigma + 1e-12)]
-
-    rows = _map_points(cell, scn, len(cells))
+    rows = []
+    for ps_dbw, point in zip(scn.sweep_points, _outage_cells(
+            scn, [cell[1:] for cell in cells])):
+        for (metric, evaluator, trials, _), (an, mc, stderr) in zip(cells, point):
+            # the binomial error of the analytic value: the empirical one
+            # is 0 when no outage was drawn
+            sigma = max(math.sqrt(max(an * (1.0 - an), 0.0) / trials), stderr)
+            rows.append([ps_dbw, metric, evaluator[0].value, an, mc, stderr,
+                         int(abs(an - mc) <= 3.0 * sigma + 1e-12)])
     print(f"validate: {sum(row[-1] for row in rows)}/{len(rows)} cells "
           f"within 3 sigma", file=sys.stderr)
     return (["Ps_dBw", "metric", "scheme", "analytic", "mc", "mc_stderr",

@@ -35,7 +35,7 @@ import numpy as np
 
 from .channel import ChannelParams, SchemeId, dist_pow_neg
 from .layout import NetworkLayout, distance
-from .outage import METHOD_MC, OutageEstimate, sop_guards, trunc_radius
+from .outage import OutageEstimate, sop_guards, trunc_radius
 
 COP_CHUNK = 1 << 16
 SOP_CHUNK = 1 << 11
@@ -91,7 +91,7 @@ def _run_chunks(worker, sizes, seed: int) -> int:
 
 def _binomial_estimate(failures: int, trials: int) -> OutageEstimate:
     p = failures / trials
-    return OutageEstimate(p, METHOD_MC, math.sqrt(p * (1.0 - p) / trials))
+    return OutageEstimate(p, math.sqrt(p * (1.0 - p) / trials))
 
 
 def mc_cop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
@@ -262,8 +262,7 @@ def mc_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
     floats on average.
     """
     scheme = SchemeId(scheme)
-    guard = sop_guards(params, beta_e, METHOD_MC)
-    if guard is not None:
+    if (guard := sop_guards(params, beta_e)) is not None:
         return guard
     lam = params.lambda_e
     test = _FieldTest(scheme, layout, params, beta_e)

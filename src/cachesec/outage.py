@@ -25,7 +25,8 @@ Clenshaw-Curtis in radius, the periodic trapezoid rule in angle (Trefethen
 node of the same points gives the coarser grid that certifies the value.
 Where every live transmitter shares one exact x or one exact y coordinate
 (every line layout), the reflection across that line maps each grid onto
-itself, and only one angle of each mirror pair is read.
+itself, and only one angle of each mirror pair is read. The beamforming
+and partition SOPs, K Ps on the same SBSs, share a pass in shared_pass.
 
 Each SOP's inverse lives beside it: BreachKernel.root (Newton steps in
 log(beta_e) on the kernel's derivative in log(beta_e)), which returns the
@@ -36,6 +37,8 @@ bsr_approx_threshold, for the rate design in `rates`.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -44,11 +47,6 @@ import numpy as np
 
 from .channel import ChannelParams, SchemeId, dist_pow_neg
 from .layout import NetworkLayout
-
-METHOD_EXACT = "analytic-exact"
-METHOD_ASYMPTOTIC = "analytic-asymptotic"
-METHOD_APPROX = "analytic-approx"
-METHOD_MC = "monte-carlo"
 
 # Beamforming COP inversion (see _amplitude_sum_cdf): even trapezoid node
 # count and relative certification tolerance; saddle search grid, contour
@@ -92,7 +90,7 @@ EXP_FLOOR = -700.0
 
 @dataclass(frozen=True)
 class OutageEstimate:
-    """A COP or SOP value together with how it was obtained.
+    """A COP or SOP value, its standard error and its flag.
 
     std_error is zero for deterministic methods. flag marks special
     conditions: "clamped" (asymptote exceeded 1 and was clipped),
@@ -102,7 +100,6 @@ class OutageEstimate:
     """
 
     value: float
-    method: str
     std_error: float = 0.0
     flag: str | None = None
 
@@ -219,14 +216,13 @@ def cop_dbf_exact(layout: NetworkLayout, params: ChannelParams,
         raise ValueError("beta_t must be nonnegative")
     c = beta_t / params.Ps
     if c == 0.0:
-        return OutageEstimate(0.0, METHOD_EXACT)
+        return OutageEstimate(0.0)
     ra = layout.sbs_distances() ** params.alpha
     if layout.K == 1:
-        return OutageEstimate(min(-math.expm1(-c * float(ra[0])), 1.0),
-                              METHOD_EXACT)
+        return OutageEstimate(min(-math.expm1(-c * float(ra[0])), 1.0))
     value, delta = _amplitude_sum_cdf(ra ** -0.5, math.sqrt(c))
     flag = None if delta <= COP_CERT_TOL else "quadrature-unconverged"
-    return OutageEstimate(value, METHOD_EXACT, flag=flag)
+    return OutageEstimate(value, flag=flag)
 
 
 def dbf_log_asymptote(layout: NetworkLayout, params: ChannelParams,
@@ -254,8 +250,8 @@ def cop_dbf_asymptotic(layout: NetworkLayout, params: ChannelParams,
         raise ValueError("beta_t must be nonnegative")
     log_value = dbf_log_asymptote(layout, params, beta_t)
     if log_value > 0.0:
-        return OutageEstimate(1.0, METHOD_ASYMPTOTIC, flag="clamped")
-    return OutageEstimate(math.exp(log_value), METHOD_ASYMPTOTIC)
+        return OutageEstimate(1.0, flag="clamped")
+    return OutageEstimate(math.exp(log_value))
 
 
 def decoding_branches(scheme: SchemeId, layout: NetworkLayout,
@@ -282,8 +278,7 @@ def _branch_cop(scheme: SchemeId, layout: NetworkLayout,
     ra, power = decoding_branches(scheme, layout, params)
     with np.errstate(over="ignore"):  # an overflowed product is capped
         x = np.minimum(beta_t * ra, EXACT_LOG * power) / power
-    return OutageEstimate(min(float(np.prod(-np.expm1(-x))), 1.0),
-                          METHOD_EXACT)
+    return OutageEstimate(min(float(np.prod(-np.expm1(-x))), 1.0))
 
 
 def cop_fot(layout: NetworkLayout, params: ChannelParams,
@@ -387,6 +382,11 @@ class BreachKernel:
     itself where n = 1). The terms sum to the law, each on its own breach
     disc; their slopes leave out the shares'. mirror is the angle in turns,
     0 or 1/4, of a line through every live transmitter, or None.
+
+    law(..., centres, *shared) and integral(beta_e, deriv, *shared) return
+    one result per kernel, this one's first, each with its own bits, for
+    kernels on this one's live transmitters, far-field powers and alpha:
+    one transmitter loop computes each d^-alpha and q once, on these grids.
     """
 
     links: tuple[tuple[float, tuple[complex, ...]], ...]
@@ -394,52 +394,59 @@ class BreachKernel:
     mirror: float | None = None
 
     def law(self, px: np.ndarray, py: np.ndarray, beta_e: float, deriv: bool,
-            centres: tuple[tuple[int, int], ...] = ()):
+            centres: tuple[tuple[int, int], ...] = (), *shared: BreachKernel):
         far = [power * len(tx) for power, tx in self.links]
         group = far[centres[0][0]] if centres else math.nan
         slots = {centre: j for j, centre in enumerate(centres)}
-        u, du, start, total = None, None, None, 0.0  # total: sum of q
+        start, total = None, 0.0  # start: each union so far; total: sum of q
         pick = np.empty_like(px) if centres else None  # each centre's q
-        for k, (power, tx) in enumerate(self.links):
-            if power == 0.0 or far[k] < group:
-                break  # a silent link, or past the centre's group
-            if far[k] == group and start is None:  # the union so far
-                start = (0.0, 0.0) if u is None \
-                    else (u.copy(), du.copy() if deriv else None)
-            w = None
-            for i, t in enumerate(tx):  # summed in layout order
-                d = dist_pow_neg((px - t.real) ** 2 + (py - t.imag) ** 2, self.alpha)
-                if start is not None and len(tx) > 1:
+        acc, w = ([None] * (1 + len(shared)) for _ in range(2))  # (u, du), W
+        # a step per live transmitter t, in link order: (k, i, P, n, t) of
+        # each kernel, t transmitter i of its link k of power P and n of them
+        for step in zip(*([(k, i, power, len(tx), t)
+                           for k, (power, tx) in enumerate(kernel.links)
+                           if power > 0.0 for i, t in enumerate(tx)]
+                          for kernel in (self, *shared)), strict=True):
+            k, i, _, _, t = step[0]
+            if far[k] < group:
+                break  # past the centres' group
+            if far[k] == group and start is None:  # acc's arrays stay as they are
+                start = [union or (0.0, 0.0) for union in acc]
+            d = dist_pow_neg((px - t.real) ** 2 + (py - t.imag) ** 2, self.alpha)
+            q = None  # t's share: p_k of a link where t is alone, if any
+            for j, (_, i_j, power, n, _) in enumerate(step):
+                w[j] = d if i_j == 0 else w[j] + d  # summed in layout order
+                if i_j + 1 < n:
+                    continue
+                p = -(beta_e / power) / w[j]  # may reach -inf or nan: see integral
+                if deriv:  # the exponent's slope, 0 where the floor binds
+                    a = p.copy() if p.min() > EXP_FLOOR \
+                        else np.where(p > EXP_FLOOR, p, 0.0)
+                np.exp(np.fmax(p, EXP_FLOOR, out=p), out=p)
+                q = p if q is None and n == 1 else q
+                dp = np.multiply(a, p, out=a) if deriv else None
+                if acc[j] is not None:  # the union with the links before
+                    if deriv:  # du (1 - p) + dp (1 - u)
+                        dp = np.multiply(dp, 1.0 - acc[j][0], out=dp) \
+                            + acc[j][1] * (1.0 - p)
+                    v = 1.0 - acc[j][0]
+                    p = np.add(np.multiply(v, p, out=v), acc[j][0], out=v)
+                acc[j] = p, dp
+            if start is not None:
+                if q is None:
                     q = np.exp(np.fmax(-(beta_e / far[k]) / d, EXP_FLOOR))
-                    total = total + q
-                    if (k, i) in slots:
-                        pick[slots[k, i]] = q[slots[k, i]]
-                w = d if w is None else np.add(w, d, out=w)
-            p = -(beta_e / power) / w  # may reach -inf or nan: see integral
-            if deriv:  # the exponent's slope, 0 where the floor binds
-                a = p.copy() if p.min() > EXP_FLOOR \
-                    else np.where(p > EXP_FLOOR, p, 0.0)
-            np.exp(np.fmax(p, EXP_FLOOR, out=p), out=p)
-            if start is not None and len(tx) == 1:
-                total = total + p
-                if (k, 0) in slots:
-                    pick[slots[k, 0]] = p[slots[k, 0]]
-            dp = np.multiply(a, p, out=a) if deriv else None
-            if u is None:  # the first link's values, updated in place below
-                u, du = p, dp
-                continue
-            if deriv:
-                du *= 1.0 - p
-                du += dp * (1.0 - u)
-            p *= 1.0 - u
-            u += p
-        if not centres:
-            return u, du
-        share = pick / total
-        return (u - start[0]) * share, \
-            (du - start[1]) * share if deriv else None
+                total = total + q
+                if (k, i) in slots:
+                    pick[slots[k, i]] = q[slots[k, i]]
+        d = w = q = a = None  # free the pass before the shares
+        if centres:
+            share = pick / total
+            acc = [((u - s) * share, (du - ds) * share if deriv else None)
+                   for (u, du), (s, ds) in zip(acc, start)]
+        return acc if shared else acc[0]
 
-    def integral(self, beta_e: float, deriv: bool = False):
+    def integral(self, beta_e: float, deriv: bool = False,
+                 *shared: BreachKernel):
         """Breach integral on the two levels of _nested_rules, finest first,
         and its log(beta_e)-derivative when deriv is set (ignoring the radii's
         dependence on beta_e): the sum of the live transmitters' terms, each
@@ -453,7 +460,7 @@ class BreachKernel:
         centres = [(power * len(tx), (k, i), t.real, t.imag)
                    for k, (power, tx) in enumerate(self.links) if power > 0.0
                    for i, t in enumerate(tx)]
-        out = np.zeros((2 if deriv else 1, 2))
+        out = np.zeros((1 + len(shared), 2 if deriv else 1, 2))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for far, group in groupby(centres, lambda centre: centre[0]):
                 rmax = trunc_radius(0.0, far, beta_e, self.alpha)
@@ -463,11 +470,13 @@ class BreachKernel:
                     _, part, x, y = zip(*group[j:j + per_pass])
                     terms = self.law(np.add.outer(x, grid_x),
                                      np.add.outer(y, grid_y), beta_e, deriv,
-                                     part)
-                    for sums, v in zip(out, terms):
-                        sums += rmax * rmax * np.einsum(
-                            "lj,jl->l", radial, v.sum(axis=0) @ angular)
-        return (out[0], out[1]) if deriv else out[0]
+                                     part, *shared)
+                    for sums, pair in zip(out, terms if shared else [terms]):
+                        for level, v in zip(sums, pair):
+                            level += rmax * rmax * np.einsum(
+                                "lj,jl->l", radial, v.sum(axis=0) @ angular)
+        levels = [(o[0], o[1]) if deriv else o[0] for o in out]
+        return levels if shared else levels[0]
 
     def root(self, lambda_e: float, epsilon: float
              ) -> tuple[float, int, OutageEstimate]:
@@ -528,18 +537,17 @@ def breach_kernel(scheme: SchemeId, layout: NetworkLayout,
     return BreachKernel(links, params.alpha, mirror)
 
 
-def sop_guards(params: ChannelParams, beta_e: float,
-               method: str) -> OutageEstimate | None:
-    """The SOP where no integral is needed (else None), for every method."""
+def sop_guards(params: ChannelParams, beta_e: float) -> OutageEstimate | None:
+    """The SOP where no integral is needed (else None), for every SOP form."""
     if beta_e < 0.0:
         raise ValueError("beta_e must be nonnegative")
     if params.lambda_e == 0.0:
         # no eavesdroppers: nothing can breach, whatever beta_e
-        return OutageEstimate(0.0, method)
+        return OutageEstimate(0.0)
     if beta_e == 0.0:
         # zero redundancy: any eavesdropper anywhere breaches, the secrecy
         # integral diverges and the outage probability is pinned at 1
-        return OutageEstimate(1.0, method, flag="divergent")
+        return OutageEstimate(1.0, flag="divergent")
     return None
 
 
@@ -553,18 +561,38 @@ def _reported_sop(lambda_e: float, levels: np.ndarray) -> OutageEstimate:
     fine, half = -np.expm1(-lambda_e * levels)
     flag = None if abs(fine - half) <= QUAD_CERT_TOL \
         else "quadrature-unconverged"
-    return OutageEstimate(min(max(float(fine), 0.0), 1.0), METHOD_EXACT,
-                          flag=flag)
+    return OutageEstimate(min(max(float(fine), 0.0), 1.0), flag=flag)
+
+
+# The kernels of shared_pass, far-field power K Ps on the same SBSs, and
+# this thread's pass: ((layout, params, beta_e), levels not yet taken).
+_PAIR, _shared = (SchemeId.DBF, SchemeId.FOT), threading.local()
+
+
+@contextmanager
+def shared_pass(layout: NetworkLayout, params: ChannelParams, beta_e: float):
+    """Within it, on this thread, the first of sop_dbf and sop_fot at
+    (layout, params, beta_e) integrates both kernels in one pass, the other
+    takes its levels; each SOP keeps its bits. Nothing is kept on exit."""
+    _shared.point = ((layout, params, beta_e), {})
+    try:
+        yield
+    finally:
+        del _shared.point
 
 
 def _pgfl_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
               beta_e: float) -> OutageEstimate:
     """The scheme's quadrature SOP at beta_e (see _reported_sop)."""
-    guard = sop_guards(params, beta_e, METHOD_EXACT)
-    if guard is not None:
+    if (guard := sop_guards(params, beta_e)) is not None:
         return guard
-    return _reported_sop(params.lambda_e, breach_kernel(
-        scheme, layout, params).integral(beta_e))
+    key, levels = getattr(_shared, "point", (None, None))
+    if scheme not in _PAIR or key != (layout, params, beta_e):
+        levels = {scheme: breach_kernel(scheme, layout, params).integral(beta_e)}
+    elif scheme not in levels:
+        dbf, fot = (breach_kernel(s, layout, params) for s in _PAIR)
+        levels.update(zip(_PAIR, dbf.integral(beta_e, False, fot)))
+    return _reported_sop(params.lambda_e, levels.pop(scheme))
 
 
 def sop_dbf(layout: NetworkLayout, params: ChannelParams,
@@ -609,11 +637,10 @@ def sop_bsr_approx(params: ChannelParams, beta_e: float) -> OutageEstimate:
     1 - exp(-pi lambda_e Gamma(1 + 2/alpha) (Pm^(2/alpha) + Ps^(2/alpha))
     beta_e^(-2/alpha)).
     """
-    guard = sop_guards(params, beta_e, METHOD_APPROX)
-    if guard is not None:
+    if (guard := sop_guards(params, beta_e)) is not None:
         return guard
     exponent = bsr_approx_coeff(params) * beta_e ** (-2.0 / params.alpha)
-    return OutageEstimate(-math.expm1(-exponent), METHOD_APPROX)
+    return OutageEstimate(-math.expm1(-exponent))
 
 
 def bsr_approx_coeff(params: ChannelParams) -> float:

@@ -2,8 +2,10 @@ import cmath
 import dataclasses
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -47,9 +49,9 @@ def test_wiretap_code_from_rates_roundtrip():
 
 def test_outage_estimate_validation():
     with pytest.raises(ValueError):
-        OutageEstimate(1.5, "analytic-exact")
+        OutageEstimate(1.5)
     with pytest.raises(ValueError):
-        OutageEstimate(0.5, "monte-carlo", std_error=-1.0)
+        OutageEstimate(0.5, std_error=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -509,18 +511,119 @@ def test_centre_terms_sum_to_the_law(layout, Pm):
             assert np.max(np.abs(sum(parts) - whole)) <= 1e-15 * len(parts)
 
 
+def _shared_pair(layout, params, **changes):
+    return [dataclasses.replace(outage.breach_kernel(scheme, layout, params),
+                                **changes)
+            for scheme in (SchemeId.DBF, SchemeId.FOT)]
+
+
+def _assert_shared_pass_keeps_the_bits(dbf, fot, beta_e):
+    # the one transmitter loop of both kernels against each kernel's own,
+    # levels and slopes alike: a sum taken in another order moves a bit
+    for deriv in (False, True):
+        shared = dbf.integral(beta_e, deriv, fot)
+        assert len(shared) == 2
+        for kernel, levels in zip((dbf, fot), shared):
+            assert np.array_equal(np.array(levels),
+                                  np.array(kernel.integral(beta_e, deriv)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(1, 8), alpha=st.sampled_from([2.5, 3.7, 4.0, 8.0]),
+       r_s1_o=st.floats(0.1, 100.0), r_s=st.floats(0.1, 10.0),
+       ps_dbw=st.floats(-30.0, 30.0), beta_e=st.floats(0.01, 100.0))
+def test_shared_pass_gives_each_kernel_its_own_levels(K, alpha, r_s1_o, r_s,
+                                                       ps_dbw, beta_e):
+    params = ChannelParams(alpha, dbw(ps_dbw), 1.0, 1.0)
+    layout = build_line_layout(r_s1_o, r_s, K, 2.0)
+    _assert_shared_pass_keeps_the_bits(*_shared_pair(layout, params), beta_e)
+
+
+@pytest.mark.parametrize("layout, ps_dbw, mirror", [
+    # most of the spaced layout's grid points lie below e^EXP_FLOOR here
+    (build_line_layout(1.0, 2.0, 6, 2.0), -30.0, 0.0),
+    (standard_layout(8), 10.0, None),
+    (NetworkLayout(4j, tuple(complex(0.4 * k, 1.0) * (0.8 + 0.6j)
+                             for k in range(5))), 0.0, None)])
+def test_shared_pass_keeps_the_bits_at_the_floor_and_off_a_mirror(
+        layout, ps_dbw, mirror):
+    params = standard_params(Ps_dBw=ps_dbw, lambda_e=1.0)
+    dbf, fot = _shared_pair(layout, params, mirror=mirror)
+    floored, real_exp = [], np.exp
+
+    def exp(x, *args, **kwargs):
+        floored.append(np.ndim(x) > 0 and np.any(x == outage.EXP_FLOOR))
+        return real_exp(x, *args, **kwargs)
+
+    with mock.patch.object(np, "exp", exp):
+        dbf.integral(1.0, False, fot)
+    assert any(floored) == (ps_dbw == -30.0)
+    _assert_shared_pass_keeps_the_bits(dbf, fot, 1.0)
+    _assert_shared_pass_keeps_the_bits(dbf, fot, 0.3)
+
+
+def test_shared_pass_changes_no_sop_and_keeps_nothing(monkeypatch):
+    # inside shared_pass the first of sop_dbf and sop_fot evaluates both
+    # and the other takes its levels, in either order; other arguments and
+    # schemes run alone. Nothing outlives the pass, an exception included,
+    # so a later call reads the grid of its own moment
+    lay, params = standard_layout(8), standard_params(lambda_e=0.01)
+    fns = (sop_dbf, sop_fot, sop_bsr_exact)
+    alone = {fn: fn(lay, params, 1.0) for fn in fns}
+    elsewhere = sop_fot(lay, params, 2.0)
+    for order in (fns, fns[::-1]):
+        with outage.shared_pass(lay, params, 1.0):
+            assert {fn: fn(lay, params, 1.0) for fn in order} == alone
+            assert sop_fot(lay, params, 2.0) == elsewhere
+    with pytest.raises(KeyError):
+        with outage.shared_pass(lay, params, 1.0):
+            sop_dbf(lay, params, 1.0)  # leaves the partition levels
+            raise KeyError
+    monkeypatch.setattr(outage, "SOP_NODES",
+                        tuple(2 * n for n in outage.SOP_NODES))
+    doubled = sop_fot(lay, params, 1.0)
+    fot = outage.breach_kernel(SchemeId.FOT, lay, params)
+    assert doubled == outage._reported_sop(params.lambda_e, fot.integral(1.0))
+    assert doubled.value != alone[sop_fot].value
+
+
+def test_threads_each_keep_their_own_shared_pass():
+    # the pass lives on its thread: sweep points evaluated on more threads
+    # than cores, switching often, each read their own levels
+    lay = standard_layout(3)
+    points = [standard_params(Ps_dBw=ps) for ps in range(0, 31, 3)] * 3
+    alone = [(sop_dbf(lay, p, 1.0), sop_fot(lay, p, 1.0)) for p in points]
+
+    def column(params):
+        with outage.shared_pass(lay, params, 1.0):
+            return sop_fot(lay, params, 1.0), sop_dbf(lay, params, 1.0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            shared = list(pool.map(column, points, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [pair[::-1] for pair in shared] == alone
+
+
 def test_sop_peak_memory_stays_in_blocks():
     # passes of at most PASS_POINTS = 8,192 points: each float64 temporary
     # of a pass is at most 64 KiB; the traced peak at K = 8 is about 0.70 MiB
+    # for one kernel and 0.82 MiB for the shared beamforming-partition pass
     lay, params = standard_layout(8), standard_params()
     sop_fot(lay, params, 1.0)  # fill the cache of the nested rules
-    tracemalloc.start()
-    try:
-        sop_fot(lay, params, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 ** 20
+    dbf, fot = _shared_pair(lay, params)
+    for run in (lambda: sop_fot(lay, params, 1.0),
+                lambda: dbf.integral(1.0, False, fot)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20
 
 
 # The per-scheme breach laws that breach_links replaced, kept verbatim as
@@ -788,6 +891,9 @@ def test_every_vector_exp_on_the_sop_path_is_floored(monkeypatch):
     monkeypatch.setattr(np, "exp", exp)
     for fn in (sop_dbf, sop_fot, sop_bsr_exact):
         fn(lay, params, 1.0)
+    with outage.shared_pass(lay, params, 1.0):
+        sop_dbf(lay, params, 1.0)
+        sop_fot(lay, params, 1.0)
     for scheme in SchemeId:
         invert_sop(scheme, lay, params, 0.2, bsr_exact=True)
     monkeypatch.undo()
