@@ -28,10 +28,10 @@ Where every live transmitter shares one exact x or one exact y coordinate
 itself, and only one angle of each mirror pair is read. The beamforming
 and partition SOPs, K Ps on the same SBSs, share a pass in shared_pass.
 
-Each SOP's inverse lives beside it: BreachKernel.root (Newton steps in
-log(beta_e) on the kernel's derivative in log(beta_e)), which returns the
-certified SOP of the evaluation that accepted its root, and the algebraic
-bsr_approx_threshold, for the rate design in `rates`.
+Each SOP's inverse lives beside it: BreachKernel.root, Newton steps in
+log(beta_e) by bracketed_root (the one bracketed solver, also the rate
+maximizer's), returning the certified SOP that accepted the root, and the
+algebraic bsr_approx_threshold, for the rate design in `rates`.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ PASS_POINTS = 8192
 TAIL_LOG = math.log(1e12)
 QUAD_CERT_TOL = 1e-6
 SOP_INVERSION_TOL = 1e-8
-SOP_MAX_EVALS = 200  # kernel evaluations one inversion may spend
+SOP_MAX_EVALS = 200  # calls of side one bracketed_root may spend
 # Breach laws take exp(max(arg, EXP_FLOOR)): numpy's vector exp runs about
 # 150 times slower where its result is subnormal, 7 times where it is 0
 # (arguments below about -708), and e^-700 adds nothing to an integral.
@@ -360,6 +360,38 @@ def _nested_rules(n: int, n_angles: int, mirror: float | None):
         np.outer(s, np.sin(theta)), angular
 
 
+def bracketed_root(side, x: float, width: float = 0.0,
+                   top: float = math.inf) -> float:
+    """The last x tried in a search from x for the root of a falling f:
+    side(x) is None where x is accepted, else (f(x), step), step a Newton
+    step (nan where it fails) or None, for the secant step of the last two
+    points in a closed bracket that halved in two steps (Brent 1973, ch. 4).
+    Steps land strictly inside the bracket of the points tried, else an
+    open end moves out by 1, 2, 4, ... (up to top; side raises there if it
+    is below) and a closed one is bisected, down to width or one ulp of x.
+    RuntimeError after SOP_MAX_EVALS calls of side."""
+    lo, hi, reach, last, widths = -math.inf, math.inf, 1.0, None, (math.inf,) * 2
+    for _ in range(SOP_MAX_EVALS):
+        if (report := side(x)) is None:
+            return x
+        f, step = report
+        lo, hi = (x, hi) if f > 0.0 else (lo, x)  # f(lo) > 0 >= f(hi)
+        if hi - lo <= max(width, math.ulp(x)):  # ulp: no float inside
+            return x
+        secant = math.inf > hi - lo <= 0.5 * widths[0] and f != last[1]
+        if step is None:  # the secant step, in a closed, halving bracket
+            step = x - f * (x - last[0]) / (f - last[1]) if secant else math.nan
+        last, widths = (x, f), (widths[1], hi - lo)  # the last two widths
+        if lo < step < min(hi, top):
+            x = step
+        elif math.isinf(lo) or math.isinf(hi):
+            x = hi - reach if math.isinf(lo) else min(lo + reach, top)
+            reach *= 2.0
+        else:
+            x = 0.5 * (lo + hi)
+    raise RuntimeError(f"did not converge in {SOP_MAX_EVALS} evaluations")
+
+
 @dataclass(frozen=True)
 class BreachKernel:
     """Per-position breach probability over one scheme's breach links.
@@ -481,47 +513,32 @@ class BreachKernel:
     def root(self, lambda_e: float, epsilon: float
              ) -> tuple[float, int, OutageEstimate]:
         """beta_e where the reported SOP 1 - exp(-lambda_e I) is epsilon to
-        SOP_INVERSION_TOL, the kernel evaluations spent and that SOP, as
-        the quadrature SOPs report it (_reported_sop): Newton steps
-        on log I = log(-log(1 - epsilon) / lambda_e), nearly linear in
-        u = log(beta_e), bisecting in u (or doubling a move out while the
-        bracket is open) where a step leaves the bracket. RuntimeError after
-        SOP_MAX_EVALS evaluations; ArithmeticError where the next beta_e is
-        a bracket end already tried (a root among the subnormals)."""
-        a = self.alpha
+        SOP_INVERSION_TOL, the kernel evaluations spent and that SOP
+        (_reported_sop): bracketed_root in u = log(beta_e), Newton steps on
+        log I, nearly linear in u; ArithmeticError where a beta_e repeats."""
         target = math.log(-math.log1p(-epsilon) / lambda_e)  # log I at root
-        # start from the root of one transmitter at the largest far-field
-        # power P (the first link's), whose integral is
-        # pi Gamma(1 + 2/a) (P/beta_e)^(2/a)
-        u = math.log(self.links[0][0] * len(self.links[0][1])) \
-            - 0.5 * a * (target - math.log(math.pi * math.gamma(1 + 2 / a)))
-        lo, hi = -math.inf, math.inf  # SOP(e^lo) > epsilon > SOP(e^hi)
-        reach = 1.0
-        for evals in range(1, SOP_MAX_EVALS + 1):
-            beta = math.exp(u)
-            if beta in (math.exp(lo), math.exp(hi)):  # tried: it cannot move
+        tried = {}  # beta_e: its reported SOP
+
+        def side(u):
+            if (beta := math.exp(u)) in tried:
                 raise ArithmeticError(f"no float left to try beside {beta!r}")
             levels, slopes = self.integral(beta, deriv=True)
-            estimate = _reported_sop(lambda_e, levels)
+            tried[beta] = estimate = _reported_sop(lambda_e, levels)
             if abs(estimate.value - epsilon) <= SOP_INVERSION_TOL:
-                return beta, evals, estimate
+                return None
             integral, slope = float(levels[0]), float(slopes[0])
-            if estimate.value > epsilon:
-                lo = u
-            else:
-                hi = u
-            step = math.nan
-            if integral > 0.0 and slope < 0.0:
-                step = u - (math.log(integral) - target) * integral / slope
-            if lo < step < hi:
-                u = step
-            elif math.isinf(lo) or math.isinf(hi):
-                u = hi - reach if math.isinf(lo) else lo + reach
-                reach *= 2.0
-            else:
-                u = 0.5 * (lo + hi)
-        raise RuntimeError(f"SOP inversion did not converge in "
-                           f"{SOP_MAX_EVALS} evaluations (epsilon={epsilon})")
+            newton = integral > 0.0 and slope < 0.0  # else no Newton step
+            return estimate.value - epsilon, u - (math.log(integral) - target) \
+                * integral / slope if newton else math.nan
+
+        # from the root of one transmitter of the largest far-field power P
+        # (the first link's), where I = pi Gamma(1 + 2/a) (P/beta_e)^(2/a)
+        power, a = self.links[0][0] * len(self.links[0][1]), self.alpha
+        beta = math.exp(bracketed_root(side, math.log(power) - 0.5 * a * (
+            target - math.log(math.pi * math.gamma(1 + 2 / a)))))
+        if abs(tried[beta].value - epsilon) > SOP_INVERSION_TOL:  # no float
+            raise ArithmeticError(f"no float left to try beside {beta!r}")
+        return beta, len(tried), tried[beta]
 
 
 def breach_kernel(scheme: SchemeId, layout: NetworkLayout,

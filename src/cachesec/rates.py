@@ -14,11 +14,11 @@ and eta is 1 except for the relaying scheme, whose two hops halve the
 effective rate. Each scheme's 1 - COP and its beta_s-derivative are written
 once, as one SuccessLaw evaluation that the curve and the maximizer share.
 
-The SOP roots live in `outage`, beside the SOPs they invert; invert_sop
-picks the root and records it with the SOP that accepted it. Both breach
-laws of the beamforming and partition SOPs are exp(-(beta_e/P)/W), P = Ps
-or K Ps, and their grids read P/beta_e: they depend on beta_e/Ps alone, so
-a power sweep inverts them once and scales the root (power_sweep_roots).
+The SOP roots live in `outage` beside the SOPs they invert, as does their
+solver bracketed_root, the maximizer's too; invert_sop picks the root. The
+beamforming and partition breach laws are exp(-(beta_e/P)/W), P = Ps or
+K Ps, and their grids read P/beta_e: they depend on beta_e/Ps alone, so a
+power sweep inverts them once and scales the root (power_sweep_roots).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .layout import NetworkLayout
 from . import outage
 
 _LN2 = math.log(2.0)
+_LOG_MAX = math.log(np.finfo(float).max)  # e^_LOG_MAX is a float
 
 
 @dataclass(frozen=True)
@@ -241,44 +242,26 @@ def secrecy_throughput_curve(scheme: SchemeId, layout: NetworkLayout,
     return float(psi) if np.ndim(beta_s) == 0 else psi
 
 
-def _expand_bracket(deriv) -> tuple[float, float]:
-    """Double hi from 1 until the objective stops rising there, at most up
-    to the largest float, 2^1023; a zero derivative also ends the search
-    (past the peak an objective can underflow to a flat zero, which still
-    brackets the maximum). Returns (lo, hi), lo = hi/2 where it still rose,
-    or 0."""
-    lo, hi = 0.0, 1.0
-    while hi < math.inf:
-        if deriv(hi) <= 0.0:
-            return lo, hi
-        lo, hi = hi, 2.0 * hi
-    raise RuntimeError("the throughput optimum lies beyond the float range")
-
-
-def _maximize(law: SuccessLaw) -> tuple[float, float]:
-    """beta_s* maximizing the law's throughput, 0 if decoding fails at
-    b = 0, and the success there. psi rises then falls: the one sign change
-    of its derivative is bracketed by doubling and bisected down to
-    adjacent floats, with one law evaluation per point."""
-    success = {0.0: law.at(0.0)[0]}
-    if success[0.0] <= 0.0:
-        return 0.0, success[0.0]
-
-    def deriv(b):  # d psi / d b times ln(2) / eta
-        success[b], slope = law.at(b)
-        return slope * math.log1p(b) + success[b] / (1.0 + b)
-
-    lo, hi = _expand_bracket(deriv)
-    # at most about 2,100 halvings of [0, 2^1023], where lo + hi overflows
-    while lo < (b := 0.5 * lo + 0.5 * hi) < hi:
-        lo, hi = (b, hi) if deriv(b) > 0.0 else (lo, b)
-    return b, success[b]  # b is lo or hi: 0 or a point deriv evaluated
-
-
 def _design(scheme, layout, params, beta_e_circ) -> RateDesign:
+    """The design at the beta_s* maximizing the law's throughput (0 if
+    decoding fails at b = 0): outage.bracketed_root finds the sign change
+    of d psi / d b in u = log(b), from b = 1 to a width of 1e-13."""
     law = _LAWS[scheme](layout, params, beta_e_circ)
-    b, success = _maximize(law)
-    return RateDesign(scheme, beta_e_circ, b, float(law.psi(success, b)))
+    success = {0.0: law.at(0.0)[0]}
+
+    def side(u):  # d psi / d b times ln(2) / eta, at b = e^u
+        if (b := math.exp(u)) in success:  # 0, where psi rises, or no new b
+            return (float(success[b]), None) if b == 0.0 else None
+        success[b], slope = law.at(b)
+        deriv = float(slope * math.log1p(b) + success[b] / (1.0 + b))
+        if deriv > 0.0 and u == _LOG_MAX:
+            raise RuntimeError("the throughput optimum lies beyond the float "
+                               "range")
+        return deriv, None
+
+    b = 0.0 if success[0.0] <= 0.0 else math.exp(
+        outage.bracketed_root(side, 0.0, 1e-13, _LOG_MAX))
+    return RateDesign(scheme, beta_e_circ, b, float(law.psi(success[b], b)))
 
 
 def opt_bs_dbf(layout: NetworkLayout, params: ChannelParams,

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import wofz
 
 from cachesec import (ChannelParams, NetworkLayout, OutageEstimate,
@@ -899,3 +899,64 @@ def test_every_vector_exp_on_the_sop_path_is_floored(monkeypatch):
     monkeypatch.undo()
     assert len(lowest) > 100
     assert min(lowest) >= outage.EXP_FLOOR
+
+
+# falling functions f(x - r) with a root at 0 and their derivatives: a
+# shifted cubic, a tanh, and one that reaches 0 and stays flat past its root.
+# The tanh is wide enough that a Newton step from its tail (2 sinh(z/2)
+# long) leaves fewer than SOP_MAX_EVALS halvings to the root; bisecting
+# down from a step of 1e60 would not
+_FALLING = {
+    "cubic": (lambda z: -z ** 3 - 0.1 * z, lambda z: -3.0 * z * z - 0.1),
+    "tanh": (lambda z: -math.tanh(z / 4.0),
+             lambda z: -0.25 * (1.0 - math.tanh(z / 4.0) ** 2)),
+    "flat": (lambda z: max(-z, 0.0), lambda z: -1.0 if z < 0.0 else 0.0)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.sampled_from(sorted(_FALLING)), newton=st.booleans(),
+       r=st.floats(-1500.0, 1500.0), start=st.floats(-40.0, 40.0),
+       width=st.sampled_from([0.0, 1e-13, 1e-9, 1e-3]),
+       accept=st.sampled_from([0.0, 1e-12, 1e-6]),
+       top=st.one_of(st.just(math.inf), st.floats(0.0, 40.0)),
+       cap=st.integers(1, 8))
+def test_bracketed_root(shape, newton, r, start, width, accept, top, cap):
+    # starts on either side of the root, so that either end is open first;
+    # every x tried lies strictly inside the bracket of those before it (no
+    # step outside it is taken) and no higher than top, none twice, and the
+    # result is accepted or an end of a bracket at most width or one ulp
+    # of it wide; under a smaller SOP_MAX_EVALS, RuntimeError after
+    # exactly that many calls. Past 512, 1e-13 is below one ulp. With
+    # neither width nor acceptance the one stop is adjacent floats, some
+    # 700 halvings next to a root of 1e-200
+    assume(width or accept)
+    f, df = _FALLING[shape]
+    top = r + top  # at or above the root
+    tried, accepted = [], []
+
+    def side(x):
+        lo = max([t for t, v in tried if v > 0.0], default=-math.inf)
+        hi = min([t for t, v in tried if v <= 0.0], default=math.inf)
+        assert lo < x < hi and x <= top and x not in dict(tried)
+        value = f(x - r)
+        tried.append((x, value))
+        if 0.0 < abs(value) <= accept:  # 0 is past the root, as a flat tail
+            accepted.append(x)
+            return None
+        slope = df(x - r)
+        return value, (x - value / slope if slope else math.nan) \
+            if newton else None
+
+    x = outage.bracketed_root(side, min(start, top), width, top)
+    calls = len(tried)
+    lo = max([t for t, v in tried if v > 0.0], default=-math.inf)
+    hi = min([t for t, v in tried if v <= 0.0], default=math.inf)
+    assert x == tried[-1][0]
+    assert accepted == [x] or not accepted and x in (lo, hi) \
+        and hi - lo <= max(width, math.ulp(x))
+    if cap < calls:
+        tried.clear()
+        with mock.patch.object(outage, "SOP_MAX_EVALS", cap):
+            with pytest.raises(RuntimeError, match=f"converge in {cap} "):
+                outage.bracketed_root(side, min(start, top), width, top)
+        assert len(tried) == cap

@@ -108,6 +108,64 @@ def test_invert_sop_evaluations_on_the_alpha_8_stress_case():
         assert root.residual <= SOP_INVERSION_TOL
 
 
+# invert_sop(..., bsr_exact=True) pinned to the float: scheme, layout, K,
+# alpha, Ps and Pm in dBw, lambda_e, epsilon, then the root, its evaluations
+# and its certificate flag. Every scheme on K = 1, 3 and 8, alpha = 2.5, 4 and
+# 8 and Ps = -30, 0 and 30 dBw; the flagged K = 8, epsilon = 0.5 beamforming
+# root; the spaced alpha = 8 stress case; a near-silent MBS; subnormal roots
+_PINNED_LAYOUTS = {"standard": standard_layout,
+                   "spaced": lambda K: build_line_layout(1.0, 2.0, K, 2.0),
+                   "subnormal": lambda K: build_line_layout(1.0, 1.0, K, 1.0)}
+_DBF, _FOT, _BSR = SchemeId.DBF, SchemeId.FOT, SchemeId.BSR
+_PINNED_ROOTS = [
+    (_DBF, 'standard', 1, 2.5, -30, 0.0, 0.1, 0.2, '0x1.6fd6c2f7aa3d5p-10', 1, None),
+    (_FOT, 'standard', 1, 2.5, -30, 0.0, 0.1, 0.2, '0x1.6fd6c2f7aa3d5p-10', 1, None),
+    (_BSR, 'standard', 1, 2.5, -30, 0.0, 0.1, 0.2, '0x1.690169ce67c13p+0', 2, None),
+    (_DBF, 'standard', 1, 4.0, 0, 0.0, 0.1, 0.2, '0x1.8e87a791d40a7p+0', 1, None),
+    (_FOT, 'standard', 1, 4.0, 0, 0.0, 0.1, 0.2, '0x1.8e87a791d40a7p+0', 1, None),
+    (_BSR, 'standard', 1, 4.0, 0, 0.0, 0.1, 0.2, '0x1.8e87a13f9be01p+2', 3, None),
+    (_DBF, 'standard', 1, 8.0, 30, 0.0, 0.1, 0.2, '0x1.4b7ab692ac59ep+11', 1, None),
+    (_FOT, 'standard', 1, 8.0, 30, 0.0, 0.1, 0.2, '0x1.4b7ab692ac59ep+11', 1, None),
+    (_BSR, 'standard', 1, 8.0, 30, 0.0, 0.1, 0.2, '0x1.3ef915006daa4p+12', 2, None),
+    (_DBF, 'standard', 3, 2.5, 0, 0.0, 0.1, 0.2, '0x1.562e84909558ap+2', 3, None),
+    (_FOT, 'standard', 3, 2.5, 0, 0.0, 0.1, 0.2, '0x1.6fb3790f2aa9dp+3', 4, None),
+    (_BSR, 'standard', 3, 2.5, 0, 0.0, 0.1, 0.2, '0x1.ab17842b41f9fp+1', 4, None),
+    (_DBF, 'standard', 3, 4.0, 30, 0.0, 0.1, 0.2, '0x1.0cb90906cf90dp+13', 4, None),
+    (_FOT, 'standard', 3, 4.0, 30, 0.0, 0.1, 0.2, '0x1.4d797dc3103c7p+14', 4, None),
+    (_BSR, 'standard', 3, 4.0, 30, 0.0, 0.1, 0.2, '0x1.9e316b2cb840bp+10', 2, None),
+    (_DBF, 'standard', 3, 8.0, -30, 0.0, 0.1, 0.2, '0x1.ab014ed6756c7p-5', 4, 'quadrature-unconverged'),
+    (_FOT, 'standard', 3, 8.0, -30, 0.0, 0.1, 0.2, '0x1.2e3f7caa4c946p-3', 4, 'quadrature-unconverged'),
+    (_BSR, 'standard', 3, 8.0, -30, 0.0, 0.1, 0.2, '0x1.46a0da1d1c548p+2', 2, None),
+    (_DBF, 'standard', 8, 2.5, 30, 0.0, 0.1, 0.2, '0x1.72debf4a6aff2p+14', 4, 'quadrature-unconverged'),
+    (_FOT, 'standard', 8, 2.5, 30, 0.0, 0.1, 0.2, '0x1.f30ba87ac231ap+16', 3, None),
+    (_BSR, 'standard', 8, 2.5, 30, 0.0, 0.1, 0.2, '0x1.608b61539152ap+10', 2, None),
+    (_DBF, 'standard', 8, 4.0, -30, 0.0, 0.1, 0.2, '0x1.7ae85ab8b3325p-4', 4, None),
+    (_FOT, 'standard', 8, 4.0, -30, 0.0, 0.1, 0.2, '0x1.41de444987695p-1', 4, None),
+    (_BSR, 'standard', 8, 4.0, -30, 0.0, 0.1, 0.2, '0x1.a822387fb687ep+0', 2, None),
+    (_DBF, 'standard', 8, 8.0, 0, 0.0, 0.1, 0.2, '0x1.d030ddfbae57ep+12', 4, 'quadrature-unconverged'),
+    (_FOT, 'standard', 8, 8.0, 0, 0.0, 0.1, 0.2, '0x1.c21b14b8d7b99p+15', 4, 'quadrature-unconverged'),
+    (_BSR, 'standard', 8, 8.0, 0, 0.0, 0.1, 0.2, '0x1.536f5281b67bfp+5', 3, None),
+    (_DBF, 'standard', 8, 2.5, 10, 0.0, 0.1, 0.5, '0x1.5f4fbd4ad1d75p+5', 4, 'quadrature-unconverged'),
+    (_DBF, 'spaced', 6, 8.0, 0, 0.0, 1000.0, 0.5, '0x1.47dbebdefdac5p+58', 2, None),
+    (_FOT, 'spaced', 6, 8.0, 0, 0.0, 1000.0, 0.5, '0x1.ebc9e1cea3465p+60', 2, None),
+    (_BSR, 'spaced', 6, 8.0, 0, 0.0, 1000.0, 0.5, '0x1.030c947102d48p+52', 2, None),
+    (_BSR, 'standard', 3, 8.0, -30, -3000, 1.0, 0.2, '0x1.a84b2722244acp+4', 1, None),
+    (_DBF, 'subnormal', 14, 8.0, -2900, 0.0, 1e-06, 0.2, '0x0.2aded45538335p-1022', 2, None),
+    (_FOT, 'subnormal', 14, 8.0, -2900, 0.0, 1e-06, 0.2, '0x0.c50f3de56d027p-1022', 3, None),
+]
+
+
+@pytest.mark.parametrize("scheme, layout, K, alpha, ps_dbw, pm_dbw, lambda_e, "
+                         "epsilon, root, evals, flag", _PINNED_ROOTS)
+def test_invert_sop_pinned_roots(scheme, layout, K, alpha, ps_dbw, pm_dbw,
+                                 lambda_e, epsilon, root, evals, flag):
+    params = ChannelParams(alpha=alpha, Ps=10.0 ** (ps_dbw / 10.0),
+                           Pm=10.0 ** (pm_dbw / 10.0), lambda_e=lambda_e)
+    got = invert_sop(scheme, _PINNED_LAYOUTS[layout](K), params, epsilon,
+                     bsr_exact=True)
+    assert (float(got).hex(), got.evals, got.cert_flag) == (root, evals, flag)
+
+
 @pytest.mark.parametrize("alpha", [8.0, 15.0, 30.0])
 def test_invert_sop_with_a_near_silent_mbs(alpha):
     # Pm = 1e-300 (-3000 dBw): the MBS hop's exponent, about -1e305 on the
@@ -429,7 +487,8 @@ def test_opt_bs_fot_unbounded_bracket_raises(monkeypatch):
 def test_rate_design_evaluates_each_point_once(monkeypatch):
     # the maximizer reads the success and its slope from one law call, and
     # psi* from the law it maximized: every callable of each law records
-    # its b, and no design passes the same b twice
+    # its b, no design passes the same b twice, and none needs more than
+    # 40 (bisecting to adjacent floats took 55-64)
     seen = []
 
     def recorded(f):
@@ -456,7 +515,7 @@ def test_rate_design_evaluates_each_point_once(monkeypatch):
                 design = getattr(rates, f"opt_bs_{scheme.value}")(
                     lay, params, beta_e_circ)
                 assert design.beta_s_star in seen
-                assert len(seen) == len(set(seen)) > 2
+                assert 40 >= len(seen) == len(set(seen)) > 2
 
 
 def test_scheme_throughput_records_inversion():
