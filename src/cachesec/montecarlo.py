@@ -1,10 +1,11 @@
 """Monte Carlo estimators for every outage probability.
 
 These are the independent cross-checks for the analytic module. Trials are
-split into fixed-size chunks; each chunk owns a child seed spawned from the
-run seed and the chunk counts are summed in chunk order on the calling
-thread, so an estimate is bit-identical across runs. (The CLI's worker pool
-runs one estimate per table cell.)
+split into fixed-size chunks; each chunk draws from the next child seed
+spawned from the run seed, one child as the run reaches it, and the chunk
+counts are summed in chunk order on the calling thread, so an estimate is
+bit-identical across runs and its memory does not grow with the trial
+count. (The CLI's worker pool runs one estimate per table cell.)
 
 Each scheme's secrecy test reads one hop table, `_FieldTest.hops`: one entry
 (power, transmitter xs, ys, d_max) per link an eavesdropper may decode. Most
@@ -54,16 +55,13 @@ class McSettings:
 
     Eavesdroppers are drawn on the disc of the analytic truncation radius.
     independent_hops redraws the eavesdropper field between the two relaying
-    hops (matching the layout-free closed form). bsr_serving picks how the
-    relaying SBS is chosen: "fading" follows the actual channel draw,
-    "nearest" pins it to the SBS closest to the user like the analytic
-    evaluator does.
+    hops (matching the layout-free closed form). A relaying trial always
+    serves from the SBS with the strongest faded channel.
     """
 
     trials: int
     seed: int
     independent_hops: bool = False
-    bsr_serving: str = "fading"
 
     def __post_init__(self):
         # bool is an int, and trials=True would run one trial
@@ -73,23 +71,15 @@ class McSettings:
             raise ValueError("trials must be a positive integer")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.bsr_serving not in ("fading", "nearest"):
-            raise ValueError("bsr_serving must be 'fading' or 'nearest'")
 
 
-def _chunk_plan(trials: int, chunk: int) -> list[int]:
-    sizes = [chunk] * (trials // chunk)
-    if trials % chunk:
-        sizes.append(trials % chunk)
-    return sizes
-
-
-def _run_chunks(worker, sizes, seed: int) -> int:
-    seqs = np.random.SeedSequence(seed).spawn(len(sizes))
-    return int(sum(worker(n, s) for n, s in zip(sizes, seqs)))
-
-
-def _binomial_estimate(failures: int, trials: int) -> OutageEstimate:
+def _estimate(worker, trials: int, chunk: int, seed: int) -> OutageEstimate:
+    """The failure fraction of worker(n, seq) over chunks of at most `chunk`
+    trials, each seeded by the next child of the run seed (`spawn(1)` hands
+    out the children of one `spawn(m)` in order), summed in chunk order."""
+    root = np.random.SeedSequence(seed)
+    failures = sum(worker(min(chunk, trials - start), root.spawn(1)[0])
+                   for start in range(0, trials, chunk))
     p = failures / trials
     return OutageEstimate(p, math.sqrt(p * (1.0 - p) / trials))
 
@@ -130,9 +120,7 @@ def mc_cop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
             combine(fail, power * g[:, k] * r_neg[k] < beta_t, out=fail)
         return int(fail.sum())
 
-    failures = _run_chunks(worker, _chunk_plan(settings.trials, COP_CHUNK),
-                           settings.seed)
-    return _binomial_estimate(failures, settings.trials)
+    return _estimate(worker, settings.trials, COP_CHUNK, settings.seed)
 
 
 def _disc_draws(rng, lam, n_real, r_sq):
@@ -284,12 +272,9 @@ def mc_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
 
     def worker(n: int, seq) -> int:
         rng = np.random.default_rng(seq)
-        kstar = None
-        if relaying:
-            if settings.bsr_serving == "fading":
-                kstar = np.argmax(rng.standard_exponential((n, K)) * r_neg, axis=1)
-            else:
-                kstar = np.zeros(n, dtype=int)
+        # the serving SBS of each relaying trial: its strongest faded channel
+        kstar = np.argmax(rng.standard_exponential((n, K)) * r_neg,
+                          axis=1) if relaying else None
         out = np.zeros(n, dtype=bool)
         for hops in fields:
             counts, u, u_ang = _disc_draws(rng, lam, n, r_sq)
@@ -306,6 +291,4 @@ def mc_sop(scheme: SchemeId, layout: NetworkLayout, params: ChannelParams,
             out[owner[test.breaches(px, py, idx, fades, serving, hops)]] = True
         return int(out.sum())
 
-    failures = _run_chunks(worker, _chunk_plan(settings.trials, SOP_CHUNK),
-                           settings.seed)
-    return _binomial_estimate(failures, settings.trials)
+    return _estimate(worker, settings.trials, SOP_CHUNK, settings.seed)

@@ -640,8 +640,10 @@ def sop_bsr_exact(layout: NetworkLayout, params: ChannelParams,
     A position breaches if it decodes either the MBS backhaul hop or the
     serving-SBS hop. The serving SBS is fixed to the nearest one here: the
     true selection depends on fading, but the integrand only uses the SBS
-    position and the nearest SBS is the modal choice. The Monte Carlo module
-    keeps the fading-dependent selection so the gap can be measured.
+    position and the nearest SBS is the modal choice. It reads no other SBS,
+    so Monte Carlo referees it on `NetworkLayout(layout.mbs, layout.sbs[:1])`
+    (the same bits), where fading has no other SBS to serve from, and
+    measures the gap on the full layout.
     """
     return _pgfl_sop(SchemeId.BSR, layout, params, beta_e)
 

@@ -15,7 +15,9 @@ is or on how the plane is turned, which the Monte Carlo estimates show in
 distribution. Power scaling also moves the beamforming and partition SOP
 roots by the factor c. One transmitter alone (K = 1, or relaying without
 backhaul) has the closed-form SOP 1 - exp(-lambda_e pi Gamma(1 + 2/alpha)
-(P / beta_e)^(2/alpha)) wherever it stands.
+(P / beta_e)^(2/alpha)) wherever it stands. The shared-field relaying SOP
+and its root are the same bits on a layout and on the layout of its
+nearest SBS alone.
 """
 
 import cmath
@@ -103,12 +105,13 @@ def test_sbs_order(K, alpha, ps):
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_monte_carlo_sop_translation(scheme):
     # moving the user from 1 to 10 away from the nearest SBS moves no
-    # transmitter relative to another; relaying serves from the nearest
-    # SBS, as fading-chosen serving depends on where the user is
+    # transmitter relative to another; relaying runs on one SBS, as the
+    # SBS that fading serves from depends on where the user is
     params = ChannelParams(alpha=4.0, Ps=10.0, Pm=1.0, lambda_e=0.1)
+    K = 1 if scheme is SchemeId.BSR else 3
     near, far = [
-        mc_sop(scheme, build_line_layout(r, 0.5, 3, 2.0), params, 1.0,
-               McSettings(trials=40_000, seed=seed, bsr_serving="nearest"))
+        mc_sop(scheme, build_line_layout(r, 0.5, K, 2.0), params, 1.0,
+               McSettings(trials=40_000, seed=seed))
         for r, seed in ((1.0, 1), (10.0, 2))]
     sigma = math.hypot(near.std_error, far.std_error)
     assert 0.0 < sigma
@@ -167,6 +170,32 @@ def test_relaying_without_backhaul_is_its_single_link(geometry):
             params = ChannelParams(alpha=alpha, Ps=ps, Pm=0.0, lambda_e=0.1)
             assert sop_bsr_exact(layout, params, 1.0).value == pytest.approx(
                 _single_link_sop(alpha, ps, 0.1), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("geometry", [(K, r_s) for r_s in (0.5, 2.0)
+                                      for K in (1, 2, 3, 5, 8)] + ["turned"])
+def test_relaying_sop_reads_the_nearest_sbs_alone(geometry):
+    # the shared-field relaying SOP serves from the nearest SBS, so it and
+    # its root are the same bits on the layout of that SBS alone, where
+    # fading-served Monte Carlo has no other SBS to pick; the turned layout
+    # shares no x or y, so neither of its kernels folds
+    if geometry == "turned":
+        line, spin = build_line_layout(1.0, 0.5, 3, 2.0), cmath.rect(1.0, 0.3)
+        layout = NetworkLayout(mbs=line.mbs * spin,
+                               sbs=tuple(p * spin for p in line.sbs))
+    else:
+        layout = build_line_layout(1.0, geometry[1], geometry[0], 2.0)
+    alone = NetworkLayout(layout.mbs, layout.sbs[:1])
+    for pm in (0.0, 1e-300, 1.0, 100.0):
+        for ps in (0.1, 10.0, 1e3):
+            params = ChannelParams(alpha=4.0, Ps=ps, Pm=pm, lambda_e=0.1)
+            assert sop_bsr_exact(alone, params, 1.0) \
+                == sop_bsr_exact(layout, params, 1.0), (pm, ps)
+            roots = {(r.hex(), r.evals, r.residual, r.cert_flag)
+                     for r in (invert_sop(SchemeId.BSR, lay, params, 0.2,
+                                          bsr_exact=True)
+                               for lay in (alone, layout))}
+            assert len(roots) == 1, (pm, ps, roots)
 
 
 @pytest.mark.parametrize("ps_dbw", [-10.0, 20.0])

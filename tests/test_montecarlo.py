@@ -1,13 +1,15 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cachesec import (ChannelParams, McSettings, SchemeId, build_line_layout,
-                      mc_cop, mc_sop, outage, sop_bsr_approx)
-from cachesec.montecarlo import BANDS, _FieldTest, _xy
+from cachesec import (ChannelParams, McSettings, NetworkLayout, SchemeId,
+                      build_line_layout, mc_cop, mc_sop, outage,
+                      sop_bsr_approx)
+from cachesec.montecarlo import BANDS, _estimate, _FieldTest, _xy
 from helpers import (COP, sop, standard_layout, standard_params,
                      within_3_sigma)
 
@@ -17,8 +19,6 @@ def test_settings_validation():
         McSettings(trials=0, seed=1)
     with pytest.raises(ValueError):
         McSettings(trials=10, seed=-1)
-    with pytest.raises(ValueError):
-        McSettings(trials=10, seed=1, bsr_serving="random")
     # bool is an int (True would run one trial); numpy's bool is not
     for flag in (True, False, np.True_, np.False_):
         with pytest.raises(ValueError):
@@ -185,15 +185,17 @@ def test_mc_sop_bsr_shared_field_matches_quadrature():
 
 
 def test_mc_sop_bsr_nearest_serving_convention():
-    # the fixed-serving analytic convention should agree with Monte Carlo
-    # under either serving rule at these parameters
+    # the analytic form serves from the nearest SBS: on the full layout
+    # fading serving agrees with it at these parameters, and on the layout
+    # of the nearest SBS alone (where the analytic SOP is the same bits)
+    # there is nothing else to serve from
     lay = standard_layout(5)
     params = standard_params(Ps_dBw=10.0, Pm_dBw=0.0)
     trials = 40_000
     an = sop(SchemeId.BSR, lay, params, 1.0).value
-    for serving in ("fading", "nearest"):
-        est = mc_sop(SchemeId.BSR, lay, params, 1.0,
-                     McSettings(trials=trials, seed=14, bsr_serving=serving))
+    for layout in (lay, NetworkLayout(lay.mbs, lay.sbs[:1])):
+        est = mc_sop(SchemeId.BSR, layout, params, 1.0,
+                     McSettings(trials=trials, seed=14))
         assert within_3_sigma(an, est.value, est.std_error, trials)
 
 
@@ -213,6 +215,46 @@ def test_mc_sop_rejects_an_oversized_field():
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize("trials", [1, 5, 8, 9, 24, 29])
+def test_chunk_plan(trials):
+    # chunks of 8 (below, at and above one chunk, with and without a
+    # remainder): full chunks, then the remainder, each seeded by the next
+    # child of one spawn of the run seed
+    seen = []
+
+    def worker(n, seq):
+        seen.append((n, seq.entropy, seq.spawn_key))
+        return n % 3
+
+    est = _estimate(worker, trials, 8, 7)
+    sizes = [8] * (trials // 8) + [trials % 8] * (trials % 8 > 0)
+    children = np.random.SeedSequence(7).spawn(len(sizes))
+    assert seen == [(n, c.entropy, c.spawn_key)
+                    for n, c in zip(sizes, children)]
+    assert est.value == sum(n % 3 for n in sizes) / trials
+
+
+def test_mc_memory_does_not_grow_with_trials(monkeypatch):
+    # 2^30 trials are 16,384 chunks; stopped at its first draw, the run has
+    # allocated no size or seed per chunk
+    class FirstDraw(Exception):
+        pass
+
+    def stop(seq):
+        raise FirstDraw
+
+    monkeypatch.setattr(np.random, "default_rng", stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstDraw):
+            mc_cop(SchemeId.DBF, standard_layout(3), standard_params(), 1.0,
+                   McSettings(trials=1 << 30, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+
+
 def test_mc_rejects_bad_thresholds():
     lay = standard_layout(2)
     params = standard_params()
@@ -230,96 +272,79 @@ def test_mc_rejects_bad_thresholds():
 
 VARIANTS = {"dbf": (SchemeId.DBF, {}), "fot": (SchemeId.FOT, {}),
             "bsr-shared": (SchemeId.BSR, {}),
-            "bsr-independent": (SchemeId.BSR, {"independent_hops": True}),
-            "bsr-nearest": (SchemeId.BSR, {"bsr_serving": "nearest"})}
+            "bsr-independent": (SchemeId.BSR, {"independent_hops": True})}
 SOP_TRIALS = 2100    # one full chunk and a partial one
 COP_TRIALS = 70_001  # idem
 
-# (variant, K, alpha, Pm_dBw[, Ps_dBw]) -> failures at Ps = 10 dBw unless
-# given, lambda_e = 0.1, beta_e = K; the seed is the case's position in this
-# table. The cases that give Ps_dBw (low SOPs, non-integer alpha) leave most
-# kept points to the exact test rather than to the sure-breach marking.
+# (variant, K, alpha, Pm_dBw[, Ps_dBw]) -> (seed, failures) at Ps = 10 dBw
+# unless given, lambda_e = 0.1, beta_e = K. The cases that give Ps_dBw (low
+# SOPs, non-integer alpha) leave most kept points to the exact test rather
+# than to the sure-breach marking.
 SOP_PINNED = {
-    ("dbf", 1, 3.0, 0.0): 1526,
-    ("dbf", 1, 3.0, 20.0): 1532,
-    ("dbf", 1, 4.0, 0.0): 1258,
-    ("dbf", 1, 4.0, 20.0): 1244,
-    ("dbf", 3, 3.0, 0.0): 1590,
-    ("dbf", 3, 3.0, 20.0): 1590,
-    ("dbf", 3, 4.0, 0.0): 1281,
-    ("dbf", 3, 4.0, 20.0): 1292,
-    ("dbf", 8, 3.0, 0.0): 1729,
-    ("dbf", 8, 3.0, 20.0): 1701,
-    ("dbf", 8, 4.0, 0.0): 1536,
-    ("dbf", 8, 4.0, 20.0): 1550,
-    ("fot", 1, 3.0, 0.0): 1556,
-    ("fot", 1, 3.0, 20.0): 1536,
-    ("fot", 1, 4.0, 0.0): 1187,
-    ("fot", 1, 4.0, 20.0): 1237,
-    ("fot", 3, 3.0, 0.0): 1849,
-    ("fot", 3, 3.0, 20.0): 1891,
-    ("fot", 3, 4.0, 0.0): 1613,
-    ("fot", 3, 4.0, 20.0): 1586,
-    ("fot", 8, 3.0, 0.0): 2054,
-    ("fot", 8, 3.0, 20.0): 2042,
-    ("fot", 8, 4.0, 0.0): 1919,
-    ("fot", 8, 4.0, 20.0): 1909,
-    ("bsr-shared", 1, 3.0, 0.0): 1599,
-    ("bsr-shared", 1, 3.0, 20.0): 2095,
-    ("bsr-shared", 1, 4.0, 0.0): 1395,
-    ("bsr-shared", 1, 4.0, 20.0): 2004,
-    ("bsr-shared", 3, 3.0, 0.0): 1130,
-    ("bsr-shared", 3, 3.0, 20.0): 2002,
-    ("bsr-shared", 3, 4.0, 0.0): 1031,
-    ("bsr-shared", 3, 4.0, 20.0): 1750,
-    ("bsr-shared", 8, 3.0, 0.0): 701,
-    ("bsr-shared", 8, 3.0, 20.0): 1703,
-    ("bsr-shared", 8, 4.0, 0.0): 713,
-    ("bsr-shared", 8, 4.0, 20.0): 1439,
-    ("bsr-independent", 1, 3.0, 0.0): 1686,
-    ("bsr-independent", 1, 3.0, 20.0): 2100,
-    ("bsr-independent", 1, 4.0, 0.0): 1440,
-    ("bsr-independent", 1, 4.0, 20.0): 2058,
-    ("bsr-independent", 3, 3.0, 0.0): 1118,
-    ("bsr-independent", 3, 3.0, 20.0): 2041,
-    ("bsr-independent", 3, 4.0, 0.0): 1001,
-    ("bsr-independent", 3, 4.0, 20.0): 1858,
-    ("bsr-independent", 8, 3.0, 0.0): 683,
-    ("bsr-independent", 8, 3.0, 20.0): 1729,
-    ("bsr-independent", 8, 4.0, 0.0): 688,
-    ("bsr-independent", 8, 4.0, 20.0): 1553,
-    ("bsr-nearest", 1, 3.0, 0.0): 1645,
-    ("bsr-nearest", 1, 3.0, 20.0): 2094,
-    ("bsr-nearest", 1, 4.0, 0.0): 1414,
-    ("bsr-nearest", 1, 4.0, 20.0): 1993,
-    ("bsr-nearest", 3, 3.0, 0.0): 1123,
-    ("bsr-nearest", 3, 3.0, 20.0): 2008,
-    ("bsr-nearest", 3, 4.0, 0.0): 1021,
-    ("bsr-nearest", 3, 4.0, 20.0): 1785,
-    ("bsr-nearest", 8, 3.0, 0.0): 705,
-    ("bsr-nearest", 8, 3.0, 20.0): 1690,
-    ("bsr-nearest", 8, 4.0, 0.0): 737,
-    ("bsr-nearest", 8, 4.0, 20.0): 1449,
-    ("dbf", 3, 2.5, 0.0, -10.0): 126,
-    ("dbf", 3, 3.7, 20.0, -10.0): 230,
-    ("dbf", 8, 2.5, 20.0, 10.0): 1853,
-    ("dbf", 1, 3.7, 0.0, 10.0): 1279,
-    ("fot", 3, 2.5, 0.0, -10.0): 218,
-    ("fot", 3, 3.7, 20.0, -10.0): 318,
-    ("fot", 8, 2.5, 20.0, 10.0): 2080,
-    ("fot", 1, 3.7, 0.0, 10.0): 1324,
-    ("bsr-shared", 3, 2.5, 0.0, -10.0): 270,
-    ("bsr-shared", 3, 3.7, 20.0, -10.0): 1771,
-    ("bsr-shared", 8, 2.5, 20.0, 10.0): 1913,
-    ("bsr-shared", 1, 3.7, 0.0, 10.0): 1465,
-    ("bsr-independent", 3, 2.5, 0.0, -10.0): 254,
-    ("bsr-independent", 3, 3.7, 20.0, -10.0): 1779,
-    ("bsr-independent", 8, 2.5, 20.0, 10.0): 1929,
-    ("bsr-independent", 1, 3.7, 0.0, 10.0): 1505,
-    ("bsr-nearest", 3, 2.5, 0.0, -10.0): 259,
-    ("bsr-nearest", 3, 3.7, 20.0, -10.0): 1778,
-    ("bsr-nearest", 8, 2.5, 20.0, 10.0): 1908,
-    ("bsr-nearest", 1, 3.7, 0.0, 10.0): 1482,
+    ("dbf", 1, 3.0, 0.0): (0, 1526),
+    ("dbf", 1, 3.0, 20.0): (1, 1532),
+    ("dbf", 1, 4.0, 0.0): (2, 1258),
+    ("dbf", 1, 4.0, 20.0): (3, 1244),
+    ("dbf", 3, 3.0, 0.0): (4, 1590),
+    ("dbf", 3, 3.0, 20.0): (5, 1590),
+    ("dbf", 3, 4.0, 0.0): (6, 1281),
+    ("dbf", 3, 4.0, 20.0): (7, 1292),
+    ("dbf", 8, 3.0, 0.0): (8, 1729),
+    ("dbf", 8, 3.0, 20.0): (9, 1701),
+    ("dbf", 8, 4.0, 0.0): (10, 1536),
+    ("dbf", 8, 4.0, 20.0): (11, 1550),
+    ("fot", 1, 3.0, 0.0): (12, 1556),
+    ("fot", 1, 3.0, 20.0): (13, 1536),
+    ("fot", 1, 4.0, 0.0): (14, 1187),
+    ("fot", 1, 4.0, 20.0): (15, 1237),
+    ("fot", 3, 3.0, 0.0): (16, 1849),
+    ("fot", 3, 3.0, 20.0): (17, 1891),
+    ("fot", 3, 4.0, 0.0): (18, 1613),
+    ("fot", 3, 4.0, 20.0): (19, 1586),
+    ("fot", 8, 3.0, 0.0): (20, 2054),
+    ("fot", 8, 3.0, 20.0): (21, 2042),
+    ("fot", 8, 4.0, 0.0): (22, 1919),
+    ("fot", 8, 4.0, 20.0): (23, 1909),
+    ("bsr-shared", 1, 3.0, 0.0): (24, 1599),
+    ("bsr-shared", 1, 3.0, 20.0): (25, 2095),
+    ("bsr-shared", 1, 4.0, 0.0): (26, 1395),
+    ("bsr-shared", 1, 4.0, 20.0): (27, 2004),
+    ("bsr-shared", 3, 3.0, 0.0): (28, 1130),
+    ("bsr-shared", 3, 3.0, 20.0): (29, 2002),
+    ("bsr-shared", 3, 4.0, 0.0): (30, 1031),
+    ("bsr-shared", 3, 4.0, 20.0): (31, 1750),
+    ("bsr-shared", 8, 3.0, 0.0): (32, 701),
+    ("bsr-shared", 8, 3.0, 20.0): (33, 1703),
+    ("bsr-shared", 8, 4.0, 0.0): (34, 713),
+    ("bsr-shared", 8, 4.0, 20.0): (35, 1439),
+    ("bsr-independent", 1, 3.0, 0.0): (36, 1686),
+    ("bsr-independent", 1, 3.0, 20.0): (37, 2100),
+    ("bsr-independent", 1, 4.0, 0.0): (38, 1440),
+    ("bsr-independent", 1, 4.0, 20.0): (39, 2058),
+    ("bsr-independent", 3, 3.0, 0.0): (40, 1118),
+    ("bsr-independent", 3, 3.0, 20.0): (41, 2041),
+    ("bsr-independent", 3, 4.0, 0.0): (42, 1001),
+    ("bsr-independent", 3, 4.0, 20.0): (43, 1858),
+    ("bsr-independent", 8, 3.0, 0.0): (44, 683),
+    ("bsr-independent", 8, 3.0, 20.0): (45, 1729),
+    ("bsr-independent", 8, 4.0, 0.0): (46, 688),
+    ("bsr-independent", 8, 4.0, 20.0): (47, 1553),
+    ("dbf", 3, 2.5, 0.0, -10.0): (60, 126),
+    ("dbf", 3, 3.7, 20.0, -10.0): (61, 230),
+    ("dbf", 8, 2.5, 20.0, 10.0): (62, 1853),
+    ("dbf", 1, 3.7, 0.0, 10.0): (63, 1279),
+    ("fot", 3, 2.5, 0.0, -10.0): (64, 218),
+    ("fot", 3, 3.7, 20.0, -10.0): (65, 318),
+    ("fot", 8, 2.5, 20.0, 10.0): (66, 2080),
+    ("fot", 1, 3.7, 0.0, 10.0): (67, 1324),
+    ("bsr-shared", 3, 2.5, 0.0, -10.0): (68, 270),
+    ("bsr-shared", 3, 3.7, 20.0, -10.0): (69, 1771),
+    ("bsr-shared", 8, 2.5, 20.0, 10.0): (70, 1913),
+    ("bsr-shared", 1, 3.7, 0.0, 10.0): (71, 1465),
+    ("bsr-independent", 3, 2.5, 0.0, -10.0): (72, 254),
+    ("bsr-independent", 3, 3.7, 20.0, -10.0): (73, 1779),
+    ("bsr-independent", 8, 2.5, 20.0, 10.0): (74, 1929),
+    ("bsr-independent", 1, 3.7, 0.0, 10.0): (75, 1505),
 }
 # (scheme, K, alpha) -> failures at Ps = 0 dBw, beta_t = 1
 COP_PINNED = {
@@ -347,7 +372,7 @@ COP_PINNED = {
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_mc_sop_pinned_counts(variant):
     scheme, extra = VARIANTS[variant]
-    for seed, (case, failures) in enumerate(SOP_PINNED.items()):
+    for case, (seed, failures) in SOP_PINNED.items():
         name, K, alpha, pm, ps = case if len(case) == 5 else (*case, 10.0)
         if name != variant:
             continue
