@@ -50,8 +50,8 @@ class ChannelParams:
                                  f"got {getattr(self, name)}")
         if not self.alpha > 2.0:
             raise ValueError(f"path-loss exponent must exceed 2, got {self.alpha}")
-        if not self.Ps > 0.0:
-            raise ValueError("SBS power must be positive")
+        if not self.Ps >= np.finfo(float).tiny:  # a subnormal Ps loses designs
+            raise ValueError("SBS power Ps must be a positive normal float")
         if self.Pm < 0.0:
             raise ValueError("MBS power must be nonnegative")
         if self.lambda_e < 0.0:

@@ -17,9 +17,9 @@ Each verb builds the columns and rows of one table, one pool task per
 (sweep point, cell); main checks the sweep axis against the axes the verb
 accepts (_COMMANDS) and writes the table. cop-sweep, sop-sweep and
 validate draw their cells from one evaluator table per outage kind; a
-point's analytic column is one task, in an outage.shared_pass. A
-throughput or caching power sweep inverts the beamforming and partition SOPs
-once per table, before the pool starts (rates.power_sweep_roots).
+point's analytic column is one task, in an outage.shared_pass. throughput
+and caching find every SOP root before the pool starts (_roots): relaying
+once per channel, beamforming and partitions once per table.
 
 A scenario file is a flat "key = value" text file (or a JSON object with
 the same keys); unknown and repeated keys are errors, not warnings, because
@@ -350,57 +350,54 @@ def _outage_sweep(kind: str, default_trials: int, scn: Scenario):
              for name, cell in zip(evaluators, point)])
 
 
+def _roots(scn: Scenario, layout: NetworkLayout) -> tuple[list, list]:
+    """The channel and every scheme's SOP root at each sweep point, found
+    before the cell pool starts (rates.power_sweep_roots): the points of an
+    N or Rs sweep share the scenario's channel and its roots."""
+    powers = scn.sweep_points if scn.sweep_var == "Ps_dBw" else [None]
+    sweep = [scn.params(v) for v in powers]
+    roots = rates.power_sweep_roots(layout, sweep, scn.epsilon,
+                                    scn.bsr_sop_model == "exact")
+    share = len(scn.sweep_points) // len(sweep)
+    return sweep * share, roots * share
+
+
 def cmd_throughput(scn: Scenario):
     layout = scn.layout()
-    bsr_exact = scn.bsr_sop_model == "exact"
     schemes = list(SchemeId)
-    if scn.sweep_var == "Rs":
-        params = scn.params()
-        thresholds = [rates.invert_sop(scheme, layout, params, scn.epsilon,
-                                       bsr_exact=bsr_exact)
-                      for scheme in schemes]
+    channels, roots = _roots(scn, layout)
+    rs_sweep = scn.sweep_var == "Rs"
 
-        def cell(i, rs, j):
-            return [rs, schemes[j].value, rates.secrecy_throughput_curve(
-                schemes[j], layout, params, thresholds[j], 2.0 ** rs - 1.0)]
+    def cell(i, v, j):
+        scheme, params, root = schemes[j], channels[i], roots[i][schemes[j]]
+        if rs_sweep:
+            return [v, scheme.value, rates.secrecy_throughput_curve(
+                scheme, layout, params, root, 2.0 ** v - 1.0)]
+        design = rates.scheme_throughput(scheme, layout, params, scn.epsilon,
+                                         root)
+        return [v, scheme.value, design.beta_e_circ, design.beta_s_star,
+                design.rate_secrecy, design.psi_star]
 
-        columns = ["Rs", "scheme", "psi"]
-    else:
-        roots = rates.power_sweep_roots(  # before the pool: once per table
-            layout, [scn.params(v) for v in scn.sweep_points], scn.epsilon)
-
-        def cell(i, ps_dbw, j):
-            design = rates.scheme_throughput(
-                schemes[j], layout, scn.params(ps_dbw), scn.epsilon,
-                bsr_exact, roots[i].get(schemes[j]))
-            return [ps_dbw, schemes[j].value, design.beta_e_circ,
-                    design.beta_s_star, design.rate_secrecy, design.psi_star]
-
-        columns = ["Ps_dBw", "scheme", "beta_e_circ", "beta_s_star",
-                   "Rs_star", "psi_star"]
+    columns = [scn.sweep_var, "scheme"] + (["psi"] if rs_sweep else [
+        "beta_e_circ", "beta_s_star", "Rs_star", "psi_star"])
     return columns, _map_points(cell, scn, len(schemes))
 
 
 def cmd_caching(scn: Scenario):
     layout = scn.layout()
-    bsr_exact = scn.bsr_sop_model == "exact"
     n_sweep = scn.sweep_var == "N"
-    if n_sweep:
-        # psi does not depend on the library size: design the codes once
-        psi_fixed = rates.per_scheme_psi(layout, scn.params(), scn.epsilon,
-                                         bsr_exact)
-    else:  # see cmd_throughput
-        roots = rates.power_sweep_roots(
-            layout, [scn.params(v) for v in scn.sweep_points], scn.epsilon)
+    channels, roots = _roots(scn, layout)
+    if n_sweep:  # psi does not depend on N: design the codes once
+        psi_fixed = rates.per_scheme_psi(layout, channels[0], scn.epsilon,
+                                         roots[0])
 
     def cell(i, v, j):
-        params = scn.params(None if n_sweep else v)
         lib = caching.ZipfLibrary(N=v if n_sweep else scn.N, tau=scn.tau)
         psi = psi_fixed if n_sweep else rates.per_scheme_psi(
-            layout, params, scn.epsilon, bsr_exact, roots[i])
+            layout, channels[i], scn.epsilon, roots[i])
         psis = [psi[scheme] for scheme in SchemeId]
         m_closed, m_ex, value = caching.optimize_allocation(
-            scn.caching_objective, *psis, params, lib, scn.K, scn.L)
+            scn.caching_objective, *psis, channels[i], lib, scn.K, scn.L)
         return [v, *psis, m_closed, m_ex, value(m_closed), value(scn.L),
                 value(0)]
 

@@ -131,10 +131,12 @@ def _outside_float_range(params, epsilon, reason) -> ValueError:
 
 
 def power_sweep_roots(layout: NetworkLayout, sweep: list[ChannelParams],
-                      epsilon: float) -> list[dict[SchemeId, SopRoot]]:
-    """The beamforming and partition roots at each power Ps of a sweep:
-    root_0 / Ps_0 * Ps with root_0's record, root_0 = invert_sop at the
-    first power Ps_0. invert_sop's ValueError if one is 0, subnormal or inf."""
+                      epsilon: float, bsr_exact: bool = False
+                      ) -> list[dict[SchemeId, SopRoot]]:
+    """Every scheme's root at each power Ps of a sweep, in SchemeId order:
+    relaying inverted at each power (bsr_exact as in invert_sop), the others
+    root_0 / Ps_0 * Ps with the record of root_0 = invert_sop at the first
+    power Ps_0. invert_sop's ValueError if a root is 0, subnormal or inf."""
     first = sweep[0]
     found = {scheme: invert_sop(scheme, layout, first, epsilon)
              for scheme in (SchemeId.DBF, SchemeId.FOT)}
@@ -148,6 +150,8 @@ def power_sweep_roots(layout: NetworkLayout, sweep: list[ChannelParams],
         return SopRoot(value, root.evals, root.residual, root.cert_flag)
 
     return [{scheme: scaled(root, params) for scheme, root in found.items()}
+            | {SchemeId.BSR: invert_sop(SchemeId.BSR, layout, params, epsilon,
+                                        bsr_exact=bsr_exact)}
             for params in sweep]
 
 
@@ -284,13 +288,12 @@ def opt_bs_bsr(layout: NetworkLayout, params: ChannelParams,
 
 def scheme_throughput(scheme: SchemeId, layout: NetworkLayout,
                       params: ChannelParams, epsilon: float,
-                      bsr_exact: bool = False,
                       root: SopRoot | None = None) -> RateDesign:
-    """Full two-stage design: SOP inversion (of the layout-free relaying
-    SOP unless bsr_exact is set; a given root replaces it), then the
-    scheme's opt_bs_*."""
+    """Full two-stage design: the given SOP root (which fixes the relaying
+    SOP model; see power_sweep_roots), or without one invert_sop's, of the
+    layout-free relaying SOP; then the scheme's opt_bs_*."""
     if root is None:
-        root = invert_sop(scheme, layout, params, epsilon, bsr_exact=bsr_exact)
+        root = invert_sop(scheme, layout, params, epsilon)
     # by name, so that a wrapper installed on the module is the one called
     design = globals()[f"opt_bs_{scheme.value}"](layout, params, float(root))
     return replace(design, epsilon=epsilon, sop_evals=root.evals,
@@ -298,10 +301,10 @@ def scheme_throughput(scheme: SchemeId, layout: NetworkLayout,
 
 
 def per_scheme_psi(layout: NetworkLayout, params: ChannelParams,
-                   epsilon: float, bsr_exact: bool = False,
-                   roots: dict | None = None) -> dict[SchemeId, float]:
+                   epsilon: float, roots: dict | None = None
+                   ) -> dict[SchemeId, float]:
     """Optimal secrecy throughput psi* of every scheme, in SchemeId order,
-    from the given roots (see scheme_throughput)."""
+    from the given roots or invert_sop's (see scheme_throughput)."""
     return {scheme: scheme_throughput(scheme, layout, params, epsilon,
-                                      bsr_exact, (roots or {}).get(scheme))
+                                      (roots or {}).get(scheme))
             .psi_star for scheme in SchemeId}

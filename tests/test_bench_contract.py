@@ -74,10 +74,11 @@ def test_traced_exact_inversions_call_no_sop_evaluator():
     from helpers import standard_layout, standard_params
     spans = _load("spans")
     tracer = spans.Tracer(job=0)
+    lay, params = standard_layout(3), standard_params()
     tracer.install()
     try:
-        rates.per_scheme_psi(standard_layout(3), standard_params(), 0.2,
-                             bsr_exact=True)
+        rates.per_scheme_psi(lay, params, 0.2, rates.power_sweep_roots(
+            lay, [params], 0.2, bsr_exact=True)[0])
     finally:
         tracer.uninstall()
     metrics = spans.layer_metrics(tracer.spans)

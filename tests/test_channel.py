@@ -5,12 +5,14 @@ breach test."""
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from cachesec import ChannelParams, McSettings, SchemeId, mc_cop, mc_sop
+from cachesec import (ChannelParams, McSettings, SchemeId, mc_cop, mc_sop,
+                      opt_bs_dbf)
 from cachesec.montecarlo import _disc_draws, _FieldTest, _xy
 from helpers import standard_layout, standard_params
 
@@ -30,6 +32,18 @@ def test_channel_params_validation():
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 ChannelParams(**{**good, name: bad})
+
+
+def test_channel_params_rejects_a_subnormal_sbs_power():
+    # at a subnormal Ps the rate design loses its optimum: beamforming
+    # returned beta_s* = psi* = 5e-324, partitions and relaying (0, 0)
+    for ps in (1e-310, 5e-324):
+        with pytest.raises(ValueError, match="Ps"):
+            ChannelParams(alpha=4.0, Ps=ps, Pm=1.0, lambda_e=0.1)
+    tiny = sys.float_info.min
+    params = ChannelParams(alpha=4.0, Ps=tiny, Pm=1.0, lambda_e=0.0)
+    design = opt_bs_dbf(standard_layout(1), params, 0.0)
+    assert design.beta_s_star == pytest.approx(tiny / 2.0, rel=1e-12)
 
 
 def test_fading_gains_unit_mean():

@@ -652,6 +652,30 @@ def test_caching_n_sweep_designs_codes_once(tmp_path, monkeypatch):
     assert len(calls) == 3 + 3 * 4
 
 
+@pytest.mark.parametrize("model", ["approx", "exact"])
+@pytest.mark.parametrize("command, axis", [
+    ("caching", "sweep_var = N\nsweep_start = 50\nsweep_stop = 200\n"
+                "sweep_step = 50\n"),
+    ("throughput", "sweep_var = Rs\nsweep_start = 0\nsweep_stop = 8\n"
+                   "sweep_step = 1\n")])
+def test_one_channel_sweep_inverts_each_sop_once(tmp_path, monkeypatch,
+                                                  command, axis, model):
+    # the points of an N or Rs sweep share one channel: one inversion per
+    # scheme for the whole table
+    calls = []
+    real = rates.invert_sop
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rates, "invert_sop", counted)
+    code, _ = run(tmp_path, command, axis + f"bsr_sop_model = {model}\n",
+                  ["--threads", "2"])
+    assert code == 0
+    assert sorted(calls) == sorted(SchemeId)
+
+
 @pytest.mark.parametrize("command, extra", [
     ("throughput", "bsr_sop_model = exact\n"),
     ("caching", "Pm_dBw = 20\ncaching_objective = see\n")])

@@ -8,8 +8,9 @@ every moved cell:
     PYTHONPATH=src python tests/test_golden.py
 
 A table off the program's default scenario keeps its scenario file beside
-it (tests/golden/<table>.cfg), which CI also runs through the installed
-entry point.
+it (tests/golden/<table>.cfg). CI runs this file again without scipy, and
+two of the scenarios (sop-sweep-K8, throughput-exact) through the
+installed entry point.
 
 Monte Carlo cells and integer cells must match exactly. Other cells are
 analytic and match to GOLDEN_REL_TOL relative, near the 12th printed digit:
@@ -42,6 +43,9 @@ TABLES = {
     "caching-interior.csv": ["caching"],
     "caching-see.csv": ["caching"],
     "caching-coverage.csv": ["caching"],
+    "caching-exact.csv": ["caching"],
+    "throughput-Rs.csv": ["throughput"],
+    "throughput-exact.csv": ["throughput"],
 }
 
 

@@ -221,9 +221,33 @@ def test_invert_sop_bsr_exact_form_round_trip():
     for eps in (0.2, 0.5):
         beta = invert_sop(SchemeId.BSR, lay, params, eps, bsr_exact=True)
         assert abs(sop_bsr_exact(lay, params, beta).value - eps) <= 1e-6
-    design = scheme_throughput(SchemeId.BSR, lay, params, 0.3,
-                               bsr_exact=True)
+    design = scheme_throughput(SchemeId.BSR, lay, params, 0.3, root=invert_sop(
+        SchemeId.BSR, lay, params, 0.3, bsr_exact=True))
     assert design.psi_star > 0.0
+
+
+@pytest.mark.parametrize("bsr_exact", [False, True])
+def test_power_sweep_roots_invert_relaying_at_each_power(bsr_exact):
+    # the relaying root is invert_sop's at every power, record included;
+    # the beamforming and partition roots are the first power's, scaled
+    lay = standard_layout(3)
+    sweep = [standard_params(Ps_dBw=v) for v in (0.0, 10.0, 20.0, 30.0)]
+    roots = rates.power_sweep_roots(lay, sweep, 0.2, bsr_exact=bsr_exact)
+    first = {scheme: invert_sop(scheme, lay, sweep[0], 0.2)
+             for scheme in (SchemeId.DBF, SchemeId.FOT)}
+
+    def record(root):
+        return float(root).hex(), root.evals, root.residual, root.cert_flag
+
+    assert len(roots) == len(sweep)
+    for k, (point, params) in enumerate(zip(roots, sweep)):
+        assert list(point) == list(SchemeId)
+        assert record(point[SchemeId.BSR]) == record(invert_sop(
+            SchemeId.BSR, lay, params, 0.2, bsr_exact=bsr_exact))
+        for scheme, root in first.items():
+            value = root if k == 0 else root / sweep[0].Ps * params.Ps
+            assert record(point[scheme]) == (float(value).hex(),
+                                             *record(root)[1:])
 
 
 def test_invert_sop_monotone_in_epsilon():
@@ -523,8 +547,8 @@ def test_scheme_throughput_records_inversion():
     params = standard_params()
     for scheme, bsr_exact in ((SchemeId.DBF, False), (SchemeId.FOT, False),
                               (SchemeId.BSR, True)):
-        design = scheme_throughput(scheme, lay, params, 0.2,
-                                   bsr_exact=bsr_exact)
+        design = scheme_throughput(scheme, lay, params, 0.2, root=invert_sop(
+            scheme, lay, params, 0.2, bsr_exact=bsr_exact))
         assert type(design.beta_e_circ) is float
         assert 1 <= design.sop_evals <= 9
         assert design.sop_residual <= SOP_INVERSION_TOL
