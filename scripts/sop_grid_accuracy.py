@@ -25,7 +25,12 @@ and angles of each transmitter-centred grid, multiples of 4) it
   relative difference of either level, and the kernels that fold;
 * integrates the beamforming and partition kernels of every outage-grid
   point at all four offsets in one shared pass (the pass of
-  outage.shared_pass) and alone: the points whose levels differ in any bit.
+  outage.shared_pass) and alone: the points whose levels differ in any bit,
+  and the time of the shared passes of one offset, per geometry;
+* evaluates every outage-grid cell's breach kernel again with each
+  distance taken per (centre, transmitter) pair, |(c + g) - t| on centre
+  c's grid point g, as before the law's offset tables (|g + (c - t)|, one
+  row per distinct offset): the largest relative difference of either level.
 
 It exits 1 when a grid fails a gate of the SOP quadrature: a reference
 miss, an unflagged cell more than QUAD_CERT_TOL off its reference, an
@@ -33,7 +38,9 @@ unflagged K = 1 value more than SINGLE_LINK_TOL relative from its closed
 form, a folded integral more than FOLD_TOL relative from the full grid,
 an outage-grid kernel that does not fold (every outage-grid layout is a
 line layout, so a lost fold doubles the SOP cost without moving a value),
-or a shared pass whose levels are not bit for bit those of each kernel.
+a shared pass whose levels are not bit for bit those of each kernel, or an
+outage-grid kernel whose levels are more than OFFSET_TOL relative from the
+per-pair distances.
 It is not part of the test suite; it takes about 15 s per grid size on one
 core.
 """
@@ -63,6 +70,7 @@ SOPS = {"sop-dbf": outage.sop_dbf, "sop-fot": outage.sop_fot,
         "sop-bsr": outage.sop_bsr_exact}
 SINGLE_LINK_TOL = 1e-9  # relative, unflagged K = 1 values
 FOLD_TOL = 1e-13  # relative, folded against full-grid integrals
+OFFSET_TOL = 1e-14  # relative, offset tables against per-pair distances
 
 
 def dbw(x: float) -> float:
@@ -156,17 +164,53 @@ def fold_check() -> dict:
 
 
 def shared_check() -> dict:
-    points, mismatch = 0, 0
+    points, mismatch, seconds = 0, 0, {geo: math.inf for geo in W.GEOMETRIES}
     for variant in range(W.VARIANTS):
-        for _, _, layout, params, beta_e in grid_cells(0.25 * variant):
+        spent = dict.fromkeys(W.GEOMETRIES, 0.0)
+        for geo, _, layout, params, beta_e in grid_cells(0.25 * variant):
             dbf, fot = (outage.breach_kernel(scheme, layout, params)
                         for scheme in (SchemeId.DBF, SchemeId.FOT))
+            start = time.perf_counter()
             shared = dbf.integral(beta_e, False, fot)
+            spent[geo] += time.perf_counter() - start
             points += 1
             mismatch += not all(
                 np.array_equal(levels, kernel.integral(beta_e))
                 for kernel, levels in zip((dbf, fot), shared))
-    return {"points": points, "mismatch": mismatch}
+        seconds = {geo: min(seconds[geo], spent[geo]) for geo in seconds}
+    return {"points": points, "mismatch": mismatch, "pass_s": seconds}
+
+
+def per_pair_levels(kernel, beta_e: float) -> np.ndarray:
+    """The kernel's two levels with every distance taken per (centre,
+    transmitter) pair: the law on the absolute points c + g of centre c's
+    grid, one centre per call, so that it reads |(c + g) - t|."""
+    radial, unit_x, unit_y, angular = outage._nested_rules(
+        *outage.SOP_NODES, kernel.mirror)
+    levels = np.zeros(2)
+    for k, (power, tx) in enumerate(kernel.links):
+        rmax = outage.trunc_radius(0.0, power * len(tx), beta_e, kernel.alpha)
+        for i, c in enumerate(tx if power > 0.0 else ()):
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                value, _ = kernel.law(c.real + rmax * unit_x,
+                                      c.imag + rmax * unit_y, beta_e, False,
+                                      ((k, i),))
+            levels += rmax * rmax * np.einsum("lj,jl->l", radial,
+                                              value[0] @ angular)
+    return levels
+
+
+def offset_check() -> dict:
+    worst, cells = 0.0, 0
+    for variant in range(W.VARIANTS):
+        for _, _, layout, params, beta_e in grid_cells(0.25 * variant):
+            for scheme in SchemeId:
+                kernel = outage.breach_kernel(scheme, layout, params)
+                diff = kernel.integral(beta_e) / per_pair_levels(
+                    kernel, beta_e) - 1.0
+                worst = max(worst, float(max(abs(diff))))
+                cells += 1
+    return {"cells": cells, "max_rel_diff": worst}
 
 
 def failed_gates(report: dict) -> list[str]:
@@ -178,7 +222,9 @@ def failed_gates(report: dict) -> list[str]:
         ("single_link.max_rel_err", link["max_rel_err"] > SINGLE_LINK_TOL),
         ("fold.max_rel_diff", report["fold"]["max_rel_diff"] > FOLD_TOL),
         ("fold.unfolded", report["fold"]["folded"] < report["fold"]["cells"]),
-        ("shared.mismatch", report["shared"]["mismatch"] > 0))
+        ("shared.mismatch", report["shared"]["mismatch"] > 0),
+        ("offsets.max_rel_diff",
+         report["offsets"]["max_rel_diff"] > OFFSET_TOL))
         if failed]
 
 
@@ -195,7 +241,8 @@ def main() -> int:
         outage.SOP_NODES = nodes
         report = {"nodes": nodes, "outage_grid": outage_grid(refs),
                   "single_link": single_link(), "flag_scan": flag_scan(),
-                  "fold": fold_check(), "shared": shared_check()}
+                  "fold": fold_check(), "shared": shared_check(),
+                  "offsets": offset_check()}
         print(json.dumps(report), flush=True)
         failed = failed_gates(report)
         if failed:

@@ -285,12 +285,11 @@ def _map_points(fn, scn: Scenario, cells: int) -> list:
 # commands: each builds the (columns, rows) of its table
 # ---------------------------------------------------------------------------
 
-def _evaluators(kind: str, scn: Scenario) -> dict:
+def _evaluators(kind: str, scn: Scenario, layout: NetworkLayout) -> dict:
     """The cop or sop evaluators by row name, in row order: (scheme,
     analytic(params), mc(params, settings) or None). They are looked up on
     outage and montecarlo when the command runs, so that a wrapper
     installed on either module is the one called."""
-    layout = scn.layout()
     beta = scn.beta_t if kind == "cop" else scn.beta_e
     sample = getattr(montecarlo, f"mc_{kind}")
 
@@ -315,14 +314,14 @@ def _evaluators(kind: str, scn: Scenario) -> dict:
                            mc(bsr, independent_hops=True))}
 
 
-def _outage_cells(scn: Scenario, cells: list) -> list:
+def _outage_cells(scn: Scenario, layout: NetworkLayout, cells: list) -> list:
     """[analytic, mc, mc_stderr] of each cell (evaluator, trials, seed
     offset) at each sweep point i, a list per point: a task per analytic
     column, and per Monte Carlo cell, seeded scn.seed + 1000*i + offset."""
 
     def analytic(i, ps_dbw, _):
         params = scn.params(ps_dbw)
-        with outage.shared_pass(scn.layout(), params, scn.beta_e):
+        with outage.shared_pass(layout, params, scn.beta_e):
             return [cell[0][1](params).value for cell in cells]
 
     def sample(i, ps_dbw, j):
@@ -341,10 +340,10 @@ def _outage_cells(scn: Scenario, cells: list) -> list:
 def _outage_sweep(kind: str, default_trials: int, scn: Scenario):
     """The cop-sweep or sop-sweep table: one row per (power, evaluator);
     cell j of point i has seed scn.seed + 1000*i + j."""
-    evaluators = _evaluators(kind, scn)
+    evaluators = _evaluators(kind, scn, layout := scn.layout())
     trials = scn.trials if scn.trials is not None else default_trials
-    points = _outage_cells(scn, [(evaluator, trials, j) for j, evaluator
-                                 in enumerate(evaluators.values())])
+    points = _outage_cells(scn, layout, [(evaluator, trials, j) for j, evaluator
+                                         in enumerate(evaluators.values())])
     return (["Ps_dBw", "scheme", "analytic", "mc", "mc_stderr"],
             [[v, name, *cell] for v, point in zip(scn.sweep_points, points)
              for name, cell in zip(evaluators, point)])
@@ -418,16 +417,16 @@ def cmd_validate(scn: Scenario):
     if scn.trials == 0:
         raise ConfigError("validate needs Monte Carlo trials (--trials > 0)")
     cop_trials = scn.trials if scn.trials is not None else 10 ** 5
-    cells = []  # (metric, evaluator, trials, seed offset)
+    layout, cells = scn.layout(), []  # (metric, evaluator, trials, seed offset)
     for metric, trials, offset in (("cop", cop_trials, 0),
                                    ("sop", max(cop_trials // 10, 1), 100)):
-        evaluators = _evaluators(metric, scn)
+        evaluators = _evaluators(metric, scn, layout)
         cells += [(metric, evaluators[name], trials, offset + k)
                   for k, name in enumerate(_VALIDATED[metric])]
 
     rows = []
     for ps_dbw, point in zip(scn.sweep_points, _outage_cells(
-            scn, [cell[1:] for cell in cells])):
+            scn, layout, [cell[1:] for cell in cells])):
         for (metric, evaluator, trials, _), (an, mc, stderr) in zip(cells, point):
             # the binomial error of the analytic value: the empirical one
             # is 0 when no outage was drawn

@@ -21,12 +21,14 @@ Each breach law splits into one term per transmitter, on that
 transmitter's breach disc (a partition of unity, Bruno & Kunyansky, J.
 Comput. Phys. 169, 2001), integrated on a polar grid centred there:
 Clenshaw-Curtis in radius, the periodic trapezoid rule in angle (Trefethen
-& Weideman, SIAM Rev. 56(3), 2014). Both rules are nested, so every other
-node of the same points gives the coarser grid that certifies the value.
-Where every live transmitter shares one exact x or one exact y coordinate
-(every line layout), the reflection across that line maps each grid onto
-itself, and only one angle of each mirror pair is read. The beamforming
-and partition SOPs, K Ps on the same SBSs, share a pass in shared_pass.
+& Weideman, SIAM Rev. 56(3), 2014), both nested, so every other node gives
+the coarser grid that certifies the value. Where every live transmitter
+shares one exact x or y coordinate (every line layout), the reflection
+across that line maps each grid onto itself: one angle of each mirror pair
+is read. The centres of one far-field power share a grid, so each distinct
+offset centre - transmitter gets its d^-alpha and breach factor once (2K - 1
+offsets for the K^2 pairs of a line). The beamforming and partition SOPs,
+K Ps on the same SBSs, share a pass in shared_pass.
 
 Each SOP's inverse lives beside it: BreachKernel.root, Newton steps in
 log(beta_e) by bracketed_root (the one bracketed solver, also the rate
@@ -72,9 +74,10 @@ _WEIDEMAN = np.fft.fft(np.fft.fftshift(np.append(
     / (4 * WEIDEMAN_N)
 _WEIDEMAN_BLOCKS = _WEIDEMAN.reshape(-1, _ESTRIN)[:, ::-1].T.astype(complex)
 # Each transmitter's grid: SOP_NODES = (Clenshaw-Curtis intervals in
-# radius, angles), read when called. One law call takes the grids that fit
-# in PASS_POINTS points: each float64 temporary, at most 64 KiB, stays below
-# glibc's 128 KiB mmap threshold, above which every call faults it in anew.
+# radius, angles), read when called. One law call takes the rings of every
+# centre of a far-field power that fit in PASS_POINTS points: its float64
+# temporaries (64 KiB; offset tables, under 128 KiB on a line) stay below
+# glibc's 128 KiB mmap threshold, above which every call faults them anew.
 SOP_NODES = (80, 64)
 PASS_POINTS = 8192
 # The integrand is below exp(-TAIL_LOG) = 1e-12 beyond the cut radius.
@@ -366,10 +369,12 @@ def bracketed_root(side, x: float, width: float = 0.0,
     side(x) is None where x is accepted, else (f(x), step), step a Newton
     step (nan where it fails) or None, for the secant step of the last two
     points in a closed bracket that halved in two steps (Brent 1973, ch. 4).
-    Steps land strictly inside the bracket of the points tried, else an
-    open end moves out by 1, 2, 4, ... (up to top; side raises there if it
-    is below) and a closed one is bisected, down to width or one ulp of x.
-    RuntimeError after SOP_MAX_EVALS calls of side."""
+    Steps land strictly inside the bracket of the points tried, and at most
+    16 from x while an end is open, else an open end moves out by 1, 2, 4,
+    ... (up to top; side raises there if it is below) and a closed one is
+    bisected, down to width or one ulp of x: log2(W / width) or log2(W /
+    ulp(x)) calls from a bracket W wide. Newton steps in a closed bracket
+    need not halve it: RuntimeError after SOP_MAX_EVALS calls of side."""
     lo, hi, reach, last, widths = -math.inf, math.inf, 1.0, None, (math.inf,) * 2
     for _ in range(SOP_MAX_EVALS):
         if (report := side(x)) is None:
@@ -382,7 +387,8 @@ def bracketed_root(side, x: float, width: float = 0.0,
         if step is None:  # the secant step, in a closed, halving bracket
             step = x - f * (x - last[0]) / (f - last[1]) if secant else math.nan
         last, widths = (x, f), (widths[1], hi - lo)  # the last two widths
-        if lo < step < min(hi, top):
+        if lo < step < min(hi, top) and (hi - lo < math.inf
+                                         or abs(step - x) <= 16.0):
             x = step
         elif math.isinf(lo) or math.isinf(hi):
             x = hi - reach if math.isinf(lo) else min(lo + reach, top)
@@ -406,19 +412,23 @@ class BreachKernel:
     derivative follows du <- du (1 - p_k) + dp_k (1 - u). A silent link
     (relaying at Pm = 0) is never evaluated.
 
-    law(..., centres) is, on slice j of px and py, the term of centres[j] =
-    (k, i), transmitter i of live link k, for centres of one far-field
-    power n P (power times transmitters): the union's increment over the
-    links of that far-field power, times the share q / sum q over their
+    law(..., centres) has on row j the term of centres[j] = (k, i),
+    transmitter i of live link k, for centres of one far-field power n P
+    (power times transmitters): the union's increment over the links of
+    that far-field power, times the share q / sum q over their
     transmitters, q = exp(max(-(beta_e / (n P)) d^alpha, EXP_FLOOR)) (p_k
     itself where n = 1). The terms sum to the law, each on its own breach
-    disc; their slopes leave out the shares'. mirror is the angle in turns,
-    0 or 1/4, of a line through every live transmitter, or None.
+    disc; their slopes leave out the shares'. Centred, row j reads (px, py)
+    relative to its centre c: each distinct (offset c - t, far-field power
+    F_t) of a transmitter t gets one table row of d^-alpha, q and its slope,
+    2K - 1 rows for the K^2 pairs of a line, read as a view where a step's
+    rows run up by one. mirror is the angle in turns, 0 or 1/4, of a line
+    through every live transmitter, or None.
 
     law(..., centres, *shared) and integral(beta_e, deriv, *shared) return
     one result per kernel, this one's first, each with its own bits, for
     kernels on this one's live transmitters, far-field powers and alpha:
-    one transmitter loop computes each d^-alpha and q once, on these grids.
+    one transmitter loop reads each table row for all of them.
     """
 
     links: tuple[tuple[float, tuple[complex, ...]], ...]
@@ -426,54 +436,70 @@ class BreachKernel:
     mirror: float | None = None
 
     def law(self, px: np.ndarray, py: np.ndarray, beta_e: float, deriv: bool,
-            centres: tuple[tuple[int, int], ...] = (), *shared: BreachKernel):
+            centres: tuple[tuple[int, int], ...] = (), *shared: BreachKernel,
+            centred: bool = False):
         far = [power * len(tx) for power, tx in self.links]
         group = far[centres[0][0]] if centres else math.nan
-        slots = {centre: j for j, centre in enumerate(centres)}
-        start, total = None, 0.0  # start: each union so far; total: sum of q
-        pick = np.empty_like(px) if centres else None  # each centre's q
+        # a step per live transmitter t up to the centres' group, in link
+        # order: (k, i, P, n, t) of each kernel, t in link k, of n, of power P
+        steps = [step for step in zip(*([(k, i, power, len(tx), t) for k, (
+            power, tx) in enumerate(kernel.links) if power > 0.0 for i, t in
+            enumerate(tx)] for kernel in (self, *shared)), strict=True)
+            if not far[step[0][0]] < group]
+        own = [self.links[k][1][i] for k, i in centres]
+        origins = own if centred else [0j] * max(1, len(centres))
+        rows = [[(-(beta_e / far[k]), o.real - t.real, o.imag - t.imag)
+                 for o in origins] for k, _, _, _, t in (s[0] for s in steps)]
+        keys = sorted(set().union(*rows), reverse=rows[0][0] > rows[0][-1])
+        where = dict(zip(keys, range(len(keys))))
+        scale, ox, oy = np.array(keys).T.reshape((3, -1) + (1,) * px.ndim)
+        d = dist_pow_neg((px + ox) ** 2 + (py + oy) ** 2, self.alpha)
+        sizes = {n for step in steps for _, _, _, n, _ in step}  # of links
+        # the exponent, -inf or nan in places (see integral); d serves sums W
+        q = np.divide(scale, d, out=d if sizes == {1} else None)
+        slope = (q.copy() if q.min() > EXP_FLOOR else np.where(
+            q > EXP_FLOOR, q, 0.0)) if deriv and 1 in sizes else None
+        np.exp(np.fmax(q, EXP_FLOOR, out=q), out=q)
+        slope = None if slope is None else np.multiply(slope, q, out=slope)
+        start, total = None, None  # start: each union so far; total: sum of q
         acc, w = ([None] * (1 + len(shared)) for _ in range(2))  # (u, du), W
-        # a step per live transmitter t, in link order: (k, i, P, n, t) of
-        # each kernel, t transmitter i of its link k of power P and n of them
-        for step in zip(*([(k, i, power, len(tx), t)
-                           for k, (power, tx) in enumerate(kernel.links)
-                           if power > 0.0 for i, t in enumerate(tx)]
-                          for kernel in (self, *shared)), strict=True):
-            k, i, _, _, t = step[0]
-            if far[k] < group:
-                break  # past the centres' group
-            if far[k] == group and start is None:  # acc's arrays stay as they are
-                start = [union or (0.0, 0.0) for union in acc]
-            d = dist_pow_neg((px - t.real) ** 2 + (py - t.imag) ** 2, self.alpha)
-            q = None  # t's share: p_k of a link where t is alone, if any
-            for j, (_, i_j, power, n, _) in enumerate(step):
-                w[j] = d if i_j == 0 else w[j] + d  # summed in layout order
-                if i_j + 1 < n:
-                    continue
-                p = -(beta_e / power) / w[j]  # may reach -inf or nan: see integral
-                if deriv:  # the exponent's slope, 0 where the floor binds
-                    a = p.copy() if p.min() > EXP_FLOOR \
-                        else np.where(p > EXP_FLOOR, p, 0.0)
-                np.exp(np.fmax(p, EXP_FLOOR, out=p), out=p)
-                q = p if q is None and n == 1 else q
-                dp = np.multiply(a, p, out=a) if deriv else None
+        for step, row in zip(steps, rows):
+            if far[step[0][0]] == group and start is None:  # acc's arrays stay
+                start = [union or (None, None) for union in acc]
+            at = [where[key] for key in row]  # a view where they run up by 1
+            if len(at) == 1 or at == list(range(at[0], at[0] + len(at))):
+                at = at[0] if len(at) == 1 else slice(at[0], at[0] + len(at))
+            for j, (_, i, power, n, _) in enumerate(step):
+                if n == 1:  # a transmitter alone: its link's p_k is q
+                    p, dp = q[at], slope[at] if deriv else None
+                else:  # W summed in layout order
+                    w[j] = d[at] if i == 0 else np.add(
+                        w[j], d[at], out=w[j] if i > 1 else None)
+                    if i + 1 < n:
+                        continue
+                    p = -(beta_e / power) / w[j]
+                    if deriv:
+                        a = p.copy() if p.min() > EXP_FLOOR \
+                            else np.where(p > EXP_FLOOR, p, 0.0)
+                    np.exp(np.fmax(p, EXP_FLOOR, out=p), out=p)
+                    dp = np.multiply(a, p, out=a) if deriv else None
                 if acc[j] is not None:  # the union with the links before
-                    if deriv:  # du (1 - p) + dp (1 - u)
-                        dp = np.multiply(dp, 1.0 - acc[j][0], out=dp) \
-                            + acc[j][1] * (1.0 - p)
                     v = 1.0 - acc[j][0]
+                    if deriv:  # du (1 - p) + dp (1 - u)
+                        dp = v * dp + acc[j][1] * (1.0 - p)
                     p = np.add(np.multiply(v, p, out=v), acc[j][0], out=v)
                 acc[j] = p, dp
-            if start is not None:
-                if q is None:
-                    q = np.exp(np.fmax(-(beta_e / far[k]) / d, EXP_FLOOR))
-                total = total + q
-                if (k, i) in slots:
-                    pick[slots[k, i]] = q[slots[k, i]]
-        d = w = q = a = None  # free the pass before the shares
-        if centres:
-            share = pick / total
-            acc = [((u - s) * share, (du - ds) * share if deriv else None)
+            if start is not None:  # summed in place once not a view of q
+                total = q[at] if total is None else np.add(
+                    total, q[at], out=None if total.base is q else total)
+        if centres:  # each centre's q over the sum of q: 1 where it is alone
+            share = None if len(steps) < 2 or far[steps[-2][0][0]] > group \
+                else q[[where[-(beta_e / group), o.real - t.real, o.imag - t.imag]
+                        for o, t in zip(origins, own)]] / total
+            d = q = slope = w = p = dp = total = None  # free the tables
+            acc = [[None if x is None else (x if share is None else x * share)
+                    .reshape(len(centres), *px.shape) for x in (  # row j: centre j
+                        u if s is None else u - s, du if ds is None else du - ds)]
                    for (u, du), (s, ds) in zip(acc, start)]
         return acc if shared else acc[0]
 
@@ -483,30 +509,30 @@ class BreachKernel:
         and its log(beta_e)-derivative when deriv is set (ignoring the radii's
         dependence on beta_e): the sum of the live transmitters' terms, each
         on a polar grid out to the cut radius of its link's far-field power,
-        in passes of PASS_POINTS points. Exponents of -inf, or inf/inf = nan
-        where beta_e/P overflows (a disc below 1e-120 across), pass silently
-        to the floor."""
+        in law calls on the rings that fit in PASS_POINTS points for every
+        centre of that power. -inf exponents, or inf/inf = nan where beta_e/P
+        overflows (a disc below 1e-120 across), pass silently to the floor."""
         radial, unit_x, unit_y, angular = _nested_rules(*SOP_NODES,
                                                         self.mirror)
-        per_pass = max(1, PASS_POINTS // unit_x.size)
-        centres = [(power * len(tx), (k, i), t.real, t.imag)
+        centres = [(power * len(tx), (k, i))
                    for k, (power, tx) in enumerate(self.links) if power > 0.0
-                   for i, t in enumerate(tx)]
+                   for i in range(len(tx))]
         out = np.zeros((1 + len(shared), 2 if deriv else 1, 2))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for far, group in groupby(centres, lambda centre: centre[0]):
+                _, part = zip(*group)
                 rmax = trunc_radius(0.0, far, beta_e, self.alpha)
-                grid_x, grid_y = rmax * unit_x, rmax * unit_y
-                group = tuple(group)
-                for j in range(0, len(group), per_pass):
-                    _, part, x, y = zip(*group[j:j + per_pass])
-                    terms = self.law(np.add.outer(x, grid_x),
-                                     np.add.outer(y, grid_y), beta_e, deriv,
-                                     part, *shared)
+                rings = max(1, PASS_POINTS // (len(part) * len(angular)))
+                for j in range(0, len(unit_x), rings):
+                    ring = slice(j, j + rings)
+                    terms = self.law((rmax * unit_x[ring]).ravel(),
+                                     (rmax * unit_y[ring]).ravel(), beta_e,
+                                     deriv, part, *shared, centred=True)
                     for sums, pair in zip(out, terms if shared else [terms]):
                         for level, v in zip(sums, pair):
                             level += rmax * rmax * np.einsum(
-                                "lj,jl->l", radial, v.sum(axis=0) @ angular)
+                                "lj,mjl->l", radial[:, ring],
+                                v.reshape(len(v), -1, len(angular)) @ angular)
         levels = [(o[0], o[1]) if deriv else o[0] for o in out]
         return levels if shared else levels[0]
 

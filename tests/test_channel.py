@@ -13,6 +13,7 @@ from scipy import stats
 
 from cachesec import (ChannelParams, McSettings, SchemeId, mc_cop, mc_sop,
                       opt_bs_dbf)
+from cachesec.channel import dist_pow_neg
 from cachesec.montecarlo import _disc_draws, _FieldTest, _xy
 from helpers import standard_layout, standard_params
 
@@ -44,6 +45,15 @@ def test_channel_params_rejects_a_subnormal_sbs_power():
     params = ChannelParams(alpha=4.0, Ps=tiny, Pm=1.0, lambda_e=0.0)
     design = opt_bs_dbf(standard_layout(1), params, 0.0)
     assert design.beta_s_star == pytest.approx(tiny / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [4.0, 6.0])
+def test_dist_pow_neg_fast_paths_match_the_power(alpha):
+    # the even exponents multiply out d^2 in place of a pow call: within an
+    # ulp or two of d^-alpha over squared distances from 1e-100 to 1e100
+    d_sq = np.geomspace(1e-100, 1e100, 2001)
+    np.testing.assert_allclose(dist_pow_neg(d_sq, alpha),
+                               d_sq ** (-0.5 * alpha), rtol=1e-15, atol=0)
 
 
 def test_fading_gains_unit_mean():

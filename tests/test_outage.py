@@ -484,8 +484,8 @@ def test_unflagged_sops_are_within_tolerance_of_the_doubled_grid(
 def test_centre_terms_sum_to_the_law(layout, Pm):
     # the terms each transmitter's grid integrates partition the law and
     # its slope, the union's links largest first. One law call evaluates
-    # the terms of a far-field-power group's centres, one slice each, and
-    # each slice is the term that centre gets alone
+    # the terms of a far-field-power group's centres on the same points, one
+    # slice each, and each slice is the term that centre gets alone
     rng = np.random.default_rng(3)
     px, py = rng.normal(0.0, 3.0, (2, 16, 32))
     for scheme in SchemeId:
@@ -499,16 +499,31 @@ def test_centre_terms_sum_to_the_law(layout, Pm):
         terms = []
         for _, group in itertools.groupby(centres, lambda c: powers[c[0]]):
             group = tuple(group)
-            stacked = kernel.law(np.stack([px] * len(group)),
-                                 np.stack([py] * len(group)), 0.7, True, group)
+            stacked = kernel.law(px, py, 0.7, True, group)
             for j, centre in enumerate(group):
-                alone = kernel.law(px[None], py[None], 0.7, True, (centre,))
+                alone = kernel.law(px, py, 0.7, True, (centre,))
                 for a, b in zip(alone, stacked):
                     assert np.array_equal(a[0], b[j])
             terms += zip(*stacked)
         assert len(terms) == len(centres)
         for whole, parts in zip(law, zip(*terms)):
             assert np.max(np.abs(sum(parts) - whole)) <= 1e-15 * len(parts)
+
+
+@pytest.mark.parametrize("ps_dbw", [-10.0, 0.0, 20.0])
+def test_alpha_six_single_link_sops_match_the_closed_form(ps_dbw):
+    # alpha = 6 builds the offset tables through the cubic path of
+    # dist_pow_neg; at K = 1 every quadrature SOP (relaying with a silent
+    # backhaul) is one link: 1 - exp(-lambda_e pi Gamma(1 + 2/alpha)
+    # (P / beta_e)^(2/alpha))
+    lay = build_line_layout(5.0, 0.5, 1, 2.0)
+    params = ChannelParams(6.0, dbw(ps_dbw), 0.0, 1.0)
+    exact = -math.expm1(-math.pi * math.gamma(1.0 + 2.0 / 6.0)
+                        * (params.Ps / 0.7) ** (2.0 / 6.0))
+    for fn in (sop_dbf, sop_fot, sop_bsr_exact):
+        estimate = fn(lay, params, 0.7)
+        assert estimate.flag is None
+        assert estimate.value == pytest.approx(exact, rel=1e-9, abs=0.0)
 
 
 def _shared_pair(layout, params, **changes):
@@ -772,29 +787,38 @@ def test_layouts_off_a_shared_x_or_y_read_every_angle():
 
 
 def test_line_layouts_read_half_the_angles_in_passes(monkeypatch):
-    # each law call takes the grids of one far-field power in passes of at
-    # most PASS_POINTS points: 3 folded grids of 33 angles, or 1 of 64
+    # each law call takes every centre of one far-field power on a block of
+    # whole rings of their grid, at most PASS_POINTS points in all, and
+    # together the calls read each centre's grid once: 79 radii by 33
+    # folded angles, or by 64
     calls = []
     real = outage.BreachKernel.law
-    monkeypatch.setattr(outage.BreachKernel, "law", lambda self, px, *rest:
-                        calls.append(px.shape) or real(self, px, *rest))
+    monkeypatch.setattr(
+        outage.BreachKernel, "law", lambda self, px, *rest, **kw:
+        calls.append((rest[3], px.shape)) or real(self, px, *rest, **kw))
     n, n_angles = outage.SOP_NODES
     params = standard_params(Pm_dBw=0.0)
     for layout, scheme in itertools.product(_LAYOUTS, SchemeId):
         kernel = outage.breach_kernel(scheme, layout, params)
-        for mirror, angles, per_pass in ((kernel.mirror, n_angles // 2 + 1, 3),
-                                         (None, n_angles, 1)):
+        powers = [power * len(tx) for power, tx in kernel.links]
+        groups = [tuple(group) for _, group in itertools.groupby(
+            ((k, i) for k, (power, tx) in enumerate(kernel.links)
+             if power > 0.0 for i in range(len(tx))), lambda c: powers[c[0]])]
+        for mirror, angles in ((kernel.mirror, n_angles // 2 + 1),
+                               (None, n_angles)):
             calls.clear()
             dataclasses.replace(kernel, mirror=mirror).integral(1.0)
-            assert {shape[1:] for shape in calls} == {(n - 1, angles)}
-            assert max(shape[0] for shape in calls) <= per_pass
-            assert sum(shape[0] for shape in calls) \
-                == sum(len(tx) for _, tx in kernel.links)
-            assert max(map(math.prod, calls)) <= outage.PASS_POINTS
+            assert {centres for centres, _ in calls} == set(groups)
+            assert max(len(centres) * shape[0] for centres, shape in calls) \
+                <= outage.PASS_POINTS
+            for group in groups:
+                assert sum(shape[0] for centres, shape in calls
+                           if centres == group) == (n - 1) * angles
     kernel = outage.breach_kernel(SchemeId.DBF, standard_layout(8), params)
     calls.clear()
     kernel.integral(1.0)
-    assert [shape[0] for shape in calls] == [3, 3, 2]
+    assert [(len(centres), shape) for centres, shape in calls] \
+        == [(8, (1023,)), (8, (1023,)), (8, (561,))]
 
 
 @pytest.mark.parametrize("layout", [standard_layout(3),
@@ -886,9 +910,18 @@ def test_every_vector_exp_on_the_sop_path_is_floored(monkeypatch):
             lowest.append(float(np.min(x)))
         return real_exp(x, *args, **kwargs)
 
+    calls = []
+    real_law = outage.BreachKernel.law
+
+    def law(self, px, py, beta_e, deriv, centres=(), *shared, **kwargs):
+        calls.append(1 + sum(power > 0.0 and len(tx) > 1 for kernel
+                             in (self, *shared) for power, tx in kernel.links))
+        return real_law(self, px, py, beta_e, deriv, centres, *shared, **kwargs)
+
     lay = build_line_layout(1.0, 2.0, 6, 2.0)
     params = standard_params(Ps_dBw=-30.0, lambda_e=1.0)
     monkeypatch.setattr(np, "exp", exp)
+    monkeypatch.setattr(outage.BreachKernel, "law", law)
     for fn in (sop_dbf, sop_fot, sop_bsr_exact):
         fn(lay, params, 1.0)
     with outage.shared_pass(lay, params, 1.0):
@@ -897,7 +930,9 @@ def test_every_vector_exp_on_the_sop_path_is_floored(monkeypatch):
     for scheme in SchemeId:
         invert_sop(scheme, lay, params, 0.2, bsr_exact=True)
     monkeypatch.undo()
-    assert len(lowest) > 100
+    # one vector exp per law call for its table of breach factors, and one
+    # per live link of several transmitters of each kernel it evaluates
+    assert len(lowest) == sum(calls) > 0
     assert min(lowest) >= outage.EXP_FLOOR
 
 
@@ -960,3 +995,22 @@ def test_bracketed_root(shape, newton, r, start, width, accept, top, cap):
             with pytest.raises(RuntimeError, match=f"converge in {cap} "):
                 outage.bracketed_root(side, min(start, top), width, top)
         assert len(tried) == cap
+
+
+@pytest.mark.parametrize("r", [21.0, 100.0])
+def test_open_bracket_newton_steps_stay_short(r):
+    # from x = -3 on the flat tail of f = -tanh(3 (x - r)), the first
+    # Newton step lands near 1e61; an open end takes no step longer than
+    # 16, so the search moves out by doubling and converges in a few calls
+    # instead of raising after SOP_MAX_EVALS
+    tried = []
+
+    def side(x):
+        tried.append(x)
+        z = 3.0 * (x - r)
+        if abs(math.tanh(z)) <= 1e-12:
+            return None
+        return -math.tanh(z), x - math.sinh(2.0 * z) / 6.0
+
+    x = outage.bracketed_root(side, -3.0)
+    assert abs(x - r) <= 1e-12 and len(tried) <= 12

@@ -126,28 +126,28 @@ _PINNED_ROOTS = [
     (_BSR, 'standard', 1, 4.0, 0, 0.0, 0.1, 0.2, '0x1.8e87a13f9be01p+2', 3, None),
     (_DBF, 'standard', 1, 8.0, 30, 0.0, 0.1, 0.2, '0x1.4b7ab692ac59ep+11', 1, None),
     (_FOT, 'standard', 1, 8.0, 30, 0.0, 0.1, 0.2, '0x1.4b7ab692ac59ep+11', 1, None),
-    (_BSR, 'standard', 1, 8.0, 30, 0.0, 0.1, 0.2, '0x1.3ef915006daa4p+12', 2, None),
-    (_DBF, 'standard', 3, 2.5, 0, 0.0, 0.1, 0.2, '0x1.562e84909558ap+2', 3, None),
-    (_FOT, 'standard', 3, 2.5, 0, 0.0, 0.1, 0.2, '0x1.6fb3790f2aa9dp+3', 4, None),
+    (_BSR, 'standard', 1, 8.0, 30, 0.0, 0.1, 0.2, '0x1.3ef915006daadp+12', 2, None),
+    (_DBF, 'standard', 3, 2.5, 0, 0.0, 0.1, 0.2, '0x1.562e849095587p+2', 3, None),
+    (_FOT, 'standard', 3, 2.5, 0, 0.0, 0.1, 0.2, '0x1.6fb3790f2aa9ap+3', 4, None),
     (_BSR, 'standard', 3, 2.5, 0, 0.0, 0.1, 0.2, '0x1.ab17842b41f9fp+1', 4, None),
     (_DBF, 'standard', 3, 4.0, 30, 0.0, 0.1, 0.2, '0x1.0cb90906cf90dp+13', 4, None),
     (_FOT, 'standard', 3, 4.0, 30, 0.0, 0.1, 0.2, '0x1.4d797dc3103c7p+14', 4, None),
     (_BSR, 'standard', 3, 4.0, 30, 0.0, 0.1, 0.2, '0x1.9e316b2cb840bp+10', 2, None),
-    (_DBF, 'standard', 3, 8.0, -30, 0.0, 0.1, 0.2, '0x1.ab014ed6756c7p-5', 4, 'quadrature-unconverged'),
-    (_FOT, 'standard', 3, 8.0, -30, 0.0, 0.1, 0.2, '0x1.2e3f7caa4c946p-3', 4, 'quadrature-unconverged'),
+    (_DBF, 'standard', 3, 8.0, -30, 0.0, 0.1, 0.2, '0x1.ab014ed6756cep-5', 4, 'quadrature-unconverged'),
+    (_FOT, 'standard', 3, 8.0, -30, 0.0, 0.1, 0.2, '0x1.2e3f7caa4c945p-3', 4, 'quadrature-unconverged'),
     (_BSR, 'standard', 3, 8.0, -30, 0.0, 0.1, 0.2, '0x1.46a0da1d1c548p+2', 2, None),
     (_DBF, 'standard', 8, 2.5, 30, 0.0, 0.1, 0.2, '0x1.72debf4a6aff2p+14', 4, 'quadrature-unconverged'),
     (_FOT, 'standard', 8, 2.5, 30, 0.0, 0.1, 0.2, '0x1.f30ba87ac231ap+16', 3, None),
     (_BSR, 'standard', 8, 2.5, 30, 0.0, 0.1, 0.2, '0x1.608b61539152ap+10', 2, None),
-    (_DBF, 'standard', 8, 4.0, -30, 0.0, 0.1, 0.2, '0x1.7ae85ab8b3325p-4', 4, None),
-    (_FOT, 'standard', 8, 4.0, -30, 0.0, 0.1, 0.2, '0x1.41de444987695p-1', 4, None),
+    (_DBF, 'standard', 8, 4.0, -30, 0.0, 0.1, 0.2, '0x1.7ae85ab8b331fp-4', 4, None),
+    (_FOT, 'standard', 8, 4.0, -30, 0.0, 0.1, 0.2, '0x1.41de444987699p-1', 4, None),
     (_BSR, 'standard', 8, 4.0, -30, 0.0, 0.1, 0.2, '0x1.a822387fb687ep+0', 2, None),
-    (_DBF, 'standard', 8, 8.0, 0, 0.0, 0.1, 0.2, '0x1.d030ddfbae57ep+12', 4, 'quadrature-unconverged'),
-    (_FOT, 'standard', 8, 8.0, 0, 0.0, 0.1, 0.2, '0x1.c21b14b8d7b99p+15', 4, 'quadrature-unconverged'),
+    (_DBF, 'standard', 8, 8.0, 0, 0.0, 0.1, 0.2, '0x1.d030ddfbae56fp+12', 4, 'quadrature-unconverged'),
+    (_FOT, 'standard', 8, 8.0, 0, 0.0, 0.1, 0.2, '0x1.c21b14b8d7b8bp+15', 4, 'quadrature-unconverged'),
     (_BSR, 'standard', 8, 8.0, 0, 0.0, 0.1, 0.2, '0x1.536f5281b67bfp+5', 3, None),
     (_DBF, 'standard', 8, 2.5, 10, 0.0, 0.1, 0.5, '0x1.5f4fbd4ad1d75p+5', 4, 'quadrature-unconverged'),
-    (_DBF, 'spaced', 6, 8.0, 0, 0.0, 1000.0, 0.5, '0x1.47dbebdefdac5p+58', 2, None),
-    (_FOT, 'spaced', 6, 8.0, 0, 0.0, 1000.0, 0.5, '0x1.ebc9e1cea3465p+60', 2, None),
+    (_DBF, 'spaced', 6, 8.0, 0, 0.0, 1000.0, 0.5, '0x1.47dbebdefdaeep+58', 2, None),
+    (_FOT, 'spaced', 6, 8.0, 0, 0.0, 1000.0, 0.5, '0x1.ebc9e1cea33eap+60', 2, None),
     (_BSR, 'spaced', 6, 8.0, 0, 0.0, 1000.0, 0.5, '0x1.030c947102d48p+52', 2, None),
     (_BSR, 'standard', 3, 8.0, -30, -3000, 1.0, 0.2, '0x1.a84b2722244acp+4', 1, None),
     (_DBF, 'subnormal', 14, 8.0, -2900, 0.0, 1e-06, 0.2, '0x0.2aded45538335p-1022', 2, None),
