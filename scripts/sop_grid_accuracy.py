@@ -192,9 +192,9 @@ def per_pair_levels(kernel, beta_e: float) -> np.ndarray:
         rmax = outage.trunc_radius(0.0, power * len(tx), beta_e, kernel.alpha)
         for i, c in enumerate(tx if power > 0.0 else ()):
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                value, _ = kernel.law(c.real + rmax * unit_x,
-                                      c.imag + rmax * unit_y, beta_e, False,
-                                      ((k, i),))
+                value, _ = kernel.law((c.real + rmax * unit_x)[None],
+                                      (c.imag + rmax * unit_y)[None], beta_e,
+                                      False, ((k, i),))
             levels += rmax * rmax * np.einsum("lj,jl->l", radial,
                                               value[0] @ angular)
     return levels

@@ -25,10 +25,10 @@ Clenshaw-Curtis in radius, the periodic trapezoid rule in angle (Trefethen
 the coarser grid that certifies the value. Where every live transmitter
 shares one exact x or y coordinate (every line layout), the reflection
 across that line maps each grid onto itself: one angle of each mirror pair
-is read. The centres of one far-field power share a grid, so each distinct
-offset centre - transmitter gets its d^-alpha and breach factor once (2K - 1
-offsets for the K^2 pairs of a line). The beamforming and partition SOPs,
-K Ps on the same SBSs, share a pass in shared_pass.
+is read. The centres of one far-field power share a grid: where their
+offsets centre - transmitter are as few as a line's, each offset gets its
+d^-alpha and breach factor once, else each centre reads its own points.
+The beamforming and partition SOPs share a pass in shared_pass.
 
 Each SOP's inverse lives beside it: BreachKernel.root, Newton steps in
 log(beta_e) by bracketed_root (the one bracketed solver, also the rate
@@ -75,9 +75,9 @@ _WEIDEMAN = np.fft.fft(np.fft.fftshift(np.append(
 _WEIDEMAN_BLOCKS = _WEIDEMAN.reshape(-1, _ESTRIN)[:, ::-1].T.astype(complex)
 # Each transmitter's grid: SOP_NODES = (Clenshaw-Curtis intervals in
 # radius, angles), read when called. One law call takes the rings of every
-# centre of a far-field power that fit in PASS_POINTS points: its float64
-# temporaries (64 KiB; offset tables, under 128 KiB on a line) stay below
-# glibc's 128 KiB mmap threshold, above which every call faults them anew.
+# centre of a far-field power that fit in PASS_POINTS points: each float64
+# temporary stays at or below 64 KiB, an offset table (2K - 1 rows at most)
+# below glibc's 128 KiB mmap threshold, above which calls fault pages anew.
 SOP_NODES = (80, 64)
 PASS_POINTS = 8192
 # The integrand is below exp(-TAIL_LOG) = 1e-12 beyond the cut radius.
@@ -412,16 +412,17 @@ class BreachKernel:
     derivative follows du <- du (1 - p_k) + dp_k (1 - u). A silent link
     (relaying at Pm = 0) is never evaluated.
 
-    law(..., centres) has on row j the term of centres[j] = (k, i),
+    law(..., centres) has on slice j the term of centres[j] = (k, i),
     transmitter i of live link k, for centres of one far-field power n P
     (power times transmitters): the union's increment over the links of
     that far-field power, times the share q / sum q over their
     transmitters, q = exp(max(-(beta_e / (n P)) d^alpha, EXP_FLOOR)) (p_k
     itself where n = 1). The terms sum to the law, each on its own breach
-    disc; their slopes leave out the shares'. Centred, row j reads (px, py)
-    relative to its centre c: each distinct (offset c - t, far-field power
-    F_t) of a transmitter t gets one table row of d^-alpha, q and its slope,
-    2K - 1 rows for the K^2 pairs of a line, read as a view where a step's
+    disc; their slopes leave out the shares'. Uncentred, slice j of px, py
+    holds centre j's points, and each transmitter t gets a table of
+    d^-alpha, q and (read by a link of t alone) its slope. Centred, (px, py)
+    is the grid about every centre c: each distinct (far-field power of t,
+    offset c - t) gets a row of one table, read as a view where a step's
     rows run up by one. mirror is the angle in turns, 0 or 1/4, of a line
     through every live transmitter, or None.
 
@@ -446,24 +447,35 @@ class BreachKernel:
             power, tx) in enumerate(kernel.links) if power > 0.0 for i, t in
             enumerate(tx)] for kernel in (self, *shared)), strict=True)
             if not far[step[0][0]] < group]
-        own = [self.links[k][1][i] for k, i in centres]
-        origins = own if centred else [0j] * max(1, len(centres))
+        # each step's table key per centre: (-(beta_e / F), offset c - t)
+        origins = ([self.links[k][1][i] for k, i in centres] if centred
+                   else [0j])
         rows = [[(-(beta_e / far[k]), o.real - t.real, o.imag - t.imag)
                  for o in origins] for k, _, _, _, t in (s[0] for s in steps)]
-        keys = sorted(set().union(*rows), reverse=rows[0][0] > rows[0][-1])
-        where = dict(zip(keys, range(len(keys))))
-        scale, ox, oy = np.array(keys).T.reshape((3, -1) + (1,) * px.ndim)
-        d = dist_pow_neg((px + ox) ** 2 + (py + oy) ** 2, self.alpha)
         sizes = {n for step in steps for _, _, _, n, _ in step}  # of links
-        # the exponent, -inf or nan in places (see integral); d serves sums W
-        q = np.divide(scale, d, out=d if sizes == {1} else None)
-        slope = (q.copy() if q.min() > EXP_FLOOR else np.where(
-            q > EXP_FLOOR, q, 0.0)) if deriv and 1 in sizes else None
-        np.exp(np.fmax(q, EXP_FLOOR, out=q), out=q)
-        slope = None if slope is None else np.multiply(slope, q, out=slope)
-        start, total = None, None  # start: each union so far; total: sum of q
+        shape = (len(centres), *px.shape) if centred else px.shape
+        slots, pick = {c: j for j, c in enumerate(centres)}, np.empty(shape)
+        # where: the table row of each key; start: each union before the
+        # centres' group; total: the sum of q over it; pick: each centre's q
+        where, start, total = {}, None, None
         acc, w = ([None] * (1 + len(shared)) for _ in range(2))  # (u, du), W
         for step, row in zip(steps, rows):
+            if row[0] not in where:  # centred one table, else one per step
+                if centred:
+                    keys = sorted(set().union(*rows))
+                    where = dict(zip(keys, range(len(keys))))
+                    scale, ox, oy = np.array(keys).T.reshape(
+                        (3, -1) + (1,) * px.ndim)
+                else:  # of px's shape, read whole
+                    (scale, ox, oy), where = row[0], {row[0]: ...}
+                d = dist_pow_neg((px + ox) ** 2 + (py + oy) ** 2, self.alpha)
+                # -inf or nan in places (see integral); d serves sums W
+                q = np.divide(scale, d, out=d if sizes == {1} else None)
+                slope = (q.copy() if q.min() > EXP_FLOOR else np.where(
+                    q > EXP_FLOOR, q, 0.0)) if deriv and 1 in sizes else None
+                np.exp(np.fmax(q, EXP_FLOOR, out=q), out=q)
+                slope = slope if slope is None else np.multiply(
+                    slope, q, out=slope)
             if far[step[0][0]] == group and start is None:  # acc's arrays stay
                 start = [union or (None, None) for union in acc]
             at = [where[key] for key in row]  # a view where they run up by 1
@@ -485,20 +497,23 @@ class BreachKernel:
                     dp = np.multiply(a, p, out=a) if deriv else None
                 if acc[j] is not None:  # the union with the links before
                     v = 1.0 - acc[j][0]
-                    if deriv:  # du (1 - p) + dp (1 - u)
-                        dp = v * dp + acc[j][1] * (1.0 - p)
+                    if deriv:  # du (1 - p) + dp (1 - u), summed in place
+                        x = (1.0 - p) * acc[j][1]
+                        dp = np.add(v * dp, x, out=x)
                     p = np.add(np.multiply(v, p, out=v), acc[j][0], out=v)
                 acc[j] = p, dp
-            if start is not None:  # summed in place once not a view of q
-                total = q[at] if total is None else np.add(
-                    total, q[at], out=None if total.base is q else total)
+            if start is not None:  # summed in place once not a table's view
+                qa = q[at].reshape(shape)
+                total = qa if total is None else np.add(
+                    total, qa, out=total if total.base is None else None)
+                if (j := slots.get(step[0][:2])) is not None:  # its own q
+                    pick[j] = qa[j]
         if centres:  # each centre's q over the sum of q: 1 where it is alone
             share = None if len(steps) < 2 or far[steps[-2][0][0]] > group \
-                else q[[where[-(beta_e / group), o.real - t.real, o.imag - t.imag]
-                        for o, t in zip(origins, own)]] / total
+                else pick / total
             d = q = slope = w = p = dp = total = None  # free the tables
             acc = [[None if x is None else (x if share is None else x * share)
-                    .reshape(len(centres), *px.shape) for x in (  # row j: centre j
+                    .reshape(shape) for x in (  # row j: centre j
                         u if s is None else u - s, du if ds is None else du - ds)]
                    for (u, du), (s, ds) in zip(acc, start)]
         return acc if shared else acc[0]
@@ -510,24 +525,33 @@ class BreachKernel:
         dependence on beta_e): the sum of the live transmitters' terms, each
         on a polar grid out to the cut radius of its link's far-field power,
         in law calls on the rings that fit in PASS_POINTS points for every
-        centre of that power. -inf exponents, or inf/inf = nan where beta_e/P
-        overflows (a disc below 1e-120 across), pass silently to the floor."""
+        centre of that power, centred where their offsets are fewest (as on
+        a line), else on each centre's own points. -inf exponents, or inf/inf
+        = nan where beta_e/P overflows (a disc below 1e-120 across), pass
+        silently to the floor."""
         radial, unit_x, unit_y, angular = _nested_rules(*SOP_NODES,
                                                         self.mirror)
-        centres = [(power * len(tx), (k, i))
+        centres = [(power * len(tx), (k, i), t)
                    for k, (power, tx) in enumerate(self.links) if power > 0.0
-                   for i in range(len(tx))]
+                   for i, t in enumerate(tx)]
         out = np.zeros((1 + len(shared), 2 if deriv else 1, 2))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for far, group in groupby(centres, lambda centre: centre[0]):
-                _, part = zip(*group)
+                _, part, own = zip(*group)
+                live = [(f, t) for f, _, t in centres if f >= far]
+                centred = len({(f, c - t) for f, t in live for c in own}) \
+                    < len(own) + len(live)  # the fewest there can be
                 rmax = trunc_radius(0.0, far, beta_e, self.alpha)
                 rings = max(1, PASS_POINTS // (len(part) * len(angular)))
                 for j in range(0, len(unit_x), rings):
                     ring = slice(j, j + rings)
-                    terms = self.law((rmax * unit_x[ring]).ravel(),
-                                     (rmax * unit_y[ring]).ravel(), beta_e,
-                                     deriv, part, *shared, centred=True)
+                    gx, gy = (rmax * unit_x[ring]).ravel(), (
+                        rmax * unit_y[ring]).ravel()
+                    if not centred:  # each centre's own points, c + g
+                        gx = np.add.outer([c.real for c in own], gx)
+                        gy = np.add.outer([c.imag for c in own], gy)
+                    terms = self.law(gx, gy, beta_e, deriv, part, *shared,
+                                     centred=centred)
                     for sums, pair in zip(out, terms if shared else [terms]):
                         for level, v in zip(sums, pair):
                             level += rmax * rmax * np.einsum(

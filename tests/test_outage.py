@@ -484,8 +484,8 @@ def test_unflagged_sops_are_within_tolerance_of_the_doubled_grid(
 def test_centre_terms_sum_to_the_law(layout, Pm):
     # the terms each transmitter's grid integrates partition the law and
     # its slope, the union's links largest first. One law call evaluates
-    # the terms of a far-field-power group's centres on the same points, one
-    # slice each, and each slice is the term that centre gets alone
+    # the terms of a far-field-power group's centres, one slice each, and
+    # each slice is the term that centre gets alone
     rng = np.random.default_rng(3)
     px, py = rng.normal(0.0, 3.0, (2, 16, 32))
     for scheme in SchemeId:
@@ -499,9 +499,10 @@ def test_centre_terms_sum_to_the_law(layout, Pm):
         terms = []
         for _, group in itertools.groupby(centres, lambda c: powers[c[0]]):
             group = tuple(group)
-            stacked = kernel.law(px, py, 0.7, True, group)
+            stacked = kernel.law(np.stack([px] * len(group)),
+                                 np.stack([py] * len(group)), 0.7, True, group)
             for j, centre in enumerate(group):
-                alone = kernel.law(px, py, 0.7, True, (centre,))
+                alone = kernel.law(px[None], py[None], 0.7, True, (centre,))
                 for a, b in zip(alone, stacked):
                     assert np.array_equal(a[0], b[j])
             terms += zip(*stacked)
@@ -632,6 +633,27 @@ def test_sop_peak_memory_stays_in_blocks():
     dbf, fot = _shared_pair(lay, params)
     for run in (lambda: sop_fot(lay, params, 1.0),
                 lambda: dbf.integral(1.0, False, fot)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20
+
+
+@pytest.mark.parametrize("r_s", [0.3, 0.05])
+def test_sop_peak_memory_stays_in_blocks_where_offsets_do_not_repeat(r_s):
+    # at K = 8 these spacings give 39 and 33 offsets c - t for 64 pairs, not
+    # a line's 15: each centre reads its own points, one table row per
+    # transmitter, and the traced peaks stay those of the layouts whose
+    # offsets repeat
+    lay, params = build_line_layout(1.0, r_s, 8, 2.0), standard_params()
+    sop_fot(lay, params, 1.0)  # fill the cache of the nested rules
+    dbf, fot = _shared_pair(lay, params)
+    for run in (lambda: sop_fot(lay, params, 1.0),
+                lambda: dbf.integral(1.0, False, fot),
+                lambda: fot.integral(1.0, True)):
         tracemalloc.start()
         try:
             run()
@@ -790,15 +812,19 @@ def test_line_layouts_read_half_the_angles_in_passes(monkeypatch):
     # each law call takes every centre of one far-field power on a block of
     # whole rings of their grid, at most PASS_POINTS points in all, and
     # together the calls read each centre's grid once: 79 radii by 33
-    # folded angles, or by 64
+    # folded angles, or by 64. The centres read offset tables where their
+    # offsets are as few as a line's; at K = 8 and r_s = 0.3 the offsets
+    # c - t do not repeat exactly, and each centre reads its own points
     calls = []
     real = outage.BreachKernel.law
     monkeypatch.setattr(
-        outage.BreachKernel, "law", lambda self, px, *rest, **kw:
-        calls.append((rest[3], px.shape)) or real(self, px, *rest, **kw))
+        outage.BreachKernel, "law", lambda self, px, *rest, centred=False:
+        calls.append((rest[3], px.shape[-1], centred))
+        or real(self, px, *rest, centred=centred))
     n, n_angles = outage.SOP_NODES
     params = standard_params(Pm_dBw=0.0)
-    for layout, scheme in itertools.product(_LAYOUTS, SchemeId):
+    uneven = build_line_layout(1.0, 0.3, 8, 2.0)
+    for layout, scheme in itertools.product([*_LAYOUTS, uneven], SchemeId):
         kernel = outage.breach_kernel(scheme, layout, params)
         powers = [power * len(tx) for power, tx in kernel.links]
         groups = [tuple(group) for _, group in itertools.groupby(
@@ -808,17 +834,19 @@ def test_line_layouts_read_half_the_angles_in_passes(monkeypatch):
                                (None, n_angles)):
             calls.clear()
             dataclasses.replace(kernel, mirror=mirror).integral(1.0)
-            assert {centres for centres, _ in calls} == set(groups)
-            assert max(len(centres) * shape[0] for centres, shape in calls) \
+            assert {centres for centres, _, _ in calls} == set(groups)
+            assert max(len(centres) * points for centres, points, _ in calls) \
                 <= outage.PASS_POINTS
+            assert all(centred == (layout is not uneven or len(centres) == 1)
+                       for centres, _, centred in calls)
             for group in groups:
-                assert sum(shape[0] for centres, shape in calls
+                assert sum(points for centres, points, _ in calls
                            if centres == group) == (n - 1) * angles
     kernel = outage.breach_kernel(SchemeId.DBF, standard_layout(8), params)
     calls.clear()
     kernel.integral(1.0)
-    assert [(len(centres), shape) for centres, shape in calls] \
-        == [(8, (1023,)), (8, (1023,)), (8, (561,))]
+    assert [(len(centres), points) for centres, points, _ in calls] \
+        == [(8, 1023), (8, 1023), (8, 561)]
 
 
 @pytest.mark.parametrize("layout", [standard_layout(3),
@@ -913,25 +941,32 @@ def test_every_vector_exp_on_the_sop_path_is_floored(monkeypatch):
     calls = []
     real_law = outage.BreachKernel.law
 
-    def law(self, px, py, beta_e, deriv, centres=(), *shared, **kwargs):
-        calls.append(1 + sum(power > 0.0 and len(tx) > 1 for kernel
-                             in (self, *shared) for power, tx in kernel.links))
-        return real_law(self, px, py, beta_e, deriv, centres, *shared, **kwargs)
+    def law(self, px, py, beta_e, deriv, centres=(), *shared, centred=False):
+        group = self.links[centres[0][0]] if centres else (0.0, ())
+        read = [[tx for power, tx in kernel.links if power > 0.0
+                 and power * len(tx) >= group[0] * len(group[1])]
+                for kernel in (self, *shared)]
+        calls.append((1 if centred else sum(map(len, read[0])))
+                     + sum(len(tx) > 1 for links in read for tx in links))
+        return real_law(self, px, py, beta_e, deriv, centres, *shared,
+                        centred=centred)
 
-    lay = build_line_layout(1.0, 2.0, 6, 2.0)
     params = standard_params(Ps_dBw=-30.0, lambda_e=1.0)
     monkeypatch.setattr(np, "exp", exp)
     monkeypatch.setattr(outage.BreachKernel, "law", law)
-    for fn in (sop_dbf, sop_fot, sop_bsr_exact):
-        fn(lay, params, 1.0)
-    with outage.shared_pass(lay, params, 1.0):
-        sop_dbf(lay, params, 1.0)
-        sop_fot(lay, params, 1.0)
-    for scheme in SchemeId:
-        invert_sop(scheme, lay, params, 0.2, bsr_exact=True)
+    for lay in (build_line_layout(1.0, 2.0, 6, 2.0),
+                build_line_layout(1.0, 0.3, 6, 2.0)):
+        for fn in (sop_dbf, sop_fot, sop_bsr_exact):
+            fn(lay, params, 1.0)
+        with outage.shared_pass(lay, params, 1.0):
+            sop_dbf(lay, params, 1.0)
+            sop_fot(lay, params, 1.0)
+        for scheme in SchemeId:
+            invert_sop(scheme, lay, params, 0.2, bsr_exact=True)
     monkeypatch.undo()
-    # one vector exp per law call for its table of breach factors, and one
-    # per live link of several transmitters of each kernel it evaluates
+    # one vector exp per table of breach factors: one per centred law call,
+    # else one per transmitter it reads; and one per link of several
+    # transmitters of each kernel it evaluates
     assert len(lowest) == sum(calls) > 0
     assert min(lowest) >= outage.EXP_FLOOR
 
