@@ -95,10 +95,8 @@ def average_power(params: ChannelParams, lib: ZipfLibrary, K: int, L: int,
 def see(psi_d: float, psi_f: float, psi_b: float, params: ChannelParams,
         lib: ZipfLibrary, K: int, L: int, M: int) -> float:
     """Secrecy energy efficiency: cache-averaged throughput per unit power."""
-    p_avg = average_power(params, lib, K, L, M)
-    if p_avg <= 0.0:
-        raise ValueError("average power must be positive")
-    return overall_throughput(psi_d, psi_f, psi_b, lib, K, L, M) / p_avg
+    return overall_throughput(psi_d, psi_f, psi_b, lib, K, L, M) \
+        / average_power(params, lib, K, L, M)
 
 
 def _crossing(gain: float, agg: float, xi, L: int, objective) -> int:

@@ -25,9 +25,9 @@ Clenshaw-Curtis in radius, the periodic trapezoid rule in angle (Trefethen
 the coarser grid that certifies the value. Where every live transmitter
 shares one exact x or y coordinate (every line layout), the reflection
 across that line maps each grid onto itself: one angle of each mirror pair
-is read. The centres of one far-field power share a grid: where their
-offsets centre - transmitter are as few as a line's, each offset gets its
-d^-alpha and breach factor once, else each centre reads its own points.
+is read. BreachKernel.law takes the centres of one far-field power on their
+shared grid: where the offsets centre - transmitter are as few as a line's,
+each gets its d^-alpha and breach factor once, else each centre its points.
 The beamforming and partition SOPs share a pass in shared_pass.
 
 Each SOP's inverse lives beside it: BreachKernel.root, Newton steps in
@@ -84,7 +84,7 @@ PASS_POINTS = 8192
 TAIL_LOG = math.log(1e12)
 QUAD_CERT_TOL = 1e-6
 SOP_INVERSION_TOL = 1e-8
-SOP_MAX_EVALS = 200  # calls of side one bracketed_root may spend
+SOP_MAX_EVALS = 200  # calls of side one bracketed_root may spend (see it)
 # Breach laws take exp(max(arg, EXP_FLOOR)): numpy's vector exp runs about
 # 150 times slower where its result is subnormal, 7 times where it is 0
 # (arguments below about -708), and e^-700 adds nothing to an integral.
@@ -368,13 +368,15 @@ def bracketed_root(side, x: float, width: float = 0.0,
     """The last x tried in a search from x for the root of a falling f:
     side(x) is None where x is accepted, else (f(x), step), step a Newton
     step (nan where it fails) or None, for the secant step of the last two
-    points in a closed bracket that halved in two steps (Brent 1973, ch. 4).
-    Steps land strictly inside the bracket of the points tried, and at most
-    16 from x while an end is open, else an open end moves out by 1, 2, 4,
-    ... (up to top; side raises there if it is below) and a closed one is
-    bisected, down to width or one ulp of x: log2(W / width) or log2(W /
-    ulp(x)) calls from a bracket W wide. Newton steps in a closed bracket
-    need not halve it: RuntimeError after SOP_MAX_EVALS calls of side."""
+    points. A step strictly inside the bracket of the points tried is
+    taken, up to 16 long while an end is open, once closed if the bracket
+    halved in two steps (Brent 1973, ch. 4); else an open end moves out by
+    1, 2, 4, ... (up to top; side raises there if it is below) and a closed
+    one is bisected, to width or one ulp of x. Calls: log2(D + 1) + 1 moves
+    out pass a root D away, besides Newton steps; then the bracket, W wide,
+    halves in every 3, stopping in 3 log2(W / w) + 3 more, w the width or
+    half an ulp of the root. RuntimeError after SOP_MAX_EVALS calls: 200,
+    above the 170 these give at the maximizer's width 1e-13."""
     lo, hi, reach, last, widths = -math.inf, math.inf, 1.0, None, (math.inf,) * 2
     for _ in range(SOP_MAX_EVALS):
         if (report := side(x)) is None:
@@ -383,12 +385,13 @@ def bracketed_root(side, x: float, width: float = 0.0,
         lo, hi = (x, hi) if f > 0.0 else (lo, x)  # f(lo) > 0 >= f(hi)
         if hi - lo <= max(width, math.ulp(x)):  # ulp: no float inside
             return x
-        secant = math.inf > hi - lo <= 0.5 * widths[0] and f != last[1]
+        halved = math.inf > hi - lo <= 0.5 * widths[0]  # closed, halving
         if step is None:  # the secant step, in a closed, halving bracket
-            step = x - f * (x - last[0]) / (f - last[1]) if secant else math.nan
+            step = x - f * (x - last[0]) / (f - last[1]) \
+                if halved and f != last[1] else math.nan
         last, widths = (x, f), (widths[1], hi - lo)  # the last two widths
-        if lo < step < min(hi, top) and (hi - lo < math.inf
-                                         or abs(step - x) <= 16.0):
+        if lo < step < min(hi, top) and (halved or hi - lo == math.inf
+                                         and abs(step - x) <= 16.0):
             x = step
         elif math.isinf(lo) or math.isinf(hi):
             x = hi - reach if math.isinf(lo) else min(lo + reach, top)
@@ -396,6 +399,23 @@ def bracketed_root(side, x: float, width: float = 0.0,
         else:
             x = 0.5 * (lo + hi)
     raise RuntimeError(f"did not converge in {SOP_MAX_EVALS} evaluations")
+
+
+def _floored(x: np.ndarray, deriv: bool):
+    """exp(max(x, EXP_FLOOR)) in x's place and, if deriv, its log(beta_e)-
+    slope x e^x, 0 where the floor binds (else None): a breach factor."""
+    slope = (x.copy() if x.min() > EXP_FLOOR else np.where(
+        x > EXP_FLOOR, x, 0.0)) if deriv else None
+    np.exp(np.fmax(x, EXP_FLOOR, out=x), out=x)
+    return x, slope if slope is None else np.multiply(slope, x, out=slope)
+
+
+@lru_cache(maxsize=16)
+def _offset_keys(read: tuple, xy: tuple) -> tuple:
+    """Sorted keys (F, offset c - t) of transmitters t, read ((F, x, y),
+    ...), and centres c, xy, if fewer than t's plus c's (a line's), else ()."""
+    keys = sorted({(f, x - tx, y - ty) for f, tx, ty in read for x, y in xy})
+    return tuple(keys) if len(keys) < len(xy) + len(read) else ()
 
 
 @dataclass(frozen=True)
@@ -406,11 +426,10 @@ class BreachKernel:
     at (px, py) decodes some link, and its derivative in log(beta_e) on the
     same points when deriv is set (None otherwise). Link k breaches with
     p_k = exp(max(a_k, EXP_FLOOR)), a_k = -(beta_e / P_k) / W_k and W_k the
-    sum of d^-alpha over its transmitters; a_k may overflow to -inf, which
-    the floor takes. The slope is that of the floored law, dp_k = a_k p_k
-    and 0 where the floor binds; the union is u <- u + p_k (1 - u), whose
-    derivative follows du <- du (1 - p_k) + dp_k (1 - u). A silent link
-    (relaying at Pm = 0) is never evaluated.
+    sum of d^-alpha over its transmitters, with slope dp_k (_floored); a_k
+    may overflow to -inf, which the floor takes. The union is u <- u +
+    p_k (1 - u), whose derivative follows du <- du (1 - p_k) + dp_k (1 -
+    u). A silent link (relaying at Pm = 0) is never evaluated.
 
     law(..., centres) has on slice j the term of centres[j] = (k, i),
     transmitter i of live link k, for centres of one far-field power n P
@@ -418,13 +437,12 @@ class BreachKernel:
     that far-field power, times the share q / sum q over their
     transmitters, q = exp(max(-(beta_e / (n P)) d^alpha, EXP_FLOOR)) (p_k
     itself where n = 1). The terms sum to the law, each on its own breach
-    disc; their slopes leave out the shares'. Uncentred, slice j of px, py
-    holds centre j's points, and each transmitter t gets a table of
-    d^-alpha, q and (read by a link of t alone) its slope. Centred, (px, py)
-    is the grid about every centre c: each distinct (far-field power of t,
-    offset c - t) gets a row of one table, read as a view where a step's
-    rows run up by one. mirror is the angle in turns, 0 or 1/4, of a line
-    through every live transmitter, or None.
+    disc; their slopes leave out the shares'. On a grid g the centres c
+    share (1-D px, py), the keys of _offset_keys, if any, are the rows of
+    one table, read as a view where a step's rows run up by one; else each
+    centre reads its own points, c + g or slice j of px, py, and each t a
+    table of d^-alpha, q and (read by a link of t alone) its slope. mirror:
+    the angle in turns (0 or 1/4) of a line through every live transmitter.
 
     law(..., centres, *shared) and integral(beta_e, deriv, *shared) return
     one result per kernel, this one's first, each with its own bits, for
@@ -437,8 +455,7 @@ class BreachKernel:
     mirror: float | None = None
 
     def law(self, px: np.ndarray, py: np.ndarray, beta_e: float, deriv: bool,
-            centres: tuple[tuple[int, int], ...] = (), *shared: BreachKernel,
-            centred: bool = False):
+            centres: tuple[tuple[int, int], ...] = (), *shared: BreachKernel):
         far = [power * len(tx) for power, tx in self.links]
         group = far[centres[0][0]] if centres else math.nan
         # a step per live transmitter t up to the centres' group, in link
@@ -447,35 +464,34 @@ class BreachKernel:
             power, tx) in enumerate(kernel.links) if power > 0.0 for i, t in
             enumerate(tx)] for kernel in (self, *shared)), strict=True)
             if not far[step[0][0]] < group]
-        # each step's table key per centre: (-(beta_e / F), offset c - t)
-        origins = ([self.links[k][1][i] for k, i in centres] if centred
-                   else [0j])
-        rows = [[(-(beta_e / far[k]), o.real - t.real, o.imag - t.imag)
-                 for o in origins] for k, _, _, _, t in (s[0] for s in steps)]
+        read = tuple([(far[s[0][0]], s[0][4].real, s[0][4].imag)
+                      for s in steps])  # (F, x, y) of each step's t
+        xy = tuple([(c.real, c.imag) for c in [
+            self.links[k][1][i] for k, i in centres]])  # the centres c
+        keys = _offset_keys(read, xy) if px.ndim == 1 else ()
+        if centres and px.ndim == 1 and not keys:  # each c reads c + g
+            px = np.add.outer([x for x, _ in xy], px)
+            py = np.add.outer([y for _, y in xy], py)
+        rows = [[(f, x - tx, y - ty) for x, y in (xy if keys else [(
+            0.0, 0.0)])] for f, tx, ty in read]  # each step's key per c
         sizes = {n for step in steps for _, _, _, n, _ in step}  # of links
-        shape = (len(centres), *px.shape) if centred else px.shape
+        shape = (len(centres), *px.shape) if keys else px.shape
         slots, pick = {c: j for j, c in enumerate(centres)}, np.empty(shape)
         # where: the table row of each key; start: each union before the
         # centres' group; total: the sum of q over it; pick: each centre's q
         where, start, total = {}, None, None
         acc, w = ([None] * (1 + len(shared)) for _ in range(2))  # (u, du), W
         for step, row in zip(steps, rows):
-            if row[0] not in where:  # centred one table, else one per step
-                if centred:
-                    keys = sorted(set().union(*rows))
-                    where = dict(zip(keys, range(len(keys))))
-                    scale, ox, oy = np.array(keys).T.reshape(
-                        (3, -1) + (1,) * px.ndim)
+            if row[0] not in where:  # one table of keys, else one per step
+                if keys:
+                    where = {key: r for r, key in enumerate(keys)}
+                    f, ox, oy = np.array(keys).T[:, :, None]  # px is 1-D
                 else:  # of px's shape, read whole
-                    (scale, ox, oy), where = row[0], {row[0]: ...}
+                    (f, ox, oy), where = row[0], {row[0]: ...}
                 d = dist_pow_neg((px + ox) ** 2 + (py + oy) ** 2, self.alpha)
                 # -inf or nan in places (see integral); d serves sums W
-                q = np.divide(scale, d, out=d if sizes == {1} else None)
-                slope = (q.copy() if q.min() > EXP_FLOOR else np.where(
-                    q > EXP_FLOOR, q, 0.0)) if deriv and 1 in sizes else None
-                np.exp(np.fmax(q, EXP_FLOOR, out=q), out=q)
-                slope = slope if slope is None else np.multiply(
-                    slope, q, out=slope)
+                q = np.divide(-beta_e / f, d, out=d if sizes == {1} else None)
+                q, slope = _floored(q, deriv and 1 in sizes)
             if far[step[0][0]] == group and start is None:  # acc's arrays stay
                 start = [union or (None, None) for union in acc]
             at = [where[key] for key in row]  # a view where they run up by 1
@@ -489,12 +505,7 @@ class BreachKernel:
                         w[j], d[at], out=w[j] if i > 1 else None)
                     if i + 1 < n:
                         continue
-                    p = -(beta_e / power) / w[j]
-                    if deriv:
-                        a = p.copy() if p.min() > EXP_FLOOR \
-                            else np.where(p > EXP_FLOOR, p, 0.0)
-                    np.exp(np.fmax(p, EXP_FLOOR, out=p), out=p)
-                    dp = np.multiply(a, p, out=a) if deriv else None
+                    p, dp = _floored(-(beta_e / power) / w[j], deriv)
                 if acc[j] is not None:  # the union with the links before
                     v = 1.0 - acc[j][0]
                     if deriv:  # du (1 - p) + dp (1 - u), summed in place
@@ -522,36 +533,26 @@ class BreachKernel:
                  *shared: BreachKernel):
         """Breach integral on the two levels of _nested_rules, finest first,
         and its log(beta_e)-derivative when deriv is set (ignoring the radii's
-        dependence on beta_e): the sum of the live transmitters' terms, each
-        on a polar grid out to the cut radius of its link's far-field power,
-        in law calls on the rings that fit in PASS_POINTS points for every
-        centre of that power, centred where their offsets are fewest (as on
-        a line), else on each centre's own points. -inf exponents, or inf/inf
-        = nan where beta_e/P overflows (a disc below 1e-120 across), pass
-        silently to the floor."""
+        dependence on beta_e): the sum of the live transmitters' terms, each on
+        a polar grid to the cut radius of its link's far-field power, in law
+        calls on the rings, of the grid its centres share, that fit in
+        PASS_POINTS points for all. -inf exponents, or inf/inf = nan where
+        beta_e/P overflows (a disc below 1e-120 across), reach the floor."""
         radial, unit_x, unit_y, angular = _nested_rules(*SOP_NODES,
                                                         self.mirror)
-        centres = [(power * len(tx), (k, i), t)
-                   for k, (power, tx) in enumerate(self.links) if power > 0.0
-                   for i, t in enumerate(tx)]
+        centres = [(power * len(tx), (k, i)) for k, (power, tx) in enumerate(
+            self.links) if power > 0.0 for i in range(len(tx))]
         out = np.zeros((1 + len(shared), 2 if deriv else 1, 2))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for far, group in groupby(centres, lambda centre: centre[0]):
-                _, part, own = zip(*group)
-                live = [(f, t) for f, _, t in centres if f >= far]
-                centred = len({(f, c - t) for f, t in live for c in own}) \
-                    < len(own) + len(live)  # the fewest there can be
+                _, part = zip(*group)
                 rmax = trunc_radius(0.0, far, beta_e, self.alpha)
                 rings = max(1, PASS_POINTS // (len(part) * len(angular)))
                 for j in range(0, len(unit_x), rings):
                     ring = slice(j, j + rings)
-                    gx, gy = (rmax * unit_x[ring]).ravel(), (
-                        rmax * unit_y[ring]).ravel()
-                    if not centred:  # each centre's own points, c + g
-                        gx = np.add.outer([c.real for c in own], gx)
-                        gy = np.add.outer([c.imag for c in own], gy)
-                    terms = self.law(gx, gy, beta_e, deriv, part, *shared,
-                                     centred=centred)
+                    terms = self.law((rmax * unit_x[ring]).ravel(), (
+                        rmax * unit_y[ring]).ravel(), beta_e, deriv, part,
+                        *shared)
                     for sums, pair in zip(out, terms if shared else [terms]):
                         for level, v in zip(sums, pair):
                             level += rmax * rmax * np.einsum(

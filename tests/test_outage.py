@@ -626,8 +626,9 @@ def test_threads_each_keep_their_own_shared_pass():
 
 def test_sop_peak_memory_stays_in_blocks():
     # passes of at most PASS_POINTS = 8,192 points: each float64 temporary
-    # of a pass is at most 64 KiB; the traced peak at K = 8 is about 0.70 MiB
-    # for one kernel and 0.82 MiB for the shared beamforming-partition pass
+    # of a pass is at most 64 KiB; the traced peak at K = 8 is about 0.51 MiB
+    # for the partition SOP and 0.76 MiB for the shared beamforming-partition
+    # pass (tracemalloc)
     lay, params = standard_layout(8), standard_params()
     sop_fot(lay, params, 1.0)  # fill the cache of the nested rules
     dbf, fot = _shared_pair(lay, params)
@@ -646,8 +647,9 @@ def test_sop_peak_memory_stays_in_blocks():
 def test_sop_peak_memory_stays_in_blocks_where_offsets_do_not_repeat(r_s):
     # at K = 8 these spacings give 39 and 33 offsets c - t for 64 pairs, not
     # a line's 15: each centre reads its own points, one table row per
-    # transmitter, and the traced peaks stay those of the layouts whose
-    # offsets repeat
+    # transmitter. The traced peaks are about 0.65, 0.83 and 0.90 MiB for
+    # the partition SOP, the shared pass and the partition slope pass,
+    # against 0.51, 0.76 and 0.82 MiB where the offsets repeat
     lay, params = build_line_layout(1.0, r_s, 8, 2.0), standard_params()
     sop_fot(lay, params, 1.0)  # fill the cache of the nested rules
     dbf, fot = _shared_pair(lay, params)
@@ -810,17 +812,24 @@ def test_layouts_off_a_shared_x_or_y_read_every_angle():
 
 def test_line_layouts_read_half_the_angles_in_passes(monkeypatch):
     # each law call takes every centre of one far-field power on a block of
-    # whole rings of their grid, at most PASS_POINTS points in all, and
-    # together the calls read each centre's grid once: 79 radii by 33
-    # folded angles, or by 64. The centres read offset tables where their
-    # offsets are as few as a line's; at K = 8 and r_s = 0.3 the offsets
-    # c - t do not repeat exactly, and each centre reads its own points
-    calls = []
-    real = outage.BreachKernel.law
-    monkeypatch.setattr(
-        outage.BreachKernel, "law", lambda self, px, *rest, centred=False:
-        calls.append((rest[3], px.shape[-1], centred))
-        or real(self, px, *rest, centred=centred))
+    # whole rings of their shared grid, at most PASS_POINTS points in all
+    # for all of them, and together the calls read each centre's grid once:
+    # 79 radii by 33 folded angles, or by 64. The law reads one offset
+    # table per call where the offsets are as few as a line's; at K = 8 and
+    # r_s = 0.3 the offsets c - t do not repeat exactly, and each centre
+    # reads its own points, on one table per transmitter
+    calls, tables = [], []
+    real, real_dist = outage.BreachKernel.law, outage.dist_pow_neg
+
+    def law(self, px, *rest):
+        built = len(tables)
+        terms = real(self, px, *rest)
+        calls.append((rest[3], px.shape, len(tables) - built))
+        return terms
+
+    monkeypatch.setattr(outage, "dist_pow_neg", lambda *args:
+                        tables.append(args) or real_dist(*args))
+    monkeypatch.setattr(outage.BreachKernel, "law", law)
     n, n_angles = outage.SOP_NODES
     params = standard_params(Pm_dBw=0.0)
     uneven = build_line_layout(1.0, 0.3, 8, 2.0)
@@ -835,18 +844,20 @@ def test_line_layouts_read_half_the_angles_in_passes(monkeypatch):
             calls.clear()
             dataclasses.replace(kernel, mirror=mirror).integral(1.0)
             assert {centres for centres, _, _ in calls} == set(groups)
-            assert max(len(centres) * points for centres, points, _ in calls) \
+            assert all(len(shape) == 1 for _, shape, _ in calls)
+            assert max(len(centres) * shape[0] for centres, shape, _ in calls) \
                 <= outage.PASS_POINTS
-            assert all(centred == (layout is not uneven or len(centres) == 1)
-                       for centres, _, centred in calls)
+            assert all((built == 1) == (layout is not uneven
+                                        or len(centres) == 1)
+                       for centres, _, built in calls)
             for group in groups:
-                assert sum(points for centres, points, _ in calls
+                assert sum(shape[0] for centres, shape, _ in calls
                            if centres == group) == (n - 1) * angles
     kernel = outage.breach_kernel(SchemeId.DBF, standard_layout(8), params)
     calls.clear()
     kernel.integral(1.0)
-    assert [(len(centres), points) for centres, points, _ in calls] \
-        == [(8, 1023), (8, 1023), (8, 561)]
+    assert [(len(centres), shape) for centres, shape, _ in calls] \
+        == [(8, (1023,)), (8, (1023,)), (8, (561,))]
 
 
 @pytest.mark.parametrize("layout", [standard_layout(3),
@@ -938,22 +949,11 @@ def test_every_vector_exp_on_the_sop_path_is_floored(monkeypatch):
             lowest.append(float(np.min(x)))
         return real_exp(x, *args, **kwargs)
 
-    calls = []
-    real_law = outage.BreachKernel.law
-
-    def law(self, px, py, beta_e, deriv, centres=(), *shared, centred=False):
-        group = self.links[centres[0][0]] if centres else (0.0, ())
-        read = [[tx for power, tx in kernel.links if power > 0.0
-                 and power * len(tx) >= group[0] * len(group[1])]
-                for kernel in (self, *shared)]
-        calls.append((1 if centred else sum(map(len, read[0])))
-                     + sum(len(tx) > 1 for links in read for tx in links))
-        return real_law(self, px, py, beta_e, deriv, centres, *shared,
-                        centred=centred)
-
+    floored, real_floored = [], outage._floored
     params = standard_params(Ps_dBw=-30.0, lambda_e=1.0)
     monkeypatch.setattr(np, "exp", exp)
-    monkeypatch.setattr(outage.BreachKernel, "law", law)
+    monkeypatch.setattr(outage, "_floored", lambda *args:
+                        floored.append(args[1]) or real_floored(*args))
     for lay in (build_line_layout(1.0, 2.0, 6, 2.0),
                 build_line_layout(1.0, 0.3, 6, 2.0)):
         for fn in (sop_dbf, sop_fot, sop_bsr_exact):
@@ -964,10 +964,8 @@ def test_every_vector_exp_on_the_sop_path_is_floored(monkeypatch):
         for scheme in SchemeId:
             invert_sop(scheme, lay, params, 0.2, bsr_exact=True)
     monkeypatch.undo()
-    # one vector exp per table of breach factors: one per centred law call,
-    # else one per transmitter it reads; and one per link of several
-    # transmitters of each kernel it evaluates
-    assert len(lowest) == sum(calls) > 0
+    # each vector exp takes a table or a link's breach factors in _floored
+    assert len(lowest) == len(floored) > 0
     assert min(lowest) >= outage.EXP_FLOOR
 
 
@@ -1049,3 +1047,72 @@ def test_open_bracket_newton_steps_stay_short(r):
 
     x = outage.bracketed_root(side, -3.0)
     assert abs(x - r) <= 1e-12 and len(tried) <= 12
+
+
+def _logistic(y):
+    return 1.0 / (1.0 + 4.0 * math.exp(min(y, 700.0)))
+
+
+# falling functions with a root at 0 and their slopes: S-shaped, one
+# S-shaped with its inflection off the root (convex on one side of it,
+# concave on the other), and a cubic (Newton steps never cross its root)
+_S_SHAPED = {
+    "tanh": (lambda z, s: -math.tanh(s * z),
+             lambda z, s: -s * (1.0 - math.tanh(s * z) ** 2)),
+    "logistic": (lambda z, s: _logistic(s * z) - 0.2,
+                 lambda z, s: -s * _logistic(s * z)
+                 * (1.0 - _logistic(s * z))),
+    "cubic": (lambda z, s: -s * z ** 3 - 0.1 * z,
+              lambda z, s: -3.0 * s * z * z - 0.1)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(shape=st.sampled_from(sorted(_S_SHAPED)), newton=st.booleans(),
+       scale=st.sampled_from([0.25, 1.0, 3.0]), r=st.floats(-700.0, 700.0),
+       start=st.floats(-745.0, 745.0),
+       width=st.sampled_from([0.0, 1e-13, 1e-9, 1e-3]),
+       accept=st.sampled_from([0.0, 1e-12, 1e-6]),
+       top=st.one_of(st.just(math.inf), st.floats(0.0, 40.0)),
+       crawl=st.sampled_from([1.0, 1e3]))
+def test_bracketed_root_ends_within_its_bound(shape, newton, scale, r, start,
+                                              width, accept, top, crawl):
+    # the bound of bracketed_root's docstring, per stage: from any start, a
+    # root D away is passed in log2(D + 1) + 1 moves out besides the Newton
+    # steps into the open end (at most 40 on these functions), and the
+    # bracket, W wide when it closes, then stops within 3 log2(W / w) + 3
+    # calls, w the width or half an ulp of the root. Once the bracket is
+    # closed, a slope crawl times too steep makes Newton steps crawl: only
+    # the halving guard ends such a search in time. SOP_MAX_EVALS is lifted
+    # above every bound: the one-ulp rule alone may need some 3,000 calls
+    # next to a root near 0
+    f, df = _S_SHAPED[shape]
+    top = r + top
+    calls, moves, newton_open, closed_at = [], 0, 0, None
+
+    def side(x):
+        nonlocal moves, newton_open, closed_at
+        value = f(x - r, scale)
+        if closed_at is None and calls:  # a call out of an open bracket
+            newton_open += x == calls[-1][2]
+            moves += x != calls[-1][2]
+            if (value > 0.0) != (calls[0][1] > 0.0):
+                closed_at = len(calls) + 1
+        if 0.0 < abs(value) <= accept:
+            calls.append((x, value, None))
+            return None
+        slope = df(x - r, scale) * (1.0 if closed_at is None else crawl)
+        step = x - value / slope if newton and slope else math.nan
+        calls.append((x, value, step))
+        return value, step if newton else None
+
+    with mock.patch.object(outage, "SOP_MAX_EVALS", 10 ** 6):
+        x = outage.bracketed_root(side, min(start, top), width, top)
+    assert x == calls[-1][0]
+    assert moves <= math.log2(abs(r - min(start, top)) + 1.0) + 1.0
+    assert newton_open <= 40
+    if closed_at is not None:
+        lo = max(t for t, v, _ in calls[:closed_at] if v > 0.0)
+        hi = min(t for t, v, _ in calls[:closed_at] if v <= 0.0)
+        w = max(width, 0.5 * math.ulp(r), math.ulp(0.0))
+        assert len(calls) - closed_at <= 3 * max(math.log2((hi - lo) / w),
+                                                 0.0) + 3
