@@ -24,13 +24,22 @@ and angles of each transmitter-centred grid, multiples of 4) it
   of each mirror pair, again on the full grid (mirror=None): the largest
   relative difference of either level, and the kernels that fold;
 * integrates the beamforming and partition kernels of every outage-grid
-  point at all four offsets in one shared pass (the pass of
-  outage.shared_pass) and alone: the points whose levels differ in any bit,
-  and the time of the shared passes of one offset, per geometry;
+  point at all four offsets, and of every PER_CENTRE cell, in one shared
+  pass (the pass of outage.shared_pass) and alone: the points whose levels
+  differ in any bit, and the time of the shared passes of one offset (of
+  all PER_CENTRE_DBW powers), per geometry;
 * evaluates every outage-grid cell's breach kernel again with each
   distance taken per (centre, transmitter) pair, |(c + g) - t| on centre
   c's grid point g, as before the law's offset tables (|g + (c - t)|, one
-  row per distinct offset): the largest relative difference of either level.
+  row per distinct offset): the largest relative difference of either
+  level; and likewise every scheme's kernel on the PER_CENTRE layouts,
+  whose offsets do not repeat exactly (K = 8 lines at r_s = 0.3 and 0.05,
+  a K = 4 layout on no line), at the PER_CENTRE_DBW powers, which read
+  per centre, so that both read forms are held to the per-pair distances;
+* checks the read form BreachKernel._plan picks for each far-field group
+  on its shared grid: one offset table for every group of every
+  outage-grid kernel, each centre its own points for every group of
+  several centres on the PER_CENTRE layouts.
 
 It exits 1 when a grid fails a gate of the SOP quadrature: a reference
 miss, an unflagged cell more than QUAD_CERT_TOL off its reference, an
@@ -38,9 +47,9 @@ unflagged K = 1 value more than SINGLE_LINK_TOL relative from its closed
 form, a folded integral more than FOLD_TOL relative from the full grid,
 an outage-grid kernel that does not fold (every outage-grid layout is a
 line layout, so a lost fold doubles the SOP cost without moving a value),
-a shared pass whose levels are not bit for bit those of each kernel, or an
-outage-grid kernel whose levels are more than OFFSET_TOL relative from the
-per-pair distances.
+a shared pass whose levels are not bit for bit those of each kernel, an
+outage-grid or PER_CENTRE kernel whose levels are more than OFFSET_TOL
+relative from the per-pair distances, or a group read in the other form.
 It is not part of the test suite; it takes about 15 s per grid size on one
 core.
 """
@@ -49,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -64,13 +74,25 @@ import workloads as W  # noqa: E402
 
 from cachesec import outage  # noqa: E402
 from cachesec.channel import ChannelParams, SchemeId  # noqa: E402
-from cachesec.layout import build_line_layout  # noqa: E402
+from cachesec.layout import NetworkLayout, build_line_layout  # noqa: E402
 
 SOPS = {"sop-dbf": outage.sop_dbf, "sop-fot": outage.sop_fot,
         "sop-bsr": outage.sop_bsr_exact}
 SINGLE_LINK_TOL = 1e-9  # relative, unflagged K = 1 values
 FOLD_TOL = 1e-13  # relative, folded against full-grid integrals
 OFFSET_TOL = 1e-14  # relative, offset tables against per-pair distances
+# Layouts whose offsets c - t do not repeat exactly, so that groups of
+# several centres read per centre, a form no benchmark workload runs: at
+# K = 8, r_s = 0.3 gives 39 offsets and 0.05 gives 33 for 64 pairs, and the
+# K = 4 layout (on no shared line) has all 16; at these Ps (Pm 0 dBw).
+PER_CENTRE = {
+    "K8-r0.3": build_line_layout(1.0, 0.3, 8, 2.0),
+    "K8-r0.05": build_line_layout(1.0, 0.05, 8, 2.0),
+    "K4-off-line": NetworkLayout(complex(0.3, 3.0), (
+        complex(0.2, 1.0), complex(-0.6, 1.1), complex(0.9, 1.4),
+        complex(-1.2, 1.6))),
+}
+PER_CENTRE_DBW = (-20.0, -10.0, 0.0, 10.0, 20.0, 30.0)
 
 
 def dbw(x: float) -> float:
@@ -88,6 +110,15 @@ def grid_cells(offset: float):
             params = ChannelParams(g["alpha"], dbw(ps_dbw), dbw(g["Pm_dBw"]),
                                    g["lambda_e"])
             yield geo, ps_dbw, layout, params, g["beta_e"]
+
+
+def per_centre_cells():
+    """(layout name, Ps_dBw, layout, params, beta_e) of every PER_CENTRE
+    cell."""
+    for (name, layout), ps_dbw in itertools.product(PER_CENTRE.items(),
+                                                    PER_CENTRE_DBW):
+        yield name, ps_dbw, layout, ChannelParams(
+            W.BASE["alpha"], dbw(ps_dbw), 1.0, 1.0), 1.0
 
 
 def outage_grid(refs: dict) -> dict:
@@ -164,10 +195,12 @@ def fold_check() -> dict:
 
 
 def shared_check() -> dict:
-    points, mismatch, seconds = 0, 0, {geo: math.inf for geo in W.GEOMETRIES}
+    names = [*W.GEOMETRIES, *PER_CENTRE]
+    points, mismatch, seconds = 0, 0, dict.fromkeys(names, math.inf)
     for variant in range(W.VARIANTS):
-        spent = dict.fromkeys(W.GEOMETRIES, 0.0)
-        for geo, _, layout, params, beta_e in grid_cells(0.25 * variant):
+        spent = dict.fromkeys(names, 0.0)
+        for geo, _, layout, params, beta_e in [*grid_cells(0.25 * variant),
+                                               *per_centre_cells()]:
             dbf, fot = (outage.breach_kernel(scheme, layout, params)
                         for scheme in (SchemeId.DBF, SchemeId.FOT))
             start = time.perf_counter()
@@ -200,17 +233,44 @@ def per_pair_levels(kernel, beta_e: float) -> np.ndarray:
     return levels
 
 
+def tabled_groups(kernel, *shared) -> list[bool]:
+    """Whether each far-field group of the kernel's centres reads one
+    offset table, as BreachKernel._plan plans it for integral."""
+    far = [power * len(tx) for power, tx in kernel.links]
+    centres = [(k, i) for k, (power, tx) in enumerate(kernel.links)
+               if power > 0.0 for i in range(len(tx))]
+    groups = [tuple(group) for _, group in itertools.groupby(
+        centres, lambda centre: far[centre[0]])]
+    # a step of the per-centre form reads its table whole (Ellipsis)
+    return [kernel._plan(group, True, *shared)[0][0][2] is not Ellipsis
+            for group in groups]
+
+
 def offset_check() -> dict:
-    worst, cells = 0.0, 0
-    for variant in range(W.VARIANTS):
-        for _, _, layout, params, beta_e in grid_cells(0.25 * variant):
-            for scheme in SchemeId:
-                kernel = outage.breach_kernel(scheme, layout, params)
-                diff = kernel.integral(beta_e) / per_pair_levels(
-                    kernel, beta_e) - 1.0
-                worst = max(worst, float(max(abs(diff))))
-                cells += 1
-    return {"cells": cells, "max_rel_diff": worst}
+    report = {"cells": 0, "max_rel_diff": 0.0, "per_centre_cells": 0,
+              "per_centre_max_rel_diff": 0.0, "misread_groups": 0}
+    cells = [(False, cell) for variant in range(W.VARIANTS)
+             for cell in grid_cells(0.25 * variant)]
+    for per_centre, (_, _, layout, params, beta_e) in [
+            *cells, *((True, cell) for cell in per_centre_cells())]:
+        prefix = "per_centre_" if per_centre else ""
+        kernels = [outage.breach_kernel(scheme, layout, params)
+                   for scheme in SchemeId]
+        for kernel in kernels:
+            diff = kernel.integral(beta_e) / per_pair_levels(
+                kernel, beta_e) - 1.0
+            report[prefix + "max_rel_diff"] = max(
+                report[prefix + "max_rel_diff"], float(max(abs(diff))))
+            report[prefix + "cells"] += 1
+        # every outage-grid group reads one offset table; on the PER_CENTRE
+        # layouts the K SBSs of beamforming and partitions read per centre,
+        # and relaying's groups (one or two centres) keep their table
+        for scheme, kernel, shared in [*zip(SchemeId, kernels, [()] * 3),
+                                       (SchemeId.DBF, kernels[0], kernels[1:2])]:
+            tabled = not per_centre or scheme is SchemeId.BSR
+            report["misread_groups"] += sum(
+                form != tabled for form in tabled_groups(kernel, *shared))
+    return report
 
 
 def failed_gates(report: dict) -> list[str]:
@@ -224,7 +284,10 @@ def failed_gates(report: dict) -> list[str]:
         ("fold.unfolded", report["fold"]["folded"] < report["fold"]["cells"]),
         ("shared.mismatch", report["shared"]["mismatch"] > 0),
         ("offsets.max_rel_diff",
-         report["offsets"]["max_rel_diff"] > OFFSET_TOL))
+         report["offsets"]["max_rel_diff"] > OFFSET_TOL),
+        ("offsets.per_centre_max_rel_diff",
+         report["offsets"]["per_centre_max_rel_diff"] > OFFSET_TOL),
+        ("offsets.misread_groups", report["offsets"]["misread_groups"] > 0))
         if failed]
 
 

@@ -25,9 +25,9 @@ Clenshaw-Curtis in radius, the periodic trapezoid rule in angle (Trefethen
 the coarser grid that certifies the value. Where every live transmitter
 shares one exact x or y coordinate (every line layout), the reflection
 across that line maps each grid onto itself: one angle of each mirror pair
-is read. BreachKernel.law takes the centres of one far-field power on their
-shared grid: where the offsets centre - transmitter are as few as a line's,
-each gets its d^-alpha and breach factor once, else each centre its points.
+is read. BreachKernel.integral plans once per far-field power how law reads
+the grid its centres share: one row per offset centre - transmitter where
+these are as few as a line's, else each centre its own points.
 The beamforming and partition SOPs share a pass in shared_pass.
 
 Each SOP's inverse lives beside it: BreachKernel.root, Newton steps in
@@ -373,10 +373,10 @@ def bracketed_root(side, x: float, width: float = 0.0,
     halved in two steps (Brent 1973, ch. 4); else an open end moves out by
     1, 2, 4, ... (up to top; side raises there if it is below) and a closed
     one is bisected, to width or one ulp of x. Calls: log2(D + 1) + 1 moves
-    out pass a root D away, besides Newton steps; then the bracket, W wide,
-    halves in every 3, stopping in 3 log2(W / w) + 3 more, w the width or
-    half an ulp of the root. RuntimeError after SOP_MAX_EVALS calls: 200,
-    above the 170 these give at the maximizer's width 1e-13."""
+    out pass a root D away, then a bracket W wide halves in every 3, ending
+    in 3 log2(W / w) + 3, w the width or half an ulp of the root: 170 at
+    the maximizer's width 1e-13. Newton steps while an end is open have no
+    progress guard: SOP_MAX_EVALS (200) alone bounds them (RuntimeError)."""
     lo, hi, reach, last, widths = -math.inf, math.inf, 1.0, None, (math.inf,) * 2
     for _ in range(SOP_MAX_EVALS):
         if (report := side(x)) is None:
@@ -410,14 +410,6 @@ def _floored(x: np.ndarray, deriv: bool):
     return x, slope if slope is None else np.multiply(slope, x, out=slope)
 
 
-@lru_cache(maxsize=16)
-def _offset_keys(read: tuple, xy: tuple) -> tuple:
-    """Sorted keys (F, offset c - t) of transmitters t, read ((F, x, y),
-    ...), and centres c, xy, if fewer than t's plus c's (a line's), else ()."""
-    keys = sorted({(f, x - tx, y - ty) for f, tx, ty in read for x, y in xy})
-    return tuple(keys) if len(keys) < len(xy) + len(read) else ()
-
-
 @dataclass(frozen=True)
 class BreachKernel:
     """Per-position breach probability over one scheme's breach links.
@@ -437,12 +429,14 @@ class BreachKernel:
     that far-field power, times the share q / sum q over their
     transmitters, q = exp(max(-(beta_e / (n P)) d^alpha, EXP_FLOOR)) (p_k
     itself where n = 1). The terms sum to the law, each on its own breach
-    disc; their slopes leave out the shares'. On a grid g the centres c
-    share (1-D px, py), the keys of _offset_keys, if any, are the rows of
-    one table, read as a view where a step's rows run up by one; else each
-    centre reads its own points, c + g or slice j of px, py, and each t a
-    table of d^-alpha, q and (read by a link of t alone) its slope. mirror:
-    the angle in turns (0 or 1/4) of a line through every live transmitter.
+    disc; their slopes leave out the shares'. Where the centres c share 1-D
+    px, py (a grid g) and the keys (F, c - t), F t's far-field power, are
+    fewer than c's plus t's (a line's), the sorted keys are the rows of one
+    table, read as views where a step's rows run up by one; else each c
+    reads its own points, c + g or slice j of px, py, and each t a table
+    keyed (F, -t), of d^-alpha, q and (for a link of t alone) its slope:
+    _plan, once per far-field power in integral (law's plan=). mirror: the
+    angle in turns (0 or 1/4) of a line through every live transmitter.
 
     law(..., centres, *shared) and integral(beta_e, deriv, *shared) return
     one result per kernel, this one's first, each with its own bits, for
@@ -454,49 +448,53 @@ class BreachKernel:
     alpha: float
     mirror: float | None = None
 
-    def law(self, px: np.ndarray, py: np.ndarray, beta_e: float, deriv: bool,
-            centres: tuple[tuple[int, int], ...] = (), *shared: BreachKernel):
+    def _plan(self, centres: tuple, flat: bool, *shared: BreachKernel):
+        """law's reads, on 1-D points (flat) or not: per live t up to the
+        centres' group, in link order, ((k, i, P, n, t) of each kernel, t in
+        link k of n, of power P; its new table's keys; its rows; its slot),
+        the group's first, link sizes, the c of c + g, the centres' axis."""
         far = [power * len(tx) for power, tx in self.links]
         group = far[centres[0][0]] if centres else math.nan
-        # a step per live transmitter t up to the centres' group, in link
-        # order: (k, i, P, n, t) of each kernel, t in link k, of n, of power P
         steps = [step for step in zip(*([(k, i, power, len(tx), t) for k, (
             power, tx) in enumerate(kernel.links) if power > 0.0 for i, t in
             enumerate(tx)] for kernel in (self, *shared)), strict=True)
             if not far[step[0][0]] < group]
-        read = tuple([(far[s[0][0]], s[0][4].real, s[0][4].imag)
-                      for s in steps])  # (F, x, y) of each step's t
-        xy = tuple([(c.real, c.imag) for c in [
-            self.links[k][1][i] for k, i in centres]])  # the centres c
-        keys = _offset_keys(read, xy) if px.ndim == 1 else ()
-        if centres and px.ndim == 1 and not keys:  # each c reads c + g
-            px = np.add.outer([x for x, _ in xy], px)
-            py = np.add.outer([y for _, y in xy], py)
-        rows = [[(f, x - tx, y - ty) for x, y in (xy if keys else [(
-            0.0, 0.0)])] for f, tx, ty in read]  # each step's key per c
-        sizes = {n for step in steps for _, _, _, n, _ in step}  # of links
-        shape = (len(centres), *px.shape) if keys else px.shape
-        slots, pick = {c: j for j, c in enumerate(centres)}, np.empty(shape)
-        # where: the table row of each key; start: each union before the
-        # centres' group; total: the sum of q over it; pick: each centre's q
-        where, start, total = {}, None, None
-        acc, w = ([None] * (1 + len(shared)) for _ in range(2))  # (u, du), W
-        for step, row in zip(steps, rows):
-            if row[0] not in where:  # one table of keys, else one per step
-                if keys:
-                    where = {key: r for r, key in enumerate(keys)}
-                    f, ox, oy = np.array(keys).T[:, :, None]  # px is 1-D
-                else:  # of px's shape, read whole
-                    (f, ox, oy), where = row[0], {row[0]: ...}
+        xy = [self.links[k][1][i] for k, i in centres]  # the centres c
+        rows = [[(far[s[0][0]], (o := c - s[0][4]).real, o.imag) for c in (
+            *xy, 0j)] for s in steps]  # each step's key per c, then its own
+        keys = sorted({key for row in rows for key in row[:-1]})
+        if flat and 0 < len(keys) < len(xy) + len(steps):  # one table
+            tables = [np.array(keys).T[:, :, None]] + [None] * (len(steps) - 1)
+            where = {key: r for r, key in enumerate(keys)}  # each key's row
+            at = [[where[key] for key in row[:-1]] for row in rows]
+            at, outer = [a[0] if len(a) == 1 else slice(a[0], a[-1] + 1) if a
+                         == [*range(a[0], a[-1] + 1)] else a for a in at], ()
+        else:  # a table per step
+            tables, at = [row[-1] for row in rows], [...] * len(steps)
+            outer = (np.real(xy), np.imag(xy)) if flat and xy else ()
+        slots = {c: j for j, c in enumerate(centres)}
+        return [*zip(steps, tables, at, [slots.get(s[0][:2]) for s in steps])
+                ], len([s for s in steps if far[s[0][0]] != group]), {
+            t[3] for step in steps for t in step}, outer, len(xy) * flat
+
+    def law(self, px: np.ndarray, py: np.ndarray, beta_e: float, deriv: bool,
+            centres: tuple = (), *shared: BreachKernel, plan=None):
+        steps, first, sizes, outer, lead = plan or self._plan(
+            centres, px.ndim == 1, *shared)
+        shape = (lead, *px.shape) if lead else px.shape  # of the terms
+        if outer:  # each c reads c + g
+            px, py = np.add.outer(outer[0], px), np.add.outer(outer[1], py)
+        pick = start = total = None  # own q; unions before the group; sum of q
+        acc, w = ([None] * len(steps[0][0]) for _ in range(2))  # (u, du), W
+        for s, (step, table, at, slot) in enumerate(steps):
+            if table is not None:  # of every key, or of this step's own
+                f, ox, oy = table
                 d = dist_pow_neg((px + ox) ** 2 + (py + oy) ** 2, self.alpha)
                 # -inf or nan in places (see integral); d serves sums W
                 q = np.divide(-beta_e / f, d, out=d if sizes == {1} else None)
                 q, slope = _floored(q, deriv and 1 in sizes)
-            if far[step[0][0]] == group and start is None:  # acc's arrays stay
+            if s == first:  # acc's arrays stay
                 start = [union or (None, None) for union in acc]
-            at = [where[key] for key in row]  # a view where they run up by 1
-            if len(at) == 1 or at == list(range(at[0], at[0] + len(at))):
-                at = at[0] if len(at) == 1 else slice(at[0], at[0] + len(at))
             for j, (_, i, power, n, _) in enumerate(step):
                 if n == 1:  # a transmitter alone: its link's p_k is q
                     p, dp = q[at], slope[at] if deriv else None
@@ -517,16 +515,16 @@ class BreachKernel:
                 qa = q[at].reshape(shape)
                 total = qa if total is None else np.add(
                     total, qa, out=total if total.base is None else None)
-                if (j := slots.get(step[0][:2])) is not None:  # its own q
-                    pick[j] = qa[j]
-        if centres:  # each centre's q over the sum of q: 1 where it is alone
-            share = None if len(steps) < 2 or far[steps[-2][0][0]] > group \
-                else pick / total
+                if slot is not None:  # its own q; pick made late (heap order)
+                    pick = np.empty(shape) if pick is None else pick
+                    pick[slot] = qa[slot]
+        if first < len(steps):  # each centre's q over the sum of q: 1 alone
+            share = None if first == len(steps) - 1 else pick / total
             d = q = slope = w = p = dp = total = None  # free the tables
-            acc = [[None if x is None else (x if share is None else x * share)
-                    .reshape(shape) for x in (  # row j: centre j
-                        u if s is None else u - s, du if ds is None else du - ds)]
-                   for (u, du), (s, ds) in zip(acc, start)]
+            acc = [[x if x is None else (x if share is None else x * share)
+                    .reshape(shape) for x in (u if s is None else u - s,
+                                              du if ds is None else du - ds)]
+                   for (u, du), (s, ds) in zip(acc, start)]  # row j: centre j
         return acc if shared else acc[0]
 
     def integral(self, beta_e: float, deriv: bool = False,
@@ -535,8 +533,8 @@ class BreachKernel:
         and its log(beta_e)-derivative when deriv is set (ignoring the radii's
         dependence on beta_e): the sum of the live transmitters' terms, each on
         a polar grid to the cut radius of its link's far-field power, in law
-        calls on the rings, of the grid its centres share, that fit in
-        PASS_POINTS points for all. -inf exponents, or inf/inf = nan where
+        calls on one plan on the rings of the grid its centres share that fit
+        in PASS_POINTS points for all. -inf exponents, or inf/inf = nan where
         beta_e/P overflows (a disc below 1e-120 across), reach the floor."""
         radial, unit_x, unit_y, angular = _nested_rules(*SOP_NODES,
                                                         self.mirror)
@@ -548,11 +546,12 @@ class BreachKernel:
                 _, part = zip(*group)
                 rmax = trunc_radius(0.0, far, beta_e, self.alpha)
                 rings = max(1, PASS_POINTS // (len(part) * len(angular)))
+                plan = self._plan(part, True, *shared)
                 for j in range(0, len(unit_x), rings):
                     ring = slice(j, j + rings)
                     terms = self.law((rmax * unit_x[ring]).ravel(), (
                         rmax * unit_y[ring]).ravel(), beta_e, deriv, part,
-                        *shared)
+                        *shared, plan=plan)
                     for sums, pair in zip(out, terms if shared else [terms]):
                         for level, v in zip(sums, pair):
                             level += rmax * rmax * np.einsum(

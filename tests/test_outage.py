@@ -821,9 +821,9 @@ def test_line_layouts_read_half_the_angles_in_passes(monkeypatch):
     calls, tables = [], []
     real, real_dist = outage.BreachKernel.law, outage.dist_pow_neg
 
-    def law(self, px, *rest):
+    def law(self, px, *rest, **plan):  # integral hands law its plan
         built = len(tables)
-        terms = real(self, px, *rest)
+        terms = real(self, px, *rest, **plan)
         calls.append((rest[3], px.shape, len(tables) - built))
         return terms
 
@@ -858,6 +858,59 @@ def test_line_layouts_read_half_the_angles_in_passes(monkeypatch):
     kernel.integral(1.0)
     assert [(len(centres), shape) for centres, shape, _ in calls] \
         == [(8, (1023,)), (8, (1023,)), (8, (561,))]
+
+
+# a K = 4 layout on no shared line: its 16 offsets c - t are all distinct
+_OFF_LINE = NetworkLayout(complex(0.3, 3.0), (
+    complex(0.2, 1.0), complex(-0.6, 1.1), complex(0.9, 1.4),
+    complex(-1.2, 1.6)))
+
+
+@pytest.mark.parametrize("layout", [*_LAYOUTS, build_line_layout(
+    1.0, 0.3, 8, 2.0), _OFF_LINE])
+@pytest.mark.parametrize("Pm", [0.0, 1.0])
+def test_integral_plans_each_group_once(monkeypatch, layout, Pm):
+    # how law reads its tables depends on neither beta_e nor the points:
+    # integral plans it once per far-field group and hands the plan to
+    # every block of that group's rings, and law on that plan gives the
+    # bits of law planning on the spot, alone and in the shared pass
+    plans, blocks = [], []
+    real_plan, real_law = outage.BreachKernel._plan, outage.BreachKernel.law
+
+    def plan(self, *args):
+        plans.append(args)
+        return real_plan(self, *args)
+
+    def law(self, *args, plan):
+        blocks.append((self, args, plan))
+        return real_law(self, *args, plan=plan)
+
+    monkeypatch.setattr(outage.BreachKernel, "_plan", plan)
+    monkeypatch.setattr(outage.BreachKernel, "law", law)
+    params = ChannelParams(alpha=4.0, Ps=10.0, Pm=Pm, lambda_e=0.1)
+    dbf, fot, bsr = (outage.breach_kernel(s, layout, params) for s in SchemeId)
+    for kernel, shared in ((dbf, ()), (fot, ()), (bsr, ()), (dbf, (fot,))):
+        groups = len({power * len(tx) for power, tx in kernel.links
+                      if power > 0.0})
+        assert groups == (2 if kernel is bsr and Pm else 1)
+        for deriv in (False, True):
+            plans.clear()
+            blocks.clear()
+            kernel.integral(0.7, deriv, *shared)
+            assert len(plans) == groups
+            assert len({id(plan) for _, _, plan in blocks}) == groups
+            assert len(blocks) >= groups
+            if layout.K == 8 and kernel is not bsr:  # 3 blocks, one plan
+                assert len(blocks) == 3
+            for self, args, plan in blocks:
+                assert self is kernel and args[5:] == shared
+                on_the_spot = real_law(self, *args)
+                on_plan = real_law(self, *args, plan=plan)
+                for got, want in zip(*(terms if shared else [terms] for terms
+                                       in (on_plan, on_the_spot))):
+                    for a, b in zip(got, want):
+                        assert (a is None and b is None) \
+                            or a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("layout", [standard_layout(3),
