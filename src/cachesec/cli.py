@@ -17,9 +17,10 @@ Each verb builds the columns and rows of one table, one pool task per
 (sweep point, cell); main checks the sweep axis against the axes the verb
 accepts (_COMMANDS) and writes the table. cop-sweep, sop-sweep and
 validate draw their cells from one evaluator table per outage kind; a
-point's analytic column is one task, in an outage.shared_pass. throughput
-and caching find every SOP root before the pool starts (_roots): relaying
-once per channel, beamforming and partitions once per table.
+point's analytic column is one task, in an outage.shared_pass, and reads
+its beamforming COP from one call per table. throughput and caching find
+every SOP root before the pool starts (_roots): relaying once per channel,
+beamforming and partitions once per table.
 
 A scenario file is a flat "key = value" text file (or a JSON object with
 the same keys); unknown and repeated keys are errors, not warnings, because
@@ -302,7 +303,9 @@ def _evaluators(kind: str, scn: Scenario, layout: NetworkLayout) -> dict:
 
     dbf, fot, bsr = SchemeId
     if kind == "cop":
-        return {"dbf": (dbf, an(outage.cop_dbf_exact), mc(dbf)),
+        sweep = [scn.params(v) for v in scn.sweep_points]
+        column = dict(zip(sweep, outage.cop_dbf_exact(layout, sweep, beta)))
+        return {"dbf": (dbf, column.__getitem__, mc(dbf)),
                 "dbf-asymptote": (dbf, an(outage.cop_dbf_asymptotic), None),
                 "fot": (fot, an(outage.cop_fot), mc(fot)),
                 "bsr": (bsr, an(outage.cop_bsr), mc(bsr))}

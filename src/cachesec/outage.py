@@ -144,18 +144,20 @@ def _log_rayleigh_laplace(z: np.ndarray) -> np.ndarray:
     far = np.abs(zp) > SERIES_Z
     zn, zf = zp[~far], zp[far]
     out[~far] = np.log(1.0 - 0.5 * _SQRT_PI * zn * _faddeeva(0.5j * zn))
-    out[far] = math.log(2.0) - 2.0 * np.log(zf) \
-        + np.log(np.polyval(_SERIES, (1.0 / zf) ** 2))
+    if zf.size:  # a branch no element takes is skipped
+        out[far] = math.log(2.0) - 2.0 * np.log(zf) \
+            + np.log(np.polyval(_SERIES, (1.0 / zf) ** 2))
     gauss = neg & ~far
     zg = z[gauss]
-    q = 0.25 * zg * zg
-    p = np.maximum(q.real, 0.0)
-    out[gauss] = p + np.log(np.exp(out[gauss] - p)
-                            - _SQRT_PI * zg * np.exp(q - p))
+    if zg.size:
+        q = 0.25 * zg * zg
+        p = np.maximum(q.real, 0.0)
+        out[gauss] = p + np.log(np.exp(out[gauss] - p)
+                                - _SQRT_PI * zg * np.exp(q - p))
     return out
 
 
-def _amplitude_sum_cdf(a: np.ndarray, x: float) -> tuple[float, float]:
+def _amplitude_sum_cdf(a: np.ndarray, x) -> tuple:
     """P(S <= x), S = sum_k a_k R_k for unit-power Rayleigh R_k, and the
     relative nested-halving difference of the side that was integrated.
 
@@ -164,44 +166,60 @@ def _amplitude_sum_cdf(a: np.ndarray, x: float) -> tuple[float, float]:
     log grid over the bracket the tilted means imply: g > 0 gives the CDF,
     g < 0 (x above the mean) its complement. The contour s(t) = gamma +
     sigma (i sinh t - BEND (cosh t - 1)), sigma the saddle's width, bends
-    left until exp(sx) has decayed by exp(-TAIL_LOG_COP).
+    left until exp(sx) has decayed by exp(-TAIL_LOG_COP). A 1-D array of x
+    gives an array of each, in blocks of at most PASS_POINTS // 4 Laplace
+    arguments (a 256 KiB table of Weideman powers) that keep each x's bits.
     """
-    mean = 0.5 * _SQRT_PI * float(a.sum())
-    power = float(a @ a)
-    if x > mean and (x - mean) ** 2 > EXACT_LOG * power:
-        # R_k is a 1-Lipschitz function of a Gaussian pair of variance 1/2
-        # each, so P(S > x) <= exp(-(x - mean)^2 / power) < 2^-54
-        return 1.0, 0.0
-    if x <= mean:  # the tilted mean of S lies in (0, 2K/g)
-        sign, lo, hi = 1.0, 1.0 / x, (2 * len(a) + 1) / x
-    else:  # it lies in [|g| power/2, |g| power/2 + mean]
-        sign = -1.0
-        lo = (x - mean + math.sqrt((x - mean) ** 2 + 2.0 * power)) / power
-        hi = (x + math.sqrt(x * x + 2.0 * power)) / power
-    u = np.linspace(math.log(lo) - 0.1, math.log(hi) + 0.1, SADDLE_GRID)
-    g = sign * np.exp(u)
-    h = g * x - u + _log_rayleigh_laplace(
-        np.outer(g, a).astype(complex)).real.sum(axis=1)
-    i = int(np.clip(np.argmin(h), 1, SADDLE_GRID - 2))
-    curv = (h[i - 1] - 2.0 * h[i] + h[i + 1]) / (u[1] - u[0]) ** 2
-    gamma = float(g[i])
-    sigma = abs(gamma) / math.sqrt(max(curv, 1e-3))
-    t = np.linspace(0.0, math.acosh(1.0 + TAIL_LOG_COP / (sigma * BEND * x)),
-                    COP_NODES + 1)
-    s = gamma + sigma * (1j * np.sinh(t) - BEND * (np.cosh(t) - 1.0))
-    ell = s * x + _log_rayleigh_laplace(np.outer(s, a)).sum(axis=1) \
-        - np.log(sign * s) - h[i]
-    f = (np.exp(ell) * (1j * np.cosh(t) - BEND * np.sinh(t))).imag
-    f[[0, -1]] *= 0.5
-    fine, coarse = float(f.sum()), 2.0 * float(f[::2].sum())
-    side = math.exp(h[i]) * sigma * float(t[1] - t[0]) * fine / math.pi
-    delta = abs(fine - coarse) / abs(fine) if fine != 0.0 else math.inf
-    value = side if sign > 0.0 else 1.0 - side
-    return min(max(value, 0.0), 1.0), delta
+    mean, power = 0.5 * _SQRT_PI * float(a.sum()), float(a @ a)
+    xs, out, ends = np.ravel(x).tolist(), {0.0: (0.0, 0.0)}, []
+    for v in xs:  # ends: x, side and saddle grid ends of each x inverted
+        # P(S <= 0) = 0. R_k is a 1-Lipschitz function of a Gaussian pair of
+        # variance 1/2 each, so P(S > x) <= exp(-(x - mean)^2 / power) < 2^-54
+        if v == 0.0 or v > mean and (v - mean) ** 2 > EXACT_LOG * power:
+            continue
+        if v <= mean:  # the tilted mean of S lies in (0, 2K/g)
+            sign, lo, hi = 1.0, 1.0 / v, (2 * len(a) + 1) / v
+        else:  # it lies in [|g| power/2, |g| power/2 + mean]
+            sign, d = -1.0, v - mean
+            lo = (d + math.sqrt(d ** 2 + 2.0 * power)) / power
+            hi = (v + math.sqrt(v * v + 2.0 * power)) / power
+        ends.append((v, sign, math.log(lo) - 0.1, math.log(hi) + 0.1))
+    step = max(1, PASS_POINTS // 4 // ((COP_NODES + 1) * len(a)))
+    for block in (ends[k:k + step] for k in range(0, len(ends), step)):
+        xc, sign, u0, u1 = np.array(block).T[..., None]
+        # np.linspace's steps, so its bits, in C order
+        u = np.arange(SADDLE_GRID) * ((u1 - u0) / (SADDLE_GRID - 1)) + u0
+        u[:, -1:] = u1
+        g = sign * np.exp(u)
+        h = g * xc - u + _log_rayleigh_laplace(
+            (g[..., None] * a).astype(complex)).real.sum(axis=-1)
+        saddles = []  # gamma, sigma, h(gamma) and contour top of each point
+        for hr, ur, gr, i, pt in zip(h, u, g, h.argmin(-1).tolist(), block):
+            i = min(max(i, 1), SADDLE_GRID - 2)
+            curv = (hr[i - 1] - 2.0 * hr[i] + hr[i + 1]) / (ur[1] - ur[0]) ** 2
+            sigma = abs(gr[i]) / math.sqrt(max(curv, 1e-3))
+            saddles.append((float(gr[i]), sigma, hr[i], math.acosh(
+                1.0 + TAIL_LOG_COP / (sigma * BEND * pt[0]))))
+        gamma, sigma, hmin, top = np.array(saddles).T[..., None]
+        t = np.arange(COP_NODES + 1) * (top / COP_NODES)
+        t[:, -1:] = top
+        s = gamma + sigma * (1j * np.sinh(t) - BEND * (np.cosh(t) - 1.0))
+        ell = s * xc + _log_rayleigh_laplace(s[..., None] * a).sum(axis=-1) \
+            - np.log(sign * s) - hmin
+        f = (np.exp(ell) * (1j * np.cosh(t) - BEND * np.sinh(t))).imag
+        f[:, [0, -1]] *= 0.5
+        for (xv, sg, *_), (_, sig, hm, _), dt, fine, coarse in zip(
+                block, saddles, (t[:, 1] - t[:, 0]).tolist(),
+                f.sum(axis=-1).tolist(), 2.0 * f[:, ::2].sum(axis=-1)):
+            side = math.exp(hm) * sig * dt * fine / math.pi
+            out[xv] = (min(max(side if sg > 0.0 else 1.0 - side, 0.0), 1.0),
+                       abs(fine - coarse) / abs(fine) if fine else math.inf)
+    res = np.reshape([out.get(v, (1.0, 0.0)) for v in xs], (-1, 2))
+    return tuple(res[0].tolist()) if np.ndim(x) == 0 else tuple(res.T)
 
 
-def cop_dbf_exact(layout: NetworkLayout, params: ChannelParams,
-                  beta_t: float) -> OutageEstimate:
+def cop_dbf_exact(layout: NetworkLayout, params: ChannelParams | list,
+                  beta_t: float) -> OutageEstimate | list:
     """Connection outage of the distributed beamforming scheme.
 
     The decoding SNR is Ps S^2 with S = sum_k a_k R_k, K independent
@@ -213,19 +231,23 @@ def cop_dbf_exact(layout: NetworkLayout, params: ChannelParams,
     each to relative accuracy. The value is exactly 1 where a sub-Gaussian
     bound puts the complement below 2^-54, and 0 where the CDF underflows.
     The sum on every other node certifies it: a relative difference above
-    COP_CERT_TOL sets the flag "quadrature-unconverged".
+    COP_CERT_TOL sets the flag "quadrature-unconverged". A power sweep (a
+    list of channels of one alpha) gives a list, from one batched call.
     """
     if beta_t < 0.0:
         raise ValueError("beta_t must be nonnegative")
-    c = beta_t / params.Ps
-    if c == 0.0:
-        return OutageEstimate(0.0)
-    ra = layout.sbs_distances() ** params.alpha
-    if layout.K == 1:
-        return OutageEstimate(min(-math.expm1(-c * float(ra[0])), 1.0))
-    value, delta = _amplitude_sum_cdf(ra ** -0.5, math.sqrt(c))
-    flag = None if delta <= COP_CERT_TOL else "quadrature-unconverged"
-    return OutageEstimate(value, flag=flag)
+    sweep = [params] if isinstance(params, ChannelParams) else params
+    if len({p.alpha for p in sweep}) != 1:
+        raise ValueError("a power sweep must share one alpha")
+    c = [beta_t / p.Ps for p in sweep]
+    ra = layout.sbs_distances() ** sweep[0].alpha
+    value, delta = _amplitude_sum_cdf(ra ** -0.5, np.sqrt(c)) \
+        if layout.K > 1 else ([min(-math.expm1(-v * float(ra[0])), 1.0)
+                               for v in c], [0.0] * len(c))
+    out = [OutageEstimate(float(v), flag=None if d <= COP_CERT_TOL
+                          else "quadrature-unconverged")
+           for v, d in zip(value, delta)]
+    return out if sweep is params else out[0]
 
 
 def dbf_log_asymptote(layout: NetworkLayout, params: ChannelParams,

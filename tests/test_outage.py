@@ -197,6 +197,54 @@ def test_cop_dbf_flags_too_few_nodes(monkeypatch):
     assert cop_dbf_exact(lay, params, 1.0).flag == "quadrature-unconverged"
 
 
+def test_cop_dbf_sweep_keeps_the_bits_of_each_scalar_call(monkeypatch):
+    # a power sweep is inverted in blocks of points, each array step one
+    # numpy call per block, yet every value keeps the float.hex and flag
+    # of its scalar call
+    def sweep(alpha, powers_dbw):
+        return [standard_params(Ps_dBw=v, alpha=alpha) for v in powers_dbw]
+
+    def same_bits(lay, channels, beta_t):
+        got = cop_dbf_exact(lay, channels, beta_t)
+        want = [cop_dbf_exact(lay, p, beta_t) for p in channels]
+        assert [(e.value.hex(), e.flag) for e in got] \
+            == [(e.value.hex(), e.flag) for e in want]
+        return [e.value for e in want], {e.flag for e in want}
+
+    # the benchmark's outage-grid points: 532 in all. Their sweeps run
+    # several blocks each (3 points a block at K = 8, 10 at K = 3)
+    grids = {(3, 0.5): 0.0, (8, 0.5): -10.0, (6, 2.0): -30.0}
+    for (K, r_s), start in grids.items():
+        lay = build_line_layout(1.0, r_s, K, 2.0)
+        for offset in (0.0, 0.25, 0.5, 0.75):
+            same_bits(lay, sweep(4.0, [start + offset + i for i in
+                                       range(31 - int(start))]), 1.0)
+    # blocks hold at most PASS_POINTS // 4 Laplace arguments (a 256 KiB
+    # table of Weideman powers) however long the sweep: 164 points in one
+    # block would take 4 MiB at K = 3, 11 MiB at K = 8
+    for K in (3, 8):
+        tracemalloc.start()
+        cop_dbf_exact(standard_layout(K), sweep(4.0, range(-10, 31)) * 4, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20
+    powers = range(-30, 41, 10)
+    assert same_bits(standard_layout(3), sweep(4.0, powers), 0.0)[0] \
+        == [0.0] * len(powers)
+    for K in (1, 2, 5, 8):
+        for alpha in (2.5, 6.0):
+            same_bits(standard_layout(K), sweep(alpha, powers), 10.0)
+    # above the tail cut the COP is exactly 1
+    assert same_bits(standard_layout(2), sweep(4.0, [-30.0]), 10.0)[0] \
+        == [1.0]
+    monkeypatch.setattr(outage, "COP_NODES", 4)
+    assert "quadrature-unconverged" in same_bits(standard_layout(3),
+                                                 sweep(4.0, powers), 1.0)[1]
+    with pytest.raises(ValueError, match="one alpha"):
+        cop_dbf_exact(standard_layout(3),
+                      sweep(4.0, [0.0]) + sweep(3.0, [0.0]), 1.0)
+
+
 def test_faddeeva_matches_scipy_wofz():
     # the beamforming COP passes w only iz/2 with Re z >= 0 and |z| <=
     # SERIES_Z = 40: the upper half plane within |z| <= 20. scipy is an
@@ -248,6 +296,8 @@ def test_cop_dbf_exact_properties(K, alpha, ps_dbw, betas):
                 refined = outage._amplitude_sum_cdf(a, math.sqrt(c))[0]
     for e in (est_lo, est):
         assert math.isfinite(e.value) and 0.0 <= e.value <= 1.0
+    # the sweep form (two blocks of points at K >= 11) repeats each value
+    assert cop_dbf_exact(lay, [params] * 3, hi) == [est] * 3
     assert est_lo.value <= est.value * (1.0 + 1e-9)
     assert est.value <= cop_bsr(lay, params, hi).value + 1e-9
     assert (est.flag == "quadrature-unconverged") \
